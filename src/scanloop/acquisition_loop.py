@@ -1,8 +1,8 @@
 """Flag-and-rescan loop simulation, per subject and per cohort.
 
 Two modes share the same loop skeleton — scan, predict, re-scan while
-flagged and budget remains, accept otherwise, pay a correction if the
-accepted scan truly failed:
+flagged and budget remains, then keep the last scan and pay a correction
+if it truly failed:
 
 * **abstract** re-draws failure independently on every scan with the
   subject's own probability and flags through a calibrated coin-flip
@@ -22,16 +22,18 @@ bit-identical for a fixed master seed no matter the worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .alpha_distributions import mean_alpha as _dist_mean_alpha
 from .alpha_distributions import expected_cost_ratio, sample_alpha
-from .cost_model import CostRates, FailureRate, PredictorProfile
+from .cost_model import CostRates, FailureRate
 from .errors import DivergentLoop, ModeMismatch, SupportViolation
 from .predictor_model import ConfusionPredictor, ScorePredictor, classify, score
 from .probe_kinematics import (
@@ -55,14 +57,11 @@ if TYPE_CHECKING:
 class LoopPolicy:
     """Loop controls: when to stop re-scanning.
 
-    ``quality_threshold`` is the score cutoff for kinematic (score) mode and
-    must be None in abstract (confusion) mode, where the predictor flags
-    directly.  A flagged scan triggers a re-scan only while the count of
-    re-scans is below ``max_rescans``; after that the scan is accepted as-is.
+    A flagged scan triggers a re-scan only while the count of re-scans is
+    below ``max_rescans``; after that the last scan is kept as-is.
     """
 
     max_rescans: int
-    quality_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_rescans < 0:
@@ -73,21 +72,20 @@ class LoopPolicy:
 class SubjectRecord:
     """Everything one subject's loop produced.
 
-    Tallies count every scan the subject underwent (including the accepted
+    Tallies count every scan the subject underwent (including the last
     one), so cohort-level precision/recall and costs are recomputable from
     records alone.  ``first_fail`` is whether the very first scan truly
     failed — the cost the subject would have incurred with no loop at all,
-    under the same random draws.
+    under the same random draws.  The last scan is the one kept, and it
+    pays a correction exactly when ``final_true_fail``.
     """
 
     subject_id: int
     alpha: float | None
     scans: int
     rescans: int
-    accepted: bool
     first_fail: bool
     final_true_fail: bool
-    correction_paid: bool
     cost: float
     flagged_scans: int
     failed_scans: int
@@ -117,7 +115,7 @@ def run_subject_abstract(
     """One subject under the independence assumption.
 
     Each scan fails with probability alpha independently of history; each
-    flagged scan buys a re-scan while budget remains.  The accepted scan
+    flagged scan buys a re-scan while budget remains.  The last scan
     pays a correction if it truly failed.  Two stream draws per scan
     (failure, flag), always.
     """
@@ -143,10 +141,8 @@ def run_subject_abstract(
         alpha=a,
         scans=rescans + 1,
         rescans=rescans,
-        accepted=True,
         first_fail=first_fail,
         final_true_fail=true_fail,
-        correction_paid=true_fail,
         cost=cost,
         flagged_scans=flagged_scans,
         failed_scans=failed_scans,
@@ -169,12 +165,10 @@ def run_subject_kinematic(
 
     Quality comes from the probe pose; a scan truly fails when quality is
     below the subject's cutoff.  Flagging compares the noisy score against
-    the policy threshold; each re-scan applies a guidance offset before the
-    next scan, so scans are dependent by design.
+    the predictor's threshold; each re-scan applies a guidance offset before
+    the next scan, so scans are dependent by design.
     """
-    if policy.quality_threshold is None:
-        raise ValueError("kinematic mode requires a quality_threshold in the loop policy")
-    tau = policy.quality_threshold
+    tau = score_pred.threshold
     pose = start
     rescans = 0
     flagged_scans = failed_scans = flagged_failed = 0
@@ -202,10 +196,8 @@ def run_subject_kinematic(
         alpha=None,
         scans=rescans + 1,
         rescans=rescans,
-        accepted=True,
         first_fail=first_fail,
         final_true_fail=true_fail,
-        correction_paid=true_fail,
         cost=cost,
         flagged_scans=flagged_scans,
         failed_scans=failed_scans,
@@ -214,128 +206,79 @@ def run_subject_kinematic(
     )
 
 
+# The columns of SubjectTable and of subjects.csv, in that file's order, with
+# their dtypes: every SubjectRecord field except the id (the row position),
+# alpha (a lead column of abstract mode only) and the ragged trajectory.
+SUBJECT_COLUMNS: tuple[tuple[str, type], ...] = tuple(
+    (f.name, {"int": np.int64, "bool": np.bool_, "float": np.float64}[f.type])
+    for f in dataclasses.fields(SubjectRecord)
+    if f.name not in ("subject_id", "alpha", "quality_trajectory")
+)
+
+
 class SubjectTable:
     """Column-oriented store of SubjectRecords for large cohorts.
 
-    Keeps one numpy column per record field (plus an optional ragged list of
-    quality trajectories) so million-subject cohorts stay cheap to hold,
-    aggregate, and serialize, while ``row``/iteration still hand out proper
-    SubjectRecord objects.
+    Holds ``alpha`` (NaN where not applicable, in kinematic mode), one numpy
+    column per entry of ``SUBJECT_COLUMNS``, and an optional ragged list of
+    quality trajectories, so million-subject cohorts stay cheap to hold,
+    aggregate, and serialize.
     """
-
-    _INT_COLS = ("scans", "rescans", "flagged_scans", "failed_scans", "flagged_failed_scans")
-    _BOOL_COLS = ("accepted", "first_fail", "final_true_fail", "correction_paid")
 
     def __init__(
         self,
         alpha: np.ndarray,
-        scans: np.ndarray,
-        rescans: np.ndarray,
-        accepted: np.ndarray,
-        first_fail: np.ndarray,
-        final_true_fail: np.ndarray,
-        correction_paid: np.ndarray,
-        cost: np.ndarray,
-        flagged_scans: np.ndarray,
-        failed_scans: np.ndarray,
-        flagged_failed_scans: np.ndarray,
         trajectories: list[tuple[float, ...]] | None = None,
+        **columns: np.ndarray,
     ) -> None:
-        self.alpha = alpha  # NaN where not applicable (kinematic mode)
-        self.scans = scans
-        self.rescans = rescans
-        self.accepted = accepted
-        self.first_fail = first_fail
-        self.final_true_fail = final_true_fail
-        self.correction_paid = correction_paid
-        self.cost = cost
-        self.flagged_scans = flagged_scans
-        self.failed_scans = failed_scans
-        self.flagged_failed_scans = flagged_failed_scans
-        self.trajectories = trajectories
+        names = [name for name, _ in SUBJECT_COLUMNS]
+        if sorted(columns) != sorted(names):
+            raise ValueError(f"columns must be {names}, got {list(columns)}")
         n = len(alpha)
-        for name in self._INT_COLS + self._BOOL_COLS + ("cost",):
-            if len(getattr(self, name)) != n:
+        for name, values in columns.items():
+            if len(values) != n:
                 raise ValueError(f"column {name} has mismatched length")
+            setattr(self, name, values)
         if trajectories is not None and len(trajectories) != n:
             raise ValueError("trajectories list has mismatched length")
+        self.alpha = alpha
+        self.trajectories = trajectories
 
     @classmethod
     def from_records(cls, records: list[SubjectRecord]) -> "SubjectTable":
         kinematic = any(r.quality_trajectory is not None for r in records)
         return cls(
             alpha=np.array([math.nan if r.alpha is None else r.alpha for r in records]),
-            scans=np.array([r.scans for r in records], dtype=np.int64),
-            rescans=np.array([r.rescans for r in records], dtype=np.int64),
-            accepted=np.array([r.accepted for r in records], dtype=bool),
-            first_fail=np.array([r.first_fail for r in records], dtype=bool),
-            final_true_fail=np.array([r.final_true_fail for r in records], dtype=bool),
-            correction_paid=np.array([r.correction_paid for r in records], dtype=bool),
-            cost=np.array([r.cost for r in records], dtype=float),
-            flagged_scans=np.array([r.flagged_scans for r in records], dtype=np.int64),
-            failed_scans=np.array([r.failed_scans for r in records], dtype=np.int64),
-            flagged_failed_scans=np.array(
-                [r.flagged_failed_scans for r in records], dtype=np.int64
-            ),
             trajectories=[r.quality_trajectory for r in records] if kinematic else None,
+            **{
+                name: np.array([getattr(r, name) for r in records], dtype=dtype)
+                for name, dtype in SUBJECT_COLUMNS
+            },
         )
 
     @classmethod
     def concatenate(cls, parts: list["SubjectTable"]) -> "SubjectTable":
-        if not parts:
-            return cls.empty(kinematic=False)
-        kwargs = {
-            name: np.concatenate([getattr(p, name) for p in parts])
-            for name in ("alpha", "cost") + cls._INT_COLS + cls._BOOL_COLS
-        }
+        trajectories = None
         if parts[0].trajectories is not None:
-            trajectories: list[tuple[float, ...]] | None = []
-            for p in parts:
-                trajectories.extend(p.trajectories)
-        else:
-            trajectories = None
-        return cls(trajectories=trajectories, **kwargs)
+            trajectories = [t for p in parts for t in p.trajectories]
+        return cls(
+            trajectories=trajectories,
+            **{
+                name: np.concatenate([getattr(p, name) for p in parts])
+                for name in ("alpha", *(name for name, _ in SUBJECT_COLUMNS))
+            },
+        )
 
     @classmethod
     def empty(cls, kinematic: bool) -> "SubjectTable":
         return cls(
             alpha=np.empty(0),
-            scans=np.empty(0, dtype=np.int64),
-            rescans=np.empty(0, dtype=np.int64),
-            accepted=np.empty(0, dtype=bool),
-            first_fail=np.empty(0, dtype=bool),
-            final_true_fail=np.empty(0, dtype=bool),
-            correction_paid=np.empty(0, dtype=bool),
-            cost=np.empty(0),
-            flagged_scans=np.empty(0, dtype=np.int64),
-            failed_scans=np.empty(0, dtype=np.int64),
-            flagged_failed_scans=np.empty(0, dtype=np.int64),
             trajectories=[] if kinematic else None,
+            **{name: np.empty(0, dtype=dtype) for name, dtype in SUBJECT_COLUMNS},
         )
 
     def __len__(self) -> int:
         return len(self.alpha)
-
-    def row(self, i: int) -> SubjectRecord:
-        a = float(self.alpha[i])
-        return SubjectRecord(
-            subject_id=i,
-            alpha=None if math.isnan(a) else a,
-            scans=int(self.scans[i]),
-            rescans=int(self.rescans[i]),
-            accepted=bool(self.accepted[i]),
-            first_fail=bool(self.first_fail[i]),
-            final_true_fail=bool(self.final_true_fail[i]),
-            correction_paid=bool(self.correction_paid[i]),
-            cost=float(self.cost[i]),
-            flagged_scans=int(self.flagged_scans[i]),
-            failed_scans=int(self.failed_scans[i]),
-            flagged_failed_scans=int(self.flagged_failed_scans[i]),
-            quality_trajectory=None if self.trajectories is None else self.trajectories[i],
-        )
-
-    def __iter__(self) -> Iterator[SubjectRecord]:
-        return (self.row(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,7 +337,7 @@ def _aggregate(
         subjects=n,
         total_scans=int(table.scans.sum()),
         total_rescans=int(table.rescans.sum()),
-        total_corrections=int(table.correction_paid.sum()),
+        total_corrections=int(table.final_true_fail.sum()),
         total_cost=float(table.cost.sum()),
         mean_cost=float(table.cost.mean()) if n > 0 else None,
         mean_rescans=float(table.rescans.mean()) if n > 0 else None,
@@ -458,7 +401,10 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
     if workers == 1 or n <= chunk:
         parts = [_simulate_chunk(config, s, e) for s, e in bounds]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool may start all its workers at once, so it gets no more
+        # than there are chunks or CPUs.
+        pool_size = min(workers, len(bounds), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_simulate_chunk_star, [(config, s, e) for s, e in bounds]))
     table = SubjectTable.concatenate(parts) if len(parts) > 1 else parts[0]
 
@@ -504,72 +450,59 @@ class ComparisonSummary:
 def empirical_vs_analytic(
     report: SimulationReport,
     dist: "FailureDistribution",
-    profile: PredictorProfile,
     rates: CostRates,
 ) -> ComparisonSummary:
     """Compare an abstract-mode report against the closed-form population costs.
 
-    Standard errors are sample-based; the cost-ratio one uses the delta
-    method for the paired ratio estimator.  With a single subject no spread
-    is estimable, so the errors and z-scores are reported as None.
+    The analytic and paired empirical cost ratios are the report's own
+    aggregates.  Standard errors are sample-based; the cost-ratio one uses
+    the delta method for the paired ratio estimator.  With a single subject
+    no spread is estimable, so the errors and z-scores are reported as None.
 
     Raises:
         ModeMismatch: for kinematic reports, whose scans violate the
             independence assumption the closed forms rely on.
+        ValueError: for an empty cohort, or a report without an analytic
+            cost ratio (its support reaches the pole or the loop diverges).
     """
     if report.mode != "abstract":
         raise ModeMismatch("analytic comparison is defined for abstract-mode reports only")
     n = len(report.table)
     if n == 0:
         raise ValueError("cannot compare an empty cohort")
+    agg = report.aggregates
+    analytic_ratio = agg.analytic_cost_ratio
+    if analytic_ratio is None:
+        raise ValueError("the report has no analytic cost ratio to compare against")
 
-    mean_a = _dist_mean_alpha(dist)
-    analytic_original = mean_a * rates.correction_cost
-    analytic_ratio = expected_cost_ratio(dist, profile, rates.quotient).ratio
+    analytic_original = _dist_mean_alpha(dist) * rates.correction_cost
     analytic_new = analytic_original * analytic_ratio
+    ratio = agg.empirical_cost_ratio
+    cost_se = ratio_se = z_cost = z_ratio = None
 
-    cost = report.table.cost
-    baseline = rates.correction_cost * report.table.first_fail.astype(float)
-    mean_cost = float(cost.mean())
-
-    if n == 1:
-        return ComparisonSummary(
-            subjects=1,
-            analytic_original_cost=analytic_original,
-            analytic_new_cost=analytic_new,
-            analytic_cost_ratio=analytic_ratio,
-            empirical_mean_cost=mean_cost,
-            empirical_cost_se=None,
-            empirical_cost_ratio=None if baseline.sum() == 0.0 else float(
-                cost.sum() / baseline.sum()
-            ),
-            empirical_ratio_se=None,
-            z_mean_cost=None,
-            z_cost_ratio=None,
-        )
-
-    cost_se = float(cost.std(ddof=1) / math.sqrt(n))
-    z_cost = (mean_cost - analytic_new) / cost_se if cost_se > 0.0 else None
-
-    ratio = ratio_se = z_ratio = None
-    if baseline.sum() > 0.0:
-        ratio = float(cost.sum() / baseline.sum())
-        ybar = float(baseline.mean())
-        var = (
-            float(cost.var(ddof=1))
-            - 2.0 * ratio * float(np.cov(cost, baseline, ddof=1)[0, 1])
-            + ratio**2 * float(baseline.var(ddof=1))
-        ) / (n * ybar**2)
-        ratio_se = math.sqrt(max(var, 0.0))
-        if ratio_se > 0.0:
-            z_ratio = (ratio - analytic_ratio) / ratio_se
+    if n > 1:
+        cost = report.table.cost
+        cost_se = float(cost.std(ddof=1) / math.sqrt(n))
+        if cost_se > 0.0:
+            z_cost = (agg.mean_cost - analytic_new) / cost_se
+        if ratio is not None:
+            baseline = rates.correction_cost * report.table.first_fail.astype(float)
+            ybar = float(baseline.mean())
+            var = (
+                float(cost.var(ddof=1))
+                - 2.0 * ratio * float(np.cov(cost, baseline, ddof=1)[0, 1])
+                + ratio**2 * float(baseline.var(ddof=1))
+            ) / (n * ybar**2)
+            ratio_se = math.sqrt(max(var, 0.0))
+            if ratio_se > 0.0:
+                z_ratio = (ratio - analytic_ratio) / ratio_se
 
     return ComparisonSummary(
         subjects=n,
         analytic_original_cost=analytic_original,
         analytic_new_cost=analytic_new,
         analytic_cost_ratio=analytic_ratio,
-        empirical_mean_cost=mean_cost,
+        empirical_mean_cost=agg.mean_cost,
         empirical_cost_se=cost_se,
         empirical_cost_ratio=ratio,
         empirical_ratio_se=ratio_se,

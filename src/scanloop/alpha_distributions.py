@@ -175,6 +175,12 @@ class TruncatedNormal(FailureDistribution):
             raise ValueError(
                 f"support must satisfy 0 <= lo < hi < 1, got [{self.lo}, {self.hi}]"
             )
+        cdf_lo, cdf_hi = self._cdf_bounds()
+        if not cdf_hi > cdf_lo:
+            raise ValueError(
+                f"mu {self.mu} and sigma {self.sigma} put no normal mass on"
+                f" [{self.lo}, {self.hi}] in double precision"
+            )
 
     @property
     def support(self) -> tuple[float, float]:
@@ -337,14 +343,6 @@ def _integrate(f, lo: float, hi: float, quad: QuadratureSpec, breakpoints=()) ->
     for a, b, g in pieces:
         out += _adaptive_simpson(g, a, b, tol * (b - a) / total_len, quad.max_levels)
     return out
-
-
-def total_mass(dist: FailureDistribution, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of the density over its support (1.0 for a valid distribution)."""
-    if isinstance(dist, PointMass):
-        return 1.0
-    lo, hi = dist.support
-    return _integrate(dist.pdf, lo, hi, quad, dist.breakpoints())
 
 
 def mean_alpha(dist: FailureDistribution, quad: QuadratureSpec = QuadratureSpec()) -> float:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition_loop import LoopPolicy, empirical_vs_analytic, run_cohort
+from .acquisition_loop import empirical_vs_analytic, run_cohort
 from .alpha_distributions import expected_cost_ratio, mean_alpha
 from .config import ExperimentConfig, build_manifest, parse_config
 from .cost_model import (
@@ -192,13 +192,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = run_cohort(config)
 
     comparison = None
-    if report.mode == "abstract" and len(report.table) > 0:
-        try:
-            comparison = empirical_vs_analytic(
-                report, config.distribution, config.profile, config.rates
-            )
-        except (SupportViolation, QuadratureFailure, DivergentLoop):
-            comparison = None
+    if len(report.table) > 0 and report.aggregates.analytic_cost_ratio is not None:
+        comparison = empirical_vs_analytic(report, config.distribution, config.rates)
 
     out = _out_dir(args, config)
     write_summary_json(out / "report.json", report, comparison)
@@ -281,17 +276,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for tau in config.sweep_thresholds:
         tau_config = dataclasses.replace(
-            config,
-            policy=LoopPolicy(config.policy.max_rescans, tau),
-            score_predictor=dataclasses.replace(config.score_predictor, threshold=tau),
+            config, score_predictor=dataclasses.replace(config.score_predictor, threshold=tau)
         )
-        table = run_cohort(tau_config).table
-        alpha_hat, precision, recall = _first_scan_operating_point(table)
+        report = run_cohort(tau_config)
+        alpha_hat, precision, recall = _first_scan_operating_point(report.table)
         plugin = _plugin_ratio(alpha_hat, precision, recall, config.rates.quotient)
-        n = len(table)
-        mean_cost = float(table.cost.mean()) if n else None
-        baseline = config.rates.correction_cost * float(table.first_fail.sum()) if n else 0.0
-        ratio = float(table.cost.sum()) / baseline if baseline > 0.0 else None
+        mean_cost, ratio = report.aggregates.mean_cost, report.aggregates.empirical_cost_ratio
         rows.append([tau, alpha_hat, precision, recall, plugin, mean_cost, ratio, 0, 0])
 
     costs = [row[5] for row in rows]
@@ -334,7 +324,7 @@ def cmd_guidance(args: argparse.Namespace) -> int:
         report.manifest,
     )
 
-    # Mean cohort quality at each scan index; subjects that accepted early
+    # Mean cohort quality at each scan index; subjects that stopped early
     # hold their final quality, so the curve tracks the whole cohort's state.
     longest = max((len(t) for t in trajectories), default=0)
     curve_rows = []

@@ -279,7 +279,10 @@ def _parse_distribution(
             raise ConfigError(
                 f"distribution.lo: support must satisfy 0 <= lo < hi < 1, got [{lo}, {hi}]"
             )
-        dist = TruncatedNormal(mu, sigma, lo, hi)
+        try:
+            dist = TruncatedNormal(mu, sigma, lo, hi)
+        except ValueError as exc:
+            raise ConfigError(f"distribution.mu: {exc}") from None
         return dist, {"family": family, "mu": mu, "sigma": sigma, "lo": lo, "hi": hi}
     # histogram: echo the loaded bins, not the file path, so the digest pins content
     rel = reader.get("csv", str)
@@ -362,7 +365,7 @@ def parse_config(
     else:
         threshold = policy_reader.get("threshold", float)
     policy_reader.reject_unknown()
-    policy = LoopPolicy(max_rescans=max_rescans, quality_threshold=threshold)
+    policy = LoopPolicy(max_rescans=max_rescans)
 
     predictor = _SectionReader(parser, "predictor")
     kind = predictor.get(

@@ -42,7 +42,7 @@ class CostRates:
     """Per-event costs, in abstract cost units.
 
     ``rescan_cost`` is paid for each re-acquisition; ``correction_cost`` for
-    each accepted scan whose segmentation truly failed.  The initial scan and
+    each final scan whose segmentation truly failed.  The initial scan and
     final verification are excluded: the loop does not change them.
     """
 
@@ -95,16 +95,14 @@ class BreakevenPrecision:
     feasible: bool
 
 
-def original_cost_at(alpha: FailureRate, rates: CostRates) -> float:
-    """Expected per-subject cost without the loop: every failure is corrected."""
-    return alpha.alpha * rates.correction_cost
-
-
 def new_cost_at(alpha: FailureRate, profile: PredictorProfile, rates: CostRates) -> float:
     """Expected per-subject cost under the flag-and-rescan loop.
 
-    Closed form of the retry recursion (see ``cost_recursion_rhs``).  Finite
-    only while precision > alpha * recall; past that point each round flags
+    Fixed point of the retry recursion: a scan passes unflagged but truly
+    failed with probability ``alpha * (1 - recall)`` (pay a correction), or
+    is flagged with probability ``alpha * recall / precision`` (pay a
+    re-scan, then face the same expected cost again).  Finite only while
+    precision > alpha * recall; past that point each round flags
     at least as much expected work as it retires and the expected cost
     diverges.
 
@@ -119,26 +117,6 @@ def new_cost_at(alpha: FailureRate, profile: PredictorProfile, rates: CostRates)
             f"no finite expected cost: precision {p} <= alpha*recall {a * r}"
         )
     return (p * a * c_c - p * a * r * c_c + a * r * c_s) / denom
-
-
-def cost_recursion_rhs(
-    candidate: float,
-    alpha: FailureRate,
-    profile: PredictorProfile,
-    rates: CostRates,
-) -> float:
-    """One step of the self-consistent cost recursion.
-
-    A scan passes the gate unflagged but truly failed with probability
-    ``alpha * (1 - recall)`` (pay a correction), or gets flagged with
-    probability ``alpha * recall / precision`` (pay a re-scan, then face the
-    same expected cost again).  ``new_cost_at`` is the fixed point of this
-    map; the function exists so tests can verify that independently.
-    """
-    a, p, r = alpha.alpha, profile.precision, profile.recall
-    return a * (1.0 - r) * rates.correction_cost + (a * r / p) * (
-        rates.rescan_cost + candidate
-    )
 
 
 def cost_ratio_at(

@@ -17,7 +17,7 @@ Two abstractions of a scan-quality classifier, without any learned model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,27 +48,27 @@ def false_positive_rate(alpha: FailureRate, profile: PredictorProfile) -> float:
 class ConfusionPredictor:
     """Coin-flip classifier calibrated to an operating point at a base rate.
 
-    Build with ``ConfusionPredictor.calibrated``; constructing directly
-    requires passing the exact derived false-positive rate.
+    The false-positive rate is derived on construction.
+
+    Raises:
+        InfeasibleOperatingPoint: when no false-positive rate in [0, 1]
+            holds the profile at this base rate.
     """
 
     profile: PredictorProfile
     base_rate: FailureRate
-    false_positive_rate: float
+    false_positive_rate: float = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = false_positive_rate(self.base_rate, self.profile)
-        if self.false_positive_rate != expected:
-            raise ValueError(
-                f"false_positive_rate {self.false_positive_rate} is not the calibrated"
-                f" value {expected} for this profile and base rate"
-            )
+        object.__setattr__(
+            self, "false_positive_rate", false_positive_rate(self.base_rate, self.profile)
+        )
 
     @classmethod
     def calibrated(
         cls, profile: PredictorProfile, base_rate: FailureRate
     ) -> "ConfusionPredictor":
-        return cls(profile, base_rate, false_positive_rate(base_rate, profile))
+        return cls(profile, base_rate)
 
 
 def classify(true_fail: bool, predictor: ConfusionPredictor, rng: np.random.Generator) -> bool:
@@ -77,15 +77,6 @@ def classify(true_fail: bool, predictor: ConfusionPredictor, rng: np.random.Gene
     if true_fail:
         return u < predictor.profile.recall
     return u < predictor.false_positive_rate
-
-
-def classify_many(
-    true_fails: np.ndarray, predictor: ConfusionPredictor, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized ``classify``: same stream consumption, one draw per scan."""
-    u = rng.random(len(true_fails))
-    cut = np.where(true_fails, predictor.profile.recall, predictor.false_positive_rate)
-    return u < cut
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,46 +101,3 @@ def score(
     """
     eps = rng.standard_normal()
     return float(np.clip(true_quality + predictor.noise_scale * eps, 0.0, 1.0))
-
-
-@dataclass(frozen=True, slots=True)
-class OperatingPoint:
-    """Empirical (precision, recall) induced by one threshold over a sample.
-
-    ``precision`` is None when nothing was flagged; ``recall`` is None when
-    the sample contains no true failures.  Neither is ever reported as 0 in
-    those cases.
-    """
-
-    precision: float | None
-    recall: float | None
-    threshold: float
-    flag_rate: float
-
-
-def operating_point(
-    score_predictor: ScorePredictor,
-    threshold: float,
-    cohort_sample: list[tuple[float, bool]],
-    rng: np.random.Generator,
-) -> OperatingPoint:
-    """Score every (true_quality, true_fail) item and tally flag statistics."""
-    if not cohort_sample:
-        raise ValueError("cohort_sample must be nonempty")
-    qualities = np.array([q for q, _ in cohort_sample])
-    fails = np.array([f for _, f in cohort_sample], dtype=bool)
-    eps = rng.standard_normal(len(cohort_sample))
-    scores = np.clip(qualities + score_predictor.noise_scale * eps, 0.0, 1.0)
-    flags = scores < threshold
-
-    n_flagged = int(flags.sum())
-    n_fails = int(fails.sum())
-    n_hits = int((flags & fails).sum())
-    precision = n_hits / n_flagged if n_flagged > 0 else None
-    recall = n_hits / n_fails if n_fails > 0 else None
-    return OperatingPoint(
-        precision=precision,
-        recall=recall,
-        threshold=threshold,
-        flag_rate=n_flagged / len(cohort_sample),
-    )

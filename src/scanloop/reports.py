@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .acquisition_loop import ComparisonSummary, SimulationReport
+from .acquisition_loop import SUBJECT_COLUMNS, ComparisonSummary, SimulationReport
 
 
 def format_cell(value: object) -> str:
@@ -95,18 +95,10 @@ def read_report_csv(path: str | Path) -> tuple[dict, list[str], list[list[str]]]
         return manifest, header, [row for row in reader]
 
 
-_COMMON_COLUMNS = (
-    "scans",
-    "rescans",
-    "accepted",
-    "first_fail",
-    "final_true_fail",
-    "correction_paid",
-    "cost",
-    "flagged_scans",
-    "failed_scans",
-    "flagged_failed_scans",
-)
+# subjects.csv is rendered from ``.tolist()`` slices of this many subjects:
+# faster than indexing numpy cells one by one, with a bounded number of
+# Python objects alive at once.
+_ROW_BLOCK = 4096
 
 
 def subjects_csv_header(mode: str) -> list[str]:
@@ -115,29 +107,22 @@ def subjects_csv_header(mode: str) -> list[str]:
         "initial_quality",
         "final_quality",
     ]
-    return lead + list(_COMMON_COLUMNS)
+    return lead + [name for name, _ in SUBJECT_COLUMNS]
 
 
-def subjects_csv_rows(report: SimulationReport) -> Iterable[list[object]]:
+def subjects_csv_rows(report: SimulationReport) -> Iterable[Sequence[object]]:
     table = report.table
-    for i in range(len(table)):
+    n = len(table)
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        ids = range(start, min(start + _ROW_BLOCK, n))
         if report.mode == "abstract":
-            lead: list[object] = [i, float(table.alpha[i])]
+            lead = [ids, table.alpha[block].tolist()]
         else:
-            trajectory = table.trajectories[i]
-            lead = [i, trajectory[0], trajectory[-1]]
-        yield lead + [
-            int(table.scans[i]),
-            int(table.rescans[i]),
-            bool(table.accepted[i]),
-            bool(table.first_fail[i]),
-            bool(table.final_true_fail[i]),
-            bool(table.correction_paid[i]),
-            float(table.cost[i]),
-            int(table.flagged_scans[i]),
-            int(table.failed_scans[i]),
-            int(table.flagged_failed_scans[i]),
-        ]
+            trajectories = table.trajectories[block]
+            lead = [ids, [t[0] for t in trajectories], [t[-1] for t in trajectories]]
+        columns = [getattr(table, name)[block].tolist() for name, _ in SUBJECT_COLUMNS]
+        yield from zip(*lead, *columns)
 
 
 def write_subjects_csv(path: str | Path, report: SimulationReport) -> None:

@@ -1,18 +1,33 @@
 """Slow-but-simple reference implementations used to freeze expected values.
 
-Everything here is deliberately independent of the package under test:
-fixed-point iteration instead of the closed form, composite Simpson on a
-uniform grid instead of adaptive quadrature, logarithmic antiderivatives for
-piecewise-constant densities, and plain Monte Carlo with delta-method
+The reference models are deliberately independent of the package under
+test: fixed-point iteration instead of the closed form, composite Simpson on
+a uniform grid instead of adaptive quadrature, logarithmic antiderivatives
+for piecewise-constant densities, and plain Monte Carlo with delta-method
 standard errors.  Tests compare the fast implementations against these.
+
+The helpers at the end take the package's own types and are called by tests
+only: one-step cost recursion, vectorized flagging, empirical operating
+points, total density mass, and SubjectTable row views.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
+
+from scanloop.acquisition_loop import SUBJECT_COLUMNS, SubjectRecord, SubjectTable
+from scanloop.alpha_distributions import (
+    FailureDistribution,
+    PointMass,
+    QuadratureSpec,
+    _integrate,
+)
+from scanloop.cost_model import CostRates, FailureRate, PredictorProfile
+from scanloop.predictor_model import ConfusionPredictor, ScorePredictor
 
 
 def fixed_point_cost(
@@ -122,3 +137,103 @@ def mc_population_ratio(
         x.var(ddof=1) - 2.0 * ratio * np.cov(x, y, ddof=1)[0, 1] + ratio**2 * y.var(ddof=1)
     ) / (n * ybar**2)
     return float(ratio), float(math.sqrt(max(var, 0.0)))
+
+
+def original_cost_at(alpha: FailureRate, rates: CostRates) -> float:
+    """Expected per-subject cost without the loop: every failure is corrected."""
+    return alpha.alpha * rates.correction_cost
+
+
+def cost_recursion_rhs(
+    candidate: float,
+    alpha: FailureRate,
+    profile: PredictorProfile,
+    rates: CostRates,
+) -> float:
+    """One step of the self-consistent cost recursion.
+
+    A scan passes the gate unflagged but truly failed with probability
+    ``alpha * (1 - recall)`` (pay a correction), or gets flagged with
+    probability ``alpha * recall / precision`` (pay a re-scan, then face the
+    same expected cost again).  ``new_cost_at`` is the fixed point of this
+    map.
+    """
+    a, p, r = alpha.alpha, profile.precision, profile.recall
+    return a * (1.0 - r) * rates.correction_cost + (a * r / p) * (
+        rates.rescan_cost + candidate
+    )
+
+
+def total_mass(dist: FailureDistribution, quad: QuadratureSpec = QuadratureSpec()) -> float:
+    """Integral of the density over its support (1.0 for a valid distribution)."""
+    if isinstance(dist, PointMass):
+        return 1.0
+    lo, hi = dist.support
+    return _integrate(dist.pdf, lo, hi, quad, dist.breakpoints())
+
+
+def classify_many(
+    true_fails: np.ndarray, predictor: ConfusionPredictor, rng: np.random.Generator
+) -> np.ndarray:
+    """Vectorized ``classify``: same stream consumption, one draw per scan."""
+    u = rng.random(len(true_fails))
+    cut = np.where(true_fails, predictor.profile.recall, predictor.false_positive_rate)
+    return u < cut
+
+
+@dataclass(frozen=True, slots=True)
+class OperatingPoint:
+    """Empirical (precision, recall) induced by one threshold over a sample.
+
+    ``precision`` is None when nothing was flagged; ``recall`` is None when
+    the sample contains no true failures.  Neither is ever reported as 0 in
+    those cases.
+    """
+
+    precision: float | None
+    recall: float | None
+    threshold: float
+    flag_rate: float
+
+
+def operating_point(
+    score_predictor: ScorePredictor,
+    threshold: float,
+    cohort_sample: list[tuple[float, bool]],
+    rng: np.random.Generator,
+) -> OperatingPoint:
+    """Score every (true_quality, true_fail) item and tally flag statistics."""
+    if not cohort_sample:
+        raise ValueError("cohort_sample must be nonempty")
+    qualities = np.array([q for q, _ in cohort_sample])
+    fails = np.array([f for _, f in cohort_sample], dtype=bool)
+    eps = rng.standard_normal(len(cohort_sample))
+    scores = np.clip(qualities + score_predictor.noise_scale * eps, 0.0, 1.0)
+    flags = scores < threshold
+
+    n_flagged = int(flags.sum())
+    n_fails = int(fails.sum())
+    n_hits = int((flags & fails).sum())
+    precision = n_hits / n_flagged if n_flagged > 0 else None
+    recall = n_hits / n_fails if n_fails > 0 else None
+    return OperatingPoint(
+        precision=precision,
+        recall=recall,
+        threshold=threshold,
+        flag_rate=n_flagged / len(cohort_sample),
+    )
+
+
+def table_row(table: SubjectTable, i: int) -> SubjectRecord:
+    """Subject ``i`` of a table as the record that produced it."""
+    a = float(table.alpha[i])
+    return SubjectRecord(
+        subject_id=i,
+        alpha=None if math.isnan(a) else a,
+        quality_trajectory=None if table.trajectories is None else table.trajectories[i],
+        **{name: getattr(table, name)[i].item() for name, _ in SUBJECT_COLUMNS},
+    )
+
+
+def table_rows(table: SubjectTable) -> Iterator[SubjectRecord]:
+    return (table_row(table, i) for i in range(len(table)))

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import mc_population_ratio
+from oracles import classify_many, cost_recursion_rhs, mc_population_ratio
 from scanloop.acquisition_loop import empirical_vs_analytic, run_cohort
 from scanloop.alpha_distributions import (
     Beta,
@@ -35,10 +35,9 @@ from scanloop.cost_model import (
     FailureRate,
     PredictorProfile,
     cost_ratio_at,
-    cost_recursion_rhs,
     new_cost_at,
 )
-from scanloop.predictor_model import ConfusionPredictor, classify_many, false_positive_rate
+from scanloop.predictor_model import ConfusionPredictor, false_positive_rate
 from scanloop.probe_kinematics import (
     GuidanceNoise,
     LearnerPolicy,
@@ -165,9 +164,7 @@ def test_criterion_04_million_subject_cohort_matches_closed_form():
     report = run_cohort(config)
     elapsed = time.perf_counter() - start
 
-    summary = empirical_vs_analytic(
-        report, PointMass(0.2), PredictorProfile(0.8, 0.8), CostRates(0.1, 1.0)
-    )
+    summary = empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
     assert summary.analytic_cost_ratio == pytest.approx(0.375, abs=1e-12)
     deviation = abs(summary.empirical_cost_ratio - 0.375)
     assert deviation <= 3.0 * summary.empirical_ratio_se

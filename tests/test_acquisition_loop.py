@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import table_row, table_rows
 from scanloop.acquisition_loop import (
     ComparisonSummary,
     LoopPolicy,
@@ -109,9 +110,6 @@ class TestLoopPolicy:
         with pytest.raises(ValueError, match="max_rescans"):
             LoopPolicy(max_rescans=-1)
 
-    def test_threshold_optional(self):
-        assert LoopPolicy(max_rescans=3).quality_threshold is None
-        assert LoopPolicy(max_rescans=3, quality_threshold=0.7).quality_threshold == 0.7
 
 
 class TestSubjectRecordInvariants:
@@ -121,10 +119,8 @@ class TestSubjectRecordInvariants:
             alpha=0.2,
             scans=3,
             rescans=2,
-            accepted=True,
             first_fail=True,
             final_true_fail=False,
-            correction_paid=False,
             cost=0.2,
             flagged_scans=2,
             failed_scans=1,
@@ -160,13 +156,12 @@ class TestRunSubjectAbstract:
             assert rec.scans == 1
             assert rec.rescans == 0
             assert rec.cost == 0.0
-            assert rec.accepted
             assert not rec.first_fail and not rec.final_true_fail
 
     def test_nearly_certain_failure_exhausts_budget(self):
         # With alpha close to 1 and a perfect predictor, almost every subject
         # fails and is flagged on all scans, runs out the 3-rescan budget, and
-        # pays a correction on the accepted fourth scan.
+        # pays a correction on the fourth and last scan.
         policy = LoopPolicy(max_rescans=3)
         alpha = FailureRate(0.999)
         predictor = ConfusionPredictor.calibrated(PredictorProfile(1.0, 1.0), alpha)
@@ -174,7 +169,7 @@ class TestRunSubjectAbstract:
         for i in range(200):
             rec = run_subject_abstract(alpha, policy, predictor, RATES, subject_stream(2, i))
             assert rec.rescans <= 3
-            if rec.scans == 4 and rec.correction_paid:
+            if rec.scans == 4 and rec.final_true_fail:
                 assert rec.cost == pytest.approx(3 * 0.1 + 1.0)
                 exhausted += 1
         # each run hits the pattern with probability 0.999^4 ~ 0.996
@@ -189,10 +184,9 @@ class TestRunSubjectAbstract:
             assert rec.scans == rec.rescans + 1
             assert rec.rescans <= policy.max_rescans
             expected = rec.rescans * RATES.rescan_cost + (
-                RATES.correction_cost if rec.correction_paid else 0.0
+                RATES.correction_cost if rec.final_true_fail else 0.0
             )
             assert rec.cost == pytest.approx(expected)
-            assert rec.correction_paid == rec.final_true_fail
 
     def test_zero_budget_always_single_scan(self):
         policy = LoopPolicy(max_rescans=0)
@@ -227,24 +221,11 @@ class TestRunSubjectKinematic:
     )
     QUIET = GuidanceNoise(guidance_noise_t=0.0, guidance_noise_r=0.0)
 
-    def test_requires_quality_threshold(self):
-        with pytest.raises(ValueError, match="threshold"):
-            run_subject_kinematic(
-                self.ANATOMY,
-                ProbePose.identity(),
-                LoopPolicy(max_rescans=3),
-                ScorePredictor(noise_scale=0.0, threshold=0.7),
-                self.QUIET,
-                LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0),
-                RATES,
-                subject_stream(6, 0),
-            )
-
     def test_start_at_target_accepts_immediately(self):
         rec = run_subject_kinematic(
             self.ANATOMY,
             ProbePose.identity(),
-            LoopPolicy(max_rescans=5, quality_threshold=0.7),
+            LoopPolicy(max_rescans=5),
             ScorePredictor(noise_scale=0.0, threshold=0.7),
             self.QUIET,
             LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0),
@@ -263,7 +244,7 @@ class TestRunSubjectKinematic:
         rec = run_subject_kinematic(
             self.ANATOMY,
             start,
-            LoopPolicy(max_rescans=5, quality_threshold=0.9),
+            LoopPolicy(max_rescans=5),
             ScorePredictor(noise_scale=0.0, threshold=0.9),
             self.QUIET,
             LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0),
@@ -273,7 +254,7 @@ class TestRunSubjectKinematic:
         assert rec.rescans == 1
         assert rec.quality_trajectory == (pytest.approx(q0, rel=1e-15), 1.0)
         assert rec.cost == pytest.approx(RATES.rescan_cost)
-        assert not rec.correction_paid
+        assert not rec.final_true_fail
 
     def test_partial_gain_traces_geometric_quality_curve(self):
         # gain 0.5 halves the offset each move; with threshold 1.0 every scan
@@ -283,7 +264,7 @@ class TestRunSubjectKinematic:
         rec = run_subject_kinematic(
             self.ANATOMY,
             start,
-            LoopPolicy(max_rescans=5, quality_threshold=1.0),
+            LoopPolicy(max_rescans=5),
             ScorePredictor(noise_scale=0.0, threshold=1.0),
             self.QUIET,
             LearnerPolicy(gain=0.5, motor_noise_t=0.0, motor_noise_r=0.0),
@@ -307,7 +288,7 @@ class TestRunSubjectKinematic:
             rec = run_subject_kinematic(
                 self.ANATOMY,
                 start,
-                LoopPolicy(max_rescans=8, quality_threshold=0.7),
+                LoopPolicy(max_rescans=8),
                 ScorePredictor(noise_scale=0.1, threshold=0.7),
                 noise,
                 learner,
@@ -332,7 +313,7 @@ class TestSubjectTable:
                     run_subject_kinematic(
                         anatomy,
                         start,
-                        LoopPolicy(max_rescans=4, quality_threshold=0.8),
+                        LoopPolicy(max_rescans=4),
                         ScorePredictor(noise_scale=0.1, threshold=0.8),
                         GuidanceNoise(guidance_noise_t=0.5, guidance_noise_r=0.02),
                         LearnerPolicy(gain=0.7, motor_noise_t=0.2, motor_noise_r=0.01),
@@ -358,15 +339,15 @@ class TestSubjectTable:
         table = SubjectTable.from_records(records)
         assert len(table) == 40
         for i, original in enumerate(records):
-            assert table.row(i) == original
-        assert list(table) == records
+            assert table_row(table, i) == original
+        assert list(table_rows(table)) == records
 
     def test_round_trip_kinematic(self):
         records = self._records(25, kinematic=True)
         table = SubjectTable.from_records(records)
         assert table.trajectories is not None
         for i, original in enumerate(records):
-            assert table.row(i) == original
+            assert table_row(table, i) == original
 
     def test_concatenate_preserves_order(self):
         records = self._records(30)
@@ -378,10 +359,8 @@ class TestSubjectTable:
                 alpha=r.alpha,
                 scans=r.scans,
                 rescans=r.rescans,
-                accepted=r.accepted,
                 first_fail=r.first_fail,
                 final_true_fail=r.final_true_fail,
-                correction_paid=r.correction_paid,
                 cost=r.cost,
                 flagged_scans=r.flagged_scans,
                 failed_scans=r.failed_scans,
@@ -392,8 +371,8 @@ class TestSubjectTable:
         table_b = SubjectTable.from_records(tail)
         combined = SubjectTable.concatenate([table_a, table_b])
         assert len(combined) == 30
-        assert combined.row(5) == records[5]
-        assert combined.row(17) == tail[5]
+        assert table_row(combined, 5) == records[5]
+        assert table_row(combined, 17) == tail[5]
 
     def test_empty_tables(self):
         flat = SubjectTable.empty(kinematic=False)
@@ -408,10 +387,8 @@ class TestSubjectTable:
                 alpha=good.alpha,
                 scans=good.scans[:3],
                 rescans=good.rescans,
-                accepted=good.accepted,
                 first_fail=good.first_fail,
                 final_true_fail=good.final_true_fail,
-                correction_paid=good.correction_paid,
                 cost=good.cost,
                 flagged_scans=good.flagged_scans,
                 failed_scans=good.failed_scans,
@@ -435,9 +412,7 @@ class TestRunCohort:
         report = run_cohort(_abstract_config(50_000, seed=13))
         agg = report.aggregates
         assert agg.analytic_cost_ratio == pytest.approx(0.375)
-        summary = empirical_vs_analytic(
-            report, PointMass(0.2), PROFILE, CostRates(0.1, 1.0)
-        )
+        summary = empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
         assert summary.empirical_cost_ratio == pytest.approx(
             agg.empirical_cost_ratio
         )
@@ -458,6 +433,35 @@ class TestRunCohort:
             "flagged_failed_scans",
         ):
             assert np.array_equal(getattr(tables[0], col), getattr(tables[1], col)), col
+
+    def test_pool_never_larger_than_chunks_or_cpus(self, monkeypatch):
+        import scanloop.acquisition_loop as loop
+
+        sizes = []
+
+        class SerialPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(loop, "ProcessPoolExecutor", SerialPool)
+        reference = run_cohort(_abstract_config(100, seed=53)).table
+        for cpus, n, expected in ((4, 3, 3), (4, 100, 4), (None, 100, 1)):
+            monkeypatch.setattr(loop.os, "cpu_count", lambda: cpus)
+            table = run_cohort(_abstract_config(n, seed=53, workers=10_000)).table
+            assert sizes[-1] == expected
+            assert np.array_equal(table.cost, reference.cost[:n])
+        assert len(sizes) == 3
 
     def test_kinematic_worker_count_does_not_change_results(self):
         reports = [run_cohort(_kinematic_config(300, seed=19, workers=w)) for w in (1, 3)]
@@ -483,7 +487,7 @@ class TestRunCohort:
         table, agg = report.table, report.aggregates
         assert agg.total_scans == table.scans.sum()
         assert agg.total_rescans == table.rescans.sum()
-        assert agg.total_corrections == table.correction_paid.sum()
+        assert agg.total_corrections == table.final_true_fail.sum()
         assert agg.total_cost == pytest.approx(table.cost.sum())
         flagged = table.flagged_scans.sum()
         hits = table.flagged_failed_scans.sum()
@@ -495,7 +499,7 @@ class TestEmpiricalVsAnalytic:
     def test_point_mass_point_three_reference(self):
         config = _abstract_config(20_000, seed=37, alpha=0.3)
         report = run_cohort(config)
-        summary = empirical_vs_analytic(report, PointMass(0.3), PROFILE, CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report, PointMass(0.3), CostRates(0.1, 1.0))
         assert isinstance(summary, ComparisonSummary)
         assert summary.analytic_cost_ratio == pytest.approx(0.24 / 0.56)
         assert summary.analytic_original_cost == pytest.approx(0.3)
@@ -505,7 +509,7 @@ class TestEmpiricalVsAnalytic:
 
     def test_single_subject_reports_no_spread(self):
         report = run_cohort(_abstract_config(1, seed=41, alpha=0.3))
-        summary = empirical_vs_analytic(report, PointMass(0.3), PROFILE, CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report, PointMass(0.3), CostRates(0.1, 1.0))
         assert summary.subjects == 1
         assert summary.empirical_cost_se is None
         assert summary.empirical_ratio_se is None
@@ -517,18 +521,26 @@ class TestEmpiricalVsAnalytic:
         # the paired estimator must return exactly 1 (not merely close).
         config = _abstract_config(5_000, seed=43, recall=0.0)
         report = run_cohort(config)
-        profile = PredictorProfile(precision=0.8, recall=0.0)
-        summary = empirical_vs_analytic(report, PointMass(0.2), profile, CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
         assert summary.empirical_cost_ratio == 1.0
         assert summary.analytic_cost_ratio == 1.0
         assert report.aggregates.empirical_cost_ratio == 1.0
 
+    def test_report_without_analytic_ratio_rejected(self):
+        # alpha at the pole p / r: no closed form, yet q = 1 is feasible
+        report = run_cohort(
+            _abstract_config(50, seed=59, alpha=0.5, precision=0.5, recall=1.0, max_rescans=3)
+        )
+        assert report.aggregates.analytic_cost_ratio is None
+        with pytest.raises(ValueError, match="analytic"):
+            empirical_vs_analytic(report, PointMass(0.5), CostRates(0.1, 1.0))
+
     def test_kinematic_report_rejected(self):
         report = run_cohort(_kinematic_config(5, seed=47))
         with pytest.raises(ModeMismatch):
-            empirical_vs_analytic(report, PointMass(0.2), PROFILE, CostRates(0.1, 1.0))
+            empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
 
     def test_empty_cohort_rejected(self):
         report = run_cohort(_abstract_config(0))
         with pytest.raises(ValueError, match="empty"):
-            empirical_vs_analytic(report, PointMass(0.2), PROFILE, CostRates(0.1, 1.0))
+            empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))

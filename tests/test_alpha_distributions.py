@@ -16,12 +16,16 @@ from scanloop.alpha_distributions import (
     expected_cost_ratio,
     mean_alpha,
     sample_alpha,
-    total_mass,
 )
 from scanloop.cost_model import FailureRate, PredictorProfile, cost_ratio_at
 from scanloop.errors import QuadratureFailure, SupportViolation
 
-from oracles import mc_population_ratio, piecewise_constant_ratio, simpson_population_ratio
+from oracles import (
+    mc_population_ratio,
+    piecewise_constant_ratio,
+    simpson_population_ratio,
+    total_mass,
+)
 
 PROFILE = PredictorProfile(0.8, 0.8)
 QUOTIENT = 0.1
@@ -78,6 +82,9 @@ def test_truncated_normal_validation():
         TruncatedNormal(0.2, 0.1, 0.3, 0.1)
     with pytest.raises(ValueError):
         TruncatedNormal(0.2, 0.1, 0.0, 1.0)
+    for mu in (40.0, -40.0):
+        with pytest.raises(ValueError, match="no normal mass"):
+            TruncatedNormal(mu, 0.01, 0.1, 0.3)
 
 
 def test_histogram_validation():

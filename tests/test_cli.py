@@ -269,6 +269,21 @@ class TestSimulate:
         assert payload["config"]["policy"]["max_rescans"] == 50
         assert "workers" not in payload["config"]["cohort"]
 
+    def test_abstract_report_at_the_pole_omits_comparison(self, tmp_path):
+        # alpha = p / r: the closed form diverges, but q = 1 is feasible, so
+        # the simulation runs and only the comparison is left out.
+        text = (
+            RATIO_POINTMASS.replace("alpha = 0.2", "alpha = 0.5")
+            .replace("precision = 0.8", "precision = 0.5")
+            .replace("recall = 0.8", "recall = 1.0")
+        )
+        config = write_config(tmp_path, text)
+        result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert payload["aggregates"]["analytic_cost_ratio"] is None
+        assert "comparison" not in payload
+
     def test_kinematic_simulate(self, tmp_path):
         config = write_config(tmp_path, kinematic_config(subjects=80, noise_scale=0.05))
         result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "out"))
@@ -447,6 +462,21 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "numerical failure" in result.stderr
 
+    @pytest.mark.parametrize("command", ["ratio", "simulate"])
+    @pytest.mark.parametrize("mu", [40.0, -40.0])
+    def test_truncated_normal_without_mass_names_mu(self, tmp_path, command, mu):
+        # Both normal CDFs round to the same value on [0.1, 0.3], so the
+        # support carries no mass in double precision.
+        text = RATIO_POINTMASS.replace(
+            "family = point_mass\nalpha = 0.2",
+            f"family = truncated_normal\nmu = {mu}\nsigma = 0.01\nlo = 0.1\nhi = 0.3",
+        )
+        config = write_config(tmp_path, text)
+        result = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "distribution.mu" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -461,3 +491,14 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about 0.3 s and 25 MB on import; the CLI uses the
+    # package's own quadrature and must not pull it in.
+    code = "import sys, scanloop.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -86,7 +86,6 @@ class TestAbstractParsing:
         assert cfg.rates.rescan_cost == 0.1
         assert cfg.rates.correction_cost == 1.0
         assert cfg.policy.max_rescans == 20
-        assert cfg.policy.quality_threshold is None
         assert cfg.score_predictor is None and cfg.anatomy is None
         assert cfg.out_dir == "out/runs"
 
@@ -130,7 +129,6 @@ class TestKinematicParsing:
         assert cfg.distribution is None and cfg.profile is None
         assert cfg.score_predictor.noise_scale == 0.05
         assert cfg.score_predictor.threshold == 0.75
-        assert cfg.policy.quality_threshold == 0.75
         assert cfg.anatomy.translation_scale == 12.0
         assert cfg.anatomy.failure_cutoff == 0.6
         assert cfg.start_offset_t == 9.0

@@ -14,14 +14,12 @@ from scanloop.cost_model import (
     PredictorProfile,
     breakeven_precision,
     cost_ratio_at,
-    cost_recursion_rhs,
     cost_reduction_table,
     new_cost_at,
-    original_cost_at,
 )
 from scanloop.errors import DivergentLoop, UndefinedRatio
 
-from oracles import fixed_point_cost
+from oracles import cost_recursion_rhs, fixed_point_cost, original_cost_at
 
 # The six published example columns: (alpha, cs/cc, precision, recall).
 REFERENCE_COLUMNS = [

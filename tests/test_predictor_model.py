@@ -11,14 +11,13 @@ from scanloop.cost_model import FailureRate, PredictorProfile
 from scanloop.errors import InfeasibleOperatingPoint
 from scanloop.predictor_model import (
     ConfusionPredictor,
-    OperatingPoint,
     ScorePredictor,
     classify,
-    classify_many,
     false_positive_rate,
-    operating_point,
     score,
 )
+
+from oracles import OperatingPoint, classify_many, operating_point
 
 # ---------------------------------------------------------------------------
 # false_positive_rate
@@ -79,9 +78,12 @@ def test_calibrated_factory_round_trip():
     )
 
 
-def test_direct_construction_rejects_wrong_fpr():
-    with pytest.raises(ValueError):
-        ConfusionPredictor(PredictorProfile(0.8, 0.8), FailureRate(0.2), 0.1)
+def test_direct_construction_derives_fpr():
+    pred = ConfusionPredictor(PredictorProfile(0.8, 0.8), FailureRate(0.2))
+    assert pred.false_positive_rate == pytest.approx(0.05, abs=1e-15)
+    assert pred == ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), FailureRate(0.2))
+    with pytest.raises(InfeasibleOperatingPoint):
+        ConfusionPredictor(PredictorProfile(0.3, 1.0), FailureRate(0.9))
 
 
 def test_calibrated_factory_propagates_infeasibility():
