@@ -2,7 +2,9 @@
 
 Two modes share the same loop skeleton — scan, predict, re-scan while
 flagged and budget remains, then keep the last scan and pay a correction
-if it truly failed:
+if it truly failed.  They differ only in how one scan's failure and flag
+are drawn; one builder turns the per-scan outcomes into the subject's
+tallies, cost and record:
 
 * **abstract** re-draws failure independently on every scan with the
   subject's own probability and flags through a calibrated coin-flip
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -104,6 +107,33 @@ class SubjectRecord:
             raise ValueError("quality trajectory must have one entry per scan")
 
 
+def _subject_record(
+    subject_id: int,
+    alpha: float | None,
+    fails: list[bool],
+    flags: list[bool],
+    rates: CostRates,
+    quality_trajectory: tuple[float, ...] | None = None,
+) -> SubjectRecord:
+    """The record of one subject's loop, from whether each scan truly failed
+    and was flagged.  Every scan but the last bought a re-scan; the last is
+    kept and pays a correction if it truly failed."""
+    rescans = len(fails) - 1
+    return SubjectRecord(
+        subject_id=subject_id,
+        alpha=alpha,
+        scans=len(fails),
+        rescans=rescans,
+        first_fail=fails[0],
+        final_true_fail=fails[-1],
+        cost=rescans * rates.rescan_cost + (rates.correction_cost if fails[-1] else 0.0),
+        flagged_scans=sum(flags),
+        failed_scans=sum(fails),
+        flagged_failed_scans=sum(map(operator.and_, fails, flags)),
+        quality_trajectory=quality_trajectory,
+    )
+
+
 def run_subject_abstract(
     alpha: FailureRate,
     policy: LoopPolicy,
@@ -120,34 +150,16 @@ def run_subject_abstract(
     (failure, flag), always.
     """
     a = alpha.alpha
-    rescans = 0
-    flagged_scans = failed_scans = flagged_failed = 0
-    first_fail = False
-    while True:
+    fails: list[bool] = []
+    flags: list[bool] = []
+    for _ in range(policy.max_rescans + 1):
         true_fail = rng.random() < a
         flagged = classify(true_fail, predictor, rng)
-        if rescans == 0:
-            first_fail = true_fail
-        failed_scans += true_fail
-        flagged_scans += flagged
-        flagged_failed += true_fail and flagged
-        if flagged and rescans < policy.max_rescans:
-            rescans += 1
-            continue
-        break
-    cost = rescans * rates.rescan_cost + (rates.correction_cost if true_fail else 0.0)
-    return SubjectRecord(
-        subject_id=subject_id,
-        alpha=a,
-        scans=rescans + 1,
-        rescans=rescans,
-        first_fail=first_fail,
-        final_true_fail=true_fail,
-        cost=cost,
-        flagged_scans=flagged_scans,
-        failed_scans=failed_scans,
-        flagged_failed_scans=flagged_failed,
-    )
+        fails.append(true_fail)
+        flags.append(flagged)
+        if not flagged:
+            break
+    return _subject_record(subject_id, a, fails, flags, rates)
 
 
 def run_subject_kinematic(
@@ -170,40 +182,21 @@ def run_subject_kinematic(
     """
     tau = score_pred.threshold
     pose = start
-    rescans = 0
-    flagged_scans = failed_scans = flagged_failed = 0
     trajectory: list[float] = []
-    first_fail = False
-    while True:
-        quality = image_quality(pose, subject)
-        trajectory.append(quality)
-        true_fail = quality < subject.failure_cutoff
-        flagged = score(quality, score_pred, rng) < tau
-        if len(trajectory) == 1:
-            first_fail = true_fail
-        failed_scans += true_fail
-        flagged_scans += flagged
-        flagged_failed += true_fail and flagged
-        if flagged and rescans < policy.max_rescans:
+    fails: list[bool] = []
+    flags: list[bool] = []
+    for scan in range(policy.max_rescans + 1):
+        if scan > 0:
             offset = guidance_offset(pose, subject, guidance, rng)
             pose = apply_move(pose, offset, learner, rng)
-            rescans += 1
-            continue
-        break
-    cost = rescans * rates.rescan_cost + (rates.correction_cost if true_fail else 0.0)
-    return SubjectRecord(
-        subject_id=subject_id,
-        alpha=None,
-        scans=rescans + 1,
-        rescans=rescans,
-        first_fail=first_fail,
-        final_true_fail=true_fail,
-        cost=cost,
-        flagged_scans=flagged_scans,
-        failed_scans=failed_scans,
-        flagged_failed_scans=flagged_failed,
-        quality_trajectory=tuple(trajectory),
-    )
+        quality = image_quality(pose, subject)
+        trajectory.append(quality)
+        flagged = score(quality, score_pred, rng) < tau
+        fails.append(quality < subject.failure_cutoff)
+        flags.append(flagged)
+        if not flagged:
+            break
+    return _subject_record(subject_id, None, fails, flags, rates, tuple(trajectory))
 
 
 # The columns of SubjectTable and of subjects.csv, in that file's order, with
@@ -267,14 +260,6 @@ class SubjectTable:
                 name: np.concatenate([getattr(p, name) for p in parts])
                 for name in ("alpha", *(name for name, _ in SUBJECT_COLUMNS))
             },
-        )
-
-    @classmethod
-    def empty(cls, kinematic: bool) -> "SubjectTable":
-        return cls(
-            alpha=np.empty(0),
-            trajectories=[] if kinematic else None,
-            **{name: np.empty(0, dtype=dtype) for name, dtype in SUBJECT_COLUMNS},
         )
 
     def __len__(self) -> int:
@@ -381,8 +366,6 @@ def _simulate_chunk(config: "ExperimentConfig", start: int, stop: int) -> Subjec
                     i,
                 )
             )
-    if not records:
-        return SubjectTable.empty(kinematic=config.mode == "kinematic")
     return SubjectTable.from_records(records)
 
 
@@ -404,8 +387,9 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
         # The pool may start all its workers at once, so it gets no more
         # than there are chunks or CPUs.
         pool_size = min(workers, len(bounds), os.cpu_count() or 1)
+        starts, stops = zip(*bounds)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_simulate_chunk_star, [(config, s, e) for s, e in bounds]))
+            parts = list(pool.map(_simulate_chunk, [config] * len(bounds), starts, stops))
     table = SubjectTable.concatenate(parts) if len(parts) > 1 else parts[0]
 
     analytic = None
@@ -425,10 +409,6 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
         aggregates=aggregates,
         manifest=config.manifest_dict(),
     )
-
-
-def _simulate_chunk_star(args: tuple) -> SubjectTable:
-    return _simulate_chunk(*args)
 
 
 @dataclass(frozen=True, slots=True)

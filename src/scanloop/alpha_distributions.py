@@ -24,19 +24,11 @@ from .cost_model import CostRatio, FailureRate, PredictorProfile, cost_ratio_at
 from .errors import QuadratureFailure, SupportViolation
 
 
-@dataclass(frozen=True, slots=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for the adaptive integrator."""
-
-    atol: float = 1e-10
-    rtol: float = 1e-8
-    max_levels: int = 20
-
-    def __post_init__(self) -> None:
-        if self.atol <= 0.0 or self.rtol <= 0.0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
+# Adaptive integrator budget: absolute and relative tolerance, and how many
+# times an interval may be halved before QuadratureFailure.
+QUADRATURE_ATOL = 1e-10
+QUADRATURE_RTOL = 1e-8
+QUADRATURE_MAX_LEVELS = 20
 
 
 class FailureDistribution(ABC):
@@ -322,7 +314,7 @@ def _adaptive_simpson(f, lo: float, hi: float, tol: float, max_levels: int) -> f
     return total
 
 
-def _integrate(f, lo: float, hi: float, quad: QuadratureSpec, breakpoints=()) -> float:
+def _integrate(f, lo: float, hi: float, breakpoints=()) -> float:
     """Integrate f over [lo, hi], splitting at known non-smooth points.
 
     Each piece evaluates f a hair inside its own bounds, so a jump sitting
@@ -337,15 +329,15 @@ def _integrate(f, lo: float, hi: float, quad: QuadratureSpec, breakpoints=()) ->
     coarse = 0.0
     for a, b, g in pieces:
         coarse += (b - a) / 6.0 * (g(a) + 4.0 * g(0.5 * (a + b)) + g(b))
-    tol = max(quad.atol, quad.rtol * abs(coarse))
+    tol = max(QUADRATURE_ATOL, QUADRATURE_RTOL * abs(coarse))
     total_len = hi - lo
     out = 0.0
     for a, b, g in pieces:
-        out += _adaptive_simpson(g, a, b, tol * (b - a) / total_len, quad.max_levels)
+        out += _adaptive_simpson(g, a, b, tol * (b - a) / total_len, QUADRATURE_MAX_LEVELS)
     return out
 
 
-def mean_alpha(dist: FailureDistribution, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def mean_alpha(dist: FailureDistribution) -> float:
     """First moment of the failure-rate distribution."""
     if isinstance(dist, PointMass):
         return dist.alpha
@@ -356,7 +348,7 @@ def mean_alpha(dist: FailureDistribution, quad: QuadratureSpec = QuadratureSpec(
             return 0.0
         return a * dist.pdf(a)
 
-    return _integrate(integrand, lo, hi, quad, dist.breakpoints())
+    return _integrate(integrand, lo, hi, dist.breakpoints())
 
 
 def _check_pole(dist: FailureDistribution, profile: PredictorProfile) -> None:
@@ -380,7 +372,6 @@ def expected_cost_ratio(
     dist: FailureDistribution,
     profile: PredictorProfile,
     cost_quotient: float,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> CostRatio:
     """Population ratio of looped cost to baseline cost.
 
@@ -410,8 +401,8 @@ def expected_cost_ratio(
             return 0.0
         return a * fa * numer_const / (p - a * r)
 
-    num = _integrate(numerator, lo, hi, quad, dist.breakpoints())
-    den = mean_alpha(dist, quad)
+    num = _integrate(numerator, lo, hi, dist.breakpoints())
+    den = mean_alpha(dist)
     if den <= 0.0:
         raise SupportViolation("distribution has zero mean failure rate; ratio undefined")
     return CostRatio(num / den)

@@ -88,7 +88,7 @@ def _load_config(args: argparse.Namespace, modes: tuple[str, ...] | None = None)
     path = Path(args.config)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"--config: cannot read {path}: {exc}") from None
     config = parse_config(
         text,
@@ -127,7 +127,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     digest = hashlib.sha256(
         json.dumps({"reference_grid": [list(r) for r in REFERENCE_GRID]}).encode()
     ).hexdigest()
-    manifest = build_manifest(args.seed if args.seed is not None else 0, digest).as_dict()
+    manifest = build_manifest(args.seed if args.seed is not None else 0, digest)
     out = _out_dir(args)
     write_csv(out / "table1.csv", TABLE1_HEADER, rows, manifest)
 

@@ -51,27 +51,7 @@ _SECTIONS_BY_MODE = {
     "kinematic": {"cohort", "predictor", "costs", "policy", "kinematics", "output", "sweep"},
 }
 
-_KEYS = {
-    "cohort": {"mode", "subjects", "seed", "workers"},
-    "distribution": {"family", "alpha", "lo", "hi", "a", "b", "mu", "sigma", "csv"},
-    "predictor": {"kind", "precision", "recall", "noise_scale"},
-    "costs": {"rescan", "correction"},
-    "policy": {"max_rescans", "threshold"},
-    "kinematics": {
-        "translation_scale",
-        "rotation_scale",
-        "failure_cutoff",
-        "start_offset_t",
-        "start_offset_r",
-        "guidance_noise_t",
-        "guidance_noise_r",
-        "gain",
-        "motor_noise_t",
-        "motor_noise_r",
-    },
-    "output": {"dir"},
-    "sweep": {"tau_start", "tau_stop", "tau_steps"},
-}
+_SECTIONS = set().union(*_SECTIONS_BY_MODE.values())
 
 _FAMILY_KEYS = {
     "point_mass": {"alpha"},
@@ -80,24 +60,6 @@ _FAMILY_KEYS = {
     "truncated_normal": {"mu", "sigma", "lo", "hi"},
     "histogram": {"csv"},
 }
-
-
-@dataclass(frozen=True, slots=True)
-class RunManifest:
-    """Reproducibility stamp embedded in every report file."""
-
-    master_seed: int
-    config_digest: str
-    version: str
-    timestamp: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "config_digest": self.config_digest,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
 
 
 def _manifest_timestamp() -> str | None:
@@ -109,13 +71,14 @@ def _manifest_timestamp() -> str | None:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
 
 
-def build_manifest(master_seed: int, config_digest: str) -> RunManifest:
-    return RunManifest(
-        master_seed=master_seed,
-        config_digest=config_digest,
-        version=__version__,
-        timestamp=_manifest_timestamp(),
-    )
+def build_manifest(master_seed: int, config_digest: str) -> dict:
+    """Reproducibility stamp embedded in every report file."""
+    return {
+        "master_seed": master_seed,
+        "config_digest": config_digest,
+        "version": __version__,
+        "timestamp": _manifest_timestamp(),
+    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,11 +104,8 @@ class ExperimentConfig:
     echo: dict
     digest: str
 
-    def manifest(self) -> RunManifest:
-        return build_manifest(self.master_seed, self.digest)
-
     def manifest_dict(self) -> dict:
-        return self.manifest().as_dict()
+        return build_manifest(self.master_seed, self.digest)
 
 
 class _SectionReader:
@@ -213,7 +173,7 @@ def _positive(v: float) -> str | None:
 
 def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [c.strip() for c in header] != ["bin_upper_edge", "mass"]:
@@ -234,7 +194,7 @@ def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
                     raise ConfigError(
                         f"distribution.csv: non-numeric row {row!r} in {path}"
                     ) from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"distribution.csv: cannot read {path}: {exc}") from None
     try:
         return EmpiricalHistogram.from_weights(edges, weights)
@@ -318,7 +278,7 @@ def parse_config(
     )
     allowed_sections = _SECTIONS_BY_MODE[mode]
     for section in parser.sections():
-        if section not in _KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"{section}: unknown section")
         if section not in allowed_sections:
             raise ConfigError(f"{section}: section not applicable in {mode} mode")

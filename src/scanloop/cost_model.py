@@ -116,7 +116,7 @@ def new_cost_at(alpha: FailureRate, profile: PredictorProfile, rates: CostRates)
         raise DivergentLoop(
             f"no finite expected cost: precision {p} <= alpha*recall {a * r}"
         )
-    return (p * a * c_c - p * a * r * c_c + a * r * c_s) / denom
+    return (p * a * c_c * (1.0 - r) + a * r * c_s) / denom
 
 
 def cost_ratio_at(

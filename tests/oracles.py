@@ -23,7 +23,6 @@ from scanloop.acquisition_loop import SUBJECT_COLUMNS, SubjectRecord, SubjectTab
 from scanloop.alpha_distributions import (
     FailureDistribution,
     PointMass,
-    QuadratureSpec,
     _integrate,
 )
 from scanloop.cost_model import CostRates, FailureRate, PredictorProfile
@@ -164,12 +163,12 @@ def cost_recursion_rhs(
     )
 
 
-def total_mass(dist: FailureDistribution, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def total_mass(dist: FailureDistribution) -> float:
     """Integral of the density over its support (1.0 for a valid distribution)."""
     if isinstance(dist, PointMass):
         return 1.0
     lo, hi = dist.support
-    return _integrate(dist.pdf, lo, hi, quad, dist.breakpoints())
+    return _integrate(dist.pdf, lo, hi, dist.breakpoints())
 
 
 def classify_many(

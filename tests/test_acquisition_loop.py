@@ -374,12 +374,6 @@ class TestSubjectTable:
         assert table_row(combined, 5) == records[5]
         assert table_row(combined, 17) == tail[5]
 
-    def test_empty_tables(self):
-        flat = SubjectTable.empty(kinematic=False)
-        assert len(flat) == 0 and flat.trajectories is None
-        kin = SubjectTable.empty(kinematic=True)
-        assert len(kin) == 0 and kin.trajectories == []
-
     def test_mismatched_columns_rejected(self):
         good = SubjectTable.from_records(self._records(5))
         with pytest.raises(ValueError, match="mismatched"):
@@ -451,8 +445,8 @@ class TestRunCohort:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, iterable):
-                return map(fn, iterable)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(loop, "ProcessPoolExecutor", SerialPool)
         reference = run_cohort(_abstract_config(100, seed=53)).table
@@ -462,6 +456,50 @@ class TestRunCohort:
             assert sizes[-1] == expected
             assert np.array_equal(table.cost, reference.cost[:n])
         assert len(sizes) == 3
+
+    def test_first_subjects_pinned(self):
+        # Exact records of the first subjects at a fixed seed, so a change to
+        # the loops, the record builder or the streams shows up as a diff.
+        # Abstract: budget 3 (subject 4 ends at it, still failing), flags on
+        # intact scans (subjects 1, 4, 7); kinematic: a four-scan subject.
+        abstract = run_cohort(
+            _abstract_config(8, seed=42, alpha=0.5, precision=0.7, recall=0.9, max_rescans=3)
+        ).table
+        assert list(table_rows(abstract)) == [
+            SubjectRecord(0, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRecord(1, 0.5, 3, 2, False, False, 0.2, 2, 1, 1),
+            SubjectRecord(2, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
+            SubjectRecord(3, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
+            SubjectRecord(4, 0.5, 4, 3, False, True, 1.3, 4, 2, 2),
+            SubjectRecord(5, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
+            SubjectRecord(6, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
+            SubjectRecord(7, 0.5, 2, 1, False, False, 0.1, 1, 0, 0),
+        ]
+        kinematic = run_cohort(_kinematic_config(4, seed=42, threshold=0.95, noise_scale=0.1))
+        assert list(table_rows(kinematic.table)) == [
+            SubjectRecord(
+                0, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.3269509038323635, 0.944655947562555)
+            ),
+            SubjectRecord(
+                1, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.38865343848359796, 0.9546587064228296)
+            ),
+            SubjectRecord(
+                2, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.05557154416192084, 0.9011368355472057)
+            ),
+            SubjectRecord(
+                3,
+                None,
+                4,
+                3,
+                True,
+                False,
+                0.30000000000000004,
+                3,
+                1,
+                1,
+                (0.019579030732588258, 0.8618565738282645, 0.9964992416620488, 0.9904225896153147),
+            ),
+        ]
 
     def test_kinematic_worker_count_does_not_change_results(self):
         reports = [run_cohort(_kinematic_config(300, seed=19, workers=w)) for w in (1, 3)]

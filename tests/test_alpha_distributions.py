@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import scanloop.alpha_distributions as ad
 from scanloop.alpha_distributions import (
     Beta,
     EmpiricalHistogram,
     PointMass,
-    QuadratureSpec,
     TruncatedNormal,
     Uniform,
     expected_cost_ratio,
@@ -37,17 +37,6 @@ HIST = EmpiricalHistogram.from_weights(
 
 # ---------------------------------------------------------------------------
 # construction and validation
-
-
-def test_quadrature_spec_defaults_and_validation():
-    spec = QuadratureSpec()
-    assert spec.atol == 1e-10 and spec.rtol == 1e-8 and spec.max_levels == 20
-    with pytest.raises(ValueError):
-        QuadratureSpec(atol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rtol=-1e-3)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_levels=0)
 
 
 def test_point_mass_validation():
@@ -179,10 +168,12 @@ def test_mean_alpha_histogram_is_midpoint_average():
     assert mean_alpha(HIST) == pytest.approx(ref, abs=1e-12)
 
 
-def test_quadrature_failure_when_budget_too_small():
-    strict = QuadratureSpec(atol=1e-300, rtol=1e-300, max_levels=1)
+def test_quadrature_failure_when_budget_too_small(monkeypatch):
+    monkeypatch.setattr(ad, "QUADRATURE_ATOL", 1e-300)
+    monkeypatch.setattr(ad, "QUADRATURE_RTOL", 1e-300)
+    monkeypatch.setattr(ad, "QUADRATURE_MAX_LEVELS", 1)
     with pytest.raises(QuadratureFailure):
-        mean_alpha(Beta(2.0, 8.0), strict)
+        mean_alpha(Beta(2.0, 8.0))
 
 
 # ---------------------------------------------------------------------------

@@ -241,18 +241,46 @@ class TestSimulate:
         assert new_payload["manifest"]["config_digest"] != base_payload["manifest"]["config_digest"]
         assert new_payload["aggregates"]["total_cost"] != base_payload["aggregates"]["total_cost"]
 
-    def test_empty_cohort_writes_valid_files(self, tmp_path):
-        config = write_config(
-            tmp_path, ABSTRACT_BETA.format(workers=1).replace("subjects = 1500", "subjects = 0")
-        )
-        result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "out"))
-        assert result.returncode == 0
-        manifest, header, rows = read_report_csv(tmp_path / "out" / "subjects.csv")
+    @pytest.mark.parametrize(
+        "command, text, csv_name, lead",
+        [
+            (
+                "simulate",
+                ABSTRACT_BETA.format(workers=1).replace("subjects = 1500", "subjects = 0"),
+                "subjects.csv",
+                ["subject_id", "alpha"],
+            ),
+            (
+                "simulate",
+                kinematic_config(subjects=0),
+                "subjects.csv",
+                ["subject_id", "initial_quality", "final_quality"],
+            ),
+            (
+                "guidance",
+                kinematic_config(subjects=0),
+                "trajectories.csv",
+                ["subject_id", "scan_index", "quality"],
+            ),
+        ],
+        ids=["simulate-abstract", "simulate-kinematic", "guidance"],
+    )
+    def test_empty_cohort_writes_valid_files(self, tmp_path, command, text, csv_name, lead):
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        result = run_cli(command, "--config", str(config), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        _, header, rows = read_report_csv(out / csv_name)
         assert rows == []
-        assert header[0] == "subject_id"
-        payload = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert payload["aggregates"]["subjects"] == 0
-        assert payload["aggregates"]["mean_cost"] is None
+        assert header[: len(lead)] == lead
+        if command == "simulate":
+            payload = json.loads((out / "report.json").read_text())
+            assert payload["aggregates"]["subjects"] == 0
+            assert payload["aggregates"]["mean_cost"] is None
+            assert payload["aggregates"]["mean_initial_quality"] is None
+        else:
+            _, _, curve_rows = read_report_csv(out / "quality_curve.csv")
+            assert curve_rows == []
 
     def test_abstract_report_embeds_analytic_comparison(self, tmp_path):
         config = write_config(tmp_path, ABSTRACT_BETA.format(workers=1))
@@ -475,6 +503,28 @@ class TestExitCodes:
         result = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
         assert result.returncode == 2
         assert "distribution.mu" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "bad_file, key",
+        [("config", "--config"), ("histogram", "distribution.csv")],
+        ids=["config", "histogram"],
+    )
+    def test_non_utf8_input_names_key(self, tmp_path, bad_file, key):
+        text = RATIO_POINTMASS.replace(
+            "family = point_mass\nalpha = 0.2", "family = histogram\ncsv = bins.csv"
+        )
+        bins = b"bin_upper_edge,mass\n0.1,1\n0.3,1\n"
+        config = tmp_path / "bad.ini"
+        if bad_file == "config":
+            config.write_bytes(b"\xff\xfe" + text.encode())
+        else:
+            config.write_text(text, encoding="utf-8")
+            bins = bins.replace(b"0.3,1", b"0.3,\xff")
+        (tmp_path / "bins.csv").write_bytes(bins)
+        result = run_cli("ratio", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert key in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_unwritable_output(self, tmp_path):

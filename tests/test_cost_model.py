@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scanloop.cost_model import (
@@ -392,6 +392,8 @@ def test_perfect_predictor_geometric_series(a, cs, cc):
     cc=st.floats(0.5, 2.0),
     lam=st.floats(0.01, 100.0),
 )
+# Recall one ulp below 1: the correction term is tiny and must not cancel.
+@example(a=0.5, p=0.75, r=0.9999999999999999, cs=0.0, cc=1.5, lam=7.0)
 @settings(max_examples=200, deadline=None)
 def test_cost_scales_linearly_and_ratio_is_scale_free(a, p, r, cs, cc, lam):
     alpha = FailureRate(a)
