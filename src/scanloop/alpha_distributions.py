@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betaln, ndtr, ndtri
@@ -159,6 +159,9 @@ class TruncatedNormal(FailureDistribution):
     sigma: float
     lo: float
     hi: float
+    # Standard normal CDF at the standardized bounds, derived on construction.
+    cdf_lo: float = field(init=False, repr=False, compare=False)
+    cdf_hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
@@ -167,39 +170,34 @@ class TruncatedNormal(FailureDistribution):
             raise ValueError(
                 f"support must satisfy 0 <= lo < hi < 1, got [{self.lo}, {self.hi}]"
             )
-        cdf_lo, cdf_hi = self._cdf_bounds()
+        cdf_lo = float(ndtr((self.lo - self.mu) / self.sigma))
+        cdf_hi = float(ndtr((self.hi - self.mu) / self.sigma))
         if not cdf_hi > cdf_lo:
             raise ValueError(
                 f"mu {self.mu} and sigma {self.sigma} put no normal mass on"
                 f" [{self.lo}, {self.hi}] in double precision"
             )
+        object.__setattr__(self, "cdf_lo", cdf_lo)
+        object.__setattr__(self, "cdf_hi", cdf_hi)
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    def _cdf_bounds(self) -> tuple[float, float]:
-        lo_std = (self.lo - self.mu) / self.sigma
-        hi_std = (self.hi - self.mu) / self.sigma
-        return float(ndtr(lo_std)), float(ndtr(hi_std))
-
     def pdf(self, alpha: float) -> float:
         if not self.lo <= alpha <= self.hi:
             return 0.0
-        cdf_lo, cdf_hi = self._cdf_bounds()
         z = (alpha - self.mu) / self.sigma
         return math.exp(-0.5 * z * z) / (
-            math.sqrt(2.0 * math.pi) * self.sigma * (cdf_hi - cdf_lo)
+            math.sqrt(2.0 * math.pi) * self.sigma * (self.cdf_hi - self.cdf_lo)
         )
 
     def sample(self, rng: np.random.Generator) -> float:
-        cdf_lo, cdf_hi = self._cdf_bounds()
-        u = cdf_lo + (cdf_hi - cdf_lo) * rng.random()
-        return float(np.clip(self.mu + self.sigma * ndtri(u), self.lo, self.hi))
+        u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random()
+        return min(max(self.mu + self.sigma * float(ndtri(u)), self.lo), self.hi)
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        cdf_lo, cdf_hi = self._cdf_bounds()
-        u = cdf_lo + (cdf_hi - cdf_lo) * rng.random(n)
+        u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random(n)
         return np.clip(self.mu + self.sigma * ndtri(u), self.lo, self.hi)
 
 

@@ -87,7 +87,7 @@ def _load_config(args: argparse.Namespace, modes: tuple[str, ...] | None = None)
         raise ConfigError(f"--config: required for the {args.command} command")
     path = Path(args.config)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"--config: cannot read {path}: {exc}") from None
     config = parse_config(

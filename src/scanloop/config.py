@@ -173,7 +173,7 @@ def _positive(v: float) -> str | None:
 
 def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [c.strip() for c in header] != ["bin_upper_edge", "mass"]:

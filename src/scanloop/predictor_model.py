@@ -100,4 +100,4 @@ def score(
     depend on the noise setting.
     """
     eps = rng.standard_normal()
-    return float(np.clip(true_quality + predictor.noise_scale * eps, 0.0, 1.0))
+    return min(max(true_quality + predictor.noise_scale * eps, 0.0), 1.0)

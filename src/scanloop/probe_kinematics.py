@@ -24,13 +24,18 @@ import numpy as np
 _UNIT_TOL = 1e-9
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D real vector, computed as ``np.linalg.norm`` does."""
+    return math.sqrt(v.dot(v))
+
+
 def _quat_normalize(q: np.ndarray) -> np.ndarray:
-    return q / np.linalg.norm(q)
+    return q / _norm(q)
 
 
 def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
+    w1, x1, y1, z1 = a.tolist()
+    w2, x2, y2, z2 = b.tolist()
     return np.array(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
@@ -46,19 +51,20 @@ def _quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def _quat_from_axis_angle(rotvec: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(rotvec))
+    angle = _norm(rotvec)
     if angle == 0.0:
         return np.array([1.0, 0.0, 0.0, 0.0])
-    axis = rotvec / angle
+    x, y, z = rotvec.tolist()
     half = 0.5 * angle
-    return np.concatenate(([math.cos(half)], math.sin(half) * axis))
+    s = math.sin(half)
+    return np.array([math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle)])
 
 
 def _axis_angle_from_quat(q: np.ndarray) -> np.ndarray:
     """Canonical axis-angle vector with angle in [0, pi]."""
     if q[0] < 0.0:  # q and -q are the same rotation; keep the short way around
         q = -q
-    vec_norm = float(np.linalg.norm(q[1:]))
+    vec_norm = _norm(q[1:])
     angle = 2.0 * math.atan2(vec_norm, float(q[0]))
     if vec_norm < 1e-300:
         return np.zeros(3)
@@ -79,8 +85,9 @@ class ProbePose:
             raise ValueError(f"position must be a 3-vector, got shape {pos.shape}")
         if ori.shape != (4,):
             raise ValueError(f"orientation must be a 4-vector, got shape {ori.shape}")
-        if abs(float(np.linalg.norm(ori)) - 1.0) > _UNIT_TOL:
-            raise ValueError(f"orientation must be unit-norm, got norm {np.linalg.norm(ori)}")
+        norm = _norm(ori)
+        if abs(norm - 1.0) > _UNIT_TOL:
+            raise ValueError(f"orientation must be unit-norm, got norm {norm}")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", ori)
 
@@ -107,7 +114,7 @@ class PoseOffset:
             raise ValueError(f"translation must be a 3-vector, got shape {t.shape}")
         if r.shape != (3,):
             raise ValueError(f"rotation must be a 3-vector, got shape {r.shape}")
-        angle = float(np.linalg.norm(r))
+        angle = _norm(r)
         if angle > math.pi + 1e-12:
             raise ValueError(f"rotation angle must be in [0, pi], got {angle}")
         object.__setattr__(self, "translation", t)
@@ -161,10 +168,10 @@ class GuidanceNoise:
 
 def pose_error(current: ProbePose, target: ProbePose) -> tuple[float, float]:
     """(translation distance in mm, geodesic rotation distance in radians)."""
-    d_t = float(np.linalg.norm(target.position - current.position))
+    d_t = _norm(target.position - current.position)
     q_rel = _quat_multiply(_quat_conjugate(current.orientation), target.orientation)
     w = abs(float(q_rel[0]))
-    vec_norm = float(np.linalg.norm(q_rel[1:]))
+    vec_norm = _norm(q_rel[1:])
     d_r = 2.0 * math.atan2(vec_norm, w)
     return d_t, d_r
 
@@ -189,7 +196,7 @@ def _random_rotation_quat(scale: float, rng: np.random.Generator) -> np.ndarray:
     """
     axis = rng.standard_normal(3)
     angle = scale * float(rng.standard_normal())
-    norm = float(np.linalg.norm(axis))
+    norm = _norm(axis)
     if norm < 1e-300:  # degenerate draw; any fixed axis works
         axis = np.array([1.0, 0.0, 0.0])
         norm = 1.0

@@ -4,13 +4,122 @@ Every subject gets an independent generator keyed by (master seed, subject
 index).  Because a subject's draws never depend on any other subject's, a
 cohort can be simulated in any order and split across any number of workers
 while producing bit-identical results.
+
+Subject i's generator is ``Generator(PCG64(key))`` where the key equals
+``numpy.random.SeedSequence([master_seed, i]).generate_state(4, np.uint64)``:
+the same 256 bits numpy's ``default_rng(SeedSequence([master_seed, i]))``
+seeds PCG64 with, so every draw matches it.  The keys are derived here, for a
+block of consecutive subjects in one vectorized pass, with SeedSequence's
+hash and mix functions at its default pool size of 4.  The generator's
+``seed_seq`` is a ``_Key`` holding that subject's key; it cannot spawn child
+sequences (``Generator.spawn`` raises), and nothing in the package spawns.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+_BLOCK = 4096  # subjects per derived key block (a divisor of 2^32)
+_POOL_SIZE = 4
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of each successive hashmix call from one hash constant.
+
+    SeedSequence's hash constant advances the same way whatever is hashed,
+    so its whole sequence is known up front.
+    """
+    pairs, h = [], init
+    for _ in range(count):
+        nxt = (h * mult) & _MASK32
+        pairs.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return pairs
+
+
+# mix_entropy hashes each pool word once, then every ordered pair of distinct
+# pool words once; generate_state hashes 8 words for 4 uint64 outputs.
+_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE + _POOL_SIZE * (_POOL_SIZE - 1))
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> _XSHIFT)
+
+
+@lru_cache(maxsize=1)
+def _key_block(master_seed: int, block: int) -> np.ndarray:
+    """PCG64 keys of subjects block·4096 … block·4096 + 4095, one row each.
+
+    Row j equals ``SeedSequence([master_seed, block * 4096 + j])
+    .generate_state(4, np.uint64)``.  Numpy's entropy for [seed, i] is the
+    seed's 32-bit words (one word for 0) followed by i's; SeedSequence reads
+    words past the end of the entropy as 0.  For seed and i below 2^64 that
+    is at most 4 words, so [seed words, low word of i, high word of i] padded
+    with zeros to 4 words is the same pool input.
+    """
+    seed_words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    index = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
+    entropy = [np.full(_BLOCK, w, dtype=np.uint32) for w in seed_words]
+    entropy += [(index & _MASK32).astype(np.uint32), (index >> np.uint64(32)).astype(np.uint32)]
+    entropy += [np.zeros(_BLOCK, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+
+    constants = iter(_MIX_CONSTANTS)
+    pool = [_hashmix(word, *next(constants)) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
+
+    state = np.empty((_BLOCK, 2 * _POOL_SIZE), dtype="<u4")
+    for k, (xor, mult) in enumerate(_STATE_CONSTANTS):
+        state[:, k] = _hashmix(pool[k % _POOL_SIZE], xor, mult)
+    # Word pairs form uint64s low word first, as SeedSequence does.  On a
+    # little-endian machine the view and the cast copy nothing, so the kept
+    # array is the only 128 KB one built.
+    keys = state.view("<u8").astype(np.uint64, copy=False)
+    keys.flags.writeable = False
+    return keys
+
+
+class _Key(ISeedSequence):
+    """One subject's derived PCG64 key, handed to the bit generator as its seed."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a subject key holds exactly 4 uint64 words (what PCG64 reads)")
+        return self._words
 
 
 def subject_stream(master_seed: int, subject_index: int) -> np.random.Generator:
-    """Generator for one subject, independent of all other subjects' streams."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, subject_index]))
+    """Generator for one subject, independent of all other subjects' streams.
+
+    Raises:
+        ValueError: unless both arguments are in [0, 2^64).
+    """
+    if not (0 <= master_seed < 2**64 and 0 <= subject_index < 2**64):
+        raise ValueError(
+            f"master seed and subject index must be in [0, 2^64),"
+            f" got {master_seed} and {subject_index}"
+        )
+    block, row = divmod(subject_index, _BLOCK)
+    return np.random.Generator(np.random.PCG64(_Key(_key_block(master_seed, block)[row])))

@@ -8,7 +8,8 @@ standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, vectorized flagging, empirical operating
-points, total density mass, and SubjectTable row views.
+points, total density mass, SubjectTable row views, and quaternion algebra
+on numpy arrays and scalars.
 """
 
 from __future__ import annotations
@@ -236,3 +237,24 @@ def table_row(table: SubjectTable, i: int) -> SubjectRecord:
 
 def table_rows(table: SubjectTable) -> Iterator[SubjectRecord]:
     return (table_row(table, i) for i in range(len(table)))
+
+
+def quat_multiply_numpy_scalars(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of scalar-first quaternions, unpacked as numpy float64 scalars."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return np.array(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ]
+    )
+
+
+def quat_from_axis_angle_numpy(rotvec: np.ndarray) -> np.ndarray:
+    """Unit quaternion of a nonzero rotation vector, from numpy array arithmetic."""
+    angle = float(np.linalg.norm(rotvec))
+    half = 0.5 * angle
+    return np.concatenate(([math.cos(half)], math.sin(half) * (rotvec / angle)))

@@ -1,10 +1,12 @@
 """Tests for failure-rate distribution families and their cost integrals."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 import scanloop.alpha_distributions as ad
 from scanloop.alpha_distributions import (
@@ -352,3 +354,22 @@ def test_sample_alpha_returns_valid_failure_rate():
         for _ in range(100):
             fr = sample_alpha(dist, rng)
             assert 0.0 <= fr.alpha < 1.0
+
+
+def test_truncnorm_scalar_sample_equals_clipped_inverse_cdf():
+    mu, sigma, lo, hi = 0.2, 0.1, 0.0, 0.6
+    dist = TruncatedNormal(mu, sigma, lo, hi)
+    cdf_lo, cdf_hi = float(ndtr((lo - mu) / sigma)), float(ndtr((hi - mu) / sigma))
+    assert (dist.cdf_lo, dist.cdf_hi) == (cdf_lo, cdf_hi)
+    ours, ref = np.random.default_rng(16), np.random.default_rng(16)
+    for _ in range(2000):
+        u = cdf_lo + (cdf_hi - cdf_lo) * ref.random()
+        assert dist.sample(ours) == float(np.clip(mu + sigma * ndtri(u), lo, hi))
+
+
+def test_truncnorm_derived_bounds_stay_out_of_identity():
+    dist = TruncatedNormal(0.2, 0.1, 0.0, 0.6)
+    assert repr(dist) == "TruncatedNormal(mu=0.2, sigma=0.1, lo=0.0, hi=0.6)"
+    copy = pickle.loads(pickle.dumps(dist))
+    assert copy == dist and hash(copy) == hash(dist)
+    assert (copy.cdf_lo, copy.cdf_hi) == (dist.cdf_lo, dist.cdf_hi)

@@ -527,6 +527,32 @@ class TestExitCodes:
         assert key in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("bom_file", ["experiment.ini", "bins.csv"])
+    def test_utf8_byte_order_mark_accepted(self, tmp_path, bom_file):
+        files = {
+            "experiment.ini": RATIO_POINTMASS.replace(
+                "family = point_mass\nalpha = 0.2", "family = histogram\ncsv = bins.csv"
+            ),
+            "bins.csv": "bin_upper_edge,mass\n0.1,1\n0.3,1\n",
+        }
+        payloads = []
+        for name in ("plain", "bom"):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            for file_name, content in files.items():
+                encoding = "utf-8-sig" if name == "bom" and file_name == bom_file else "utf-8"
+                (run_dir / file_name).write_text(content, encoding=encoding)
+            config, out = run_dir / "experiment.ini", run_dir / "out"
+            result = run_cli("ratio", "--config", str(config), "--out", str(out))
+            assert result.returncode == 0, result.stderr
+            payload = json.loads((out / "ratio.json").read_text())
+            payload["manifest"].pop("timestamp")
+            payloads.append(payload)
+        assert (tmp_path / "bom" / bom_file).read_bytes().startswith(b"\xef\xbb\xbf")
+        plain, with_bom = payloads
+        assert with_bom["manifest"]["config_digest"] == plain["manifest"]["config_digest"]
+        assert with_bom == plain
+
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")

@@ -1,0 +1,81 @@
+"""Per-subject streams equal numpy's SeedSequence streams; scalar pose math equals numpy's."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from oracles import quat_from_axis_angle_numpy, quat_multiply_numpy_scalars
+from scanloop.probe_kinematics import _norm, _quat_from_axis_angle, _quat_multiply
+from scanloop.streams import _key_block, subject_stream
+
+SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1)
+INDICES = (0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 1)
+
+
+def reference_stream(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+
+
+def assert_same_stream(got: np.random.Generator, want: np.random.Generator) -> None:
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(8).tolist() == want.random(8).tolist()
+
+
+@pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
+def test_subject_stream_equals_seed_sequence_stream(seed, index):
+    assert_same_stream(subject_stream(seed, index), reference_stream(seed, index))
+
+
+def test_key_block_rows_equal_seed_sequence_state():
+    keys = _key_block(7, 2)
+    assert keys.shape == (4096, 4) and keys.dtype == np.uint64
+    for row in (0, 1, 2047, 4095):
+        want = np.random.SeedSequence([7, 2 * 4096 + row]).generate_state(4, np.uint64)
+        assert keys[row].tolist() == want.tolist()
+
+
+def test_out_of_order_access_matches_fresh_calls():
+    order = (5000, 3, 5000)
+    _key_block.cache_clear()
+    streams = [subject_stream(11, i) for i in order]
+    for rng, i in zip(streams, order):
+        _key_block.cache_clear()
+        assert rng.bit_generator.state == subject_stream(11, i).bit_generator.state
+        assert_same_stream(rng, reference_stream(11, i))
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-5, -5), (2**64, 0), (0, 2**64)])
+def test_out_of_range_inputs_rejected(seed, index):
+    with pytest.raises(ValueError):
+        subject_stream(seed, index)
+
+
+def test_subject_stream_cannot_spawn():
+    with pytest.raises(TypeError):
+        subject_stream(1, 2).spawn(1)
+
+
+def test_norm_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for size in (3, 4):
+        for scale in (1e-200, 1e-3, 1.0, 1e3, 1e150):
+            for _ in range(500):
+                v = scale * rng.standard_normal(size)
+                assert _norm(v) == float(np.linalg.norm(v))
+                assert _norm(v[1:]) == float(np.linalg.norm(v[1:]))
+
+
+def test_quat_multiply_equals_numpy_scalar_product():
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        a, b = rng.standard_normal(4), rng.standard_normal(4)
+        assert _quat_multiply(a, b).tolist() == quat_multiply_numpy_scalars(a, b).tolist()
+
+
+def test_quat_from_axis_angle_equals_numpy_array_arithmetic():
+    rng = np.random.default_rng(2)
+    for scale in (1e-9, 0.1, 1.0, 3.0):
+        for _ in range(500):
+            v = scale * rng.standard_normal(3)
+            assert _quat_from_axis_angle(v).tolist() == quat_from_axis_angle_numpy(v).tolist()
