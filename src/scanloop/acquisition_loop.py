@@ -28,7 +28,6 @@ import dataclasses
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -384,6 +383,10 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
     if workers == 1 or n <= chunk:
         parts = [_simulate_chunk(config, s, e) for s, e in bounds]
     else:
+        # Imported here, not with the module: runs on one worker never pay
+        # for loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool may start all its workers at once, so it gets no more
         # than there are chunks or CPUs.
         pool_size = min(workers, len(bounds), os.cpu_count() or 1)

@@ -13,12 +13,12 @@ the same distributions the quadrature integrates.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, ndtr, ndtri
 
 from .cost_model import CostRatio, FailureRate, PredictorProfile, cost_ratio_at
 from .errors import QuadratureFailure, SupportViolation
@@ -29,6 +29,19 @@ from .errors import QuadratureFailure, SupportViolation
 QUADRATURE_ATOL = 1e-10
 QUADRATURE_RTOL = 1e-8
 QUADRATURE_MAX_LEVELS = 20
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use.
+
+    Only the Beta density (``betaln``) and the truncated normal (``ndtr``,
+    ``ndtri``) need it, and importing it takes longer than importing the rest
+    of the package, so runs that never build either family never load SciPy.
+    """
+    import scipy.special
+
+    return scipy.special
 
 
 class FailureDistribution(ABC):
@@ -134,13 +147,13 @@ class Beta(FailureDistribution):
         if not 0.0 <= alpha <= 1.0:
             return 0.0
         if alpha == 0.0:
-            return 0.0 if self.a > 1.0 else math.exp(-betaln(self.a, self.b))
+            return 0.0 if self.a > 1.0 else math.exp(-_special().betaln(self.a, self.b))
         if alpha == 1.0:
             return 0.0
         log_pdf = (
             (self.a - 1.0) * math.log(alpha)
             + (self.b - 1.0) * math.log1p(-alpha)
-            - betaln(self.a, self.b)
+            - _special().betaln(self.a, self.b)
         )
         return math.exp(log_pdf)
 
@@ -170,6 +183,7 @@ class TruncatedNormal(FailureDistribution):
             raise ValueError(
                 f"support must satisfy 0 <= lo < hi < 1, got [{self.lo}, {self.hi}]"
             )
+        ndtr = _special().ndtr
         cdf_lo = float(ndtr((self.lo - self.mu) / self.sigma))
         cdf_hi = float(ndtr((self.hi - self.mu) / self.sigma))
         if not cdf_hi > cdf_lo:
@@ -194,11 +208,11 @@ class TruncatedNormal(FailureDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random()
-        return min(max(self.mu + self.sigma * float(ndtri(u)), self.lo), self.hi)
+        return min(max(self.mu + self.sigma * float(_special().ndtri(u)), self.lo), self.hi)
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random(n)
-        return np.clip(self.mu + self.sigma * ndtri(u), self.lo, self.hi)
+        return np.clip(self.mu + self.sigma * _special().ndtri(u), self.lo, self.hi)
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -129,7 +130,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     ).hexdigest()
     manifest = build_manifest(args.seed if args.seed is not None else 0, digest)
     out = _out_dir(args)
-    write_csv(out / "table1.csv", TABLE1_HEADER, rows, manifest)
+    write_csv(out / "table1.csv", TABLE1_HEADER, list(zip(*rows)), manifest)
 
     print(
         f"{'alpha':>6} {'cs/cc':>6} {'prec':>6} {'recall':>7}"
@@ -294,7 +295,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows[best_plugin][8] = 1
 
     out = _out_dir(args, config)
-    write_csv(out / "sweep.csv", SWEEP_HEADER, rows, config.manifest_dict())
+    write_csv(out / "sweep.csv", SWEEP_HEADER, list(zip(*rows)), config.manifest_dict())
 
     print(f"{'tau':>6} {'alpha^':>7} {'prec':>6} {'recall':>7} {'plugin':>7} {'cost':>9}")
     for row in rows:
@@ -311,30 +312,34 @@ def cmd_guidance(args: argparse.Namespace) -> int:
     report = run_cohort(config)
     trajectories = report.table.trajectories or []
 
-    def trajectory_rows():
-        for subject_id, trajectory in enumerate(trajectories):
-            for scan_index, quality in enumerate(trajectory):
-                yield [subject_id, scan_index, quality]
-
+    # One row per scan: the subject's id repeated over its trajectory, the
+    # scan's index within it and the scan's quality.
+    lengths = np.array([len(t) for t in trajectories], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    scans = int(lengths.sum())
     out = _out_dir(args, config)
     write_csv(
         out / "trajectories.csv",
         ("subject_id", "scan_index", "quality"),
-        trajectory_rows(),
+        [
+            np.repeat(np.arange(len(trajectories)), lengths),
+            np.arange(scans) - np.repeat(starts, lengths),
+            np.fromiter(itertools.chain.from_iterable(trajectories), np.float64, scans),
+        ],
         report.manifest,
     )
 
     # Mean cohort quality at each scan index; subjects that stopped early
     # hold their final quality, so the curve tracks the whole cohort's state.
-    longest = max((len(t) for t in trajectories), default=0)
-    curve_rows = []
-    for scan_index in range(longest):
-        values = [t[scan_index] if scan_index < len(t) else t[-1] for t in trajectories]
-        curve_rows.append([scan_index, float(np.mean(values))])
+    longest = int(lengths.max(initial=0))
+    means = [
+        float(np.mean([t[k] if k < len(t) else t[-1] for t in trajectories]))
+        for k in range(longest)
+    ]
     write_csv(
         out / "quality_curve.csv",
         ("scan_index", "mean_quality"),
-        curve_rows,
+        [np.arange(longest), means],
         report.manifest,
     )
 

@@ -21,6 +21,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -134,6 +135,8 @@ class _SectionReader:
         except (ValueError, TypeError):
             kind = {int: "an integer", float: "a number"}.get(convert, "valid")
             raise ConfigError(f"{self.section}.{key}: {text!r} is not {kind}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{self.section}.{key}: must be a finite number, got {text!r}")
         complaint = check(value)
         if complaint is not None:
             raise ConfigError(f"{self.section}.{key}: {complaint}")
@@ -171,6 +174,12 @@ def _positive(v: float) -> str | None:
     return None if v > 0.0 else f"must be > 0, got {v}"
 
 
+def _rotation_sd(v: float) -> str | None:
+    """A rotation-noise standard deviation: a sampled angle of many turns
+    means nothing, and one near the float limit overflows."""
+    return None if 0.0 <= v <= math.pi else f"must be in [0, pi] rad, got {v}"
+
+
 def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -188,12 +197,15 @@ def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
                 if len(row) != 2:
                     raise ConfigError(f"distribution.csv: malformed row {row!r} in {path}")
                 try:
-                    edges.append(float(row[0]))
-                    weights.append(float(row[1]))
+                    edge, weight = float(row[0]), float(row[1])
                 except ValueError:
                     raise ConfigError(
                         f"distribution.csv: non-numeric row {row!r} in {path}"
                     ) from None
+                if not (math.isfinite(edge) and math.isfinite(weight)):
+                    raise ConfigError(f"distribution.csv: non-finite row {row!r} in {path}")
+                edges.append(edge)
+                weights.append(weight)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"distribution.csv: cannot read {path}: {exc}") from None
     try:
@@ -367,12 +379,12 @@ def parse_config(
         rotation_scale = kin.get("rotation_scale", float, check=_positive)
         failure_cutoff = kin.get("failure_cutoff", float, check=_probability(True, True))
         start_offset_t = kin.get("start_offset_t", float, check=_nonneg)
-        start_offset_r = kin.get("start_offset_r", float, check=_nonneg)
+        start_offset_r = kin.get("start_offset_r", float, check=_rotation_sd)
         guidance_noise_t = kin.get("guidance_noise_t", float, default=0.0, check=_nonneg)
-        guidance_noise_r = kin.get("guidance_noise_r", float, default=0.0, check=_nonneg)
+        guidance_noise_r = kin.get("guidance_noise_r", float, default=0.0, check=_rotation_sd)
         gain = kin.get("gain", float, default=1.0, check=_probability(True, False))
         motor_noise_t = kin.get("motor_noise_t", float, default=0.0, check=_nonneg)
-        motor_noise_r = kin.get("motor_noise_r", float, default=0.0, check=_nonneg)
+        motor_noise_r = kin.get("motor_noise_r", float, default=0.0, check=_rotation_sd)
         kin.reject_unknown()
         anatomy = SubjectAnatomy(
             target_pose=ProbePose.identity(),

@@ -21,7 +21,9 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .acquisition_loop import SUBJECT_COLUMNS, ComparisonSummary, SimulationReport
 
@@ -60,23 +62,57 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def render_csv(header: Sequence[str], rows: Iterable[Sequence[object]], manifest: dict) -> str:
+# Rows rendered at a time: every column is formatted a block at a time, so
+# only one block's cell strings are alive at once.
+_ROW_BLOCK = 4096
+
+
+def _format_column(values: Sequence[object]) -> list[str]:
+    """``format_cell`` of every value of a column slice, in order.
+
+    A bool, int or float numpy array is formatted by its dtype alone, as the
+    values of its ``.tolist()``; any other sequence goes through
+    ``format_cell`` cell by cell.
+    """
+    if not isinstance(values, np.ndarray):
+        return list(map(format_cell, values))
+    kind = values.dtype.kind
+    if kind == "b":
+        return np.where(values, "1", "0").tolist()
+    if kind in "iu":
+        return list(map(str, values.tolist()))
+    cells = [f"{v:.12g}" for v in values.tolist()]
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def render_csv(
+    header: Sequence[str], columns: Sequence[Sequence[object]], manifest: dict
+) -> str:
+    """The CSV text of a table given as equal-length columns, one per header
+    entry, each cell formatted by ``format_cell``'s rules."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header entries but {len(columns)} columns")
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError("columns must have equal lengths")
     buffer = io.StringIO()
     buffer.write(manifest_line(manifest) + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(cell) for cell in row])
+    for start in range(0, n, _ROW_BLOCK):
+        writer.writerows(zip(*(_format_column(c[start : start + _ROW_BLOCK]) for c in columns)))
     return buffer.getvalue()
 
 
 def write_csv(
     path: str | Path,
     header: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    columns: Sequence[Sequence[object]],
     manifest: dict,
 ) -> None:
-    atomic_write_text(path, render_csv(header, rows, manifest))
+    atomic_write_text(path, render_csv(header, columns, manifest))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -95,12 +131,6 @@ def read_report_csv(path: str | Path) -> tuple[dict, list[str], list[list[str]]]
         return manifest, header, [row for row in reader]
 
 
-# subjects.csv is rendered from ``.tolist()`` slices of this many subjects:
-# faster than indexing numpy cells one by one, with a bounded number of
-# Python objects alive at once.
-_ROW_BLOCK = 4096
-
-
 def subjects_csv_header(mode: str) -> list[str]:
     lead = ["subject_id", "alpha"] if mode == "abstract" else [
         "subject_id",
@@ -110,23 +140,24 @@ def subjects_csv_header(mode: str) -> list[str]:
     return lead + [name for name, _ in SUBJECT_COLUMNS]
 
 
-def subjects_csv_rows(report: SimulationReport) -> Iterable[Sequence[object]]:
+def subjects_csv_columns(report: SimulationReport) -> list[Sequence[object]]:
+    """The columns of subjects.csv, in the order of ``subjects_csv_header``."""
     table = report.table
-    n = len(table)
-    for start in range(0, n, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        ids = range(start, min(start + _ROW_BLOCK, n))
-        if report.mode == "abstract":
-            lead = [ids, table.alpha[block].tolist()]
-        else:
-            trajectories = table.trajectories[block]
-            lead = [ids, [t[0] for t in trajectories], [t[-1] for t in trajectories]]
-        columns = [getattr(table, name)[block].tolist() for name, _ in SUBJECT_COLUMNS]
-        yield from zip(*lead, *columns)
+    if report.mode == "abstract":
+        lead = [table.alpha]
+    else:
+        trajectories = table.trajectories or []
+        lead = [
+            np.array([t[0] for t in trajectories], dtype=np.float64),
+            np.array([t[-1] for t in trajectories], dtype=np.float64),
+        ]
+    return [np.arange(len(table)), *lead, *(getattr(table, name) for name, _ in SUBJECT_COLUMNS)]
 
 
 def write_subjects_csv(path: str | Path, report: SimulationReport) -> None:
-    write_csv(path, subjects_csv_header(report.mode), subjects_csv_rows(report), report.manifest)
+    write_csv(
+        path, subjects_csv_header(report.mode), subjects_csv_columns(report), report.manifest
+    )
 
 
 def summary_payload(

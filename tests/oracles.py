@@ -8,15 +8,17 @@ standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, vectorized flagging, empirical operating
-points, total density mass, SubjectTable row views, and quaternion algebra
-on numpy arrays and scalars.
+points, total density mass, SubjectTable row views, quaternion algebra on
+numpy arrays and scalars, and a row-at-a-time CSV writer.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from scanloop.alpha_distributions import (
 )
 from scanloop.cost_model import CostRates, FailureRate, PredictorProfile
 from scanloop.predictor_model import ConfusionPredictor, ScorePredictor
+from scanloop.reports import format_cell, manifest_line
 
 
 def fixed_point_cost(
@@ -258,3 +261,14 @@ def quat_from_axis_angle_numpy(rotvec: np.ndarray) -> np.ndarray:
     angle = float(np.linalg.norm(rotvec))
     half = 0.5 * angle
     return np.concatenate(([math.cos(half)], math.sin(half) * (rotvec / angle)))
+
+
+def render_csv_rows(header: Sequence[str], rows: Iterable[Sequence[object]], manifest: dict) -> str:
+    """CSV text written a row at a time, one ``format_cell`` call per cell."""
+    buffer = io.StringIO()
+    buffer.write(manifest_line(manifest) + "\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_cell(cell) for cell in row])
+    return buffer.getvalue()

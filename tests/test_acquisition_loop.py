@@ -429,6 +429,8 @@ class TestRunCohort:
             assert np.array_equal(getattr(tables[0], col), getattr(tables[1], col)), col
 
     def test_pool_never_larger_than_chunks_or_cpus(self, monkeypatch):
+        import concurrent.futures
+
         import scanloop.acquisition_loop as loop
 
         sizes = []
@@ -448,7 +450,7 @@ class TestRunCohort:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(loop, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         reference = run_cohort(_abstract_config(100, seed=53)).table
         for cpus, n, expected in ((4, 3, 3), (4, 100, 4), (None, 100, 1)):
             monkeypatch.setattr(loop.os, "cpu_count", lambda: cpus)

@@ -569,12 +569,206 @@ class TestExitCodes:
         assert run_cli("frobnicate").returncode == 2
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs about 0.3 s and 25 MB on import; the CLI uses the
-    # package's own quadrature and must not pull it in.
-    code = "import sys, scanloop.cli; print('scipy.integrate' in sys.modules)"
+# Every float key of both modes: (mode, distribution family or None, section, key).
+FLOAT_KEYS = [
+    ("abstract", "point_mass", "distribution", "alpha"),
+    ("abstract", "uniform", "distribution", "lo"),
+    ("abstract", "uniform", "distribution", "hi"),
+    ("abstract", "beta", "distribution", "a"),
+    ("abstract", "beta", "distribution", "b"),
+    ("abstract", "truncated_normal", "distribution", "mu"),
+    ("abstract", "truncated_normal", "distribution", "sigma"),
+    ("abstract", "truncated_normal", "distribution", "lo"),
+    ("abstract", "truncated_normal", "distribution", "hi"),
+    ("abstract", "point_mass", "predictor", "precision"),
+    ("abstract", "point_mass", "predictor", "recall"),
+    ("abstract", "point_mass", "costs", "rescan"),
+    ("abstract", "point_mass", "costs", "correction"),
+    *(
+        ("kinematic", None, section, key)
+        for section, key in (
+            ("predictor", "noise_scale"),
+            ("costs", "rescan"),
+            ("costs", "correction"),
+            ("policy", "threshold"),
+            ("kinematics", "translation_scale"),
+            ("kinematics", "rotation_scale"),
+            ("kinematics", "failure_cutoff"),
+            ("kinematics", "start_offset_t"),
+            ("kinematics", "start_offset_r"),
+            ("kinematics", "guidance_noise_t"),
+            ("kinematics", "guidance_noise_r"),
+            ("kinematics", "gain"),
+            ("kinematics", "motor_noise_t"),
+            ("kinematics", "motor_noise_r"),
+            ("sweep", "tau_start"),
+            ("sweep", "tau_stop"),
+        )
+    ),
+]
+
+# Rotation-noise standard deviations, bounded to [0, pi] rad.
+ROTATION_SD_KEYS = ("start_offset_r", "guidance_noise_r", "motor_noise_r")
+
+FAMILY_SETTINGS = {
+    "point_mass": {"alpha": "0.2"},
+    "uniform": {"lo": "0.1", "hi": "0.3"},
+    "beta": {"a": "2", "b": "8"},
+    "truncated_normal": {"mu": "0.2", "sigma": "0.1", "lo": "0.0", "hi": "0.6"},
+}
+
+
+def config_document(mode, family=None, replace=None):
+    """A small valid config with every key written out, as section -> key -> text;
+    ``replace`` = (section, key, text) swaps one value."""
+    doc = {"cohort": {"mode": mode, "subjects": "5", "seed": "3", "workers": "1"}}
+    if mode == "abstract":
+        doc["distribution"] = {"family": family, **FAMILY_SETTINGS[family]}
+        doc["predictor"] = {"kind": "confusion", "precision": "0.8", "recall": "0.8"}
+        doc["policy"] = {"max_rescans": "5"}
+    else:
+        doc["predictor"] = {"kind": "score", "noise_scale": "0.05"}
+        doc["policy"] = {"max_rescans": "5", "threshold": "0.7"}
+        doc["kinematics"] = {
+            "translation_scale": "10.0",
+            "rotation_scale": "0.5",
+            "failure_cutoff": "0.5",
+            "start_offset_t": "8.0",
+            "start_offset_r": "0.3",
+            "guidance_noise_t": "1.0",
+            "guidance_noise_r": "0.05",
+            "gain": "0.8",
+            "motor_noise_t": "0.5",
+            "motor_noise_r": "0.02",
+        }
+        doc["sweep"] = {"tau_start": "0.2", "tau_stop": "0.8", "tau_steps": "3"}
+    doc["costs"] = {"rescan": "0.1", "correction": "1.0"}
+    if replace is not None:
+        section, key, text = replace
+        doc[section][key] = text
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for section, keys in doc.items()
+    )
+
+
+def run_in_process(mode, config, out, capsys):
+    """``simulate`` (abstract) or ``guidance`` (kinematic) through ``cli.main``
+    in this process: (exit code, stderr)."""
+    from scanloop.cli import main
+
+    command = "simulate" if mode == "abstract" else "guidance"
+    code = main([command, "--config", str(config), "--out", str(out)])
+    return code, capsys.readouterr().err
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "mode, family", [("abstract", f) for f in FAMILY_SETTINGS] + [("kinematic", None)]
+    )
+    def test_documents_are_valid_as_written(self, tmp_path, capsys, mode, family):
+        config = write_config(tmp_path, config_document(mode, family))
+        code, err = run_in_process(mode, config, tmp_path, capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "mode, family, section, key, text",
+        [(*k, text) for k in FLOAT_KEYS for text in ("inf", "-inf", "nan")]
+        + [("kinematic", None, "kinematics", key, "1e308") for key in ROTATION_SD_KEYS],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_rejected_with_key_named(self, tmp_path, capsys, mode, family, section, key, text):
+        config = write_config(tmp_path, config_document(mode, family, (section, key, text)))
+        code, err = run_in_process(mode, config, tmp_path, capsys)
+        assert code == 2, err
+        assert f"{section}.{key}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("row", ["inf,1", "0.3,inf", "0.3,nan", "nan,1", "0.3,-inf"])
+    def test_histogram_rows_rejected_as_distribution_csv(self, tmp_path, capsys, row):
+        text = RATIO_POINTMASS.replace(
+            "family = point_mass\nalpha = 0.2", "family = histogram\ncsv = bins.csv"
+        )
+        config = write_config(tmp_path, text)
+        (tmp_path / "bins.csv").write_text(f"bin_upper_edge,mass\n0.1,1\n{row}\n")
+        code, err = run_in_process("abstract", config, tmp_path, capsys)
+        assert code == 2, err
+        assert "distribution.csv: non-finite row" in err
+
+
+def run_fresh(code, *argv):
+    """Run ``code`` in a new interpreter; its last stdout line, parsed as JSON."""
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_and_process_pool_unloaded():
+    # SciPy (scipy.special alone costs about 0.25 s and 19 MB on import) is
+    # loaded only by the Beta and truncated-normal families, and the process
+    # pool only by a run on more than one worker.
+    loaded = run_fresh(
+        "import json, sys, scanloop.cli\n"
+        "names = ('scipy', 'scipy.integrate', 'concurrent.futures.process')\n"
+        "print(json.dumps([n for n in names if n in sys.modules]))"
+    )
+    assert loaded == []
+
+
+# Runs cli.main on each argv given as a JSON list, then reports the exit codes
+# and whether SciPy was loaded before and after.
+RUN_COMMANDS = (
+    "import json, sys\n"
+    "from scanloop.cli import main\n"
+    "before = 'scipy' in sys.modules\n"
+    "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+    "print(json.dumps([before, codes, 'scipy' in sys.modules]))"
+)
+
+
+def test_scipy_free_commands_leave_scipy_unloaded(tmp_path):
+    sweep = "[sweep]\ntau_start = 0.2\ntau_stop = 0.8\ntau_steps = 3\n"
+    kinematic = write_config(tmp_path, kinematic_config(subjects=20, extra=sweep), "kinematic.ini")
+    (tmp_path / "bins.csv").write_text("bin_upper_edge,mass\n0.1,1\n0.3,1\n")
+    histogram = RATIO_POINTMASS.replace(
+        "family = point_mass\nalpha = 0.2", "family = histogram\ncsv = bins.csv"
+    )
+    uniform = RATIO_POINTMASS.replace(
+        "family = point_mass\nalpha = 0.2", "family = uniform\nlo = 0.1\nhi = 0.3"
+    )
+    argvs = [
+        ["guidance", "--config", str(kinematic)],
+        ["sweep", "--config", str(kinematic)],
+        ["table1"],
+    ]
+    for name, text in (
+        ("point_mass", RATIO_POINTMASS),
+        ("uniform", uniform),
+        ("histogram", histogram),
+    ):
+        config = write_config(tmp_path, text, f"{name}.ini")
+        argvs += [["ratio", "--config", str(config)], ["simulate", "--config", str(config)]]
+    for k, argv in enumerate(argvs):
+        argv += ["--out", str(tmp_path / f"out{k}")]
+    before, codes, after = run_fresh(RUN_COMMANDS, json.dumps(argvs))
+    assert codes == [0] * len(argvs)
+    assert (before, after) == (False, False)
+
+
+def test_truncated_normal_ratio_loads_scipy_and_writes_same_report(tmp_path):
+    from scanloop.cli import main
+
+    text = RATIO_POINTMASS.replace(
+        "family = point_mass\nalpha = 0.2",
+        "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6",
+    )
+    config = write_config(tmp_path, text)
+    argv = ["ratio", "--config", str(config), "--out", str(tmp_path / "fresh")]
+    before, codes, after = run_fresh(RUN_COMMANDS, json.dumps([argv]))
+    assert (before, codes, after) == (False, [0], True)
+    assert main(["ratio", "--config", str(config), "--out", str(tmp_path / "here")]) == 0
+    fresh = (tmp_path / "fresh" / "ratio.json").read_bytes()
+    assert fresh == (tmp_path / "here" / "ratio.json").read_bytes()

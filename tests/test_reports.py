@@ -4,9 +4,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from scanloop.acquisition_loop import run_cohort
+from scanloop.acquisition_loop import SUBJECT_COLUMNS, run_cohort
 from scanloop.config import parse_config
 from scanloop.reports import (
     atomic_write_text,
@@ -15,12 +18,14 @@ from scanloop.reports import (
     read_report_csv,
     render_csv,
     subjects_csv_header,
-    subjects_csv_rows,
+    subjects_csv_columns,
     summary_payload,
     write_csv,
     write_subjects_csv,
     write_summary_json,
 )
+
+from oracles import render_csv_rows
 
 ABSTRACT = """
 [cohort]
@@ -98,12 +103,12 @@ class TestAtomicity:
     def test_no_partial_file_on_failure(self, tmp_path):
         target = tmp_path / "report.csv"
 
-        def exploding_rows():
-            yield [1, 2.0]
-            raise RuntimeError("boom")
+        class Exploding:
+            def __str__(self):
+                raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
-            write_csv(target, ("a", "b"), exploding_rows(), {"seed": 0})
+            write_csv(target, ("a", "b"), [[1, 2], [2.0, Exploding()]], {"seed": 0})
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # temp file cleaned up too
 
@@ -151,9 +156,75 @@ class TestSubjectsCsv:
         assert float(first["initial_quality"]) == pytest.approx(trajectory[0], rel=1e-11)
         assert float(first["final_quality"]) == pytest.approx(trajectory[-1], rel=1e-11)
 
+    @pytest.mark.parametrize("text", [ABSTRACT, KINEMATIC], ids=["abstract", "kinematic"])
+    def test_matches_row_writer(self, tmp_path, text):
+        report = run_cohort(parse_config(text))
+        table = report.table
+        rows = []
+        for i in range(len(table)):
+            if report.mode == "abstract":
+                lead = [table.alpha[i].item()]
+            else:
+                lead = [table.trajectories[i][0], table.trajectories[i][-1]]
+            columns = [getattr(table, name)[i].item() for name, _ in SUBJECT_COLUMNS]
+            rows.append([i, *lead, *columns])
+        write_subjects_csv(tmp_path / "subjects.csv", report)
+        expected = render_csv_rows(subjects_csv_header(report.mode), rows, report.manifest)
+        assert (tmp_path / "subjects.csv").read_text(encoding="utf-8") == expected
+
     def test_rows_match_table_length(self):
         report = run_cohort(parse_config(ABSTRACT.replace("subjects = 200", "subjects = 0")))
-        assert list(subjects_csv_rows(report)) == []
+        columns = subjects_csv_columns(report)
+        assert len(columns) == len(subjects_csv_header("abstract"))
+        assert all(len(column) == 0 for column in columns)
+
+
+def _assert_renders_like_rows(header, columns):
+    rows = list(zip(*(column.tolist() for column in columns)))
+    assert render_csv(header, columns, {"x": 1}) == render_csv_rows(header, rows, {"x": 1})
+
+
+class TestRenderCsv:
+    """The column renderer writes the bytes of the row-at-a-time reference."""
+
+    FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 1e-300, 0.1, 1 / 3, -2.5e17]
+
+    def test_fixed_table_matches_row_writer(self):
+        n = 2 * 4096 + 5  # three blocks, the last one short
+        floats = np.resize(np.array(self.FLOATS), n)
+        ints = np.resize(np.array([2**63 - 1, 0, -7, 42], dtype=np.int64), n)
+        bools = np.resize(np.array([True, False, False]), n)
+        _assert_renders_like_rows(
+            ("subject_id", "x", "k", "flag"), [np.arange(n), floats, ints, bools]
+        )
+
+    def test_empty_table(self):
+        columns = [np.arange(0), np.array([], dtype=np.float64), np.array([], dtype=bool)]
+        _assert_renders_like_rows(("subject_id", "x", "flag"), columns)
+        assert render_csv(("a", "b", "c"), columns, {"x": 1}).count("\n") == 2
+
+    def test_sweep_style_rows_with_none(self):
+        rows = [
+            [0.0, 0.25, None, 0.5, None, 0.1, None, 0, 1],
+            [0.5, math.nan, 0.75, None, 1.2, 0.2, 0.9, 1, 0],
+            [1.0, 1 / 3, 1.0, 1.0, 0.3, None, 1.1, 0, 0],
+        ]
+        header = tuple(f"c{i}" for i in range(9))
+        columns = list(zip(*rows))
+        assert render_csv(header, columns, {"x": 1}) == render_csv_rows(header, rows, {"x": 1})
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            render_csv(("a", "b"), [np.arange(2), np.zeros(3)], {})
+        with pytest.raises(ValueError, match="columns"):
+            render_csv(("a", "b"), [np.arange(2)], {})
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50))
+    def test_float_columns_format_like_format_cell(self, values):
+        column = np.array(values, dtype=np.float64)
+        _assert_renders_like_rows(("a", "b"), [column, column[::-1]])
+        body = render_csv(("a",), [column], {}).split("\n")[2:-1]
+        assert body == [format_cell(v) or '""' for v in values]
 
 
 class TestSummaryJson:
