@@ -24,12 +24,11 @@ bit-identical for a fixed master seed no matter the worker count.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -70,18 +69,7 @@ class LoopPolicy:
             raise ValueError(f"max_rescans must be >= 0, got {self.max_rescans}")
 
 
-@dataclass(frozen=True, slots=True)
-class SubjectRecord:
-    """Everything one subject's loop produced.
-
-    Tallies count every scan the subject underwent (including the last
-    one), so cohort-level precision/recall and costs are recomputable from
-    records alone.  ``first_fail`` is whether the very first scan truly
-    failed — the cost the subject would have incurred with no loop at all,
-    under the same random draws.  The last scan is the one kept, and it
-    pays a correction exactly when ``final_true_fail``.
-    """
-
+class _SubjectRecordFields(NamedTuple):
     subject_id: int
     alpha: float | None
     scans: int
@@ -94,16 +82,66 @@ class SubjectRecord:
     flagged_failed_scans: int
     quality_trajectory: tuple[float, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if self.scans != self.rescans + 1:
-            raise ValueError(f"scans ({self.scans}) must equal rescans + 1 ({self.rescans + 1})")
+
+class SubjectRecord(_SubjectRecordFields):
+    """Everything one subject's loop produced; immutable, checked when built.
+
+    Tallies count every scan the subject underwent (including the last
+    one), so cohort-level precision/recall and costs are recomputable from
+    records alone.  ``first_fail`` is whether the very first scan truly
+    failed — the cost the subject would have incurred with no loop at all,
+    under the same random draws.  The last scan is the one kept, and it
+    pays a correction exactly when ``final_true_fail``.
+
+    A named tuple, so that building one (once per subject) is cheap; ``_make``
+    and ``_replace`` run the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        subject_id: int,
+        alpha: float | None,
+        scans: int,
+        rescans: int,
+        first_fail: bool,
+        final_true_fail: bool,
+        cost: float,
+        flagged_scans: int,
+        failed_scans: int,
+        flagged_failed_scans: int,
+        quality_trajectory: tuple[float, ...] | None = None,
+    ) -> "SubjectRecord":
+        if scans != rescans + 1:
+            raise ValueError(f"scans ({scans}) must equal rescans + 1 ({rescans + 1})")
         if not (
-            0 <= self.flagged_failed_scans <= min(self.flagged_scans, self.failed_scans)
-            and max(self.flagged_scans, self.failed_scans) <= self.scans
+            0 <= flagged_failed_scans <= flagged_scans <= scans
+            and flagged_failed_scans <= failed_scans <= scans
         ):
             raise ValueError("scan tallies are inconsistent")
-        if self.quality_trajectory is not None and len(self.quality_trajectory) != self.scans:
+        if quality_trajectory is not None and len(quality_trajectory) != scans:
             raise ValueError("quality trajectory must have one entry per scan")
+        return tuple.__new__(
+            cls,
+            (
+                subject_id,
+                alpha,
+                scans,
+                rescans,
+                first_fail,
+                final_true_fail,
+                cost,
+                flagged_scans,
+                failed_scans,
+                flagged_failed_scans,
+                quality_trajectory,
+            ),
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "SubjectRecord":
+        return cls(*iterable)
 
 
 def _subject_record(
@@ -119,17 +157,17 @@ def _subject_record(
     kept and pays a correction if it truly failed."""
     rescans = len(fails) - 1
     return SubjectRecord(
-        subject_id=subject_id,
-        alpha=alpha,
-        scans=len(fails),
-        rescans=rescans,
-        first_fail=fails[0],
-        final_true_fail=fails[-1],
-        cost=rescans * rates.rescan_cost + (rates.correction_cost if fails[-1] else 0.0),
-        flagged_scans=sum(flags),
-        failed_scans=sum(fails),
-        flagged_failed_scans=sum(map(operator.and_, fails, flags)),
-        quality_trajectory=quality_trajectory,
+        subject_id,
+        alpha,
+        len(fails),
+        rescans,
+        fails[0],
+        fails[-1],
+        rescans * rates.rescan_cost + (rates.correction_cost if fails[-1] else 0.0),
+        sum(flags),
+        sum(fails),
+        sum(map(operator.and_, fails, flags)),
+        quality_trajectory,
     )
 
 
@@ -202,9 +240,9 @@ def run_subject_kinematic(
 # their dtypes: every SubjectRecord field except the id (the row position),
 # alpha (a lead column of abstract mode only) and the ragged trajectory.
 SUBJECT_COLUMNS: tuple[tuple[str, type], ...] = tuple(
-    (f.name, {"int": np.int64, "bool": np.bool_, "float": np.float64}[f.type])
-    for f in dataclasses.fields(SubjectRecord)
-    if f.name not in ("subject_id", "alpha", "quality_trajectory")
+    (name, {int: np.int64, bool: np.bool_, float: np.float64}[hint])
+    for name, hint in get_type_hints(SubjectRecord).items()
+    if name not in ("subject_id", "alpha", "quality_trajectory")
 )
 
 
@@ -238,14 +276,14 @@ class SubjectTable:
 
     @classmethod
     def from_records(cls, records: list[SubjectRecord]) -> "SubjectTable":
-        kinematic = any(r.quality_trajectory is not None for r in records)
+        fields = SubjectRecord._fields
+        column = dict(zip(fields, zip(*records))) if records else dict.fromkeys(fields, ())
+        trajectories = column["quality_trajectory"]
         return cls(
-            alpha=np.array([math.nan if r.alpha is None else r.alpha for r in records]),
-            trajectories=[r.quality_trajectory for r in records] if kinematic else None,
-            **{
-                name: np.array([getattr(r, name) for r in records], dtype=dtype)
-                for name, dtype in SUBJECT_COLUMNS
-            },
+            # numpy stores a None alpha (kinematic mode) as NaN
+            alpha=np.array(column["alpha"], dtype=np.float64),
+            trajectories=list(trajectories) if trajectories.count(None) < len(records) else None,
+            **{name: np.array(column[name], dtype=dtype) for name, dtype in SUBJECT_COLUMNS},
         )
 
     @classmethod
@@ -334,38 +372,76 @@ def _aggregate(
     )
 
 
+# Subjects whose records are turned into columns at a time: a chunk's table
+# is assembled from such blocks, so no chunk-long list of records is held.
+_RECORDS_PER_TABLE = 4096
+
+
+def _located(exc: Exception, where: str) -> Exception | None:
+    """``exc`` as the same type with ``where`` leading its message; None when
+    the type cannot be built from a message alone."""
+    try:
+        return type(exc)(f"{where}: {exc}")
+    except Exception:
+        return None
+
+
+def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list[SubjectRecord]:
+    """Records of subjects [start, stop).
+
+    An error raised for a subject is re-raised as the same type, its message
+    led by ``subject <i>, seed <s>``; the message alone crosses a process pool.
+    """
+    records: list[SubjectRecord] = []
+    seed = config.master_seed
+    i = start
+    try:
+        if config.mode == "abstract":
+            for i in range(start, stop):
+                rng = subject_stream(seed, i)
+                alpha = sample_alpha(config.distribution, rng)
+                predictor = ConfusionPredictor.calibrated(config.profile, alpha)
+                records.append(
+                    run_subject_abstract(alpha, config.policy, predictor, config.rates, rng, i)
+                )
+        else:
+            anatomy = config.anatomy
+            for i in range(start, stop):
+                # The plain generator: kinematic draws are not scalar uniforms.
+                rng = subject_stream(seed, i).generator
+                start_pose = perturb_pose(
+                    anatomy.target_pose, config.start_offset_t, config.start_offset_r, rng
+                )
+                records.append(
+                    run_subject_kinematic(
+                        anatomy,
+                        start_pose,
+                        config.policy,
+                        config.score_predictor,
+                        config.guidance,
+                        config.learner,
+                        config.rates,
+                        rng,
+                        i,
+                    )
+                )
+    except Exception as exc:
+        located = _located(exc, f"subject {i}, seed {seed}")
+        if located is None:
+            raise
+        raise located from exc
+    return records
+
+
 def _simulate_chunk(config: "ExperimentConfig", start: int, stop: int) -> SubjectTable:
     """Simulate subjects [start, stop) and return their columns."""
-    records: list[SubjectRecord] = []
-    if config.mode == "abstract":
-        for i in range(start, stop):
-            rng = subject_stream(config.master_seed, i)
-            alpha = sample_alpha(config.distribution, rng)
-            predictor = ConfusionPredictor.calibrated(config.profile, alpha)
-            records.append(
-                run_subject_abstract(alpha, config.policy, predictor, config.rates, rng, i)
-            )
-    else:
-        anatomy = config.anatomy
-        for i in range(start, stop):
-            rng = subject_stream(config.master_seed, i)
-            start_pose = perturb_pose(
-                anatomy.target_pose, config.start_offset_t, config.start_offset_r, rng
-            )
-            records.append(
-                run_subject_kinematic(
-                    anatomy,
-                    start_pose,
-                    config.policy,
-                    config.score_predictor,
-                    config.guidance,
-                    config.learner,
-                    config.rates,
-                    rng,
-                    i,
-                )
-            )
-    return SubjectTable.from_records(records)
+    parts = [
+        SubjectTable.from_records(
+            _simulate_records(config, lo, min(lo + _RECORDS_PER_TABLE, stop))
+        )
+        for lo in range(start, stop, _RECORDS_PER_TABLE)
+    ] or [SubjectTable.from_records([])]
+    return SubjectTable.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def run_cohort(config: "ExperimentConfig") -> SimulationReport:

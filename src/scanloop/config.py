@@ -180,6 +180,25 @@ def _rotation_sd(v: float) -> str | None:
     return None if 0.0 <= v <= math.pi else f"must be in [0, pi] rad, got {v}"
 
 
+# Image quality is exp(-(d_t / translation_scale)^2 - (d_r / rotation_scale)^2).
+# d_r is at most pi and d_t a sum of Gaussian steps of the translation standard
+# deviations, so with the scales at least _MIN_QUALITY_SCALE and those
+# deviations at most _MAX_TRANSLATION_SD the squared ratios stay hundreds of
+# orders of magnitude below the float limit.
+_MIN_QUALITY_SCALE = 1e-6
+_MAX_TRANSLATION_SD = 1e6
+
+
+def _quality_scale(v: float) -> str | None:
+    return None if v >= _MIN_QUALITY_SCALE else f"must be >= {_MIN_QUALITY_SCALE:g}, got {v}"
+
+
+def _translation_sd(v: float) -> str | None:
+    if 0.0 <= v <= _MAX_TRANSLATION_SD:
+        return None
+    return f"must be in [0, {_MAX_TRANSLATION_SD:g}], got {v}"
+
+
 def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -375,15 +394,15 @@ def parse_config(
         predictor.reject_unknown({"kind", "noise_scale"})
         score_predictor = ScorePredictor(noise_scale=noise_scale, threshold=threshold)
         kin = _SectionReader(parser, "kinematics")
-        translation_scale = kin.get("translation_scale", float, check=_positive)
-        rotation_scale = kin.get("rotation_scale", float, check=_positive)
+        translation_scale = kin.get("translation_scale", float, check=_quality_scale)
+        rotation_scale = kin.get("rotation_scale", float, check=_quality_scale)
         failure_cutoff = kin.get("failure_cutoff", float, check=_probability(True, True))
-        start_offset_t = kin.get("start_offset_t", float, check=_nonneg)
+        start_offset_t = kin.get("start_offset_t", float, check=_translation_sd)
         start_offset_r = kin.get("start_offset_r", float, check=_rotation_sd)
-        guidance_noise_t = kin.get("guidance_noise_t", float, default=0.0, check=_nonneg)
+        guidance_noise_t = kin.get("guidance_noise_t", float, default=0.0, check=_translation_sd)
         guidance_noise_r = kin.get("guidance_noise_r", float, default=0.0, check=_rotation_sd)
         gain = kin.get("gain", float, default=1.0, check=_probability(True, False))
-        motor_noise_t = kin.get("motor_noise_t", float, default=0.0, check=_nonneg)
+        motor_noise_t = kin.get("motor_noise_t", float, default=0.0, check=_translation_sd)
         motor_noise_r = kin.get("motor_noise_r", float, default=0.0, check=_rotation_sd)
         kin.reject_unknown()
         anatomy = SubjectAnatomy(

@@ -1,5 +1,6 @@
 """Per-subject loop behavior, cohort simulation, and analytic cross-checks."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from oracles import table_row, table_rows
 from scanloop.acquisition_loop import (
+    SUBJECT_COLUMNS,
     ComparisonSummary,
     LoopPolicy,
     SubjectRecord,
     SubjectTable,
+    _simulate_records,
     empirical_vs_analytic,
     run_cohort,
     run_subject_abstract,
@@ -388,6 +391,51 @@ class TestSubjectTable:
                 failed_scans=good.failed_scans,
                 flagged_failed_scans=good.flagged_failed_scans,
             )
+
+
+class TestSubjectRecordImmutable:
+    RECORD = SubjectRecord(0, 0.2, 2, 1, True, False, 0.1, 1, 1, 1)
+
+    def test_fields_cannot_be_assigned(self):
+        for name in SubjectRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(self.RECORD, name, 1)
+        with pytest.raises(AttributeError):
+            self.RECORD.extra = 1
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError, match="scans"):
+            self.RECORD._replace(scans=3)
+        assert self.RECORD._replace(cost=0.5).cost == 0.5
+
+
+@functools.cache
+def _table_of_all_records(mode, n):
+    """One ``from_records`` call over the whole cohort of ``_blockwise_config``."""
+    return SubjectTable.from_records(_simulate_records(_blockwise_config(mode, n, 1), 0, n))
+
+
+def _blockwise_config(mode, n, workers):
+    make = _abstract_config if mode == "abstract" else _kinematic_config
+    return make(n, seed=5, workers=workers)
+
+
+class TestBlockwiseTable:
+    # Chunks turn records into columns 4096 subjects at a time; the sizes
+    # straddle that block and a pool's chunk bounds.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["abstract", "kinematic"])
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+    def test_equals_one_table_of_all_records(self, n, mode, workers):
+        got = run_cohort(_blockwise_config(mode, n, workers)).table
+        want = _table_of_all_records(mode, n)
+        assert len(got) == len(want) == n
+        for name in ("alpha", *(name for name, _ in SUBJECT_COLUMNS)):
+            column, expected = getattr(got, name), getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert column.tobytes() == expected.tobytes(), name
+        assert got.trajectories == want.trajectories
+        assert (got.trajectories is None) == (mode == "abstract" or n == 0)
 
 
 class TestRunCohort:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -490,6 +491,41 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "numerical failure" in result.stderr
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulation_error_names_subject_and_seed(self, tmp_path, workers):
+        # Beta(2, 2) puts 7 % of subjects above alpha_max = 0.833 at p = r = 0.8,
+        # where no false-positive rate realizes the operating point.  The
+        # first such subject is named, also when the error crosses the pool.
+        from scanloop.alpha_distributions import Beta, sample_alpha
+        from scanloop.cost_model import PredictorProfile
+        from scanloop.errors import InfeasibleOperatingPoint
+        from scanloop.predictor_model import ConfusionPredictor
+        from scanloop.streams import subject_stream
+
+        def infeasible(i):
+            alpha = sample_alpha(Beta(2.0, 2.0), subject_stream(7, i))
+            try:
+                ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), alpha)
+            except InfeasibleOperatingPoint:
+                return True
+            return False
+
+        first = next(i for i in range(40) if infeasible(i))
+        assert first > 0
+        text = (
+            ABSTRACT_BETA.format(workers=workers)
+            .replace("subjects = 1500", "subjects = 40")
+            .replace("seed = 42", "seed = 7")
+            .replace("b = 8", "b = 2")
+        )
+        config = write_config(tmp_path, text)
+        result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path))
+        assert result.returncode == 3, result.stderr
+        assert f"numerical failure: subject {first}, seed 7: no false-positive rate" in (
+            result.stderr
+        )
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("command", ["ratio", "simulate"])
     @pytest.mark.parametrize("mu", [40.0, -40.0])
     def test_truncated_normal_without_mass_names_mu(self, tmp_path, command, mu):
@@ -695,6 +731,36 @@ class TestNonFiniteNumbers:
         code, err = run_in_process("abstract", config, tmp_path, capsys)
         assert code == 2, err
         assert "distribution.csv: non-finite row" in err
+
+
+# Kinematic keys whose extremes would overflow the image-quality map:
+# (key, a finite value past its bound, the bound itself).
+QUALITY_SCALE_KEYS = (("translation_scale", "1e-308", "1e-6"), ("rotation_scale", "1e-308", "1e-6"))
+TRANSLATION_SD_KEYS = tuple(
+    (key, "1e308", "1e6") for key in ("start_offset_t", "guidance_noise_t", "motor_noise_t")
+)
+
+
+class TestKinematicBounds:
+    @pytest.mark.parametrize(
+        "key, text", [(key, past) for key, past, _ in QUALITY_SCALE_KEYS + TRANSLATION_SD_KEYS]
+    )
+    def test_past_bound_rejected_with_key_named(self, tmp_path, capsys, key, text):
+        document = config_document("kinematic", replace=("kinematics", key, text))
+        code, err = run_in_process("kinematic", write_config(tmp_path, document), tmp_path, capsys)
+        assert code == 2, err
+        assert f"kinematics.{key}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "quality_curve.csv").exists()
+
+    def test_all_keys_at_their_bounds_give_finite_qualities(self, tmp_path, capsys):
+        document = config_document("kinematic")
+        for key, _, bound in QUALITY_SCALE_KEYS + TRANSLATION_SD_KEYS:
+            document = re.sub(rf"^{key} = .*$", f"{key} = {bound}", document, flags=re.M)
+        code, err = run_in_process("kinematic", write_config(tmp_path, document), tmp_path, capsys)
+        assert code == 0, err
+        rows = (tmp_path / "quality_curve.csv").read_text().splitlines()[2:]
+        assert rows and all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 
 def run_fresh(code, *argv):

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import quat_from_axis_angle_numpy, quat_multiply_numpy_scalars
 from scanloop.probe_kinematics import _norm, _quat_from_axis_angle, _quat_multiply
-from scanloop.streams import _key_block, subject_stream
+from scanloop.streams import _key_block, _uniform_block, subject_stream
 
 SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1)
 INDICES = (0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 1)
@@ -54,6 +54,49 @@ def test_out_of_range_inputs_rejected(seed, index):
 def test_subject_stream_cannot_spawn():
     with pytest.raises(TypeError):
         subject_stream(1, 2).spawn(1)
+
+
+@pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
+def test_scalar_draws_across_the_precomputed_eight(seed, index):
+    for n in range(1, 13):
+        got, want = subject_stream(seed, index), reference_stream(seed, index)
+        assert [got.random() for _ in range(n)] == [want.random() for _ in range(n)]
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+# Draws that the precomputed uniforms do not serve, checked in this order.
+OTHER_DRAWS = (
+    ("standard_normal(3)", lambda g: g.standard_normal(3).tolist()),
+    ("beta(2, 8)", lambda g: g.beta(2, 8)),
+    ("random(5)", lambda g: g.random(5).tolist()),
+    ("bit_generator.state", lambda g: g.bit_generator.state),
+    ("random()", lambda g: g.random()),
+)
+
+
+@pytest.mark.parametrize("scalar_draws", [0, 3, 8, 9])
+@pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
+def test_other_draws_continue_the_stream(seed, index, scalar_draws):
+    got, want = subject_stream(seed, index), reference_stream(seed, index)
+    for _ in range(scalar_draws):
+        assert got.random() == want.random()
+    for name, draw in OTHER_DRAWS:
+        assert draw(got) == draw(want), name
+
+
+def test_uniform_block_equals_advanced_pcg64_draws():
+    # Every subject of one block: the 8 precomputed uniforms are the top 53
+    # bits of PCG64's raw outputs, and draw d is the one after advance(d).
+    seed, block = 2**40 + 3, 2
+    uniforms = np.asarray(_uniform_block(seed, block)).reshape(4096, 8)
+    for row in range(4096):
+        key = np.random.SeedSequence([seed, block * 4096 + row])
+        raw = np.random.PCG64(key).random_raw(8)
+        assert uniforms[row].tolist() == ((raw >> 11) * 2.0**-53).tolist()
+        if row in (0, 1, 4095):
+            for d in range(8):
+                advanced = np.random.PCG64(key).advance(d)
+                assert uniforms[row, d] == (advanced.random_raw() >> 11) * 2.0**-53
 
 
 def test_norm_equals_numpy_norm_bit_for_bit():
