@@ -24,6 +24,7 @@ bit-identical for a fixed master seed no matter the worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -238,7 +239,8 @@ def run_subject_kinematic(
 
 # The columns of SubjectTable and of subjects.csv, in that file's order, with
 # their dtypes: every SubjectRecord field except the id (the row position),
-# alpha (a lead column of abstract mode only) and the ragged trajectory.
+# alpha (a lead column of abstract mode only) and the trajectory, which the
+# table holds as its flat ``quality`` column.
 SUBJECT_COLUMNS: tuple[tuple[str, type], ...] = tuple(
     (name, {int: np.int64, bool: np.bool_, float: np.float64}[hint])
     for name, hint in get_type_hints(SubjectRecord).items()
@@ -250,17 +252,14 @@ class SubjectTable:
     """Column-oriented store of SubjectRecords for large cohorts.
 
     Holds ``alpha`` (NaN where not applicable, in kinematic mode), one numpy
-    column per entry of ``SUBJECT_COLUMNS``, and an optional ragged list of
-    quality trajectories, so million-subject cohorts stay cheap to hold,
+    column per entry of ``SUBJECT_COLUMNS``, and ``quality``: every scan's
+    image quality, one subject after another, empty in abstract mode.  A
+    subject's qualities are its ``scans`` entries from offset
+    ``cumsum(scans) - scans``, so million-subject cohorts stay cheap to hold,
     aggregate, and serialize.
     """
 
-    def __init__(
-        self,
-        alpha: np.ndarray,
-        trajectories: list[tuple[float, ...]] | None = None,
-        **columns: np.ndarray,
-    ) -> None:
+    def __init__(self, alpha: np.ndarray, quality: np.ndarray, **columns: np.ndarray) -> None:
         names = [name for name, _ in SUBJECT_COLUMNS]
         if sorted(columns) != sorted(names):
             raise ValueError(f"columns must be {names}, got {list(columns)}")
@@ -269,38 +268,45 @@ class SubjectTable:
             if len(values) != n:
                 raise ValueError(f"column {name} has mismatched length")
             setattr(self, name, values)
-        if trajectories is not None and len(trajectories) != n:
-            raise ValueError("trajectories list has mismatched length")
+        if len(quality) not in (0, int(self.scans.sum())):
+            raise ValueError("quality column has mismatched length: one entry per scan, or none")
         self.alpha = alpha
-        self.trajectories = trajectories
+        self.quality = quality
 
     @classmethod
     def from_records(cls, records: list[SubjectRecord]) -> "SubjectTable":
         fields = SubjectRecord._fields
         column = dict(zip(fields, zip(*records))) if records else dict.fromkeys(fields, ())
-        trajectories = column["quality_trajectory"]
         return cls(
             # numpy stores a None alpha (kinematic mode) as NaN
             alpha=np.array(column["alpha"], dtype=np.float64),
-            trajectories=list(trajectories) if trajectories.count(None) < len(records) else None,
+            # an abstract record's trajectory is None and adds no entry
+            quality=np.fromiter(
+                itertools.chain.from_iterable(filter(None, column["quality_trajectory"])),
+                np.float64,
+            ),
             **{name: np.array(column[name], dtype=dtype) for name, dtype in SUBJECT_COLUMNS},
         )
 
     @classmethod
     def concatenate(cls, parts: list["SubjectTable"]) -> "SubjectTable":
-        trajectories = None
-        if parts[0].trajectories is not None:
-            trajectories = [t for p in parts for t in p.trajectories]
         return cls(
-            trajectories=trajectories,
             **{
                 name: np.concatenate([getattr(p, name) for p in parts])
-                for name in ("alpha", *(name for name, _ in SUBJECT_COLUMNS))
+                for name in ("alpha", "quality", *(name for name, _ in SUBJECT_COLUMNS))
             },
         )
 
     def __len__(self) -> int:
         return len(self.alpha)
+
+    def quality_at(self, scan: int | None) -> np.ndarray:
+        """Each subject's quality at scan index ``scan`` (the first scan is 0),
+        or at its last scan when ``scan`` is None; a subject that stopped
+        before ``scan`` keeps its last quality."""
+        last = self.scans - 1
+        offsets = np.cumsum(self.scans) - self.scans
+        return self.quality[offsets + (last if scan is None else np.minimum(scan, last))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,9 +357,9 @@ def _aggregate(
     hits = int(table.flagged_failed_scans.sum())
 
     mean_initial = mean_final = None
-    if table.trajectories is not None and n > 0:
-        mean_initial = float(np.mean([t[0] for t in table.trajectories]))
-        mean_final = float(np.mean([t[-1] for t in table.trajectories]))
+    if table.quality.size:
+        mean_initial = float(table.quality_at(0).mean())
+        mean_final = float(table.quality_at(None).mean())
 
     return CohortAggregates(
         subjects=n,
@@ -372,8 +378,8 @@ def _aggregate(
     )
 
 
-# Subjects whose records are turned into columns at a time: a chunk's table
-# is assembled from such blocks, so no chunk-long list of records is held.
+# Subjects whose records are turned into columns at a time: a chunk returns
+# such blocks, so no chunk-long list of records is held.
 _RECORDS_PER_TABLE = 4096
 
 
@@ -433,15 +439,15 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
     return records
 
 
-def _simulate_chunk(config: "ExperimentConfig", start: int, stop: int) -> SubjectTable:
-    """Simulate subjects [start, stop) and return their columns."""
-    parts = [
+def _simulate_chunk(config: "ExperimentConfig", start: int, stop: int) -> list[SubjectTable]:
+    """Simulate subjects [start, stop) and return their columns, one table per
+    block of subjects (one empty table when there are none)."""
+    return [
         SubjectTable.from_records(
             _simulate_records(config, lo, min(lo + _RECORDS_PER_TABLE, stop))
         )
         for lo in range(start, stop, _RECORDS_PER_TABLE)
     ] or [SubjectTable.from_records([])]
-    return SubjectTable.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def run_cohort(config: "ExperimentConfig") -> SimulationReport:
@@ -457,7 +463,7 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
     bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)] or [(0, 0)]
 
     if workers == 1 or n <= chunk:
-        parts = [_simulate_chunk(config, s, e) for s, e in bounds]
+        chunks = [_simulate_chunk(config, s, e) for s, e in bounds]
     else:
         # Imported here, not with the module: runs on one worker never pay
         # for loading multiprocessing.
@@ -468,8 +474,8 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
         pool_size = min(workers, len(bounds), os.cpu_count() or 1)
         starts, stops = zip(*bounds)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            parts = list(pool.map(_simulate_chunk, [config] * len(bounds), starts, stops))
-    table = SubjectTable.concatenate(parts) if len(parts) > 1 else parts[0]
+            chunks = list(pool.map(_simulate_chunk, [config] * len(bounds), starts, stops))
+    table = SubjectTable.concatenate(list(itertools.chain.from_iterable(chunks)))
 
     analytic = None
     if config.mode == "abstract":

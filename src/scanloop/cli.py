@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -310,32 +309,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_guidance(args: argparse.Namespace) -> int:
     config = _load_config(args, modes=("kinematic",))
     report = run_cohort(config)
-    trajectories = report.table.trajectories or []
+    table = report.table
 
-    # One row per scan: the subject's id repeated over its trajectory, the
-    # scan's index within it and the scan's quality.
-    lengths = np.array([len(t) for t in trajectories], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    scans = int(lengths.sum())
+    # One row per scan: the subject's id repeated over its scans, the scan's
+    # index among them and the scan's quality.
+    starts = np.cumsum(table.scans) - table.scans
     out = _out_dir(args, config)
     write_csv(
         out / "trajectories.csv",
         ("subject_id", "scan_index", "quality"),
         [
-            np.repeat(np.arange(len(trajectories)), lengths),
-            np.arange(scans) - np.repeat(starts, lengths),
-            np.fromiter(itertools.chain.from_iterable(trajectories), np.float64, scans),
+            np.repeat(np.arange(len(table)), table.scans),
+            np.arange(len(table.quality)) - np.repeat(starts, table.scans),
+            table.quality,
         ],
         report.manifest,
     )
 
     # Mean cohort quality at each scan index; subjects that stopped early
     # hold their final quality, so the curve tracks the whole cohort's state.
-    longest = int(lengths.max(initial=0))
-    means = [
-        float(np.mean([t[k] if k < len(t) else t[-1] for t in trajectories]))
-        for k in range(longest)
-    ]
+    longest = int(table.scans.max(initial=0))
+    means = [float(table.quality_at(k).mean()) for k in range(longest)]
     write_csv(
         out / "quality_curve.csv",
         ("scan_index", "mean_quality"),

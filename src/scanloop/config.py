@@ -5,8 +5,8 @@ The on-disk format is INI-style (``configparser``) with sections [cohort],
 [sweep].  Parsing validates every key (unknown keys and inapplicable
 sections are errors), fills documented defaults, and produces both the
 typed objects the simulator consumes and a canonical *echo* — a fully
-defaulted section→key→value map that reports embed so no setting is ever
-silently implied.
+defaulted section→key→value map of the values parsed, which reports embed
+so no setting is ever silently implied.
 
 The echo (minus execution details: worker count and output directory) is
 hashed into a config digest; together with the master seed it pins down a
@@ -53,6 +53,10 @@ _SECTIONS_BY_MODE = {
 }
 
 _SECTIONS = set().union(*_SECTIONS_BY_MODE.values())
+
+# The largest sweep grid: the grid is built when the config is parsed, and
+# each of its thresholds is a full cohort run.
+_MAX_TAU_STEPS = 10_000
 
 _FAMILY_KEYS = {
     "point_mass": {"alpha"},
@@ -110,12 +114,16 @@ class ExperimentConfig:
 
 
 class _SectionReader:
-    """Pulls typed, validated values out of one config section."""
+    """Pulls typed, validated values out of one config section.
+
+    ``echo`` records every value ``get`` returned, defaults included, under
+    its key: the section's part of the config echo.
+    """
 
     def __init__(self, parser: configparser.ConfigParser, section: str) -> None:
         self.section = section
         self.raw = dict(parser[section]) if parser.has_section(section) else {}
-        self.seen: set[str] = set()
+        self.echo: dict[str, Any] = {}
 
     def get(
         self,
@@ -124,10 +132,10 @@ class _SectionReader:
         default: Any = _REQUIRED,
         check: Callable[[Any], str | None] = lambda v: None,
     ) -> Any:
-        self.seen.add(key)
         if key not in self.raw:
             if default is _REQUIRED:
                 raise ConfigError(f"{self.section}.{key}: required key is missing")
+            self.echo[key] = default
             return default
         text = self.raw[key]
         try:
@@ -140,10 +148,11 @@ class _SectionReader:
         complaint = check(value)
         if complaint is not None:
             raise ConfigError(f"{self.section}.{key}: {complaint}")
+        self.echo[key] = value
         return value
 
     def reject_unknown(self, allowed: set[str] | None = None) -> None:
-        allowed = self.seen if allowed is None else allowed
+        allowed = self.echo if allowed is None else allowed
         for key in self.raw:
             if key not in allowed:
                 raise ConfigError(f"{self.section}.{key}: unknown key")
@@ -233,9 +242,7 @@ def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
         raise ConfigError(f"distribution.csv: {exc}") from None
 
 
-def _parse_distribution(
-    reader: _SectionReader, base_dir: Path
-) -> tuple[FailureDistribution, dict]:
+def _parse_distribution(reader: _SectionReader, base_dir: Path) -> FailureDistribution:
     family = reader.get(
         "family",
         str,
@@ -247,8 +254,7 @@ def _parse_distribution(
     reader.reject_unknown(allowed)
 
     if family == "point_mass":
-        alpha = reader.get("alpha", float, check=_probability(False, True))
-        return PointMass(alpha), {"family": family, "alpha": alpha}
+        return PointMass(reader.get("alpha", float, check=_probability(False, True)))
     if family == "uniform":
         lo = reader.get("lo", float)
         hi = reader.get("hi", float)
@@ -256,11 +262,11 @@ def _parse_distribution(
             raise ConfigError(
                 f"distribution.lo: support must satisfy 0 <= lo < hi < 1, got [{lo}, {hi}]"
             )
-        return Uniform(lo, hi), {"family": family, "lo": lo, "hi": hi}
+        return Uniform(lo, hi)
     if family == "beta":
         a = reader.get("a", float, check=lambda v: None if v >= 1.0 else f"must be >= 1, got {v}")
         b = reader.get("b", float, check=lambda v: None if v > 1.0 else f"must be > 1, got {v}")
-        return Beta(a, b), {"family": family, "a": a, "b": b}
+        return Beta(a, b)
     if family == "truncated_normal":
         mu = reader.get("mu", float)
         sigma = reader.get("sigma", float, check=_positive)
@@ -271,14 +277,14 @@ def _parse_distribution(
                 f"distribution.lo: support must satisfy 0 <= lo < hi < 1, got [{lo}, {hi}]"
             )
         try:
-            dist = TruncatedNormal(mu, sigma, lo, hi)
+            return TruncatedNormal(mu, sigma, lo, hi)
         except ValueError as exc:
             raise ConfigError(f"distribution.mu: {exc}") from None
-        return dist, {"family": family, "mu": mu, "sigma": sigma, "lo": lo, "hi": hi}
     # histogram: echo the loaded bins, not the file path, so the digest pins content
-    rel = reader.get("csv", str)
-    hist = _load_histogram_csv(base_dir / rel)
-    return hist, {"family": family, "edges": list(hist.edges), "masses": list(hist.masses)}
+    hist = _load_histogram_csv(base_dir / reader.get("csv", str))
+    del reader.echo["csv"]
+    reader.echo.update(edges=list(hist.edges), masses=list(hist.masses))
+    return hist
 
 
 def parse_config(
@@ -373,66 +379,46 @@ def parse_config(
     start_offset_t = start_offset_r = 0.0
     guidance = None
     learner = None
-    echo: dict[str, dict] = {"cohort": {"mode": mode, "subjects": n_subjects, "seed": seed}}
+    # The sections whose echo is exactly the values read from them.
+    echoed = [costs, policy_reader, predictor]
 
     if mode == "abstract":
         if kind != "confusion":
             raise ConfigError("predictor.kind: abstract mode requires 'confusion'")
         precision = predictor.get("precision", float, check=_probability(True, False))
         recall = predictor.get("recall", float, check=_probability(False, False))
-        predictor.reject_unknown({"kind", "precision", "recall"})
+        predictor.reject_unknown()
         profile = PredictorProfile(precision=precision, recall=recall)
         dist_reader = _SectionReader(parser, "distribution")
-        distribution, dist_echo = _parse_distribution(dist_reader, Path(base_dir))
-        echo["distribution"] = dist_echo
-        echo["predictor"] = {"kind": kind, "precision": precision, "recall": recall}
-        echo["policy"] = {"max_rescans": max_rescans}
+        distribution = _parse_distribution(dist_reader, Path(base_dir))
+        echoed.append(dist_reader)
     else:
         if kind != "score":
             raise ConfigError("predictor.kind: kinematic mode requires 'score'")
-        noise_scale = predictor.get("noise_scale", float, check=_nonneg)
-        predictor.reject_unknown({"kind", "noise_scale"})
-        score_predictor = ScorePredictor(noise_scale=noise_scale, threshold=threshold)
+        score_predictor = ScorePredictor(
+            noise_scale=predictor.get("noise_scale", float, check=_nonneg), threshold=threshold
+        )
+        predictor.reject_unknown()
         kin = _SectionReader(parser, "kinematics")
-        translation_scale = kin.get("translation_scale", float, check=_quality_scale)
-        rotation_scale = kin.get("rotation_scale", float, check=_quality_scale)
-        failure_cutoff = kin.get("failure_cutoff", float, check=_probability(True, True))
-        start_offset_t = kin.get("start_offset_t", float, check=_translation_sd)
-        start_offset_r = kin.get("start_offset_r", float, check=_rotation_sd)
-        guidance_noise_t = kin.get("guidance_noise_t", float, default=0.0, check=_translation_sd)
-        guidance_noise_r = kin.get("guidance_noise_r", float, default=0.0, check=_rotation_sd)
-        gain = kin.get("gain", float, default=1.0, check=_probability(True, False))
-        motor_noise_t = kin.get("motor_noise_t", float, default=0.0, check=_translation_sd)
-        motor_noise_r = kin.get("motor_noise_r", float, default=0.0, check=_rotation_sd)
-        kin.reject_unknown()
         anatomy = SubjectAnatomy(
             target_pose=ProbePose.identity(),
-            translation_scale=translation_scale,
-            rotation_scale=rotation_scale,
-            failure_cutoff=failure_cutoff,
+            translation_scale=kin.get("translation_scale", float, check=_quality_scale),
+            rotation_scale=kin.get("rotation_scale", float, check=_quality_scale),
+            failure_cutoff=kin.get("failure_cutoff", float, check=_probability(True, True)),
         )
+        start_offset_t = kin.get("start_offset_t", float, check=_translation_sd)
+        start_offset_r = kin.get("start_offset_r", float, check=_rotation_sd)
         guidance = GuidanceNoise(
-            guidance_noise_t=guidance_noise_t, guidance_noise_r=guidance_noise_r
+            guidance_noise_t=kin.get("guidance_noise_t", float, default=0.0, check=_translation_sd),
+            guidance_noise_r=kin.get("guidance_noise_r", float, default=0.0, check=_rotation_sd),
         )
         learner = LearnerPolicy(
-            gain=gain, motor_noise_t=motor_noise_t, motor_noise_r=motor_noise_r
+            gain=kin.get("gain", float, default=1.0, check=_probability(True, False)),
+            motor_noise_t=kin.get("motor_noise_t", float, default=0.0, check=_translation_sd),
+            motor_noise_r=kin.get("motor_noise_r", float, default=0.0, check=_rotation_sd),
         )
-        echo["predictor"] = {"kind": kind, "noise_scale": noise_scale}
-        echo["policy"] = {"max_rescans": max_rescans, "threshold": threshold}
-        echo["kinematics"] = {
-            "translation_scale": translation_scale,
-            "rotation_scale": rotation_scale,
-            "failure_cutoff": failure_cutoff,
-            "start_offset_t": start_offset_t,
-            "start_offset_r": start_offset_r,
-            "guidance_noise_t": guidance_noise_t,
-            "guidance_noise_r": guidance_noise_r,
-            "gain": gain,
-            "motor_noise_t": motor_noise_t,
-            "motor_noise_r": motor_noise_r,
-        }
-
-    echo["costs"] = {"rescan": rescan_cost, "correction": correction_cost}
+        kin.reject_unknown()
+        echoed.append(kin)
 
     sweep_thresholds = None
     if parser.has_section("sweep"):
@@ -440,7 +426,11 @@ def parse_config(
         tau_start = sweep.get("tau_start", float)
         tau_stop = sweep.get("tau_stop", float)
         tau_steps = sweep.get(
-            "tau_steps", int, check=lambda v: None if v >= 1 else f"must be >= 1, got {v}"
+            "tau_steps",
+            int,
+            check=lambda v: None
+            if 1 <= v <= _MAX_TAU_STEPS
+            else f"must be in [1, {_MAX_TAU_STEPS}], got {v}",
         )
         sweep.reject_unknown()
         if tau_start > tau_stop:
@@ -448,11 +438,7 @@ def parse_config(
                 f"sweep.tau_start: must be <= tau_stop, got {tau_start} > {tau_stop}"
             )
         sweep_thresholds = tuple(float(t) for t in np.linspace(tau_start, tau_stop, tau_steps))
-        echo["sweep"] = {
-            "tau_start": tau_start,
-            "tau_stop": tau_stop,
-            "tau_steps": tau_steps,
-        }
+        echoed.append(sweep)
 
     out_reader = _SectionReader(parser, "output")
     out_dir = out_reader.get("dir", str, default="runs")
@@ -460,6 +446,10 @@ def parse_config(
     if out_override is not None:
         out_dir = out_override
 
+    # The cohort echo holds the seed in effect and leaves out the worker
+    # count; the output section is left out too.  Neither changes the results.
+    echo = {"cohort": {"mode": mode, "subjects": n_subjects, "seed": seed}}
+    echo.update((reader.section, reader.echo) for reader in echoed)
     digest = hashlib.sha256(
         json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()

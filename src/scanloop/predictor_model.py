@@ -17,7 +17,8 @@ Two abstractions of a scan-quality classifier, without any learned model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,25 +45,37 @@ def false_positive_rate(alpha: FailureRate, profile: PredictorProfile) -> float:
     return q
 
 
-@dataclass(frozen=True, slots=True)
-class ConfusionPredictor:
+class _ConfusionPredictorFields(NamedTuple):
+    profile: PredictorProfile
+    base_rate: FailureRate
+    false_positive_rate: float
+
+
+class ConfusionPredictor(_ConfusionPredictorFields):
     """Coin-flip classifier calibrated to an operating point at a base rate.
 
-    The false-positive rate is derived on construction.
+    Built from the profile and the base rate; the false-positive rate is
+    derived on construction.  A named tuple, so that building one (once per
+    abstract subject) is cheap; ``_make``, ``_replace`` and unpickling derive
+    the rate again.
 
     Raises:
         InfeasibleOperatingPoint: when no false-positive rate in [0, 1]
             holds the profile at this base rate.
     """
 
-    profile: PredictorProfile
-    base_rate: FailureRate
-    false_positive_rate: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "false_positive_rate", false_positive_rate(self.base_rate, self.profile)
-        )
+    def __new__(cls, profile: PredictorProfile, base_rate: FailureRate) -> "ConfusionPredictor":
+        return tuple.__new__(cls, (profile, base_rate, false_positive_rate(base_rate, profile)))
+
+    @classmethod
+    def _make(cls, iterable) -> "ConfusionPredictor":
+        profile, base_rate, _ = iterable
+        return cls(profile, base_rate)
+
+    def __getnewargs__(self) -> tuple[PredictorProfile, FailureRate]:
+        return self.profile, self.base_rate
 
     @classmethod
     def calibrated(

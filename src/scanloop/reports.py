@@ -146,11 +146,7 @@ def subjects_csv_columns(report: SimulationReport) -> list[Sequence[object]]:
     if report.mode == "abstract":
         lead = [table.alpha]
     else:
-        trajectories = table.trajectories or []
-        lead = [
-            np.array([t[0] for t in trajectories], dtype=np.float64),
-            np.array([t[-1] for t in trajectories], dtype=np.float64),
-        ]
+        lead = [table.quality_at(0), table.quality_at(None)]
     return [np.arange(len(table)), *lead, *(getattr(table, name) for name, _ in SUBJECT_COLUMNS)]
 
 

@@ -228,12 +228,18 @@ def operating_point(
 
 
 def table_row(table: SubjectTable, i: int) -> SubjectRecord:
-    """Subject ``i`` of a table as the record that produced it."""
+    """Subject ``i`` of a table as the record that produced it; its trajectory
+    is its slice of the quality column, which starts after the scans of the
+    subjects before it."""
     a = float(table.alpha[i])
+    trajectory = None
+    if len(table.quality):
+        start = int(table.scans[:i].sum())
+        trajectory = tuple(table.quality[start : start + int(table.scans[i])].tolist())
     return SubjectRecord(
         subject_id=i,
         alpha=None if math.isnan(a) else a,
-        quality_trajectory=None if table.trajectories is None else table.trajectories[i],
+        quality_trajectory=trajectory,
         **{name: getattr(table, name)[i].item() for name, _ in SUBJECT_COLUMNS},
     )
 

@@ -348,7 +348,7 @@ class TestSubjectTable:
     def test_round_trip_kinematic(self):
         records = self._records(25, kinematic=True)
         table = SubjectTable.from_records(records)
-        assert table.trajectories is not None
+        assert len(table.quality) == table.scans.sum() > len(table)
         for i, original in enumerate(records):
             assert table_row(table, i) == original
 
@@ -382,6 +382,7 @@ class TestSubjectTable:
         with pytest.raises(ValueError, match="mismatched"):
             SubjectTable(
                 alpha=good.alpha,
+                quality=good.quality,
                 scans=good.scans[:3],
                 rescans=good.rescans,
                 first_fail=good.first_fail,
@@ -391,6 +392,50 @@ class TestSubjectTable:
                 failed_scans=good.failed_scans,
                 flagged_failed_scans=good.flagged_failed_scans,
             )
+
+
+class TestQualityColumn:
+    # Three subjects of 1, 3 and 2 scans: their qualities start at offsets
+    # 0, 1 and 4 of the flat column.
+    TRAJECTORIES = ((0.1,), (0.2, 0.3, 0.4), (0.5, 0.6))
+
+    def _table(self):
+        return SubjectTable.from_records(
+            [
+                SubjectRecord(i, None, len(t), len(t) - 1, False, False, 0.0, len(t) - 1, 0, 0, t)
+                for i, t in enumerate(self.TRAJECTORIES)
+            ]
+        )
+
+    def test_flat_column_follows_subject_order(self):
+        table = self._table()
+        assert table.scans.tolist() == [1, 3, 2]
+        assert table.quality.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+
+    def test_first_last_and_carried_forward(self):
+        table = self._table()
+        assert table.quality_at(0).tolist() == [0.1, 0.2, 0.5]
+        assert table.quality_at(None).tolist() == [0.1, 0.4, 0.6]
+        # a subject that stopped before scan k keeps its last quality
+        assert table.quality_at(1).tolist() == [0.1, 0.3, 0.6]
+        assert table.quality_at(2).tolist() == [0.1, 0.4, 0.6]
+        assert table.quality_at(7).tolist() == [0.1, 0.4, 0.6]
+
+    def test_concatenate_appends_quality(self):
+        table = self._table()
+        both = SubjectTable.concatenate([table, table])
+        assert both.quality.tolist() == 2 * table.quality.tolist()
+        assert both.quality_at(None).tolist() == [0.1, 0.4, 0.6] * 2
+
+    def test_abstract_records_leave_it_empty(self):
+        table = SubjectTable.from_records([SubjectRecord(0, 0.2, 2, 1, True, False, 0.1, 1, 1, 1)])
+        assert table.quality.dtype == np.float64 and len(table.quality) == 0
+
+    def test_length_must_match_scans(self):
+        table = self._table()
+        columns = {name: getattr(table, name) for name, _ in SUBJECT_COLUMNS}
+        with pytest.raises(ValueError, match="quality"):
+            SubjectTable(alpha=table.alpha, quality=table.quality[:5], **columns)
 
 
 class TestSubjectRecordImmutable:
@@ -434,8 +479,9 @@ class TestBlockwiseTable:
             column, expected = getattr(got, name), getattr(want, name)
             assert column.dtype == expected.dtype, name
             assert column.tobytes() == expected.tobytes(), name
-        assert got.trajectories == want.trajectories
-        assert (got.trajectories is None) == (mode == "abstract" or n == 0)
+        assert got.quality.dtype == want.quality.dtype == np.float64
+        assert got.quality.tobytes() == want.quality.tobytes()
+        assert (len(got.quality) == 0) == (mode == "abstract" or n == 0)
 
 
 class TestRunCohort:
@@ -554,13 +600,19 @@ class TestRunCohort:
     def test_kinematic_worker_count_does_not_change_results(self):
         reports = [run_cohort(_kinematic_config(300, seed=19, workers=w)) for w in (1, 3)]
         assert np.array_equal(reports[0].table.cost, reports[1].table.cost)
-        assert reports[0].table.trajectories == reports[1].table.trajectories
+        assert reports[0].table.quality.tobytes() == reports[1].table.quality.tobytes()
 
     def test_kinematic_cohort_improves_quality(self):
         agg = run_cohort(_kinematic_config(300, seed=23)).aggregates
         assert agg.mean_final_quality > agg.mean_initial_quality
         assert agg.mean_initial_quality < 0.5
         assert agg.mean_final_quality > 0.8
+
+    def test_mean_qualities_equal_the_loop_over_rows(self):
+        report = run_cohort(_kinematic_config(300, seed=23))
+        paths = [row.quality_trajectory for row in table_rows(report.table)]
+        assert report.aggregates.mean_initial_quality == float(np.mean([p[0] for p in paths]))
+        assert report.aggregates.mean_final_quality == float(np.mean([p[-1] for p in paths]))
 
     def test_rescans_monotone_in_threshold(self):
         # Shared per-subject streams and fixed draw counts couple the runs:

@@ -3,9 +3,12 @@
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scanloop.reports import read_report_csv
@@ -457,6 +460,39 @@ class TestGuidance:
         z = mean / math.sqrt(var / n)
         assert abs(z) < 3.0
 
+    def test_files_equal_the_row_by_row_reference(self, tmp_path):
+        # Both files rebuilt from each subject's own trajectory, with a
+        # subject that stopped early holding its last quality on the curve.
+        from oracles import render_csv_rows, table_rows
+        from scanloop.acquisition_loop import run_cohort
+        from scanloop.cli import main
+        from scanloop.config import parse_config
+
+        text = kinematic_config(
+            subjects=300, seed=11, noise_scale=0.1, threshold=0.8, gain=0.6, guidance_t=1.0
+        )
+        config, out = write_config(tmp_path, text), tmp_path / "out"
+        assert main(["guidance", "--config", str(config), "--out", str(out)]) == 0
+        report = run_cohort(parse_config(text))
+        paths = [row.quality_trajectory for row in table_rows(report.table)]
+        longest = max(map(len, paths))
+        assert min(map(len, paths)) < longest
+        rows = [(i, k, q) for i, path in enumerate(paths) for k, q in enumerate(path)]
+        curve = [
+            (k, float(np.mean([path[min(k, len(path) - 1)] for path in paths])))
+            for k in range(longest)
+        ]
+        expected = {
+            "trajectories.csv": render_csv_rows(
+                ("subject_id", "scan_index", "quality"), rows, report.manifest
+            ),
+            "quality_curve.csv": render_csv_rows(
+                ("scan_index", "mean_quality"), curve, report.manifest
+            ),
+        }
+        for name, content in expected.items():
+            assert (out / name).read_text(encoding="utf-8") == content, name
+
     def test_requires_kinematic_mode(self, tmp_path):
         config = write_config(tmp_path, ABSTRACT_BETA.format(workers=1))
         result = run_cli("guidance", "--config", str(config), "--out", str(tmp_path / "out"))
@@ -710,7 +746,9 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize(
         "mode, family, section, key, text",
         [(*k, text) for k in FLOAT_KEYS for text in ("inf", "-inf", "nan")]
-        + [("kinematic", None, "kinematics", key, "1e308") for key in ROTATION_SD_KEYS],
+        + [("kinematic", None, "kinematics", key, "1e308") for key in ROTATION_SD_KEYS]
+        # a grid this long would be allocated at parse time
+        + [("kinematic", None, "sweep", "tau_steps", "1000000000000000")],
         ids=lambda v: v if isinstance(v, str) else None,
     )
     def test_rejected_with_key_named(self, tmp_path, capsys, mode, family, section, key, text):
@@ -838,3 +876,59 @@ def test_truncated_normal_ratio_loads_scipy_and_writes_same_report(tmp_path):
     assert main(["ratio", "--config", str(config), "--out", str(tmp_path / "here")]) == 0
     fresh = (tmp_path / "fresh" / "ratio.json").read_bytes()
     assert fresh == (tmp_path / "here" / "ratio.json").read_bytes()
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def readme_commands():
+    """(arguments after ``scanloop``, the output files its README section names)
+    for each ``scanloop`` line of the README's ``sh`` blocks, as test cases."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for section in readme.split("\n### ")[1:]:
+        files = sorted(set(re.findall(r"`(\w+\.(?:csv|json))`", section)))
+        for block in re.findall(r"```sh\n(.*?)```", section, flags=re.S):
+            for line in block.splitlines():
+                if line.startswith("scanloop "):
+                    commands.append(pytest.param(shlex.split(line)[1:], files, id=line))
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_documents_every_subcommand():
+    documented = {case.values[0][0] for case in README_COMMANDS}
+    assert documented == {"table1", "ratio", "simulate", "sweep", "guidance"}
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        *README_COMMANDS,
+        pytest.param(
+            ["simulate", "--config", "configs/abstract_beta.ini"],
+            ["report.json", "subjects.csv"],
+            marks=pytest.mark.xfail(
+                raises=AssertionError,
+                strict=True,
+                reason="exits 3: Beta(2, 8) puts mass above alpha_max = 0.833, where no"
+                " false-positive rate realizes p = r = 0.8",
+            ),
+            id="scanloop simulate --config configs/abstract_beta.ini",
+        ),
+    ],
+)
+def test_readme_command_runs_as_shipped(tmp_path, monkeypatch, capsys, argv, files):
+    # Shipped configs at their shipped sizes; only the output directory moves.
+    from scanloop.cli import main
+
+    if "--out" in argv:
+        k = argv.index("--out")
+        argv = argv[:k] + argv[k + 2 :]
+    monkeypatch.chdir(REPO)
+    code = main([*argv, "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert files
+    assert sorted(p.name for p in tmp_path.iterdir()) == files

@@ -1,8 +1,11 @@
 """Config parsing: validation messages, defaults, digests, and manifests."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
+
+import scanloop.config
 
 from scanloop.alpha_distributions import (
     Beta,
@@ -145,6 +148,12 @@ class TestKinematicParsing:
         assert cfg.sweep_thresholds == pytest.approx((0.5, 0.6, 0.7, 0.8, 0.9))
         assert cfg.echo["sweep"]["tau_steps"] == 5
 
+    def test_sweep_grid_bounded(self):
+        sweep = "\n[sweep]\ntau_start = 0.5\ntau_stop = 0.9\ntau_steps = {}\n"
+        assert len(parse_config(KINEMATIC + sweep.format(10_000)).sweep_thresholds) == 10_000
+        with pytest.raises(ConfigError, match=r"sweep\.tau_steps: must be in \[1, 10000\]"):
+            parse_config(KINEMATIC + sweep.format(10_001))
+
     def test_sweep_single_step(self):
         text = KINEMATIC + "\n[sweep]\ntau_start = 0.7\ntau_stop = 0.7\ntau_steps = 1\n"
         assert parse_config(text).sweep_thresholds == (0.7,)
@@ -241,6 +250,14 @@ class TestValidationErrors:
             parse_config(_with(ABSTRACT, "subjects = 100", "subjects = -1"))
 
 
+# The digests of the shipped configs, which every report made from them names.
+SHIPPED_DIGESTS = {
+    "abstract_pointmass": "341020f526f58f1fd963379d23bc3f5403efb48dd379a259c1305b1d78764c83",
+    "abstract_beta": "5b93a853a8eb346491e61ef43d00a7c8d12358418ebf7fad8abfe05c68416895",
+    "kinematic_guided": "c676b0c998cc8fbd7b4f539e77a11c0fa8f9657bfdfbd0b63a5fbb67e7a2cc20",
+}
+
+
 class TestDigest:
     def test_stable_under_key_reordering(self):
         reordered = _with(
@@ -265,6 +282,80 @@ class TestDigest:
             parse_config(_with(ABSTRACT, "recall = 0.9", "recall = 0.8")).digest != base.digest
         )
         assert parse_config(ABSTRACT, seed_override=6).digest != base.digest
+
+    @pytest.mark.parametrize("name, digest", SHIPPED_DIGESTS.items())
+    def test_shipped_configs_pinned(self, name, digest):
+        # A digest names an experiment in every report, so the echo it hashes
+        # must not drift with how the parser is written.
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini"
+        assert parse_config(path.read_text(encoding="utf-8")).digest == digest
+
+
+def _minimal(text: str) -> str:
+    """``text`` without the keys and the section that have defaults."""
+    return "\n".join(
+        line
+        for line in text.splitlines()
+        if not line.startswith(("seed", "workers", "max_rescans", "dir", "[output]"))
+    )
+
+
+ECHO_CASES = {
+    "point_mass": "family = point_mass\nalpha = 0.2",
+    "uniform": "family = uniform\nlo = 0.1\nhi = 0.3",
+    "beta": "family = beta\na = 2\nb = 8",
+    "truncated_normal": "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6",
+    "histogram": "family = histogram\ncsv = bins.csv",
+}
+
+
+class TestEchoCoverage:
+    """The echo holds exactly the values the parser read, defaults included,
+    except the worker count and the output section, with a histogram's bins
+    in place of its file name."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        reads: dict[str, dict] = {}
+        get = scanloop.config._SectionReader.get
+
+        def recording_get(reader, key, *args, **kwargs):
+            value = get(reader, key, *args, **kwargs)
+            reads.setdefault(reader.section, {})[key] = value
+            return value
+
+        monkeypatch.setattr(scanloop.config._SectionReader, "get", recording_get)
+        return reads
+
+    def _expected(self, reads, cfg):
+        expected = {section: dict(values) for section, values in reads.items()}
+        del expected["cohort"]["workers"]
+        del expected["output"]
+        if "csv" in expected.get("distribution", {}):
+            del expected["distribution"]["csv"]
+            expected["distribution"]["edges"] = list(cfg.distribution.edges)
+            expected["distribution"]["masses"] = list(cfg.distribution.masses)
+        return expected
+
+    @pytest.mark.parametrize("family", list(ECHO_CASES))
+    @pytest.mark.parametrize("minimal", [False, True], ids=["written", "defaulted"])
+    def test_abstract(self, tmp_path, reads, family, minimal):
+        (tmp_path / "bins.csv").write_text(TestHistogramConfig.CSV)
+        text = _with(ABSTRACT, "family = uniform\nlo = 0.1\nhi = 0.3", ECHO_CASES[family])
+        cfg = parse_config(_minimal(text) if minimal else text, base_dir=tmp_path)
+        assert cfg.echo == self._expected(reads, cfg)
+        assert set(cfg.echo) == {"cohort", "distribution", "predictor", "costs", "policy"}
+        assert cfg.echo["policy"]["max_rescans"] == (50 if minimal else 20)
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["plain", "sweep"])
+    def test_kinematic(self, reads, sweep):
+        grid = "\n[sweep]\ntau_start = 0.5\ntau_stop = 0.9\ntau_steps = 5\n"
+        cfg = parse_config(KINEMATIC + (grid if sweep else ""))
+        assert cfg.echo == self._expected(reads, cfg)
+        # the learner and guidance keys are left to their defaults here
+        assert cfg.echo["kinematics"]["motor_noise_r"] == 0.0
+        assert len(cfg.echo["kinematics"]) == 10
+        assert ("sweep" in cfg.echo) == sweep
 
 
 class TestHistogramConfig:

@@ -25,7 +25,7 @@ from scanloop.reports import (
     write_summary_json,
 )
 
-from oracles import render_csv_rows
+from oracles import render_csv_rows, table_row
 
 ABSTRACT = """
 [cohort]
@@ -152,7 +152,7 @@ class TestSubjectsCsv:
         assert header[:3] == ["subject_id", "initial_quality", "final_quality"]
         assert "alpha" not in header
         first = dict(zip(header, rows[0]))
-        trajectory = report.table.trajectories[0]
+        trajectory = table_row(report.table, 0).quality_trajectory
         assert float(first["initial_quality"]) == pytest.approx(trajectory[0], rel=1e-11)
         assert float(first["final_quality"]) == pytest.approx(trajectory[-1], rel=1e-11)
 
@@ -165,7 +165,8 @@ class TestSubjectsCsv:
             if report.mode == "abstract":
                 lead = [table.alpha[i].item()]
             else:
-                lead = [table.trajectories[i][0], table.trajectories[i][-1]]
+                trajectory = table_row(table, i).quality_trajectory
+                lead = [trajectory[0], trajectory[-1]]
             columns = [getattr(table, name)[i].item() for name, _ in SUBJECT_COLUMNS]
             rows.append([i, *lead, *columns])
         write_subjects_csv(tmp_path / "subjects.csv", report)
