@@ -36,7 +36,7 @@ import numpy as np
 from .alpha_distributions import mean_alpha as _dist_mean_alpha
 from .alpha_distributions import expected_cost_ratio, sample_alpha
 from .cost_model import CostRates, FailureRate
-from .errors import DivergentLoop, ModeMismatch, SupportViolation
+from .errors import ModeMismatch, QuadratureFailure, UndefinedRatio
 from .predictor_model import ConfusionPredictor, ScorePredictor, classify, score
 from .probe_kinematics import (
     GuidanceNoise,
@@ -455,7 +455,9 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
 
     Results are bit-identical for a fixed master seed regardless of
     ``config.workers``: subjects consume only their own streams and chunks
-    are reassembled in subject order.
+    are reassembled in subject order.  The abstract closed-form ratio is None
+    where it cannot be had: a zero-mean population, whose baseline cost is 0,
+    or one whose integral the Gauss rules fail to resolve.
     """
     n = config.n_subjects
     workers = config.workers
@@ -479,12 +481,12 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
 
     analytic = None
     if config.mode == "abstract":
+        dist, profile = config.distribution, config.profile
+        quotient, budget = config.rates.quotient, config.policy.max_rescans
         try:
-            analytic = expected_cost_ratio(
-                config.distribution, config.profile, config.rates.quotient
-            ).ratio
-        except (SupportViolation, DivergentLoop):
-            analytic = None
+            analytic = expected_cost_ratio(dist, profile, quotient, budget).ratio
+        except (UndefinedRatio, QuadratureFailure):
+            pass
 
     aggregates = _aggregate(table, config.rates, analytic)
     return SimulationReport(
@@ -528,7 +530,8 @@ def empirical_vs_analytic(
         ModeMismatch: for kinematic reports, whose scans violate the
             independence assumption the closed forms rely on.
         ValueError: for an empty cohort, or a report without an analytic
-            cost ratio (its support reaches the pole or the loop diverges).
+            cost ratio (a population whose mean failure rate is 0, or whose
+            integral the Gauss rules fail to resolve).
     """
     if report.mode != "abstract":
         raise ModeMismatch("analytic comparison is defined for abstract-mode reports only")

@@ -4,10 +4,11 @@ The closed forms in ``cost_model`` price the loop for one subject with a
 known failure probability.  Cohorts mix subjects, so population costs are
 integrals against a density f over failure rates: the baseline cost is
 proportional to the first moment, and the looped-to-baseline cost ratio is
-an f-weighted average of the per-subject ratio.  This module provides a
-small set of density families, an adaptive Simpson integrator for those two
-integrals, and inverse-CDF samplers so simulations can draw subjects from
-the same distributions the quadrature integrates.
+the f-weighted mean of the per-subject cost over that moment.  This module
+provides a small set of density families, each with its mean in closed form
+and a fixed Gauss rule for the cost integral, and inverse-CDF samplers so
+simulations can draw subjects from the same distributions the rules
+integrate.
 """
 
 from __future__ import annotations
@@ -20,28 +21,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_model import CostRatio, FailureRate, PredictorProfile, cost_ratio_at
-from .errors import QuadratureFailure, SupportViolation
-
-
-# Adaptive integrator budget: absolute and relative tolerance, and how many
-# times an interval may be halved before QuadratureFailure.
-QUADRATURE_ATOL = 1e-10
-QUADRATURE_RTOL = 1e-8
-QUADRATURE_MAX_LEVELS = 20
+from .cost_model import (
+    _DEFAULT_MAX_RESCANS,
+    CostRatio,
+    FailureRate,
+    PredictorProfile,
+    budgeted_cost_at,
+)
+from .errors import QuadratureFailure, UndefinedRatio
 
 
 @functools.cache
 def _special():
-    """``scipy.special``, imported on first use.
-
-    Only the Beta density (``betaln``) and the truncated normal (``ndtr``,
-    ``ndtri``) need it, and importing it takes longer than importing the rest
-    of the package, so runs that never build either family never load SciPy.
-    """
+    """``scipy.special``, imported on first use: only Beta and the truncated
+    normal need it, and it takes longer to import than the rest of the
+    package, so runs that build neither never load SciPy."""
     import scipy.special
 
     return scipy.special
+
+
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Legendre nodes and weights on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(n)
+
+
+@functools.cache
+def _jacobi(n: int, right: float, left: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Jacobi nodes and weights on [-1, 1] for the weight (1 - t)^right (1 + t)^left."""
+    return _special().roots_jacobi(n, right, left)
+
+
+def _around(mode: float, scale: float) -> tuple[float, ...]:
+    """Cuts at ``mode`` and 2, 4, ..., 64 ``scale`` either side of it."""
+    return (mode, *(mode + s * 2.0**k * scale for s in (-1.0, 1.0) for k in range(1, 7)))
 
 
 class FailureDistribution(ABC):
@@ -65,8 +81,19 @@ class FailureDistribution(ABC):
         """n draws as a vector; same distribution as ``sample``."""
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Interior points where the density is not smooth (quadrature splits here)."""
+        """Points where the population integrals split the support: where the
+        density is not smooth, or changes much faster than across the support.
+        Those outside the support are ignored."""
         return ()
+
+    def gauss_rule(self, lo: float, hi: float, n: int) -> tuple[list[float], list[float]]:
+        """n nodes and weights w on [lo, hi], a piece of the support, such that
+        sum(w * g(nodes)) approximates the integral of g times the density
+        there: Gauss–Legendre, the density at each node folded into its weight."""
+        t, w = _legendre(n)
+        half = 0.5 * (hi - lo)
+        nodes = (lo + half * (t + 1.0)).tolist()
+        return nodes, [half * wi * self.pdf(x) for x, wi in zip(nodes, w.tolist())]
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,8 +153,7 @@ class Uniform(FailureDistribution):
 class Beta(FailureDistribution):
     """Beta(a, b) on [0, 1), restricted to a >= 1 and b > 1.
 
-    The restriction keeps the density bounded and forces it to vanish at 1,
-    so every integrand this module builds stays finite on the closed support.
+    The restriction keeps the density bounded and makes it vanish at 1.
     """
 
     a: float
@@ -144,24 +170,39 @@ class Beta(FailureDistribution):
         return (0.0, 1.0)
 
     def pdf(self, alpha: float) -> float:
-        if not 0.0 <= alpha <= 1.0:
-            return 0.0
-        if alpha == 0.0:
-            return 0.0 if self.a > 1.0 else math.exp(-_special().betaln(self.a, self.b))
-        if alpha == 1.0:
-            return 0.0
-        log_pdf = (
-            (self.a - 1.0) * math.log(alpha)
-            + (self.b - 1.0) * math.log1p(-alpha)
-            - _special().betaln(self.a, self.b)
-        )
-        return math.exp(log_pdf)
+        return float(np.exp(self._log_pdf(alpha))) if 0.0 <= alpha <= 1.0 else 0.0
+
+    def _log_pdf(self, alpha):
+        """Elementwise on [0, 1]; 1/B(a, b) alone overflows for a concentrated Beta."""
+        sp = _special()
+        powers = sp.xlogy(self.a - 1.0, alpha) + sp.xlog1py(self.b - 1.0, -alpha)
+        return powers - sp.betaln(self.a, self.b)
 
     def sample(self, rng: np.random.Generator) -> float:
         return min(float(rng.beta(self.a, self.b)), math.nextafter(1.0, 0.0))
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.minimum(rng.beta(self.a, self.b, size=n), math.nextafter(1.0, 0.0))
+
+    def breakpoints(self) -> tuple[float, ...]:
+        # No cut within sd of 0 or 1: a mode that near an end stays in the
+        # piece that ends there, whose end power is the rule's weight.
+        mean = self.a / (self.a + self.b)
+        sd = math.sqrt(mean * (1.0 - mean) / (self.a + self.b + 1.0))
+        mode = (self.a - 1.0) / (self.a + self.b - 2.0)
+        return tuple(c for c in _around(mode, sd) if sd <= c <= 1.0 - sd)
+
+    def gauss_rule(self, lo: float, hi: float, n: int) -> tuple[list[float], list[float]]:
+        """Gauss–Jacobi: where a density factor alpha^(a-1) or (1 - alpha)^(b-1)
+        has its root at an end of [lo, hi], the fractional part of its power,
+        the part that is not smooth there, is the rule's weight function."""
+        left = (self.a - 1.0) % 1.0 if lo == 0.0 else 0.0
+        right = (self.b - 1.0) % 1.0 if hi == 1.0 else 0.0
+        t, w = _jacobi(n, right, left)
+        half = 0.5 * (hi - lo)
+        nodes = lo + half * (t + 1.0)
+        rest = self._log_pdf(nodes) - left * np.log(nodes) - right * np.log1p(-nodes)
+        return nodes.tolist(), (w * half ** (1.0 + left + right) * np.exp(rest)).tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,9 +213,10 @@ class TruncatedNormal(FailureDistribution):
     sigma: float
     lo: float
     hi: float
-    # Standard normal CDF at the standardized bounds, derived on construction.
+    # Normal CDF at the standardized bounds, and the normal mass between them.
     cdf_lo: float = field(init=False, repr=False, compare=False)
     cdf_hi: float = field(init=False, repr=False, compare=False)
+    mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
@@ -193,6 +235,9 @@ class TruncatedNormal(FailureDistribution):
             )
         object.__setattr__(self, "cdf_lo", cdf_lo)
         object.__setattr__(self, "cdf_hi", cdf_hi)
+        # Above mu from the upper tails, where 1 - CDF has lost digits.
+        upper = ndtr((self.mu - self.lo) / self.sigma) - ndtr((self.mu - self.hi) / self.sigma)
+        object.__setattr__(self, "mass", float(upper) if self.lo > self.mu else cdf_hi - cdf_lo)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -202,9 +247,7 @@ class TruncatedNormal(FailureDistribution):
         if not self.lo <= alpha <= self.hi:
             return 0.0
         z = (alpha - self.mu) / self.sigma
-        return math.exp(-0.5 * z * z) / (
-            math.sqrt(2.0 * math.pi) * self.sigma * (self.cdf_hi - self.cdf_lo)
-        )
+        return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.sigma * self.mass)
 
     def sample(self, rng: np.random.Generator) -> float:
         u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random()
@@ -213,6 +256,12 @@ class TruncatedNormal(FailureDistribution):
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random(n)
         return np.clip(self.mu + self.sigma * _special().ndtri(u), self.lo, self.hi)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        # With mu outside [lo, hi] the density peaks at the nearer bound and
+        # falls off there on the scale sigma^2 / |mu - bound|.
+        mode = min(max(self.mu, self.lo), self.hi)
+        return _around(mode, self.sigma**2 / max(self.sigma, abs(self.mu - mode)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,137 +336,91 @@ class EmpiricalHistogram(FailureDistribution):
         return lows + np.clip(frac, 0.0, 1.0) * (highs - lows)
 
 
-def _adaptive_simpson(f, lo: float, hi: float, tol: float, max_levels: int) -> float:
-    """Adaptive Simpson on [lo, hi] with per-interval budget splitting.
-
-    Raises QuadratureFailure if any subinterval still misses its share of the
-    tolerance after max_levels halvings.
-    """
-    if hi <= lo:
-        return 0.0
-
-    def simpson(a: float, fa: float, fm: float, fb: float, b: float) -> float:
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    m0 = 0.5 * (lo + hi)
-    f_lo, f_m0, f_hi = f(lo), f(m0), f(hi)
-    whole = simpson(lo, f_lo, f_m0, f_hi, hi)
-    # stack entries: (a, b, fa, fm, fb, S_ab, tol_ab, level)
-    stack = [(lo, hi, f_lo, f_m0, f_hi, whole, tol, 0)]
-    total = 0.0
-    while stack:
-        a, b, fa, fm, fb, s_ab, tol_ab, level = stack.pop()
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        s_left = simpson(a, fa, flm, fm, m)
-        s_right = simpson(m, fm, frm, fb, b)
-        err = s_left + s_right - s_ab
-        if abs(err) <= 15.0 * tol_ab:
-            total += s_left + s_right + err / 15.0
-            continue
-        if level >= max_levels:
-            raise QuadratureFailure(
-                f"tolerance not reached on [{a}, {b}] after {max_levels} subdivision levels"
-            )
-        half = 0.5 * tol_ab
-        stack.append((a, m, fa, flm, fm, s_left, half, level + 1))
-        stack.append((m, b, fm, frm, fb, s_right, half, level + 1))
-    return total
-
-
-def _integrate(f, lo: float, hi: float, breakpoints=()) -> float:
-    """Integrate f over [lo, hi], splitting at known non-smooth points.
-
-    Each piece evaluates f a hair inside its own bounds, so a jump sitting
-    exactly on a cut cannot leak a neighboring piece's value into this one.
-    """
-    cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        a_in, b_in = math.nextafter(a, b), math.nextafter(b, a)
-        pieces.append((a, b, lambda x, lo_=a_in, hi_=b_in: f(min(max(x, lo_), hi_))))
-    # Scale-setting pass: a coarse composite Simpson estimate to anchor rtol.
-    coarse = 0.0
-    for a, b, g in pieces:
-        coarse += (b - a) / 6.0 * (g(a) + 4.0 * g(0.5 * (a + b)) + g(b))
-    tol = max(QUADRATURE_ATOL, QUADRATURE_RTOL * abs(coarse))
-    total_len = hi - lo
-    out = 0.0
-    for a, b, g in pieces:
-        out += _adaptive_simpson(g, a, b, tol * (b - a) / total_len, QUADRATURE_MAX_LEVELS)
-    return out
+# Nodes of the Gauss rule on each piece of a population integral, the nodes
+# of the coarser rule whose disagreement with it estimates the error, and the
+# largest relative disagreement accepted.
+_NODES = 64
+_CHECK_NODES = 32
+_RULE_RTOL = 1e-10
+# The ratio divides by the rules' own mass, which takes out a density's
+# normalisation error; a mass off by more than this missed the density.
+_MASS_ATOL = 1e-6
 
 
 def mean_alpha(dist: FailureDistribution) -> float:
-    """First moment of the failure-rate distribution."""
+    """First moment of the failure-rate distribution, in closed form."""
     if isinstance(dist, PointMass):
         return dist.alpha
-    lo, hi = dist.support
-
-    def integrand(a: float) -> float:
-        if a == 0.0:
-            return 0.0
-        return a * dist.pdf(a)
-
-    return _integrate(integrand, lo, hi, dist.breakpoints())
-
-
-def _check_pole(dist: FailureDistribution, profile: PredictorProfile) -> None:
-    """Refuse supports on which the per-subject ratio hits its pole."""
-    if profile.recall == 0.0:
-        return
-    pole = profile.precision / profile.recall
-    lo, hi = dist.support
-    if pole < hi or (pole == hi and not isinstance(dist, PointMass) and dist.pdf(hi) != 0.0):
-        raise SupportViolation(
-            f"per-subject ratio diverges at alpha = {pole}, inside the support"
-            f" [{lo}, {hi}] of {type(dist).__name__}"
-        )
-    if isinstance(dist, PointMass) and pole <= dist.alpha:
-        raise SupportViolation(
-            f"per-subject ratio diverges at alpha = {pole} <= point mass {dist.alpha}"
-        )
+    if isinstance(dist, Uniform):
+        return 0.5 * (dist.lo + dist.hi)
+    if isinstance(dist, Beta):
+        return dist.a / (dist.a + dist.b)
+    if isinstance(dist, TruncatedNormal):
+        # mu + sigma (phi(l) - phi(h)) / (Phi(h) - Phi(l)) at the standardized
+        # bounds l and h, phi and Phi the standard normal density and CDF
+        z_lo, z_hi = ((x - dist.mu) / dist.sigma for x in (dist.lo, dist.hi))
+        phi_gap = math.exp(-0.5 * z_lo * z_lo) - math.exp(-0.5 * z_hi * z_hi)
+        return dist.mu + dist.sigma * phi_gap / (math.sqrt(2.0 * math.pi) * dist.mass)
+    bins = zip(dist.masses, (0.0, *dist.edges), dist.edges)
+    return math.fsum(m * 0.5 * (lo + hi) for m, lo, hi in bins)
 
 
 def expected_cost_ratio(
     dist: FailureDistribution,
     profile: PredictorProfile,
     cost_quotient: float,
+    max_rescans: int = _DEFAULT_MAX_RESCANS,
 ) -> CostRatio:
     """Population ratio of looped cost to baseline cost.
 
-    Computed as the density-weighted mean of alpha times the per-subject
-    ratio, divided by the mean alpha.  For a point mass this collapses to
-    the per-subject ratio itself.
+    The density-weighted mean of ``budgeted_cost_at`` — the loop the simulator
+    runs, with ``max_rescans`` re-scans at most and a predictor that saturates
+    above alpha_max = p / (p + r − p·r) — divided by the mean failure rate.
+    For a point mass this is the per-subject ratio itself.
+
+    On each side of alpha_max the per-subject cost is a polynomial of degree
+    K + 1 in alpha, so the integral is a sum of fixed Gauss rules (Golub &
+    Welsch, Math. Comp. 1969), each family's ``gauss_rule`` on each piece of
+    the support cut at its ``breakpoints``, at alpha_max and closing in on it.
 
     Raises:
-        SupportViolation: if the per-subject ratio's pole (precision/recall)
-            lies inside the support, or sits on its upper edge with
-            non-vanishing density there.
-        QuadratureFailure: if the integrals cannot meet tolerance.
+        UndefinedRatio: for a point mass at alpha = 0, whose baseline cost is 0.
+        QuadratureFailure: when the 64- and 32-node rules disagree by more
+            than 1e-10 of the integral, or miss 1e-6 of the density's mass.
     """
     if cost_quotient < 0.0:
         raise ValueError(f"cost_quotient must be >= 0, got {cost_quotient}")
-    _check_pole(dist, profile)
+
+    def cost(alpha: float) -> float:
+        return budgeted_cost_at(FailureRate(alpha), profile, cost_quotient, max_rescans)
+
     if isinstance(dist, PointMass):
-        return cost_ratio_at(FailureRate(dist.alpha), profile, cost_quotient)
+        if dist.alpha == 0.0:
+            raise UndefinedRatio("cost ratio is 0/0 at alpha = 0")
+        return CostRatio(cost(dist.alpha) / dist.alpha)
 
     p, r = profile.precision, profile.recall
-    numer_const = p - p * r + r * cost_quotient
     lo, hi = dist.support
-
-    def numerator(a: float) -> float:
-        fa = dist.pdf(a)
-        if fa == 0.0:
-            return 0.0
-        return a * fa * numer_const / (p - a * r)
-
-    num = _integrate(numerator, lo, hi, dist.breakpoints())
-    den = mean_alpha(dist)
-    if den <= 0.0:
-        raise SupportViolation("distribution has zero mean failure rate; ratio undefined")
-    return CostRatio(num / den)
+    alpha_max = p / (p + r - p * r)
+    # f peaks at alpha_max, and f^K turns over within about 1/K of where f
+    # reaches 1: pieces halve toward alpha_max until they are about 1/K wide.
+    levels = range(1, max_rescans.bit_length() + 2)
+    graded = [alpha_max + (end - alpha_max) * 0.5**j for end in (lo, hi) for j in levels]
+    cuts = sorted({lo, hi, *(c for c in (*dist.breakpoints(), alpha_max, *graded) if lo < c < hi)})
+    pieces = list(zip(cuts, cuts[1:]))
+    rules = [[dist.gauss_rule(a, b, n) for a, b in pieces] for n in (_NODES, _CHECK_NODES)]
+    mass = math.fsum(w for _, weights in rules[0] for w in weights)
+    fine, coarse = ([math.fsum(w * cost(x) for x, w in zip(*r)) for r in rs] for rs in rules)
+    total = math.fsum(fine)
+    gaps = [abs(f - c) for f, c in zip(fine, coarse)]
+    if not (math.fsum(gaps) <= _RULE_RTOL * total and abs(mass - 1.0) <= _MASS_ATOL):
+        a, b = pieces[gaps.index(max(gaps))]
+        raise QuadratureFailure(
+            f"{type(dist).__name__}: the {_NODES}- and {_CHECK_NODES}-node Gauss rules differ"
+            f" by {math.fsum(gaps):.3g} on an integral of {total:.3g}, most on the piece"
+            f" [{a}, {b}], and find a probability mass of {mass:.12g}"
+        )
+    return CostRatio(total / mass / mean_alpha(dist))
 
 
 def sample_alpha(dist: FailureDistribution, rng: np.random.Generator) -> FailureRate:

@@ -35,17 +35,10 @@ from .cost_model import (
     FailureRate,
     PredictorProfile,
     breakeven_precision,
-    cost_ratio_at,
+    budgeted_cost_at,
     cost_reduction_table,
 )
-from .errors import (
-    ConfigError,
-    DivergentLoop,
-    InfeasibleOperatingPoint,
-    QuadratureFailure,
-    SupportViolation,
-    UndefinedRatio,
-)
+from .errors import ConfigError, QuadratureFailure, UndefinedRatio
 from .reports import format_cell, write_csv, write_json, write_subjects_csv, write_summary_json
 
 # Reference operating grid: (failure rate, rescan/correction cost quotient,
@@ -148,7 +141,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     config = _load_config(args, modes=("abstract",))
     dist, profile, rates = config.distribution, config.profile, config.rates
     mean_a = mean_alpha(dist)
-    ratio = expected_cost_ratio(dist, profile, rates.quotient).ratio
+    ratio = expected_cost_ratio(dist, profile, rates.quotient, config.policy.max_rescans).ratio
     original_cost = mean_a * rates.correction_cost
     new_cost = original_cost * ratio
     breakeven = breakeven_precision(FailureRate(mean_a), rates.quotient)
@@ -250,22 +243,6 @@ def _first_scan_operating_point(table) -> tuple[float, float | None, float | Non
     return alpha_hat, precision, recall
 
 
-def _plugin_ratio(
-    alpha_hat: float, precision: float | None, recall: float | None, quotient: float
-) -> float | None:
-    """Closed-form cost ratio at the empirical operating point, when defined."""
-    if precision is None or recall is None or not 0.0 < precision <= 1.0:
-        return None
-    if not 0.0 < alpha_hat < 1.0:
-        return None
-    try:
-        return cost_ratio_at(
-            FailureRate(alpha_hat), PredictorProfile(precision, recall), quotient
-        ).ratio
-    except (DivergentLoop, UndefinedRatio, ValueError):
-        return None
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args, modes=("kinematic",))
     if config.sweep_thresholds is None:
@@ -273,6 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if config.policy.max_rescans < 1:
         raise ConfigError("policy.max_rescans: must be >= 1 for a threshold sweep")
 
+    quotient, budget = config.rates.quotient, config.policy.max_rescans
     rows = []
     for tau in config.sweep_thresholds:
         tau_config = dataclasses.replace(
@@ -280,7 +258,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         report = run_cohort(tau_config)
         alpha_hat, precision, recall = _first_scan_operating_point(report.table)
-        plugin = _plugin_ratio(alpha_hat, precision, recall, config.rates.quotient)
+        # The budgeted closed form at the empirical operating point, when defined.
+        plugin = None
+        if precision and recall is not None and 0.0 < alpha_hat < 1.0:
+            profile = PredictorProfile(precision, recall)
+            cost = budgeted_cost_at(FailureRate(alpha_hat), profile, quotient, budget)
+            plugin = cost / alpha_hat
         mean_cost, ratio = report.aggregates.mean_cost, report.aggregates.empirical_cost_ratio
         rows.append([tau, alpha_hat, precision, recall, plugin, mean_cost, ratio, 0, 0])
 
@@ -380,13 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        QuadratureFailure,
-        SupportViolation,
-        DivergentLoop,
-        UndefinedRatio,
-        InfeasibleOperatingPoint,
-    ) as exc:
+    except (QuadratureFailure, UndefinedRatio) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

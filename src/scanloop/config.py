@@ -40,7 +40,7 @@ from .alpha_distributions import (
     TruncatedNormal,
     Uniform,
 )
-from .cost_model import CostRates, PredictorProfile
+from .cost_model import _DEFAULT_MAX_RESCANS, CostRates, PredictorProfile
 from .errors import ConfigError
 from .predictor_model import ScorePredictor
 from .probe_kinematics import GuidanceNoise, LearnerPolicy, ProbePose, SubjectAnatomy
@@ -57,6 +57,8 @@ _SECTIONS = set().union(*_SECTIONS_BY_MODE.values())
 # The largest sweep grid: the grid is built when the config is parsed, and
 # each of its thresholds is a full cohort run.
 _MAX_TAU_STEPS = 10_000
+# The largest re-scan budget: a kinematic scan takes about 80 us.
+_MAX_RESCANS = 10_000
 
 _FAMILY_KEYS = {
     "point_mass": {"alpha"},
@@ -173,6 +175,10 @@ def _probability(lo_open: bool, hi_open: bool, lo=0.0, hi=1.0) -> Callable[[floa
         return f"must be in {left}{lo:g}, {hi:g}{right}, got {v}"
 
     return check
+
+
+def _within(lo: int, hi: int) -> Callable[[int], str | None]:
+    return lambda v: None if lo <= v <= hi else f"must be in [{lo}, {hi}], got {v}"
 
 
 def _nonneg(v: float) -> str | None:
@@ -353,7 +359,9 @@ def parse_config(
     rates = CostRates(rescan_cost=rescan_cost, correction_cost=correction_cost)
 
     policy_reader = _SectionReader(parser, "policy")
-    max_rescans = policy_reader.get("max_rescans", int, default=50, check=lambda v: _nonneg(v))
+    max_rescans = policy_reader.get(
+        "max_rescans", int, default=_DEFAULT_MAX_RESCANS, check=_within(0, _MAX_RESCANS)
+    )
     if mode == "abstract":
         policy_reader.forbid(
             "threshold", "not applicable in abstract mode (the predictor flags directly)"
@@ -425,13 +433,7 @@ def parse_config(
         sweep = _SectionReader(parser, "sweep")
         tau_start = sweep.get("tau_start", float)
         tau_stop = sweep.get("tau_stop", float)
-        tau_steps = sweep.get(
-            "tau_steps",
-            int,
-            check=lambda v: None
-            if 1 <= v <= _MAX_TAU_STEPS
-            else f"must be in [1, {_MAX_TAU_STEPS}], got {v}",
-        )
+        tau_steps = sweep.get("tau_steps", int, check=_within(1, _MAX_TAU_STEPS))
         sweep.reject_unknown()
         if tau_start > tau_stop:
             raise ConfigError(

@@ -7,16 +7,21 @@ Each acquired scan is segmented automatically; with per-subject probability
 one re-acquisition at cost ``rescan_cost``, and the loop repeats on the new
 scan.  Because each round flags with probability ``alpha * recall /
 precision``, the loop is a geometric retry process and its expected cost has
-a closed form, implemented here for a single point value of ``alpha``.
-Population-level averages over a distribution of ``alpha`` live in
-``alpha_distributions``.
+a closed form for a single point value of ``alpha``: the paper's unbounded
+one (``new_cost_at``), and that of the loop the simulator runs, with a
+re-scan budget and a saturating predictor (``budgeted_cost_at``).
+Population-level averages over ``alpha`` live in ``alpha_distributions``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DivergentLoop, UndefinedRatio
+
+# The re-scan budget of a loop whose config does not set ``policy.max_rescans``.
+_DEFAULT_MAX_RESCANS = 50
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +147,46 @@ def cost_ratio_at(
             f"no finite expected cost: precision {p} <= alpha*recall {a * r}"
         )
     return CostRatio((p - p * r + r * cost_quotient) / denom)
+
+
+def false_positive_rate(alpha: FailureRate, profile: PredictorProfile) -> float:
+    """Rate q of flagging intact scans that solves precision = alpha·recall /
+    (alpha·recall + (1 − alpha)·q).  Above alpha_max = p / (p + r − p·r) no
+    q <= 1 does, and the predictor saturates: it flags every intact scan."""
+    a, p, r = alpha.alpha, profile.precision, profile.recall
+    return min(a * r * (1.0 - p) / (p * (1.0 - a)), 1.0)
+
+
+def _geometric_sum(miss: float, n: int) -> float:
+    """1 + f + ... + f^(n-1) for f = 1 - miss, exact also as f nears 1."""
+    if miss == 0.0:
+        return float(n)
+    if miss >= 1.0:
+        return float(n > 0)
+    return -math.expm1(n * math.log1p(-miss)) / miss
+
+
+def budgeted_cost_at(
+    alpha: FailureRate, profile: PredictorProfile, cost_quotient: float, max_rescans: int
+) -> float:
+    """Expected per-subject cost, in correction costs, of the loop the simulator runs.
+
+    Each scan is flagged with probability f = alpha·recall + (1 − alpha)·q,
+    q the saturating ``false_positive_rate``, and buys a re-scan while fewer
+    than K = ``max_rescans`` were made; the kept scan pays a correction if it
+    truly failed.  Scan k is reached with probability f^k, so with S_n = 1 +
+    f + ... + f^(n−1) the cost is c·f·S_K + alpha·(1 − recall)·S_(K+1) +
+    alpha·recall·f^K, c = ``cost_quotient``: finite for every alpha in [0, 1),
+    and ``new_cost_at`` / correction_cost in the limit K → ∞, where finite.
+    """
+    a, r = alpha.alpha, profile.recall
+    q = false_positive_rate(alpha, profile)
+    flag = a * r + (1.0 - a) * q
+    miss = a * (1.0 - r) + (1.0 - a) * (1.0 - q)
+    k = max_rescans
+    rescans = flag * _geometric_sum(miss, k)
+    corrections = a * (1.0 - r) * _geometric_sum(miss, k + 1) + a * r * flag**k
+    return cost_quotient * rescans + corrections
 
 
 def breakeven_precision(alpha: FailureRate, cost_quotient: float) -> BreakevenPrecision:

@@ -13,16 +13,8 @@ class UndefinedRatio(ScanLoopError):
     """Cost ratio requested at alpha = 0, where the baseline cost is zero."""
 
 
-class InfeasibleOperatingPoint(ScanLoopError):
-    """No false-positive rate in [0, 1] realizes the requested (precision, recall)."""
-
-
 class QuadratureFailure(ScanLoopError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
-class SupportViolation(ScanLoopError):
-    """The failure-rate distribution reaches the cost model's pole at alpha = p / r."""
+    """Two Gauss rules of different order disagree on a population integral."""
 
 
 class ModeMismatch(ScanLoopError):

@@ -7,7 +7,8 @@ Two abstractions of a scan-quality classifier, without any learned model:
   hold at; the implied false-positive rate is derived so that the marginal
   precision of the simulated flags is exactly the configured one.  Ignoring
   false positives would under-count re-scans and break agreement with the
-  closed-form cost model.
+  closed-form cost model.  Where no rate holds the operating point, it
+  saturates at 1, as the closed form does.
 
 * ``ScorePredictor`` perturbs the true image quality with Gaussian noise and
   flags scans whose noisy score falls strictly below a threshold, inducing
@@ -22,27 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost_model import FailureRate, PredictorProfile
-from .errors import InfeasibleOperatingPoint
-
-
-def false_positive_rate(alpha: FailureRate, profile: PredictorProfile) -> float:
-    """Rate of flagging intact scans that makes marginal precision exact.
-
-    Solves  precision = alpha·recall / (alpha·recall + (1 − alpha)·q)  for q.
-
-    Raises:
-        InfeasibleOperatingPoint: when the solution q exceeds 1, i.e. no
-            classifier can hold this (precision, recall) at this base rate.
-    """
-    a, p, r = alpha.alpha, profile.precision, profile.recall
-    q = a * r * (1.0 - p) / (p * (1.0 - a))
-    if q > 1.0:
-        raise InfeasibleOperatingPoint(
-            f"no false-positive rate in [0, 1] yields precision {p} and recall {r}"
-            f" at base rate {a} (would need {q})"
-        )
-    return q
+from .cost_model import FailureRate, PredictorProfile, false_positive_rate
 
 
 class _ConfusionPredictorFields(NamedTuple):
@@ -55,13 +36,9 @@ class ConfusionPredictor(_ConfusionPredictorFields):
     """Coin-flip classifier calibrated to an operating point at a base rate.
 
     Built from the profile and the base rate; the false-positive rate is
-    derived on construction.  A named tuple, so that building one (once per
-    abstract subject) is cheap; ``_make``, ``_replace`` and unpickling derive
-    the rate again.
-
-    Raises:
-        InfeasibleOperatingPoint: when no false-positive rate in [0, 1]
-            holds the profile at this base rate.
+    derived on construction (``cost_model.false_positive_rate``).  A named
+    tuple, so that building one (once per abstract subject) is cheap;
+    ``_make``, ``_replace`` and unpickling derive the rate again.
     """
 
     __slots__ = ()

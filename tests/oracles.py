@@ -1,9 +1,10 @@
 """Slow-but-simple reference implementations used to freeze expected values.
 
 The reference models are deliberately independent of the package under
-test: fixed-point iteration instead of the closed form, composite Simpson on
-a uniform grid instead of adaptive quadrature, logarithmic antiderivatives
-for piecewise-constant densities, and plain Monte Carlo with delta-method
+test: fixed-point iteration and a scan-by-scan sum instead of the closed
+forms, composite Simpson on a uniform grid and SciPy's adaptive ``quad``
+instead of fixed Gauss rules, logarithmic antiderivatives for
+piecewise-constant densities, and plain Monte Carlo with delta-method
 standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
@@ -23,11 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from scanloop.acquisition_loop import SUBJECT_COLUMNS, SubjectRecord, SubjectTable
-from scanloop.alpha_distributions import (
-    FailureDistribution,
-    PointMass,
-    _integrate,
-)
+from scanloop.alpha_distributions import Beta, FailureDistribution, PointMass
 from scanloop.cost_model import CostRates, FailureRate, PredictorProfile
 from scanloop.predictor_model import ConfusionPredictor, ScorePredictor
 from scanloop.reports import format_cell, manifest_line
@@ -68,6 +65,33 @@ def composite_simpson(
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
+def subject_cost(
+    alpha: float | np.ndarray,
+    precision: float,
+    recall: float,
+    quotient: float,
+    max_rescans: int,
+) -> float | np.ndarray:
+    """Expected cost of one subject of the budgeted loop, in correction costs,
+    summed scan by scan; elementwise on an array of failure rates.
+
+    Every scan is flagged with probability f = alpha·r + (1 − alpha)·q, where
+    the false-positive rate q holds precision p (and is 1 where no q ≤ 1
+    does), so scan k is reached with probability f^k.  A scan before the last
+    one possible either is flagged (pay a re-scan) or passes truly failed (pay
+    a correction); scan K = max_rescans is kept and pays a correction if it
+    failed.
+    """
+    a = np.asarray(alpha, dtype=float)
+    p, r = precision, recall
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmin: at alpha = 1 (a quad end point) q is 0/0, and f = r whatever q is
+        q = np.fmin(a * r * (1.0 - p) / (p * (1.0 - a)), 1.0)
+    f = a * r + (1.0 - a) * q
+    reach = np.power.outer(f, np.arange(max_rescans + 1))
+    return reach[..., :-1].sum(axis=-1) * (quotient * f + a * (1.0 - r)) + reach[..., -1] * a
+
+
 def simpson_population_ratio(
     density_vec: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -75,26 +99,68 @@ def simpson_population_ratio(
     precision: float,
     recall: float,
     quotient: float,
+    max_rescans: int,
     panels: int = 1_000_000,
 ) -> float:
-    """Population cost ratio via brute-force Simpson on numerator and denominator.
-
-    Where the density is zero the numerator integrand is taken as 0 even if
-    the pointwise ratio is at its pole there (the product vanishes in the
-    limit for every density this suite uses).
-    """
-    k = precision - precision * recall + recall * quotient
+    """Population cost ratio of the budgeted loop via brute-force Simpson on
+    numerator and denominator."""
 
     def num(a: np.ndarray) -> np.ndarray:
-        fa = density_vec(a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = a * fa * k / (precision - a * recall)
-        return np.where(fa == 0.0, 0.0, raw)
+        return subject_cost(a, precision, recall, quotient, max_rescans) * density_vec(a)
 
     def den(a: np.ndarray) -> np.ndarray:
         return a * density_vec(a)
 
     return composite_simpson(num, lo, hi, panels) / composite_simpson(den, lo, hi, panels)
+
+
+def quad_population_ratio(
+    dist: FailureDistribution, precision: float, recall: float, quotient: float, max_rescans: int
+) -> float:
+    """Population cost ratio of the budgeted loop by SciPy's adaptive ``quad``.
+
+    Numerator and denominator are integrated piece by piece, the pieces split
+    at the density's breakpoints and at alpha_max = p / (p + r − p·r), where
+    the false-positive rate saturates.  On a Beta piece that ends at 0 or 1
+    the density's power there, if below 2 (its second derivative unbounded),
+    is ``quad``'s algebraic weight.
+    """
+    from scipy.integrate import quad
+    from scipy.special import betaln
+
+    if isinstance(dist, PointMass):
+        return float(subject_cost(dist.alpha, precision, recall, quotient, max_rescans)) / (
+            dist.alpha
+        )
+    p, r = precision, recall
+    lo, hi = dist.support
+    alpha_max = p / (p + r - p * r)
+    cuts = sorted({lo, hi, *(c for c in (*dist.breakpoints(), alpha_max) if lo < c < hi)})
+    num = den = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 500}
+        density = dist.pdf
+        if isinstance(dist, Beta):
+            left = dist.a - 1.0 if a == 0.0 and dist.a < 3.0 else 0.0
+            right = dist.b - 1.0 if b == 1.0 and dist.b < 3.0 else 0.0
+            opts.update(weight="alg", wvar=(left, right))
+
+            def density(x, left=left, right=right):
+                # in log space: 1 / B(a, b) alone overflows for a concentrated Beta
+                powers = ((dist.a - 1.0 - left, x), (dist.b - 1.0 - right, 1.0 - x))
+                if any(base == 0.0 and power > 0.0 for power, base in powers):
+                    return 0.0
+                logs = (power * math.log(base) for power, base in powers if power)
+                return math.exp(math.fsum(logs) - betaln(dist.a, dist.b))
+
+        num += quad(
+            lambda x: float(subject_cost(x, p, r, quotient, max_rescans)) * density(x),
+            a,
+            b,
+            **opts,
+        )[0]
+        den += quad(lambda x: x * density(x), a, b, **opts)[0]
+    return num / den
 
 
 def piecewise_constant_ratio(
@@ -122,16 +188,21 @@ def piecewise_constant_ratio(
 
 
 def mc_population_ratio(
-    alphas: np.ndarray, precision: float, recall: float, quotient: float
+    alphas: np.ndarray, precision: float, recall: float, quotient: float, max_rescans: int
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the population cost ratio with delta-method SE.
+    """Monte Carlo estimate of the budgeted loop's population cost ratio with
+    delta-method SE.
 
-    The ratio is E[alpha * h(alpha)] / E[alpha]; both expectations share the
-    same draws, so the standard error uses the delta method for a ratio of
-    correlated means.
+    The ratio is E[cost(alpha)] / E[alpha], cost from ``subject_cost``; both
+    expectations share the same draws, so the standard error uses the delta
+    method for a ratio of correlated means.
     """
-    h = (precision - precision * recall + recall * quotient) / (precision - alphas * recall)
-    x = alphas * h
+    x = np.concatenate(
+        [
+            subject_cost(block, precision, recall, quotient, max_rescans)
+            for block in np.array_split(alphas, -(-len(alphas) // 8192))
+        ]
+    )
     y = alphas
     n = len(alphas)
     xbar, ybar = x.mean(), y.mean()
@@ -171,8 +242,11 @@ def total_mass(dist: FailureDistribution) -> float:
     """Integral of the density over its support (1.0 for a valid distribution)."""
     if isinstance(dist, PointMass):
         return 1.0
+    from scipy.integrate import quad
+
     lo, hi = dist.support
-    return _integrate(dist.pdf, lo, hi, dist.breakpoints())
+    cuts = sorted({lo, hi, *dist.breakpoints()})
+    return sum(quad(dist.pdf, a, b, epsabs=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
 
 
 def classify_many(

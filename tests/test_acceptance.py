@@ -178,6 +178,7 @@ def test_criterion_04_million_subject_cohort_matches_closed_form():
 def test_criterion_05_quadrature_vs_sampling():
     profile = PredictorProfile(0.8, 0.8)
     quotient = 0.1
+    budget = 50
     cases = [
         ("Beta(2,8)", Beta(2.0, 8.0)),
         ("Uniform(0.1,0.3)", Uniform(0.1, 0.3)),
@@ -190,9 +191,9 @@ def test_criterion_05_quadrature_vs_sampling():
     ]
     details = []
     for label, dist in cases:
-        quadrature = expected_cost_ratio(dist, profile, quotient).ratio
+        quadrature = expected_cost_ratio(dist, profile, quotient, budget).ratio
         alphas = dist.sample_many(np.random.default_rng(2024), 1_000_000)
-        mc, se = mc_population_ratio(alphas, profile.precision, profile.recall, quotient)
+        mc, se = mc_population_ratio(alphas, profile.precision, profile.recall, quotient, budget)
         assert abs(quadrature - mc) <= 3.0 * se, label
         details.append(f"{label}: |Δ|/SE = {abs(quadrature - mc) / se:.2f}")
     print(f"criterion 5: PASS — quadrature within 3 SE of 10⁶-sample MC ({'; '.join(details)})")

@@ -667,13 +667,33 @@ class TestEmpiricalVsAnalytic:
         assert report.aggregates.empirical_cost_ratio == 1.0
 
     def test_report_without_analytic_ratio_rejected(self):
-        # alpha at the pole p / r: no closed form, yet q = 1 is feasible
-        report = run_cohort(
-            _abstract_config(50, seed=59, alpha=0.5, precision=0.5, recall=1.0, max_rescans=3)
-        )
+        # alpha = 0: the baseline cost is 0, so there is no ratio to compare
+        report = run_cohort(_abstract_config(50, seed=59, alpha=0.0))
         assert report.aggregates.analytic_cost_ratio is None
         with pytest.raises(ValueError, match="analytic"):
-            empirical_vs_analytic(report, PointMass(0.5), CostRates(0.1, 1.0))
+            empirical_vs_analytic(report, PointMass(0.0), CostRates(0.1, 1.0))
+
+    @pytest.mark.parametrize("budget, ratio", [(0, 1.0), (1, 0.5), (2, 0.4), (3, 0.38)])
+    def test_small_budgets_agree_with_the_closed_form(self, budget, ratio):
+        # alpha = 0.2, p = r = 0.8: f = 0.2 per scan, and the budgeted closed
+        # form gives 1, 0.5, 0.4, 0.38 where the unbounded one gives 0.375.
+        report = run_cohort(_abstract_config(20_000, seed=61, max_rescans=budget))
+        summary = empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
+        assert summary.analytic_cost_ratio == pytest.approx(ratio, rel=1e-14)
+        if budget == 0:
+            assert summary.empirical_cost_ratio == 1.0
+        else:
+            assert abs(summary.z_cost_ratio) <= 3.0
+
+    def test_saturated_subjects_agree_with_the_closed_form(self):
+        # alpha = 0.5 above alpha_max = 0.32 at p = 0.3, r = 0.9: q = 1, and each
+        # scan is flagged with probability 0.95.
+        report = run_cohort(
+            _abstract_config(20_000, seed=67, alpha=0.5, precision=0.3, recall=0.9, max_rescans=5)
+        )
+        summary = empirical_vs_analytic(report, PointMass(0.5), CostRates(0.1, 1.0))
+        assert report.table.flagged_scans.sum() > 0.9 * report.table.scans.sum()
+        assert abs(summary.z_cost_ratio) <= 3.0
 
     def test_kinematic_report_rejected(self):
         report = run_cohort(_kinematic_config(5, seed=47))

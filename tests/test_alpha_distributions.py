@@ -6,9 +6,8 @@ import pickle
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtr, ndtri
+from scipy.special import hyp2f1, ndtr, ndtri
 
-import scanloop.alpha_distributions as ad
 from scanloop.alpha_distributions import (
     Beta,
     EmpiricalHistogram,
@@ -20,17 +19,20 @@ from scanloop.alpha_distributions import (
     sample_alpha,
 )
 from scanloop.cost_model import FailureRate, PredictorProfile, cost_ratio_at
-from scanloop.errors import QuadratureFailure, SupportViolation
+from scanloop.errors import QuadratureFailure, UndefinedRatio
 
 from oracles import (
     mc_population_ratio,
     piecewise_constant_ratio,
+    quad_population_ratio,
     simpson_population_ratio,
     total_mass,
 )
 
 PROFILE = PredictorProfile(0.8, 0.8)
 QUOTIENT = 0.1
+# The default re-scan budget of expected_cost_ratio and of policy.max_rescans.
+BUDGET = 50
 
 HIST = EmpiricalHistogram.from_weights(
     edges=(0.1, 0.2, 0.3, 0.4, 0.5), weights=(5.0, 12.0, 8.0, 3.0, 2.0)
@@ -131,12 +133,27 @@ def test_truncnorm_pdf_matches_scipy():
     np.testing.assert_allclose(ours, ref, rtol=1e-12)
 
 
+def test_truncnorm_far_above_its_mean_matches_scipy():
+    # lo is 6.5 sigma above mu: 1 - CDF(6.5) is 4e-11, so the difference of
+    # the two CDFs near 1 would carry a relative error of about 5e-7.
+    mu, sigma, lo, hi = -0.33, 0.072, 0.14, 0.36
+    a, b = (lo - mu) / sigma, (hi - mu) / sigma
+    dist = TruncatedNormal(mu, sigma, lo, hi)
+    xs = np.linspace(lo, hi, 9)
+    ours = [dist.pdf(float(x)) for x in xs]
+    ref = stats.truncnorm.pdf(xs, a, b, loc=mu, scale=sigma)
+    np.testing.assert_allclose(ours, ref, rtol=1e-13)
+    ref = stats.truncnorm.mean(a, b, loc=mu, scale=sigma)
+    assert mean_alpha(dist) == pytest.approx(ref, rel=1e-13)
+
+
 @pytest.mark.parametrize(
     "dist",
     [
         Uniform(0.1, 0.3),
         Beta(2.0, 8.0),
         Beta(1.0, 3.0),
+        Beta(400.0, 1600.0),
         TruncatedNormal(0.2, 0.1, 0.05, 0.45),
         HIST,
         PointMass(0.2),
@@ -170,12 +187,83 @@ def test_mean_alpha_histogram_is_midpoint_average():
     assert mean_alpha(HIST) == pytest.approx(ref, abs=1e-12)
 
 
-def test_quadrature_failure_when_budget_too_small(monkeypatch):
-    monkeypatch.setattr(ad, "QUADRATURE_ATOL", 1e-300)
-    monkeypatch.setattr(ad, "QUADRATURE_RTOL", 1e-300)
-    monkeypatch.setattr(ad, "QUADRATURE_MAX_LEVELS", 1)
-    with pytest.raises(QuadratureFailure):
-        mean_alpha(Beta(2.0, 8.0))
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Uniform(0.1, 0.3),
+        Beta(2.0, 8.0),
+        Beta(2.0, 1.5),
+        Beta(1.0, 1.2),
+        TruncatedNormal(0.25, 0.15, 0.05, 0.6),
+        TruncatedNormal(-0.3, 0.2, 0.1, 0.4),
+        HIST,
+    ],
+    ids=repr,
+)
+def test_closed_form_mean_matches_quad(dist):
+    from scipy.integrate import quad
+
+    lo, hi = dist.support
+    cuts = sorted({lo, hi, *dist.breakpoints()})
+    ref = sum(
+        quad(lambda a: a * dist.pdf(a), x, y, epsabs=0.0, epsrel=1e-13)[0]
+        for x, y in zip(cuts, cuts[1:])
+    )
+    assert mean_alpha(dist) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_beta_with_b_below_two_integrates(a, b):
+    # (1 - alpha)^(b - 1) has an unbounded slope at 1; the Jacobi weight takes it.
+    dist = Beta(a, b)
+    assert mean_alpha(dist) == a / (a + b)
+    for p, r in ((0.8, 0.8), (0.9, 0.5)):
+        got = expected_cost_ratio(dist, PredictorProfile(p, r), QUOTIENT).ratio
+        ref = quad_population_ratio(dist, p, r, QUOTIENT, BUDGET)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+class UnsplitHistogram(EmpiricalHistogram):
+    """A histogram that hides its bin edges from the integrator."""
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()
+
+
+def test_rules_that_disagree_raise_quadrature_failure():
+    # Four jumps of the density inside the piece [0, 0.417] (the first cut
+    # toward alpha_max = 0.833): Gauss rules converge slowly across a jump,
+    # and the 32-node rule says so.
+    dist = UnsplitHistogram(HIST.edges, HIST.masses)
+    with pytest.raises(QuadratureFailure, match=r"UnsplitHistogram: .* the piece \[0\.0, 0\.41"):
+        expected_cost_ratio(dist, PROFILE, QUOTIENT)
+
+
+def test_rules_that_miss_the_density_raise_quadrature_failure():
+    # sd = 3.5e-151 is far below the spacing of doubles at the mode 0.5, so
+    # every cut lands on 0.5 and no node sees the density.
+    with pytest.raises(QuadratureFailure, match="Beta: .* probability mass of 0$"):
+        expected_cost_ratio(Beta(1e300, 1e300), PROFILE, QUOTIENT)
+
+
+@pytest.mark.parametrize("budget", [50, 10_000])
+@pytest.mark.parametrize("precision, recall", [(0.8, 0.8), (0.2, 1.0), (0.3, 0.999)])
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Beta(400.0, 1600.0),  # sd 0.009 about 0.2; 1 / B(a, b) = e^1003 overflows
+        Beta(2.72, 1990.0),  # mode 9e-4, a tail of e^(-1990 alpha)
+        Beta(6.33, 1.005),  # mode 0.999, within sd of 1
+        Beta(2000.0, 8000.0),  # betaln off by 2e-12; the rules' mass takes it out
+        TruncatedNormal(0.93, 0.0041, 0.49, 0.83),  # peaks at hi, falls off on 1.7e-4
+    ],
+    ids=repr,
+)
+def test_concentrated_densities_match_quad_oracle(dist, precision, recall, budget):
+    got = expected_cost_ratio(dist, PredictorProfile(precision, recall), QUOTIENT, budget).ratio
+    ref = quad_population_ratio(dist, precision, recall, QUOTIENT, budget)
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +285,8 @@ def test_point_mass_collapse_grid(alpha):
 
 
 def test_uniform_ratio_matches_closed_form_and_simpson():
+    # The unbounded closed form: at p = r = 0.8 the flag probability is alpha
+    # <= 0.3, so the budget of 50 re-scans moves the ratio by under 1e-25.
     got = expected_cost_ratio(Uniform(0.1, 0.3), PROFILE, QUOTIENT).ratio
     exact = piecewise_constant_ratio([(0.1, 0.3, 5.0)], 0.8, 0.8, QUOTIENT)
     assert got == pytest.approx(exact, abs=1e-10)
@@ -204,11 +294,14 @@ def test_uniform_ratio_matches_closed_form_and_simpson():
     def density(a: np.ndarray) -> np.ndarray:
         return np.where((a >= 0.1) & (a <= 0.3), 5.0, 0.0)
 
-    simpson = simpson_population_ratio(density, 0.1, 0.3, 0.8, 0.8, QUOTIENT, panels=10_000)
+    simpson = simpson_population_ratio(
+        density, 0.1, 0.3, 0.8, 0.8, QUOTIENT, BUDGET, panels=10_000
+    )
     assert got == pytest.approx(simpson, abs=1e-8)
 
 
 def test_histogram_ratio_matches_closed_form():
+    # As above: the flag probability is at most 0.5, and 0.5^50 < 1e-15.
     got = expected_cost_ratio(HIST, PROFILE, QUOTIENT).ratio
     lows = (0.0,) + HIST.edges[:-1]
     bins = [
@@ -224,7 +317,9 @@ def test_beta_ratio_matches_simpson_oracle():
     def density(a: np.ndarray) -> np.ndarray:
         return stats.beta.pdf(a, 2.0, 8.0)
 
-    simpson = simpson_population_ratio(density, 0.0, 1.0, 0.8, 0.8, QUOTIENT, panels=100_000)
+    simpson = simpson_population_ratio(
+        density, 0.0, 1.0, 0.8, 0.8, QUOTIENT, BUDGET, panels=100_000
+    )
     assert got == pytest.approx(simpson, abs=1e-8)
 
 
@@ -240,7 +335,7 @@ def test_beta_ratio_matches_simpson_oracle():
 def test_quadrature_agrees_with_monte_carlo(dist, sampler):
     rng = np.random.default_rng(20240817)
     alphas = np.asarray(sampler(rng, 1_000_000), dtype=float)
-    mc, se = mc_population_ratio(alphas, 0.8, 0.8, QUOTIENT)
+    mc, se = mc_population_ratio(alphas, 0.8, 0.8, QUOTIENT, BUDGET)
     got = expected_cost_ratio(dist, PROFILE, QUOTIENT).ratio
     assert abs(got - mc) < 3.0 * se
 
@@ -248,7 +343,7 @@ def test_quadrature_agrees_with_monte_carlo(dist, sampler):
 def test_beta_ratio_matches_ten_million_sample_mc():
     rng = np.random.default_rng(7)
     alphas = rng.beta(2.0, 8.0, 10_000_000)
-    mc, se = mc_population_ratio(alphas, 0.8, 0.8, QUOTIENT)
+    mc, se = mc_population_ratio(alphas, 0.8, 0.8, QUOTIENT, BUDGET)
     got = expected_cost_ratio(Beta(2.0, 8.0), PROFILE, QUOTIENT).ratio
     assert abs(got - mc) < 3.0 * se
 
@@ -261,20 +356,80 @@ def test_shifted_point_masses_give_larger_ratio():
     assert all(lo < hi for lo, hi in zip(ratios, ratios[1:]))
 
 
-def test_support_violation_pole_inside_support():
-    with pytest.raises(SupportViolation):
-        expected_cost_ratio(Uniform(0.4, 0.9), PredictorProfile(0.5, 1.0), 0.1)
+def test_support_past_alpha_max_saturates():
+    # alpha_max = 0.5 inside the support: above it every scan is flagged
+    # (f = 1 at r = 1), so those subjects run the whole budget.
+    profile = PredictorProfile(0.5, 1.0)
+    for budget in (0, 1, 50):
+        got = expected_cost_ratio(Uniform(0.4, 0.9), profile, 0.1, budget).ratio
+        ref = quad_population_ratio(Uniform(0.4, 0.9), 0.5, 1.0, 0.1, budget)
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
-def test_support_violation_pole_at_edge_with_mass():
-    # Pole exactly at the uniform upper bound, where the density is positive.
-    with pytest.raises(SupportViolation):
-        expected_cost_ratio(Uniform(0.1, 0.3), PredictorProfile(0.3, 1.0), 0.1)
+def test_support_ending_at_alpha_max_stays_finite():
+    # alpha_max = 0.3 is the uniform upper bound, where the density is positive
+    # and the unbounded form diverges.
+    got = expected_cost_ratio(Uniform(0.1, 0.3), PredictorProfile(0.3, 1.0), 0.1).ratio
+    assert got == pytest.approx(
+        quad_population_ratio(Uniform(0.1, 0.3), 0.3, 1.0, 0.1, BUDGET), rel=1e-12
+    )
 
 
-def test_support_violation_point_mass_at_pole():
-    with pytest.raises(SupportViolation):
-        expected_cost_ratio(PointMass(0.5), PredictorProfile(0.5, 1.0), 0.1)
+@pytest.mark.parametrize("budget", [100, 300, 1_000, 10_000])
+@pytest.mark.parametrize("hi", [0.3, 0.299])
+def test_support_ending_near_alpha_max_under_a_large_budget(hi, budget):
+    # At r = 1, f = alpha / 0.3 reaches 1 at alpha_max = 0.3, at or 0.001
+    # past the support's end, and S_K turns over within 0.3 / K of it.
+    got = expected_cost_ratio(Uniform(0.1, hi), PredictorProfile(0.3, 1.0), 0.1, budget).ratio
+    ref = quad_population_ratio(Uniform(0.1, hi), 0.3, 1.0, 0.1, budget)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_point_mass_at_alpha_max_runs_the_whole_budget():
+    # f = 1: 50 re-scans at 0.1 each, then a correction with probability 0.5.
+    got = expected_cost_ratio(PointMass(0.5), PredictorProfile(0.5, 1.0), 0.1).ratio
+    assert got == pytest.approx((50 * 0.1 + 0.5) / 0.5, rel=1e-14)
+
+
+def test_point_mass_at_zero_has_no_ratio():
+    with pytest.raises(UndefinedRatio):
+        expected_cost_ratio(PointMass(0.0), PROFILE, QUOTIENT)
+
+
+ORACLE_FAMILIES = [
+    PointMass(0.3),
+    Uniform(0.05, 0.4),
+    Beta(2.0, 8.0),
+    Beta(2.0, 1.5),
+    Beta(1.0, 1.2),
+    TruncatedNormal(0.2, 0.1, 0.0, 0.6),
+    HIST,
+]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 50, 10_000])
+@pytest.mark.parametrize("precision, recall", [(0.8, 0.8), (0.9, 0.5), (1.0, 1.0)])
+@pytest.mark.parametrize("dist", ORACLE_FAMILIES, ids=repr)
+def test_ratio_matches_quad_oracle(dist, precision, recall, budget):
+    # At p = r = 1, f = alpha, so under a Beta with b < 2 and K = 10^4 the
+    # cost S_K = (1 - alpha^K) / (1 - alpha) rises to K within 1e-4 of
+    # alpha = 1, where (1 - alpha)^(b - 1) still carries mass: the pieces
+    # that halve toward alpha_max = 1 resolve it.
+    got = expected_cost_ratio(dist, PredictorProfile(precision, recall), QUOTIENT, budget).ratio
+    ref = quad_population_ratio(dist, precision, recall, QUOTIENT, budget)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("recall, expected", [(0.5, 0.84325606379736), (0.9, 0.6008651600740066)])
+def test_beta_ratio_matches_hypergeometric_form(recall, expected):
+    # At p = 1 no intact scan is flagged (q = 0) and f = alpha*r <= r, so a
+    # budget of 10^4 is the unbounded loop: E[alpha (1 - r + r c) / (1 - alpha r)]
+    # / E[alpha] = (1 - r + r c) 2F1(1, a + 1; a + b + 1; r), by Euler's integral.
+    a, b = 2.0, 1.5
+    exact = (1.0 - recall + recall * QUOTIENT) * hyp2f1(1.0, a + 1.0, a + b + 1.0, recall)
+    assert exact == pytest.approx(expected, rel=1e-14)
+    got = expected_cost_ratio(Beta(a, b), PredictorProfile(1.0, recall), QUOTIENT, 10_000)
+    assert got.ratio == pytest.approx(exact, rel=1e-13)
 
 
 def test_beta_allowed_with_pole_at_vanishing_edge():

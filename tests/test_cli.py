@@ -80,6 +80,11 @@ correction = 1.0
 max_rescans = 50
 """
 
+# The population cost ratio of ABSTRACT_BETA (and configs/abstract_beta.ini):
+# Beta(2, 8), p = r = 0.8, c_s/c_c = 0.1, 50 re-scans at most, by SciPy's quad
+# (tests/oracles.py:quad_population_ratio) and the package's Gauss rules alike.
+BETA_RATIO = 0.42856513140626934
+
 KINEMATIC_BASE = """
 [cohort]
 mode = kinematic
@@ -183,14 +188,15 @@ class TestRatio:
         assert payload["breakeven"]["met_by_configured_precision"] is True
         assert payload["note"] is None
 
-    def test_beta_population_ratio_is_three_sevenths(self, tmp_path):
-        # For this failure-rate mix and operating point the population ratio
-        # has the exact closed form 3/7; quadrature must land on it.
+    def test_beta_population_ratio_of_the_budgeted_loop(self, tmp_path):
+        # The unbounded, unsaturated loop gives exactly 3/7 here.  The loop the
+        # simulator runs saturates above alpha_max = 0.833 and stops after 50
+        # re-scans, which moves the ratio by 6.3e-6; SciPy's quad gives this.
         config = write_config(tmp_path, ABSTRACT_BETA.format(workers=1))
         result = run_cli("ratio", "--config", str(config), "--out", str(tmp_path))
         assert result.returncode == 0
         payload = json.loads((tmp_path / "ratio.json").read_text())
-        assert payload["population"]["cost_ratio"] == pytest.approx(3.0 / 7.0, abs=1e-7)
+        assert payload["population"]["cost_ratio"] == pytest.approx(BETA_RATIO, abs=1e-12)
         assert payload["population"]["mean_failure_rate"] == pytest.approx(0.2, abs=1e-9)
 
     def test_never_flagging_predictor_notes_it(self, tmp_path):
@@ -294,26 +300,109 @@ class TestSimulate:
         )
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         comparison = payload["comparison"]
-        assert comparison["analytic_cost_ratio"] == pytest.approx(3.0 / 7.0, abs=1e-7)
+        assert comparison["analytic_cost_ratio"] == pytest.approx(BETA_RATIO, abs=1e-12)
         assert abs(comparison["z_cost_ratio"]) < 4.0
         assert abs(comparison["z_mean_cost"]) < 4.0
         # config echo reports every effective setting, including defaults
         assert payload["config"]["policy"]["max_rescans"] == 50
         assert "workers" not in payload["config"]["cohort"]
 
-    def test_abstract_report_at_the_pole_omits_comparison(self, tmp_path):
-        # alpha = p / r: the closed form diverges, but q = 1 is feasible, so
-        # the simulation runs and only the comparison is left out.
+    def test_abstract_report_at_the_pole_compares_the_budgeted_loop(self, tmp_path):
+        # alpha = p / r: the unbounded closed form diverges, but with q = 1 every
+        # scan is flagged (f = 1), so each subject runs all 50 re-scans at 0.2
+        # and then corrects with probability 0.5: ratio (50 * 0.2 + 0.5) / 0.5.
         text = (
             RATIO_POINTMASS.replace("alpha = 0.2", "alpha = 0.5")
             .replace("precision = 0.8", "precision = 0.5")
             .replace("recall = 0.8", "recall = 1.0")
+            .replace("subjects = 10", "subjects = 2000")
         )
         config = write_config(tmp_path, text)
         result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "out"))
         assert result.returncode == 0, result.stderr
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert payload["aggregates"]["analytic_cost_ratio"] == pytest.approx(21.0, rel=1e-14)
+        assert abs(payload["comparison"]["z_cost_ratio"]) <= 3.0
+
+    def test_zero_mean_population_simulates_without_a_ratio(self, tmp_path):
+        # Every subject's baseline cost is 0, so no cost ratio exists: simulate
+        # still writes its files with a null analytic ratio, while ratio, which
+        # has nothing else to report, exits 3.
+        text = RATIO_POINTMASS.replace("alpha = 0.2", "alpha = 0.0").replace(
+            "subjects = 10", "subjects = 100"
+        )
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        result = run_cli("simulate", "--config", str(config), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((out / "report.json").read_text())
         assert payload["aggregates"]["analytic_cost_ratio"] is None
+        assert payload["aggregates"]["empirical_cost_ratio"] is None
+        assert payload["aggregates"]["subjects"] == 100
+        assert "comparison" not in payload
+        assert (out / "subjects.csv").exists()
+        result = run_cli("ratio", "--config", str(config), "--out", str(out))
+        assert result.returncode == 3
+        assert "0/0" in result.stderr
+
+    def test_concentrated_beta_prices_and_simulates(self, tmp_path):
+        # Beta(400, 1600): sd 0.009 about 0.2, and 1 / B(a, b) = e^1003 overflows
+        # a double, so the density is only ever formed in log space.
+        from oracles import quad_population_ratio
+        from scanloop.alpha_distributions import Beta
+
+        text = ABSTRACT_BETA.format(workers=1).replace("a = 2\nb = 8", "a = 400\nb = 1600")
+        config = write_config(tmp_path, text)
+        ref = quad_population_ratio(Beta(400.0, 1600.0), 0.8, 0.8, 0.1, 50)
+        result = run_cli("ratio", "--config", str(config), "--out", str(tmp_path / "ratio"))
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((tmp_path / "ratio" / "ratio.json").read_text())
+        assert payload["population"]["cost_ratio"] == pytest.approx(ref, rel=1e-12)
+        result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "sim"))
+        assert result.returncode == 0, result.stderr
+        comparison = json.loads((tmp_path / "sim" / "report.json").read_text())["comparison"]
+        assert comparison["analytic_cost_ratio"] == pytest.approx(ref, rel=1e-12)
+        assert abs(comparison["z_cost_ratio"]) < 4.0
+
+    def test_support_ending_at_alpha_max_under_the_largest_budget(self, tmp_path):
+        # At r = 1, f = alpha / 0.3 reaches 1 at the support's end alpha_max = 0.3,
+        # so S_K turns over within 3e-5 of it at K = 10^4.
+        from oracles import quad_population_ratio
+        from scanloop.alpha_distributions import Uniform
+
+        text = (
+            RATIO_POINTMASS.replace("point_mass\nalpha = 0.2", "uniform\nlo = 0.1\nhi = 0.3")
+            .replace("precision = 0.8", "precision = 0.3")
+            .replace("recall = 0.8", "recall = 1.0")
+            .replace("max_rescans = 50", "max_rescans = 10000")
+            .replace("subjects = 10", "subjects = 300")
+        )
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        result = run_cli("simulate", "--config", str(config), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((out / "report.json").read_text())
+        ref = quad_population_ratio(Uniform(0.1, 0.3), 0.3, 1.0, 0.2, 10_000)
+        assert payload["aggregates"]["analytic_cost_ratio"] == pytest.approx(ref, rel=1e-12)
+        assert "comparison" in payload
+
+    def test_unresolved_integral_simulates_without_a_ratio(self, tmp_path, monkeypatch):
+        # Should the Gauss rules fail, the subjects still run and report; only
+        # the comparison, which needs the analytic ratio, is left out.
+        from scanloop import acquisition_loop
+        from scanloop.cli import main
+        from scanloop.errors import QuadratureFailure
+
+        def unresolved(*args):
+            raise QuadratureFailure("injected")
+
+        monkeypatch.setattr(acquisition_loop, "expected_cost_ratio", unresolved)
+        config = write_config(tmp_path, ABSTRACT_BETA.format(workers=1))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["aggregates"]["analytic_cost_ratio"] is None
+        assert payload["aggregates"]["subjects"] == 1500
         assert "comparison" not in payload
 
     def test_kinematic_simulate(self, tmp_path):
@@ -518,49 +607,58 @@ class TestExitCodes:
         assert "predictor.precision" in result.stderr
 
     def test_numerical_failure(self, tmp_path):
-        # failure-rate support crossing the loop's divergence pole
-        text = RATIO_POINTMASS.replace(
-            "family = point_mass\nalpha = 0.2", "family = uniform\nlo = 0.1\nhi = 0.8"
-        ).replace("precision = 0.8", "precision = 0.6").replace("recall = 0.8", "recall = 0.9")
+        # a point mass at 0: the baseline cost is 0, so the ratio is 0/0
+        text = RATIO_POINTMASS.replace("alpha = 0.2", "alpha = 0.0")
         config = write_config(tmp_path, text)
         result = run_cli("ratio", "--config", str(config), "--out", str(tmp_path))
         assert result.returncode == 3
         assert "numerical failure" in result.stderr
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_simulation_error_names_subject_and_seed(self, tmp_path, workers):
-        # Beta(2, 2) puts 7 % of subjects above alpha_max = 0.833 at p = r = 0.8,
-        # where no false-positive rate realizes the operating point.  The
-        # first such subject is named, also when the error crosses the pool.
-        from scanloop.alpha_distributions import Beta, sample_alpha
-        from scanloop.cost_model import PredictorProfile
-        from scanloop.errors import InfeasibleOperatingPoint
-        from scanloop.predictor_model import ConfusionPredictor
-        from scanloop.streams import subject_stream
+    def test_simulation_error_names_subject_and_seed(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        # A fault injected into one subject's loop is named with the subject
+        # and the seed, also when it crosses the pool: forked workers inherit
+        # the patched module.
+        from scanloop import acquisition_loop
+        from scanloop.cli import main
+        from scanloop.errors import UndefinedRatio
 
-        def infeasible(i):
-            alpha = sample_alpha(Beta(2.0, 2.0), subject_stream(7, i))
-            try:
-                ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), alpha)
-            except InfeasibleOperatingPoint:
-                return True
-            return False
+        run_subject = acquisition_loop.run_subject_abstract
 
-        first = next(i for i in range(40) if infeasible(i))
-        assert first > 0
+        def faulty(*args, **kwargs):
+            if args[-1] == 23:
+                raise UndefinedRatio("injected fault")
+            return run_subject(*args, **kwargs)
+
+        monkeypatch.setattr(acquisition_loop, "run_subject_abstract", faulty)
         text = (
             ABSTRACT_BETA.format(workers=workers)
             .replace("subjects = 1500", "subjects = 40")
             .replace("seed = 42", "seed = 7")
-            .replace("b = 8", "b = 2")
         )
         config = write_config(tmp_path, text)
-        result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path))
-        assert result.returncode == 3, result.stderr
-        assert f"numerical failure: subject {first}, seed 7: no false-positive rate" in (
-            result.stderr
-        )
-        assert "Traceback" not in result.stderr
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: subject 23, seed 7: injected fault" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rescan_budget_bound_checked_before_any_simulation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from scanloop import acquisition_loop
+        from scanloop.cli import main
+
+        def no_simulation(*args):
+            raise AssertionError("a subject was simulated")
+
+        monkeypatch.setattr(acquisition_loop, "_simulate_chunk", no_simulation)
+        text = ABSTRACT_BETA.format(workers=1).replace("max_rescans = 50", "max_rescans = 10001")
+        config = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "policy.max_rescans: must be in [0, 10000], got 10001" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["ratio", "simulate"])
     @pytest.mark.parametrize("mu", [40.0, -40.0])
@@ -910,12 +1008,6 @@ def test_readme_documents_every_subcommand():
         pytest.param(
             ["simulate", "--config", "configs/abstract_beta.ini"],
             ["report.json", "subjects.csv"],
-            marks=pytest.mark.xfail(
-                raises=AssertionError,
-                strict=True,
-                reason="exits 3: Beta(2, 8) puts mass above alpha_max = 0.833, where no"
-                " false-positive rate realizes p = r = 0.8",
-            ),
             id="scanloop simulate --config configs/abstract_beta.ini",
         ),
     ],

@@ -154,6 +154,22 @@ class TestKinematicParsing:
         with pytest.raises(ConfigError, match=r"sweep\.tau_steps: must be in \[1, 10000\]"):
             parse_config(KINEMATIC + sweep.format(10_001))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [(KINEMATIC, "max_rescans = 5"), (ABSTRACT, "max_rescans = 20")],
+        ids=["kinematic", "abstract"],
+    )
+    def test_rescan_budget_bounded(self, text, line):
+        # A subject whose every scan is flagged runs the whole budget.
+        for budget in (0, 10_000):
+            cfg = parse_config(_with(text, line, f"max_rescans = {budget}"))
+            assert cfg.policy.max_rescans == budget
+        for budget in (-1, 10_001):
+            with pytest.raises(
+                ConfigError, match=rf"policy\.max_rescans: must be in \[0, 10000\], got {budget}"
+            ):
+                parse_config(_with(text, line, f"max_rescans = {budget}"))
+
     def test_sweep_single_step(self):
         text = KINEMATIC + "\n[sweep]\ntau_start = 0.7\ntau_stop = 0.7\ntau_steps = 1\n"
         assert parse_config(text).sweep_thresholds == (0.7,)

@@ -1,0 +1,125 @@
+"""Config fuzzing: every abstract config, valid or not, ends in a documented exit code.
+
+Documents are generated key by key for the [distribution], [predictor],
+[policy] and [costs] sections, mixing values inside each key's valid range
+with values outside it and text that is no number at all, and sometimes
+leaving a key out.  ``cli.main`` runs each in process on at most 50
+subjects.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scanloop.cli import main
+
+JUNK = st.sampled_from(["", "x", "1e400", "-inf", "nan", "0x10", "1,5"])
+
+
+def mostly(usual: st.SearchStrategy, rare: st.SearchStrategy) -> st.SearchStrategy:
+    """``usual``, and ``rare`` one time in 16: with about ten keys to a
+    document, a third of the documents then have every key in range."""
+    return st.integers(0, 15).flatmap(lambda i: usual if i else rare)
+
+
+def number(lo: float, hi: float) -> st.SearchStrategy[str]:
+    """A numeric key's text: mostly in [lo, hi], sometimes any float or junk."""
+    return mostly(
+        st.floats(lo, hi).map(repr),
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), JUNK),
+    )
+
+
+def count(lo: int, hi: int) -> st.SearchStrategy[str]:
+    return mostly(
+        st.integers(lo, hi).map(str), st.one_of(st.integers(-20_000, 20_000).map(str), JUNK)
+    )
+
+
+def shape() -> st.SearchStrategy[str]:
+    """A Beta shape parameter: mostly in [1, 12] or spread over [1, 10^6],
+    where densities get concentrated and skewed; sometimes any float or junk."""
+    return mostly(
+        st.one_of(st.floats(1.0, 12.0), st.floats(0.0, 6.0).map(lambda e: 10.0**e)).map(repr),
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), JUNK),
+    )
+
+
+FAMILY_KEYS = {
+    "point_mass": {"alpha": number(0.0, 1.0)},
+    "uniform": {"lo": number(0.0, 1.0), "hi": number(0.0, 1.0)},
+    "beta": {"a": shape(), "b": shape()},
+    "truncated_normal": {
+        "mu": number(-0.5, 1.5),
+        "sigma": number(1e-3, 1.0),
+        "lo": number(0.0, 1.0),
+        "hi": number(0.0, 1.0),
+    },
+    "histogram": {"csv": st.just("bins.csv")},
+    "gamma": {},
+}
+
+SECTIONS = {
+    "predictor": {
+        "kind": mostly(st.just("confusion"), st.just("score")),
+        "precision": number(0.05, 1.0),
+        "recall": number(0.0, 1.0),
+    },
+    "costs": {"rescan": number(0.0, 2.0), "correction": number(0.01, 2.0)},
+    "policy": {"max_rescans": count(0, 10_000)},
+}
+
+
+@st.composite
+def section(draw, keys: dict) -> dict[str, str]:
+    """Each key's text; a key is left out one time in 16."""
+    return {key: draw(values) for key, values in keys.items() if draw(st.integers(0, 15))}
+
+
+@st.composite
+def bins_csv(draw) -> str:
+    rows = draw(
+        st.lists(st.tuples(number(0.0, 1.0), number(0.0, 5.0)), min_size=0, max_size=6)
+    )
+    return "bin_upper_edge,mass\n" + "".join(f"{edge},{mass}\n" for edge, mass in rows)
+
+
+@st.composite
+def abstract_documents(draw) -> tuple[str, str]:
+    """(config text, histogram CSV text)."""
+    family = draw(st.sampled_from(sorted(FAMILY_KEYS)))
+    sections = {
+        "cohort": {"mode": "abstract", "subjects": str(draw(st.integers(0, 50))), "workers": "1"},
+        "distribution": {"family": family, **draw(section(FAMILY_KEYS[family]))},
+        **{name: draw(section(keys)) for name, keys in SECTIONS.items()},
+    }
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+    return text, draw(bins_csv())
+
+
+@given(document=abstract_documents(), command=st.sampled_from(["ratio", "simulate"]))
+@settings(max_examples=300, deadline=None)
+def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
+    text, bins = document
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out"
+        config.write_text(text, encoding="utf-8")
+        (Path(tmp) / "bins.csv").write_text(bins, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config), "--out", str(out)])
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]
+        assert written == expected
+    else:
+        assert err.getvalue().strip(), "a failing run says why"

@@ -13,13 +13,14 @@ from scanloop.cost_model import (
     FailureRate,
     PredictorProfile,
     breakeven_precision,
+    budgeted_cost_at,
     cost_ratio_at,
     cost_reduction_table,
     new_cost_at,
 )
 from scanloop.errors import DivergentLoop, UndefinedRatio
 
-from oracles import cost_recursion_rhs, fixed_point_cost, original_cost_at
+from oracles import cost_recursion_rhs, fixed_point_cost, original_cost_at, subject_cost
 
 # The six published example columns: (alpha, cs/cc, precision, recall).
 REFERENCE_COLUMNS = [
@@ -219,6 +220,49 @@ def test_ratio_agrees_with_new_cost_over_original_cost():
     direct = cost_ratio_at(alpha, profile, rates.quotient).ratio
     via_costs = new_cost_at(alpha, profile, rates) / original_cost_at(alpha, rates)
     assert direct == pytest.approx(via_costs, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# budgeted_cost_at: the loop the simulator runs
+
+
+@pytest.mark.parametrize("budget, ratio", [(0, 1.0), (1, 0.5), (2, 0.4), (3, 0.38), (50, 0.375)])
+def test_budgeted_point_mass_ratios(budget, ratio):
+    cost = budgeted_cost_at(FailureRate(0.2), PredictorProfile(0.8, 0.8), 0.1, budget)
+    assert cost / 0.2 == pytest.approx(ratio, rel=1e-14)
+
+
+@given(
+    a=st.floats(0.0, 0.999),
+    p=st.floats(0.05, 1.0),
+    r=st.floats(0.0, 1.0),
+    q=st.floats(0.0, 2.0),
+    budget=st.sampled_from([0, 1, 2, 7, 50, 400]),
+)
+@example(a=0.5, p=0.5, r=1.0, q=0.1, budget=50)  # f = 1 at alpha_max
+@example(a=0.999, p=1.0, r=1.0, q=0.1, budget=400)  # f = alpha near 1
+@example(a=0.9, p=0.3, r=0.0, q=0.1, budget=7)  # saturated, never flags a failure
+@settings(max_examples=300, deadline=None)
+def test_budgeted_cost_matches_scan_by_scan_sum(a, p, r, q, budget):
+    got = budgeted_cost_at(FailureRate(a), PredictorProfile(p, r), q, budget)
+    assert got == pytest.approx(float(subject_cost(a, p, r, q, budget)), rel=1e-11, abs=1e-300)
+
+
+@pytest.mark.parametrize("a, p, r", [(0.2, 0.8, 0.8), (0.3, 0.6, 0.6), (0.5, 0.9, 0.7)])
+def test_budgeted_cost_tends_to_the_unbounded_form(a, p, r):
+    rates = CostRates(0.1, 1.0)
+    unbounded = new_cost_at(FailureRate(a), PredictorProfile(p, r), rates)
+    got = budgeted_cost_at(FailureRate(a), PredictorProfile(p, r), 0.1, 10_000)
+    assert got == pytest.approx(unbounded, rel=1e-13)
+
+
+def test_budgeted_cost_saturates_instead_of_diverging():
+    # alpha = 0.5 > alpha_max = 0.3 at p = 0.3, r = 1: every scan is flagged,
+    # so the subject pays every re-scan and a correction with probability 0.5.
+    with pytest.raises(DivergentLoop):
+        new_cost_at(FailureRate(0.5), PredictorProfile(0.3, 1.0), CostRates(0.1, 1.0))
+    got = budgeted_cost_at(FailureRate(0.5), PredictorProfile(0.3, 1.0), 0.1, 10_000)
+    assert got == pytest.approx(10_000 * 0.1 + 0.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scanloop.cost_model import FailureRate, PredictorProfile
-from scanloop.errors import InfeasibleOperatingPoint
 from scanloop.predictor_model import (
     ConfusionPredictor,
     ScorePredictor,
@@ -43,9 +42,9 @@ def test_fpr_zero_base_rate_is_zero():
     assert false_positive_rate(FailureRate(0.0), PredictorProfile(0.8, 0.8)) == 0.0
 
 
-def test_fpr_infeasible_raises():
-    with pytest.raises(InfeasibleOperatingPoint):
-        false_positive_rate(FailureRate(0.9), PredictorProfile(0.3, 1.0))
+def test_fpr_saturates_above_alpha_max():
+    # alpha_max = 0.3 / (0.3 + 1 - 0.3) = 0.3; the exact solution would be 7/3.
+    assert false_positive_rate(FailureRate(0.9), PredictorProfile(0.3, 1.0)) == 1.0
 
 
 @given(a=st.floats(0.01, 0.9), p=st.floats(0.05, 1.0), r=st.floats(0.0, 1.0))
@@ -55,10 +54,11 @@ def test_fpr_makes_marginal_precision_exact(a, p, r):
     # float range; at subnormal magnitudes (e.g. r = 5e-324) a*r and q round
     # with unbounded relative error and the identity is unfalsifiable
     assume(r == 0.0 or a * r >= 1e-300)
-    try:
-        q = false_positive_rate(FailureRate(a), PredictorProfile(p, r))
-    except InfeasibleOperatingPoint:
-        assert a * r * (1.0 - p) > p * (1.0 - a)
+    q = false_positive_rate(FailureRate(a), PredictorProfile(p, r))
+    if a * r * (1.0 - p) > p * (1.0 - a):
+        # above alpha_max: saturated, and the flags are purer than asked
+        assert q == 1.0
+        assert a * r / (a * r + (1.0 - a)) >= p * (1.0 - 1e-12)
         return
     if r == 0.0:
         assert q == 0.0
@@ -82,13 +82,15 @@ def test_direct_construction_derives_fpr():
     pred = ConfusionPredictor(PredictorProfile(0.8, 0.8), FailureRate(0.2))
     assert pred.false_positive_rate == pytest.approx(0.05, abs=1e-15)
     assert pred == ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), FailureRate(0.2))
-    with pytest.raises(InfeasibleOperatingPoint):
-        ConfusionPredictor(PredictorProfile(0.3, 1.0), FailureRate(0.9))
+    saturated = ConfusionPredictor(PredictorProfile(0.3, 1.0), FailureRate(0.9))
+    assert saturated.false_positive_rate == 1.0
 
 
-def test_calibrated_factory_propagates_infeasibility():
-    with pytest.raises(InfeasibleOperatingPoint):
-        ConfusionPredictor.calibrated(PredictorProfile(0.3, 1.0), FailureRate(0.9))
+def test_calibrated_factory_saturates_above_alpha_max():
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.3, 1.0), FailureRate(0.9))
+    assert pred.false_positive_rate == 1.0
+    rng = np.random.default_rng(3)
+    assert all(classify(False, pred, rng) for _ in range(100))
 
 
 # ---------------------------------------------------------------------------
