@@ -3,8 +3,8 @@
 Two modes share the same loop skeleton — scan, predict, re-scan while
 flagged and budget remains, then keep the last scan and pay a correction
 if it truly failed.  They differ only in how one scan's failure and flag
-are drawn; one builder turns the per-scan outcomes into the subject's
-tallies, cost and record:
+are drawn.  Each subject's record holds what its loop drew, scan by scan;
+the subject table derives every tally and the cost from those outcomes:
 
 * **abstract** re-draws failure independently on every scan with the
   subject's own probability and flags through a calibrated coin-flip
@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -70,122 +69,33 @@ class LoopPolicy:
             raise ValueError(f"max_rescans must be >= 0, got {self.max_rescans}")
 
 
-class _SubjectRecordFields(NamedTuple):
-    subject_id: int
+class SubjectRecord(NamedTuple):
+    """What one subject's loop drew, scan by scan: whether each scan truly
+    failed and whether it was flagged, and in kinematic mode its image
+    quality (None in abstract mode).  ``SubjectTable.from_records`` derives
+    the subject's tallies and cost from these outcomes."""
+
     alpha: float | None
-    scans: int
-    rescans: int
-    first_fail: bool
-    final_true_fail: bool
-    cost: float
-    flagged_scans: int
-    failed_scans: int
-    flagged_failed_scans: int
-    quality_trajectory: tuple[float, ...] | None = None
+    fails: list[bool]
+    flags: list[bool]
+    quality: list[float] | None = None
 
-
-class SubjectRecord(_SubjectRecordFields):
-    """Everything one subject's loop produced; immutable, checked when built.
-
-    Tallies count every scan the subject underwent (including the last
-    one), so cohort-level precision/recall and costs are recomputable from
-    records alone.  ``first_fail`` is whether the very first scan truly
-    failed — the cost the subject would have incurred with no loop at all,
-    under the same random draws.  The last scan is the one kept, and it
-    pays a correction exactly when ``final_true_fail``.
-
-    A named tuple, so that building one (once per subject) is cheap; ``_make``
-    and ``_replace`` run the same checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        subject_id: int,
-        alpha: float | None,
-        scans: int,
-        rescans: int,
-        first_fail: bool,
-        final_true_fail: bool,
-        cost: float,
-        flagged_scans: int,
-        failed_scans: int,
-        flagged_failed_scans: int,
-        quality_trajectory: tuple[float, ...] | None = None,
-    ) -> "SubjectRecord":
-        if scans != rescans + 1:
-            raise ValueError(f"scans ({scans}) must equal rescans + 1 ({rescans + 1})")
-        if not (
-            0 <= flagged_failed_scans <= flagged_scans <= scans
-            and flagged_failed_scans <= failed_scans <= scans
-        ):
-            raise ValueError("scan tallies are inconsistent")
-        if quality_trajectory is not None and len(quality_trajectory) != scans:
-            raise ValueError("quality trajectory must have one entry per scan")
-        return tuple.__new__(
-            cls,
-            (
-                subject_id,
-                alpha,
-                scans,
-                rescans,
-                first_fail,
-                final_true_fail,
-                cost,
-                flagged_scans,
-                failed_scans,
-                flagged_failed_scans,
-                quality_trajectory,
-            ),
-        )
-
-    @classmethod
-    def _make(cls, iterable) -> "SubjectRecord":
-        return cls(*iterable)
-
-
-def _subject_record(
-    subject_id: int,
-    alpha: float | None,
-    fails: list[bool],
-    flags: list[bool],
-    rates: CostRates,
-    quality_trajectory: tuple[float, ...] | None = None,
-) -> SubjectRecord:
-    """The record of one subject's loop, from whether each scan truly failed
-    and was flagged.  Every scan but the last bought a re-scan; the last is
-    kept and pays a correction if it truly failed."""
-    rescans = len(fails) - 1
-    return SubjectRecord(
-        subject_id,
-        alpha,
-        len(fails),
-        rescans,
-        fails[0],
-        fails[-1],
-        rescans * rates.rescan_cost + (rates.correction_cost if fails[-1] else 0.0),
-        sum(flags),
-        sum(fails),
-        sum(map(operator.and_, fails, flags)),
-        quality_trajectory,
-    )
+    @property
+    def scans(self) -> int:
+        return len(self.fails)
 
 
 def run_subject_abstract(
     alpha: FailureRate,
     policy: LoopPolicy,
     predictor: ConfusionPredictor,
-    rates: CostRates,
     rng: np.random.Generator,
-    subject_id: int = 0,
 ) -> SubjectRecord:
     """One subject under the independence assumption.
 
     Each scan fails with probability alpha independently of history; each
-    flagged scan buys a re-scan while budget remains.  The last scan
-    pays a correction if it truly failed.  Two stream draws per scan
-    (failure, flag), always.
+    flagged scan buys a re-scan while budget remains.  Two stream draws per
+    scan (failure, flag), always.
     """
     a = alpha.alpha
     fails: list[bool] = []
@@ -197,7 +107,7 @@ def run_subject_abstract(
         flags.append(flagged)
         if not flagged:
             break
-    return _subject_record(subject_id, a, fails, flags, rates)
+    return SubjectRecord(a, fails, flags)
 
 
 def run_subject_kinematic(
@@ -207,9 +117,7 @@ def run_subject_kinematic(
     score_pred: ScorePredictor,
     guidance: GuidanceNoise,
     learner: LearnerPolicy,
-    rates: CostRates,
     rng: np.random.Generator,
-    subject_id: int = 0,
 ) -> SubjectRecord:
     """One subject with pose-driven quality and guided re-scans.
 
@@ -234,22 +142,25 @@ def run_subject_kinematic(
         flags.append(flagged)
         if not flagged:
             break
-    return _subject_record(subject_id, None, fails, flags, rates, tuple(trajectory))
+    return SubjectRecord(None, fails, flags, trajectory)
 
 
-# The columns of SubjectTable and of subjects.csv, in that file's order, with
-# their dtypes: every SubjectRecord field except the id (the row position),
-# alpha (a lead column of abstract mode only) and the trajectory, which the
-# table holds as its flat ``quality`` column.
-SUBJECT_COLUMNS: tuple[tuple[str, type], ...] = tuple(
-    (name, {int: np.int64, bool: np.bool_, float: np.float64}[hint])
-    for name, hint in get_type_hints(SubjectRecord).items()
-    if name not in ("subject_id", "alpha", "quality_trajectory")
+# The per-subject columns of SubjectTable, in the order subjects.csv writes
+# them after its lead columns (the row position, then alpha or qualities).
+SUBJECT_COLUMNS = (
+    "scans",
+    "rescans",
+    "first_fail",
+    "final_true_fail",
+    "cost",
+    "flagged_scans",
+    "failed_scans",
+    "flagged_failed_scans",
 )
 
 
 class SubjectTable:
-    """Column-oriented store of SubjectRecords for large cohorts.
+    """Column-oriented store of subjects' outcomes for large cohorts.
 
     Holds ``alpha`` (NaN where not applicable, in kinematic mode), one numpy
     column per entry of ``SUBJECT_COLUMNS``, and ``quality``: every scan's
@@ -260,9 +171,8 @@ class SubjectTable:
     """
 
     def __init__(self, alpha: np.ndarray, quality: np.ndarray, **columns: np.ndarray) -> None:
-        names = [name for name, _ in SUBJECT_COLUMNS]
-        if sorted(columns) != sorted(names):
-            raise ValueError(f"columns must be {names}, got {list(columns)}")
+        if sorted(columns) != sorted(SUBJECT_COLUMNS):
+            raise ValueError(f"columns must be {list(SUBJECT_COLUMNS)}, got {list(columns)}")
         n = len(alpha)
         for name, values in columns.items():
             if len(values) != n:
@@ -274,18 +184,40 @@ class SubjectTable:
         self.quality = quality
 
     @classmethod
-    def from_records(cls, records: list[SubjectRecord]) -> "SubjectTable":
-        fields = SubjectRecord._fields
-        column = dict(zip(fields, zip(*records))) if records else dict.fromkeys(fields, ())
+    def from_records(cls, records: list[SubjectRecord], rates: CostRates) -> "SubjectTable":
+        """The table of ``records``, in order.
+
+        Tallies count every scan a subject underwent, the last one included.
+        ``first_fail`` is whether the first scan truly failed: the cost the
+        subject would have incurred with no loop at all, under the same
+        draws.  Every scan but the last bought a re-scan; the last is kept
+        and pays a correction when it truly failed (``final_true_fail``).
+        """
+        alpha, fails, flags, quality = zip(*records) if records else ((),) * 4
+        n = len(records)
+        scans = np.fromiter(map(len, fails), np.int64, n)
+        total = int(scans.sum())
+        failed = np.fromiter(itertools.chain.from_iterable(fails), np.bool_, total)
+        flagged = np.fromiter(itertools.chain.from_iterable(flags), np.bool_, total)
+        # each scan's subject, and each subject's last scan
+        subject = np.repeat(np.arange(n), scans)
+        last = np.cumsum(scans) - 1
+        rescans = scans - 1
+        final_true_fail = failed[last]
         return cls(
             # numpy stores a None alpha (kinematic mode) as NaN
-            alpha=np.array(column["alpha"], dtype=np.float64),
-            # an abstract record's trajectory is None and adds no entry
-            quality=np.fromiter(
-                itertools.chain.from_iterable(filter(None, column["quality_trajectory"])),
-                np.float64,
-            ),
-            **{name: np.array(column[name], dtype=dtype) for name, dtype in SUBJECT_COLUMNS},
+            alpha=np.array(alpha, dtype=np.float64),
+            # an abstract record's quality is None and adds no entry
+            quality=np.fromiter(itertools.chain.from_iterable(filter(None, quality)), np.float64),
+            scans=scans,
+            rescans=rescans,
+            first_fail=failed[last - rescans],
+            final_true_fail=final_true_fail,
+            cost=rescans * rates.rescan_cost
+            + np.where(final_true_fail, rates.correction_cost, 0.0),
+            flagged_scans=np.bincount(subject[flagged], minlength=n),
+            failed_scans=np.bincount(subject[failed], minlength=n),
+            flagged_failed_scans=np.bincount(subject[failed & flagged], minlength=n),
         )
 
     @classmethod
@@ -293,7 +225,7 @@ class SubjectTable:
         return cls(
             **{
                 name: np.concatenate([getattr(p, name) for p in parts])
-                for name in ("alpha", "quality", *(name for name, _ in SUBJECT_COLUMNS))
+                for name in ("alpha", "quality", *SUBJECT_COLUMNS)
             },
         )
 
@@ -407,9 +339,7 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
                 rng = subject_stream(seed, i)
                 alpha = sample_alpha(config.distribution, rng)
                 predictor = ConfusionPredictor.calibrated(config.profile, alpha)
-                records.append(
-                    run_subject_abstract(alpha, config.policy, predictor, config.rates, rng, i)
-                )
+                records.append(run_subject_abstract(alpha, config.policy, predictor, rng))
         else:
             anatomy = config.anatomy
             for i in range(start, stop):
@@ -426,9 +356,7 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
                         config.score_predictor,
                         config.guidance,
                         config.learner,
-                        config.rates,
                         rng,
-                        i,
                     )
                 )
     except Exception as exc:
@@ -444,10 +372,10 @@ def _simulate_chunk(config: "ExperimentConfig", start: int, stop: int) -> list[S
     block of subjects (one empty table when there are none)."""
     return [
         SubjectTable.from_records(
-            _simulate_records(config, lo, min(lo + _RECORDS_PER_TABLE, stop))
+            _simulate_records(config, lo, min(lo + _RECORDS_PER_TABLE, stop)), config.rates
         )
         for lo in range(start, stop, _RECORDS_PER_TABLE)
-    ] or [SubjectTable.from_records([])]
+    ] or [SubjectTable.from_records([], config.rates)]
 
 
 def run_cohort(config: "ExperimentConfig") -> SimulationReport:

@@ -213,7 +213,12 @@ class TruncatedNormal(FailureDistribution):
     sigma: float
     lo: float
     hi: float
-    # Normal CDF at the standardized bounds, and the normal mass between them.
+    # -1.0 when the support lies above mu, else 1.0.  Draws and the mass then
+    # use the bounds mirrored about mu, whose lower-tail CDFs keep the digits
+    # that upper-tail CDFs lose as they round towards 1.
+    sign: float = field(init=False, repr=False, compare=False)
+    # Normal CDF at the (mirrored) standardized bounds, and the normal mass
+    # between them.
     cdf_lo: float = field(init=False, repr=False, compare=False)
     cdf_hi: float = field(init=False, repr=False, compare=False)
     mass: float = field(init=False, repr=False, compare=False)
@@ -226,18 +231,19 @@ class TruncatedNormal(FailureDistribution):
                 f"support must satisfy 0 <= lo < hi < 1, got [{self.lo}, {self.hi}]"
             )
         ndtr = _special().ndtr
-        cdf_lo = float(ndtr((self.lo - self.mu) / self.sigma))
-        cdf_hi = float(ndtr((self.hi - self.mu) / self.sigma))
-        if not cdf_hi > cdf_lo:
+        sign = -1.0 if self.lo > self.mu else 1.0
+        cdf_lo = float(ndtr(sign * (self.lo - self.mu) / self.sigma))
+        cdf_hi = float(ndtr(sign * (self.hi - self.mu) / self.sigma))
+        mass = sign * (cdf_hi - cdf_lo)
+        if not mass > 0.0:
             raise ValueError(
                 f"mu {self.mu} and sigma {self.sigma} put no normal mass on"
                 f" [{self.lo}, {self.hi}] in double precision"
             )
+        object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "cdf_lo", cdf_lo)
         object.__setattr__(self, "cdf_hi", cdf_hi)
-        # Above mu from the upper tails, where 1 - CDF has lost digits.
-        upper = ndtr((self.mu - self.lo) / self.sigma) - ndtr((self.mu - self.hi) / self.sigma)
-        object.__setattr__(self, "mass", float(upper) if self.lo > self.mu else cdf_hi - cdf_lo)
+        object.__setattr__(self, "mass", mass)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -251,11 +257,13 @@ class TruncatedNormal(FailureDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random()
-        return min(max(self.mu + self.sigma * float(_special().ndtri(u)), self.lo), self.hi)
+        z = self.sign * float(_special().ndtri(u))
+        return min(max(self.mu + self.sigma * z, self.lo), self.hi)
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random(n)
-        return np.clip(self.mu + self.sigma * _special().ndtri(u), self.lo, self.hi)
+        z = self.sign * _special().ndtri(u)
+        return np.clip(self.mu + self.sigma * z, self.lo, self.hi)
 
     def breakpoints(self) -> tuple[float, ...]:
         # With mu outside [lo, hi] the density peaks at the nearer bound and

@@ -267,14 +267,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mean_cost, ratio = report.aggregates.mean_cost, report.aggregates.empirical_cost_ratio
         rows.append([tau, alpha_hat, precision, recall, plugin, mean_cost, ratio, 0, 0])
 
-    costs = [row[5] for row in rows]
-    if any(c is not None for c in costs):
-        best_sim = min(range(len(rows)), key=lambda i: (costs[i] is None, costs[i]))
-        rows[best_sim][7] = 1
-    plugins = [row[4] for row in rows]
-    if any(p is not None for p in plugins):
-        best_plugin = min(range(len(rows)), key=lambda i: (plugins[i] is None, plugins[i]))
-        rows[best_plugin][8] = 1
+    # Mark the first row of least simulated cost and of least plug-in ratio.
+    for value, mark in (("mean_cost", "best_simulated"), ("plugin_cost_ratio", "best_plugin")):
+        values = [row[SWEEP_HEADER.index(value)] for row in rows]
+        if any(v is not None for v in values):
+            best = min(range(len(rows)), key=lambda i: (values[i] is None, values[i]))
+            rows[best][SWEEP_HEADER.index(mark)] = 1
 
     out = _out_dir(args, config)
     write_csv(out / "sweep.csv", SWEEP_HEADER, list(zip(*rows)), config.manifest_dict())

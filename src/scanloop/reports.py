@@ -137,7 +137,7 @@ def subjects_csv_header(mode: str) -> list[str]:
         "initial_quality",
         "final_quality",
     ]
-    return lead + [name for name, _ in SUBJECT_COLUMNS]
+    return lead + list(SUBJECT_COLUMNS)
 
 
 def subjects_csv_columns(report: SimulationReport) -> list[Sequence[object]]:
@@ -147,7 +147,7 @@ def subjects_csv_columns(report: SimulationReport) -> list[Sequence[object]]:
         lead = [table.alpha]
     else:
         lead = [table.quality_at(0), table.quality_at(None)]
-    return [np.arange(len(table)), *lead, *(getattr(table, name) for name, _ in SUBJECT_COLUMNS)]
+    return [np.arange(len(table)), *lead, *(getattr(table, name) for name in SUBJECT_COLUMNS)]
 
 
 def write_subjects_csv(path: str | Path, report: SimulationReport) -> None:

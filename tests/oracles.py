@@ -9,8 +9,9 @@ standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, vectorized flagging, empirical operating
-points, total density mass, SubjectTable row views, quaternion algebra on
-numpy arrays and scalars, and a row-at-a-time CSV writer.
+points, total density mass, SubjectTable rows and the scan-by-scan sums they
+must equal, quaternion algebra on numpy arrays and scalars, and a
+row-at-a-time CSV writer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -301,24 +302,60 @@ def operating_point(
     )
 
 
-def table_row(table: SubjectTable, i: int) -> SubjectRecord:
-    """Subject ``i`` of a table as the record that produced it; its trajectory
-    is its slice of the quality column, which starts after the scans of the
-    subjects before it."""
+class SubjectRow(NamedTuple):
+    """One subject's row of a SubjectTable, as plain Python values."""
+
+    subject_id: int
+    alpha: float | None
+    scans: int
+    rescans: int
+    first_fail: bool
+    final_true_fail: bool
+    cost: float
+    flagged_scans: int
+    failed_scans: int
+    flagged_failed_scans: int
+    quality_trajectory: tuple[float, ...] | None = None
+
+
+def subject_row(subject_id: int, record: SubjectRecord, rates: CostRates) -> SubjectRow:
+    """The row a record should become, summed scan by scan: every scan but
+    the last bought a re-scan, and the last is kept and pays a correction
+    when it truly failed."""
+    fails, flags = record.fails, record.flags
+    rescans = len(fails) - 1
+    return SubjectRow(
+        subject_id,
+        record.alpha,
+        len(fails),
+        rescans,
+        fails[0],
+        fails[-1],
+        rescans * rates.rescan_cost + (rates.correction_cost if fails[-1] else 0.0),
+        sum(flags),
+        sum(fails),
+        sum(fail and flag for fail, flag in zip(fails, flags)),
+        None if record.quality is None else tuple(record.quality),
+    )
+
+
+def table_row(table: SubjectTable, i: int) -> SubjectRow:
+    """Subject ``i`` of a table; its trajectory is its slice of the quality
+    column, which starts after the scans of the subjects before it."""
     a = float(table.alpha[i])
     trajectory = None
     if len(table.quality):
         start = int(table.scans[:i].sum())
         trajectory = tuple(table.quality[start : start + int(table.scans[i])].tolist())
-    return SubjectRecord(
+    return SubjectRow(
         subject_id=i,
         alpha=None if math.isnan(a) else a,
         quality_trajectory=trajectory,
-        **{name: getattr(table, name)[i].item() for name, _ in SUBJECT_COLUMNS},
+        **{name: getattr(table, name)[i].item() for name in SUBJECT_COLUMNS},
     )
 
 
-def table_rows(table: SubjectTable) -> Iterator[SubjectRecord]:
+def table_rows(table: SubjectTable) -> Iterator[SubjectRow]:
     return (table_row(table, i) for i in range(len(table)))
 
 

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import table_row, table_rows
+from oracles import SubjectRow, subject_row, table_row, table_rows
 from scanloop.acquisition_loop import (
     SUBJECT_COLUMNS,
     ComparisonSummary,
@@ -40,6 +42,11 @@ from scanloop.streams import subject_stream
 
 RATES = CostRates(rescan_cost=0.1, correction_cost=1.0)
 PROFILE = PredictorProfile(precision=0.8, recall=0.8)
+
+
+def _row(record):
+    """The row ``from_records`` derives from one record."""
+    return table_row(SubjectTable.from_records([record], RATES), 0)
 
 
 def _abstract_config(
@@ -114,48 +121,13 @@ class TestLoopPolicy:
             LoopPolicy(max_rescans=-1)
 
 
-
-class TestSubjectRecordInvariants:
-    def _record(self, **overrides):
-        base = dict(
-            subject_id=0,
-            alpha=0.2,
-            scans=3,
-            rescans=2,
-            first_fail=True,
-            final_true_fail=False,
-            cost=0.2,
-            flagged_scans=2,
-            failed_scans=1,
-            flagged_failed_scans=1,
-        )
-        base.update(overrides)
-        return SubjectRecord(**base)
-
-    def test_scan_count_must_be_rescans_plus_one(self):
-        with pytest.raises(ValueError, match="scans"):
-            self._record(scans=4)
-
-    def test_tally_consistency_enforced(self):
-        with pytest.raises(ValueError, match="tallies"):
-            self._record(flagged_failed_scans=2)  # exceeds failed_scans
-        with pytest.raises(ValueError, match="tallies"):
-            self._record(flagged_scans=5)  # exceeds scans
-
-    def test_trajectory_length_must_match_scans(self):
-        with pytest.raises(ValueError, match="trajectory"):
-            self._record(quality_trajectory=(0.5, 0.9))
-        rec = self._record(quality_trajectory=(0.5, 0.8, 0.9))
-        assert rec.quality_trajectory == (0.5, 0.8, 0.9)
-
-
 class TestRunSubjectAbstract:
     def test_never_failing_subject_costs_nothing(self):
         policy = LoopPolicy(max_rescans=50)
         alpha = FailureRate(0.0)
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(50):
-            rec = run_subject_abstract(alpha, policy, predictor, RATES, subject_stream(1, i))
+            rec = _row(run_subject_abstract(alpha, policy, predictor, subject_stream(1, i)))
             assert rec.scans == 1
             assert rec.rescans == 0
             assert rec.cost == 0.0
@@ -170,7 +142,7 @@ class TestRunSubjectAbstract:
         predictor = ConfusionPredictor.calibrated(PredictorProfile(1.0, 1.0), alpha)
         exhausted = 0
         for i in range(200):
-            rec = run_subject_abstract(alpha, policy, predictor, RATES, subject_stream(2, i))
+            rec = _row(run_subject_abstract(alpha, policy, predictor, subject_stream(2, i)))
             assert rec.rescans <= 3
             if rec.scans == 4 and rec.final_true_fail:
                 assert rec.cost == pytest.approx(3 * 0.1 + 1.0)
@@ -183,7 +155,7 @@ class TestRunSubjectAbstract:
         alpha = FailureRate(0.4)
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(300):
-            rec = run_subject_abstract(alpha, policy, predictor, RATES, subject_stream(3, i))
+            rec = _row(run_subject_abstract(alpha, policy, predictor, subject_stream(3, i)))
             assert rec.scans == rec.rescans + 1
             assert rec.rescans <= policy.max_rescans
             expected = rec.rescans * RATES.rescan_cost + (
@@ -196,7 +168,7 @@ class TestRunSubjectAbstract:
         alpha = FailureRate(0.5)
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(100):
-            rec = run_subject_abstract(alpha, policy, predictor, RATES, subject_stream(4, i))
+            rec = _row(run_subject_abstract(alpha, policy, predictor, subject_stream(4, i)))
             assert rec.scans == 1
             assert rec.first_fail == rec.final_true_fail
 
@@ -204,12 +176,11 @@ class TestRunSubjectAbstract:
         policy = LoopPolicy(max_rescans=50)
         alpha = FailureRate(0.2)
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
-        costs = np.array(
-            [
-                run_subject_abstract(alpha, policy, predictor, RATES, subject_stream(5, i)).cost
-                for i in range(20_000)
-            ]
-        )
+        records = [
+            run_subject_abstract(alpha, policy, predictor, subject_stream(5, i))
+            for i in range(20_000)
+        ]
+        costs = SubjectTable.from_records(records, RATES).cost
         expected = new_cost_at(alpha, PROFILE, RATES)
         se = costs.std(ddof=1) / math.sqrt(len(costs))
         assert abs(costs.mean() - expected) < 3.0 * se
@@ -232,13 +203,12 @@ class TestRunSubjectKinematic:
             ScorePredictor(noise_scale=0.0, threshold=0.7),
             self.QUIET,
             LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0),
-            RATES,
             subject_stream(7, 0),
         )
         assert rec.scans == 1
-        assert rec.quality_trajectory == (1.0,)
-        assert rec.cost == 0.0
-        assert not rec.final_true_fail
+        assert rec.quality == [1.0]
+        assert _row(rec).cost == 0.0
+        assert not _row(rec).final_true_fail
 
     def test_single_noiseless_correction_reaches_quality_one(self):
         start = ProbePose(position=(4.0, 0.0, 0.0), orientation=(1.0, 0.0, 0.0, 0.0))
@@ -251,13 +221,12 @@ class TestRunSubjectKinematic:
             ScorePredictor(noise_scale=0.0, threshold=0.9),
             self.QUIET,
             LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0),
-            RATES,
             subject_stream(8, 0),
         )
-        assert rec.rescans == 1
-        assert rec.quality_trajectory == (pytest.approx(q0, rel=1e-15), 1.0)
-        assert rec.cost == pytest.approx(RATES.rescan_cost)
-        assert not rec.final_true_fail
+        assert rec.scans == 2
+        assert rec.quality == [pytest.approx(q0, rel=1e-15), 1.0]
+        assert _row(rec).cost == pytest.approx(RATES.rescan_cost)
+        assert not _row(rec).final_true_fail
 
     def test_partial_gain_traces_geometric_quality_curve(self):
         # gain 0.5 halves the offset each move; with threshold 1.0 every scan
@@ -271,16 +240,15 @@ class TestRunSubjectKinematic:
             ScorePredictor(noise_scale=0.0, threshold=1.0),
             self.QUIET,
             LearnerPolicy(gain=0.5, motor_noise_t=0.0, motor_noise_r=0.0),
-            RATES,
             subject_stream(9, 0),
         )
-        assert rec.rescans == 5
-        assert len(rec.quality_trajectory) == 6
-        for k, quality in enumerate(rec.quality_trajectory):
+        assert rec.scans == 6
+        assert len(rec.quality) == 6
+        for k, quality in enumerate(rec.quality):
             expected = math.exp(-((16.0 * 0.5**k / 10.0) ** 2))
             assert quality == pytest.approx(expected, rel=1e-12)
-        assert not rec.final_true_fail  # residual offset 0.5 gives quality ~0.9975
-        assert rec.cost == pytest.approx(5 * RATES.rescan_cost)
+        assert not _row(rec).final_true_fail  # residual offset 0.5 gives quality ~0.9975
+        assert _row(rec).cost == pytest.approx(5 * RATES.rescan_cost)
 
     def test_flag_tallies_consistent_under_noise(self):
         learner = LearnerPolicy(gain=0.8, motor_noise_t=0.3, motor_noise_r=0.02)
@@ -295,13 +263,13 @@ class TestRunSubjectKinematic:
                 ScorePredictor(noise_scale=0.1, threshold=0.7),
                 noise,
                 learner,
-                RATES,
                 rng,
             )
-            assert rec.scans == len(rec.quality_trajectory)
-            assert rec.flagged_failed_scans <= min(rec.flagged_scans, rec.failed_scans)
-            assert rec.first_fail == (rec.quality_trajectory[0] < 0.5)
-            assert rec.final_true_fail == (rec.quality_trajectory[-1] < 0.5)
+            row = _row(rec)
+            assert row.scans == len(rec.quality)
+            assert row.flagged_failed_scans <= min(row.flagged_scans, row.failed_scans)
+            assert row.first_fail == (rec.quality[0] < 0.5)
+            assert row.final_true_fail == (rec.quality[-1] < 0.5)
 
 
 class TestSubjectTable:
@@ -320,9 +288,7 @@ class TestSubjectTable:
                         ScorePredictor(noise_scale=0.1, threshold=0.8),
                         GuidanceNoise(guidance_noise_t=0.5, guidance_noise_r=0.02),
                         LearnerPolicy(gain=0.7, motor_noise_t=0.2, motor_noise_r=0.01),
-                        RATES,
                         rng,
-                        subject_id=i,
                     )
                 )
         else:
@@ -330,55 +296,22 @@ class TestSubjectTable:
             predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
             policy = LoopPolicy(max_rescans=6)
             for i in range(n):
-                records.append(
-                    run_subject_abstract(
-                        alpha, policy, predictor, RATES, subject_stream(21, i), subject_id=i
-                    )
-                )
+                rng = subject_stream(21, i)
+                records.append(run_subject_abstract(alpha, policy, predictor, rng))
         return records
 
-    def test_round_trip_abstract(self):
-        records = self._records(40)
-        table = SubjectTable.from_records(records)
+    @pytest.mark.parametrize("kinematic", [False, True], ids=["abstract", "kinematic"])
+    def test_rows_equal_the_scan_by_scan_sums(self, kinematic):
+        records = self._records(40, kinematic)
+        table = SubjectTable.from_records(records, RATES)
         assert len(table) == 40
-        for i, original in enumerate(records):
-            assert table_row(table, i) == original
-        assert list(table_rows(table)) == records
-
-    def test_round_trip_kinematic(self):
-        records = self._records(25, kinematic=True)
-        table = SubjectTable.from_records(records)
-        assert len(table.quality) == table.scans.sum() > len(table)
-        for i, original in enumerate(records):
-            assert table_row(table, i) == original
-
-    def test_concatenate_preserves_order(self):
-        records = self._records(30)
-        table_a = SubjectTable.from_records(records[:12])
-        # re-id the tail so positions match ids after concatenation
-        tail = [
-            SubjectRecord(
-                subject_id=i + 12,
-                alpha=r.alpha,
-                scans=r.scans,
-                rescans=r.rescans,
-                first_fail=r.first_fail,
-                final_true_fail=r.final_true_fail,
-                cost=r.cost,
-                flagged_scans=r.flagged_scans,
-                failed_scans=r.failed_scans,
-                flagged_failed_scans=r.flagged_failed_scans,
-            )
-            for i, r in enumerate(records[12:])
+        assert (len(table.quality) == table.scans.sum() > len(table)) == kinematic
+        assert list(table_rows(table)) == [
+            subject_row(i, record, RATES) for i, record in enumerate(records)
         ]
-        table_b = SubjectTable.from_records(tail)
-        combined = SubjectTable.concatenate([table_a, table_b])
-        assert len(combined) == 30
-        assert table_row(combined, 5) == records[5]
-        assert table_row(combined, 17) == tail[5]
 
     def test_mismatched_columns_rejected(self):
-        good = SubjectTable.from_records(self._records(5))
+        good = SubjectTable.from_records(self._records(5), RATES)
         with pytest.raises(ValueError, match="mismatched"):
             SubjectTable(
                 alpha=good.alpha,
@@ -394,6 +327,110 @@ class TestSubjectTable:
             )
 
 
+@st.composite
+def _outcomes(draw, max_rescans=st.integers(0, 6), subjects=st.integers(0, 12)):
+    """(budget, records) as a loop with that re-scan budget could draw them:
+    every scan but the last was flagged, and the last was not, unless the
+    budget ran out with it still flagged.  All records are of one mode."""
+    budget = draw(max_rescans)
+    kinematic = draw(st.booleans())
+    records = []
+    for _ in range(draw(subjects)):
+        scans = draw(st.integers(1, budget + 1))
+        fails = draw(st.lists(st.booleans(), min_size=scans, max_size=scans))
+        flags = [True] * (scans - 1) + [scans == budget + 1 and draw(st.booleans())]
+        if kinematic:
+            quality = draw(st.lists(st.floats(0.0, 1.0), min_size=scans, max_size=scans))
+            records.append(SubjectRecord(None, fails, flags, quality))
+        else:
+            records.append(SubjectRecord(draw(st.floats(0.0, 1.0)), fails, flags))
+    return budget, records
+
+
+_RATES = st.builds(CostRates, st.floats(0.0, 10.0), st.floats(0.01, 10.0))
+
+# dtypes of the derived columns, as subjects.csv formats them
+_DTYPES = {
+    "scans": np.int64,
+    "rescans": np.int64,
+    "first_fail": np.bool_,
+    "final_true_fail": np.bool_,
+    "cost": np.float64,
+    "flagged_scans": np.int64,
+    "failed_scans": np.int64,
+    "flagged_failed_scans": np.int64,
+}
+
+
+def _assert_rows_are_the_scan_by_scan_sums(records, rates):
+    table = SubjectTable.from_records(records, rates)
+    assert {name: getattr(table, name).dtype for name in SUBJECT_COLUMNS} == _DTYPES
+    assert table.alpha.dtype == table.quality.dtype == np.float64
+    assert list(table_rows(table)) == [
+        subject_row(i, record, rates) for i, record in enumerate(records)
+    ]
+    return table
+
+
+class TestFromRecords:
+    @given(outcomes=_outcomes(), rates=_RATES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scan_by_scan_sums(self, outcomes, rates):
+        _, records = outcomes
+        _assert_rows_are_the_scan_by_scan_sums(records, rates)
+
+    @given(outcomes=_outcomes(max_rescans=st.just(0)), rates=_RATES)
+    @settings(max_examples=50, deadline=None)
+    def test_zero_budget(self, outcomes, rates):
+        _, records = outcomes
+        table = _assert_rows_are_the_scan_by_scan_sums(records, rates)
+        assert np.all(table.scans == 1) and np.all(table.first_fail == table.final_true_fail)
+
+    def test_budget_used_up_with_the_last_scan_flagged(self):
+        # budget 2: three flagged scans, the last kept although flagged
+        records = [
+            SubjectRecord(0.5, [True, False, True], [True, True, True]),
+            SubjectRecord(0.5, [False, True, False], [True, True, True]),
+        ]
+        table = _assert_rows_are_the_scan_by_scan_sums(records, RATES)
+        assert table.flagged_scans.tolist() == [3, 3]
+        assert table.final_true_fail.tolist() == [True, False]
+        assert table.cost.tolist() == [2 * 0.1 + 1.0, 2 * 0.1]
+
+    def test_one_scan_subjects(self):
+        records = [
+            SubjectRecord(0.2, [True], [False]),
+            SubjectRecord(0.2, [False], [False]),
+            SubjectRecord(0.2, [True], [True]),
+        ]
+        table = _assert_rows_are_the_scan_by_scan_sums(records, RATES)
+        assert table.rescans.tolist() == [0, 0, 0]
+        assert table.cost.tolist() == [1.0, 0.0, 1.0]
+        assert table.flagged_failed_scans.tolist() == [0, 0, 1]
+
+    def test_no_records(self):
+        table = _assert_rows_are_the_scan_by_scan_sums([], RATES)
+        assert len(table) == len(table.quality) == 0
+
+    @given(outcomes=_outcomes(subjects=st.integers(0, 30)), rates=_RATES, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_concatenated_blocks_equal_one_table(self, outcomes, rates, data):
+        # run_cohort builds a table per block of subjects and concatenates
+        # them; each block derives its columns from its own scan offsets.
+        _, records = outcomes
+        cuts = data.draw(st.lists(st.integers(0, len(records)), max_size=5))
+        bounds = [0, *sorted(cuts), len(records)]
+        blocks = [
+            SubjectTable.from_records(records[a:b], rates) for a, b in zip(bounds, bounds[1:])
+        ]
+        got = SubjectTable.concatenate(blocks)
+        want = SubjectTable.from_records(records, rates)
+        for name in ("alpha", "quality", *SUBJECT_COLUMNS):
+            column, expected = getattr(got, name), getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert column.tobytes() == expected.tobytes(), name
+
+
 class TestQualityColumn:
     # Three subjects of 1, 3 and 2 scans: their qualities start at offsets
     # 0, 1 and 4 of the flat column.
@@ -402,9 +439,10 @@ class TestQualityColumn:
     def _table(self):
         return SubjectTable.from_records(
             [
-                SubjectRecord(i, None, len(t), len(t) - 1, False, False, 0.0, len(t) - 1, 0, 0, t)
-                for i, t in enumerate(self.TRAJECTORIES)
-            ]
+                SubjectRecord(None, [False] * len(t), [True] * (len(t) - 1) + [False], list(t))
+                for t in self.TRAJECTORIES
+            ],
+            RATES,
         )
 
     def test_flat_column_follows_subject_order(self):
@@ -428,36 +466,21 @@ class TestQualityColumn:
         assert both.quality_at(None).tolist() == [0.1, 0.4, 0.6] * 2
 
     def test_abstract_records_leave_it_empty(self):
-        table = SubjectTable.from_records([SubjectRecord(0, 0.2, 2, 1, True, False, 0.1, 1, 1, 1)])
+        table = SubjectTable.from_records([SubjectRecord(0.2, [True, False], [True, False])], RATES)
         assert table.quality.dtype == np.float64 and len(table.quality) == 0
 
     def test_length_must_match_scans(self):
         table = self._table()
-        columns = {name: getattr(table, name) for name, _ in SUBJECT_COLUMNS}
+        columns = {name: getattr(table, name) for name in SUBJECT_COLUMNS}
         with pytest.raises(ValueError, match="quality"):
             SubjectTable(alpha=table.alpha, quality=table.quality[:5], **columns)
-
-
-class TestSubjectRecordImmutable:
-    RECORD = SubjectRecord(0, 0.2, 2, 1, True, False, 0.1, 1, 1, 1)
-
-    def test_fields_cannot_be_assigned(self):
-        for name in SubjectRecord._fields:
-            with pytest.raises(AttributeError):
-                setattr(self.RECORD, name, 1)
-        with pytest.raises(AttributeError):
-            self.RECORD.extra = 1
-
-    def test_replace_is_checked(self):
-        with pytest.raises(ValueError, match="scans"):
-            self.RECORD._replace(scans=3)
-        assert self.RECORD._replace(cost=0.5).cost == 0.5
 
 
 @functools.cache
 def _table_of_all_records(mode, n):
     """One ``from_records`` call over the whole cohort of ``_blockwise_config``."""
-    return SubjectTable.from_records(_simulate_records(_blockwise_config(mode, n, 1), 0, n))
+    config = _blockwise_config(mode, n, 1)
+    return SubjectTable.from_records(_simulate_records(config, 0, n), config.rates)
 
 
 def _blockwise_config(mode, n, workers):
@@ -475,7 +498,7 @@ class TestBlockwiseTable:
         got = run_cohort(_blockwise_config(mode, n, workers)).table
         want = _table_of_all_records(mode, n)
         assert len(got) == len(want) == n
-        for name in ("alpha", *(name for name, _ in SUBJECT_COLUMNS)):
+        for name in ("alpha", *SUBJECT_COLUMNS):
             column, expected = getattr(got, name), getattr(want, name)
             assert column.dtype == expected.dtype, name
             assert column.tobytes() == expected.tobytes(), name
@@ -554,35 +577,35 @@ class TestRunCohort:
         assert len(sizes) == 3
 
     def test_first_subjects_pinned(self):
-        # Exact records of the first subjects at a fixed seed, so a change to
-        # the loops, the record builder or the streams shows up as a diff.
+        # Exact rows of the first subjects at a fixed seed, so a change to the
+        # loops, the table's tallies or the streams shows up as a diff.
         # Abstract: budget 3 (subject 4 ends at it, still failing), flags on
         # intact scans (subjects 1, 4, 7); kinematic: a four-scan subject.
         abstract = run_cohort(
             _abstract_config(8, seed=42, alpha=0.5, precision=0.7, recall=0.9, max_rescans=3)
         ).table
         assert list(table_rows(abstract)) == [
-            SubjectRecord(0, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
-            SubjectRecord(1, 0.5, 3, 2, False, False, 0.2, 2, 1, 1),
-            SubjectRecord(2, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
-            SubjectRecord(3, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
-            SubjectRecord(4, 0.5, 4, 3, False, True, 1.3, 4, 2, 2),
-            SubjectRecord(5, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
-            SubjectRecord(6, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
-            SubjectRecord(7, 0.5, 2, 1, False, False, 0.1, 1, 0, 0),
+            SubjectRow(0, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(1, 0.5, 3, 2, False, False, 0.2, 2, 1, 1),
+            SubjectRow(2, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
+            SubjectRow(3, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
+            SubjectRow(4, 0.5, 4, 3, False, True, 1.3, 4, 2, 2),
+            SubjectRow(5, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
+            SubjectRow(6, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
+            SubjectRow(7, 0.5, 2, 1, False, False, 0.1, 1, 0, 0),
         ]
         kinematic = run_cohort(_kinematic_config(4, seed=42, threshold=0.95, noise_scale=0.1))
         assert list(table_rows(kinematic.table)) == [
-            SubjectRecord(
+            SubjectRow(
                 0, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.3269509038323635, 0.944655947562555)
             ),
-            SubjectRecord(
+            SubjectRow(
                 1, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.38865343848359796, 0.9546587064228296)
             ),
-            SubjectRecord(
+            SubjectRow(
                 2, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.05557154416192084, 0.9011368355472057)
             ),
-            SubjectRecord(
+            SubjectRow(
                 3,
                 None,
                 4,

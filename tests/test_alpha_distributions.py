@@ -484,6 +484,24 @@ def test_truncnorm_sample_mean_and_support():
     assert abs(draws.mean() - ref_mean) < 3.0 * ref_std / math.sqrt(500_000)
 
 
+@pytest.mark.parametrize("lo", [0.07, 0.083, 0.1])
+def test_truncnorm_far_upper_tail_draws_stay_near_lo(lo):
+    # lo is 7 to 10 sigma above mu, where the upper-tail CDF rounds towards
+    # 1; an inverse-CDF draw from it landed on hi, and 8.3 sigma had no mass.
+    mu, sigma, hi, n = 0.0, 0.01, 0.5, 100_000
+    dist = TruncatedNormal(mu, sigma, lo, hi)
+    rng = np.random.default_rng(1)
+    draws = dist.sample_many(rng, n)
+    scalar = np.array([dist.sample(rng) for _ in range(10_000)])
+    # the excess over lo is about exponential with mean sigma^2 / lo
+    for x in (draws, scalar):
+        assert x.min() >= lo and x.max() < lo + 3.0 * sigma
+    a, b = (lo - mu) / sigma, (hi - mu) / sigma
+    ref_mean = stats.truncnorm.mean(a, b, loc=mu, scale=sigma)
+    ref_std = stats.truncnorm.std(a, b, loc=mu, scale=sigma)
+    assert abs(draws.mean() - ref_mean) < 3.0 * ref_std / math.sqrt(n)
+
+
 def test_histogram_sample_bin_frequencies():
     rng = np.random.default_rng(14)
     n = 400_000

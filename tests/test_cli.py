@@ -199,6 +199,23 @@ class TestRatio:
         assert payload["population"]["cost_ratio"] == pytest.approx(BETA_RATIO, abs=1e-12)
         assert payload["population"]["mean_failure_rate"] == pytest.approx(0.2, abs=1e-9)
 
+    def test_truncated_normal_ten_sigma_above_its_mean(self, tmp_path):
+        # lo is 10 sigma above mu, where the normal CDF rounds to 1 at both
+        # bounds: the mass comes from the mirrored lower tail.
+        from oracles import quad_population_ratio
+        from scanloop.alpha_distributions import TruncatedNormal
+
+        text = RATIO_POINTMASS.replace(
+            "family = point_mass\nalpha = 0.2",
+            "family = truncated_normal\nmu = 0.0\nsigma = 0.01\nlo = 0.1\nhi = 0.5",
+        )
+        config = write_config(tmp_path, text)
+        result = run_cli("ratio", "--config", str(config), "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((tmp_path / "ratio.json").read_text())
+        ref = quad_population_ratio(TruncatedNormal(0.0, 0.01, 0.1, 0.5), 0.8, 0.8, 0.2, 50)
+        assert payload["population"]["cost_ratio"] == pytest.approx(ref, rel=1e-12)
+
     def test_never_flagging_predictor_notes_it(self, tmp_path):
         config = write_config(tmp_path, RATIO_POINTMASS.replace("recall = 0.8", "recall = 0.0"))
         result = run_cli("ratio", "--config", str(config), "--out", str(tmp_path))
@@ -618,21 +635,21 @@ class TestExitCodes:
     def test_simulation_error_names_subject_and_seed(
         self, tmp_path, monkeypatch, capsys, workers
     ):
-        # A fault injected into one subject's loop is named with the subject
-        # and the seed, also when it crosses the pool: forked workers inherit
-        # the patched module.
+        # A fault injected into one subject's simulation is named with the
+        # subject and the seed, also when it crosses the pool: forked workers
+        # inherit the patched module.
         from scanloop import acquisition_loop
         from scanloop.cli import main
         from scanloop.errors import UndefinedRatio
 
-        run_subject = acquisition_loop.run_subject_abstract
+        subject_stream = acquisition_loop.subject_stream
 
-        def faulty(*args, **kwargs):
-            if args[-1] == 23:
+        def faulty(seed, i):
+            if i == 23:
                 raise UndefinedRatio("injected fault")
-            return run_subject(*args, **kwargs)
+            return subject_stream(seed, i)
 
-        monkeypatch.setattr(acquisition_loop, "run_subject_abstract", faulty)
+        monkeypatch.setattr(acquisition_loop, "subject_stream", faulty)
         text = (
             ABSTRACT_BETA.format(workers=workers)
             .replace("subjects = 1500", "subjects = 40")

@@ -167,7 +167,7 @@ class TestSubjectsCsv:
             else:
                 trajectory = table_row(table, i).quality_trajectory
                 lead = [trajectory[0], trajectory[-1]]
-            columns = [getattr(table, name)[i].item() for name, _ in SUBJECT_COLUMNS]
+            columns = [getattr(table, name)[i].item() for name in SUBJECT_COLUMNS]
             rows.append([i, *lead, *columns])
         write_subjects_csv(tmp_path / "subjects.csv", report)
         expected = render_csv_rows(subjects_csv_header(report.mode), rows, report.manifest)
