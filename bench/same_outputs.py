@@ -1,0 +1,190 @@
+"""Check that this checkout writes the same output bytes as another one.
+
+Usage (from the repository root, with the parent commit checked out in a
+second directory)::
+
+    git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
+    python3 bench/same_outputs.py --before ../parent --seeds 1 42
+
+Every run is ``python -m scanloop <command> ... --out DIR`` with the
+checkout's ``src`` as ``PYTHONPATH``, run from the checkout's root with
+``SOURCE_DATE_EPOCH`` pinned, so the manifest timestamps agree.  The runs are:
+
+* every ``scanloop`` line of this checkout's README, as written;
+* ``simulate`` on every shipped config, plus ``guidance`` on the kinematic
+  ones and ``sweep`` on those with a ``[sweep]`` section, and ``simulate`` on
+  a generated histogram config, each at every ``--seeds`` value and at
+  ``workers`` 1 and 4 (a copy of the config with its ``workers`` replaced).
+
+Each run is made in both checkouts.  Every run must exit 0 on both sides, and
+the two must agree on standard output (with the output directory masked) and
+on the bytes of every file written.  The script names each run that failed
+and each file that differs and exits 1, or exits 0 when every run succeeded
+and every byte agrees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKERS = (1, 4)
+SOURCE_DATE_EPOCH = "1700000000"
+
+HISTOGRAM_CONFIG = """\
+[cohort]
+mode = abstract
+subjects = 20000
+seed = 42
+workers = 1
+
+[distribution]
+family = histogram
+csv = histogram.csv
+
+[predictor]
+kind = confusion
+precision = 0.8
+recall = 0.8
+
+[costs]
+rescan = 0.1
+correction = 1.0
+
+[policy]
+max_rescans = 50
+"""
+HISTOGRAM_CSV = "bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.4,3\n0.5,2\n"
+
+
+def readme_commands(readme: Path) -> list[list[str]]:
+    """The arguments after ``scanloop`` of each ``scanloop`` line in an ``sh`` block."""
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), flags=re.S)
+    return [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("scanloop ")
+    ]
+
+
+def with_workers(text: str, workers: int) -> str:
+    """The config text with its ``[cohort]`` ``workers`` set to ``workers``."""
+    text, count = re.subn(r"(?m)^workers\s*=.*$", f"workers = {workers}", text)
+    if count != 1:
+        raise ValueError("each config must set cohort.workers on exactly one line")
+    return text
+
+
+def config_cases(configs: list[Path], seeds: list[int], work: Path) -> list[tuple[str, list[str]]]:
+    """(label, arguments) of every config run, on config copies under ``work``."""
+    cases = []
+    for config in configs:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(config, encoding="utf-8-sig")
+        commands = ["simulate"]
+        if parser.get("cohort", "mode") == "kinematic":
+            commands.append("guidance")
+            if parser.has_section("sweep"):
+                commands.append("sweep")
+        for workers in WORKERS:
+            copy = work / f"{config.stem}_w{workers}.ini"
+            copy.write_text(with_workers(config.read_text(encoding="utf-8-sig"), workers))
+            for command in commands:
+                for seed in seeds:
+                    label = f"{command} {config.name} workers={workers} seed={seed}"
+                    cases.append((label, [command, "--config", str(copy), "--seed", str(seed)]))
+    return cases
+
+
+def run(checkout: Path, args: list[str], out: Path) -> tuple[int, str, str]:
+    """Exit code, standard output with ``out`` masked, and standard error."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), SOURCE_DATE_EPOCH=SOURCE_DATE_EPOCH)
+    proc = subprocess.run(
+        [sys.executable, "-m", "scanloop", *args, "--out", str(out)],
+        cwd=checkout,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout.replace(str(out), "<out>"), proc.stderr
+
+
+def files(directory: Path) -> dict[str, bytes]:
+    if not directory.is_dir():
+        return {}
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def compare(label: str, before: tuple, after: tuple) -> list[str]:
+    """One message per failed side or difference between the two sides of a run."""
+    (code_b, out_b, err_b, files_b), (code_a, out_a, err_a, files_a) = before, after
+    if code_b or code_a:
+        return [f"{label}: exit {code_b} before, {code_a} after\n{err_b}{err_a}".rstrip()]
+    diffs = [] if out_b == out_a else [f"{label}: standard output differs"]
+    for name in sorted(files_b.keys() | files_a.keys()):
+        if name not in files_a:
+            diffs.append(f"{label}: {name} written only before")
+        elif name not in files_b:
+            diffs.append(f"{label}: {name} written only after")
+        elif files_b[name] != files_a[name]:
+            diffs.append(f"{label}: {name} differs")
+    return diffs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", type=Path, required=True)
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 42])
+    args = parser.parse_args(argv)
+
+    sides = {"before": args.before.resolve(), "after": ROOT}
+    if not (sides["before"] / "src" / "scanloop").is_dir():
+        parser.error(f"--before: no src/scanloop in {sides['before']}")
+
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        work = Path(tmp)
+        (work / "histogram.csv").write_text(HISTOGRAM_CSV)
+        (work / "histogram.ini").write_text(HISTOGRAM_CONFIG)
+        configs = sorted((ROOT / "configs").glob("*.ini")) + [work / "histogram.ini"]
+        cases = [
+            (f"README: scanloop {shlex.join(command)}", command)
+            for command in readme_commands(ROOT / "README.md")
+        ] + config_cases(configs, args.seeds, work)
+
+        diffs, failed = [], 0
+        for k, (label, command) in enumerate(cases):
+            results = {}
+            for side, checkout in sides.items():
+                out = work / side / str(k)
+                results[side] = (*run(checkout, command, out), files(out))
+            case_diffs = compare(label, results["before"], results["after"])
+            code, written = results["after"][0], len(results["after"][3])
+            if any(results[side][0] for side in sides):
+                failed += 1
+                verdict = "FAILED"
+            else:
+                verdict = "DIFFERS" if case_diffs else "same"
+            print(f"{label}: {verdict} (exit {code}, {written} files)", file=sys.stderr)
+            diffs += case_diffs
+
+    for message in diffs:
+        print(message)
+    print(f"{len(cases)} runs per side, {failed} with a non-zero exit, {len(diffs)} problems")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -133,7 +133,7 @@ def run_subject_kinematic(
     flags: list[bool] = []
     for scan in range(policy.max_rescans + 1):
         if scan > 0:
-            offset = guidance_offset(pose, subject, guidance, rng)
+            offset = guidance_offset(pose, guidance, rng)
             pose = apply_move(pose, offset, learner, rng)
         quality = image_quality(pose, subject)
         trajectory.append(quality)
@@ -345,9 +345,7 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
             for i in range(start, stop):
                 # The plain generator: kinematic draws are not scalar uniforms.
                 rng = subject_stream(seed, i).generator
-                start_pose = perturb_pose(
-                    anatomy.target_pose, config.start_offset_t, config.start_offset_r, rng
-                )
+                start_pose = perturb_pose(config.start_offset_t, config.start_offset_r, rng)
                 records.append(
                     run_subject_kinematic(
                         anatomy,

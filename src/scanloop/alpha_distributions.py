@@ -329,12 +329,17 @@ class EmpiricalHistogram(FailureDistribution):
         return self.masses[i] / (hi - lo)
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_many(rng, 1)[0])
+        # One scalar uniform, which a subject stream serves without building
+        # the subject's own Generator.
+        return float(self._invert(rng.random()))
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self._invert(rng.random(n))
+
+    def _invert(self, u):
+        """Inverse CDF at ``u``, a scalar or an array of uniforms."""
         cum = np.cumsum(self.masses)
         cum[-1] = 1.0
-        u = rng.random(n)
         idx = np.searchsorted(cum, u, side="right")
         lows = np.concatenate(([0.0], self.edges[:-1]))[idx]
         highs = np.asarray(self.edges)[idx]

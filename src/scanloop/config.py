@@ -43,7 +43,7 @@ from .alpha_distributions import (
 from .cost_model import _DEFAULT_MAX_RESCANS, CostRates, PredictorProfile
 from .errors import ConfigError
 from .predictor_model import ScorePredictor
-from .probe_kinematics import GuidanceNoise, LearnerPolicy, ProbePose, SubjectAnatomy
+from .probe_kinematics import GuidanceNoise, LearnerPolicy, SubjectAnatomy
 
 _REQUIRED = object()
 
@@ -409,7 +409,6 @@ def parse_config(
         predictor.reject_unknown()
         kin = _SectionReader(parser, "kinematics")
         anatomy = SubjectAnatomy(
-            target_pose=ProbePose.identity(),
             translation_scale=kin.get("translation_scale", float, check=_quality_scale),
             rotation_scale=kin.get("rotation_scale", float, check=_quality_scale),
             failure_cutoff=kin.get("failure_cutoff", float, check=_probability(True, True)),

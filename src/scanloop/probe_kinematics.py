@@ -1,12 +1,14 @@
 """Probe pose geometry: 6-DOF errors, pose-driven image quality, guidance.
 
 A probe placement is a position (millimeters) plus an orientation (unit
-quaternion, scalar first).  Guidance is exchanged as a 6-number offset —
-three translation components and an axis-angle rotation vector — telling a
-learner how to move toward a subject's latent optimal placement.  Image
-quality decays as a separable squared exponential in the translation and
-rotation distances from that optimum, which keeps it in (0, 1], smooth, and
-anisotropic via per-subject scales.
+quaternion, scalar first), measured from the subject's latent optimal
+placement: the optimum is the origin with the identity orientation, so a
+pose's position is its translation error and its orientation its rotation
+error.  Guidance is exchanged as a 6-number offset — three translation
+components and an axis-angle rotation vector — telling a learner how to
+move toward the optimum.  Image quality decays as a separable squared
+exponential in the translation and rotation distances from the optimum,
+which keeps it in (0, 1], smooth, and anisotropic via per-subject scales.
 
 All random perturbations consume a fixed number of stream draws per call
 (three Gaussians per translation, three plus one per rotation), so replaying
@@ -91,10 +93,6 @@ class ProbePose:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", ori)
 
-    @classmethod
-    def identity(cls) -> "ProbePose":
-        return cls(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class PoseOffset:
@@ -123,9 +121,9 @@ class PoseOffset:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class SubjectAnatomy:
-    """Latent per-subject truth: optimal placement, quality scales, failure cutoff."""
+    """Latent per-subject truth: quality scales and failure cutoff (poses are
+    measured from the subject's optimal placement)."""
 
-    target_pose: ProbePose
     translation_scale: float
     rotation_scale: float
     failure_cutoff: float
@@ -166,23 +164,20 @@ class GuidanceNoise:
             raise ValueError("guidance noise scales must be >= 0")
 
 
-def pose_error(current: ProbePose, target: ProbePose) -> tuple[float, float]:
-    """(translation distance in mm, geodesic rotation distance in radians)."""
-    d_t = _norm(target.position - current.position)
-    q_rel = _quat_multiply(_quat_conjugate(current.orientation), target.orientation)
-    w = abs(float(q_rel[0]))
-    vec_norm = _norm(q_rel[1:])
-    d_r = 2.0 * math.atan2(vec_norm, w)
-    return d_t, d_r
+def pose_error(pose: ProbePose) -> tuple[float, float]:
+    """(translation distance in mm, geodesic rotation distance in radians)
+    from the optimum."""
+    q = pose.orientation
+    return _norm(pose.position), 2.0 * math.atan2(_norm(q[1:]), abs(float(q[0])))
 
 
-def image_quality(current: ProbePose, subject: SubjectAnatomy) -> float:
-    """Quality in (0, 1]: 1 at the target, decaying with both error distances.
+def image_quality(pose: ProbePose, subject: SubjectAnatomy) -> float:
+    """Quality in (0, 1]: 1 at the optimum, decaying with both error distances.
 
     The scan truly fails exactly when this drops below the subject's
     failure cutoff.
     """
-    d_t, d_r = pose_error(current, subject.target_pose)
+    d_t, d_r = pose_error(pose)
     return math.exp(
         -((d_t / subject.translation_scale) ** 2) - (d_r / subject.rotation_scale) ** 2
     )
@@ -204,23 +199,18 @@ def _random_rotation_quat(scale: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def guidance_offset(
-    current: ProbePose,
-    subject: SubjectAnatomy,
-    noise: GuidanceNoise,
-    rng: np.random.Generator,
+    pose: ProbePose, noise: GuidanceNoise, rng: np.random.Generator
 ) -> PoseOffset:
-    """Predicted 6-number move from the current pose toward the subject's target.
+    """Predicted 6-number move from ``pose`` toward the optimum.
 
     With zero noise the offset is exact: applying it with gain 1 lands on the
-    target pose.  Noise adds zero-mean Gaussians to the translation and
-    composes a small random rotation onto the rotation part.
+    optimum.  Noise adds zero-mean Gaussians to the translation and composes
+    a small random rotation onto the rotation part.
     """
-    translation = subject.target_pose.position - current.position
-    translation = translation + noise.guidance_noise_t * rng.standard_normal(3)
-    q_rel = _quat_multiply(
-        _quat_conjugate(current.orientation), subject.target_pose.orientation
+    translation = -pose.position + noise.guidance_noise_t * rng.standard_normal(3)
+    q_noisy = _quat_multiply(
+        _quat_conjugate(pose.orientation), _random_rotation_quat(noise.guidance_noise_r, rng)
     )
-    q_noisy = _quat_multiply(q_rel, _random_rotation_quat(noise.guidance_noise_r, rng))
     return PoseOffset(translation, _axis_angle_from_quat(_quat_normalize(q_noisy)))
 
 
@@ -242,13 +232,10 @@ def apply_move(
     return ProbePose(position, _quat_normalize(orientation))
 
 
-def perturb_pose(
-    pose: ProbePose, t_scale: float, r_scale: float, rng: np.random.Generator
-) -> ProbePose:
-    """Random pose near `pose`: Gaussian translation, random small rotation.
+def perturb_pose(t_scale: float, r_scale: float, rng: np.random.Generator) -> ProbePose:
+    """Random pose near the optimum: Gaussian translation, random small rotation.
 
-    Used to draw start poses around a subject's target.
+    Used to draw each subject's start pose.
     """
-    position = pose.position + t_scale * rng.standard_normal(3)
-    q = _quat_multiply(pose.orientation, _random_rotation_quat(r_scale, rng))
-    return ProbePose(position, _quat_normalize(q))
+    position = t_scale * rng.standard_normal(3)
+    return ProbePose(position, _quat_normalize(_random_rotation_quat(r_scale, rng)))

@@ -119,18 +119,6 @@ def write_json(path: str | Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def read_report_csv(path: str | Path) -> tuple[dict, list[str], list[list[str]]]:
-    """Parse a report CSV back into (manifest, header, rows of cells)."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        first = handle.readline()
-        if not first.startswith("# manifest "):
-            raise ValueError(f"{path} does not start with a manifest line")
-        manifest = json.loads(first[len("# manifest ") :])
-        reader = csv.reader(handle)
-        header = next(reader)
-        return manifest, header, [row for row in reader]
-
-
 def subjects_csv_header(mode: str) -> list[str]:
     lead = ["subject_id", "alpha"] if mode == "abstract" else [
         "subject_id",

@@ -10,16 +10,18 @@ standard errors.  Tests compare the fast implementations against these.
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, vectorized flagging, empirical operating
 points, total density mass, SubjectTable rows and the scan-by-scan sums they
-must equal, quaternion algebra on numpy arrays and scalars, and a
-row-at-a-time CSV writer.
+must equal, quaternion algebra on numpy arrays and scalars, a row-at-a-time
+CSV writer and the reader of report CSVs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -255,7 +257,7 @@ def classify_many(
 ) -> np.ndarray:
     """Vectorized ``classify``: same stream consumption, one draw per scan."""
     u = rng.random(len(true_fails))
-    cut = np.where(true_fails, predictor.profile.recall, predictor.false_positive_rate)
+    cut = np.where(true_fails, predictor.recall, predictor.false_positive_rate)
     return u < cut
 
 
@@ -389,3 +391,61 @@ def render_csv_rows(header: Sequence[str], rows: Iterable[Sequence[object]], man
     for row in rows:
         writer.writerow([format_cell(cell) for cell in row])
     return buffer.getvalue()
+
+
+def read_report_csv(path: str | Path) -> tuple[dict, list[str], list[list[str]]]:
+    """Parse a report CSV back into (manifest, header, rows of cells)."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        first = handle.readline()
+        if not first.startswith("# manifest "):
+            raise ValueError(f"{path} does not start with a manifest line")
+        manifest = json.loads(first[len("# manifest ") :])
+        reader = csv.reader(handle)
+        header = next(reader)
+        return manifest, header, [row for row in reader]
+
+
+def kinematic_translation_sd(
+    start_sd: float, gain: float, guidance_sd: float, motor_sd: float, scans: int
+) -> list[float]:
+    """Per-axis standard deviation s_k of the translation error at scans
+    0 .. scans - 1 of a subject that re-scans every time.
+
+    Measured from the optimum, the position is the error e_k itself: the
+    guided move aims at -e_k with noise sigma_g and lands a gain g of the way
+    with motor noise sigma_m, so e_{k+1} = (1 - g)e_k + g*sigma_g*n + sigma_m*n'
+    is an AR(1) and s_{k+1}^2 = (1 - g)^2 s_k^2 + g^2 sigma_g^2 + sigma_m^2,
+    from s_0 = start_sd.
+    """
+    var = start_sd**2
+    out = []
+    for _ in range(scans):
+        out.append(math.sqrt(var))
+        var = (1.0 - gain) ** 2 * var + (gain * guidance_sd) ** 2 + motor_sd**2
+    return out
+
+
+def kinematic_mean_quality(
+    k: int,
+    translation_sd: float,
+    gain: float,
+    start_sd_r: float,
+    translation_scale: float,
+    rotation_scale: float,
+) -> float:
+    """E[q_k] with both rotation noises 0: e_k ~ N(0, s_k^2 I_3) and the angle
+    is (1 - g)^k start_sd_r Z, so by the Gaussian moment generating function
+    E[q_k] = (1 + 2s_k^2/T^2)^(-3/2) (1 + 2(1 - g)^(2k) sigma_r^2/R^2)^(-1/2)."""
+    t = 1.0 + 2.0 * (translation_sd / translation_scale) ** 2
+    r = 1.0 + 2.0 * ((1.0 - gain) ** k * start_sd_r / rotation_scale) ** 2
+    return t**-1.5 * r**-0.5
+
+
+def kinematic_first_fail_probability(
+    start_sd: float, translation_scale: float, failure_cutoff: float
+) -> float:
+    """P(q_0 < c) with no start rotation: |e_0|^2/s_0^2 is chi-squared with
+    3 degrees of freedom and q_0 < c exactly when |e_0|^2 > -ln(c) T^2."""
+    from scipy.stats import chi2
+
+    return float(chi2.sf(-math.log(failure_cutoff) * (translation_scale / start_sd) ** 2, 3))

@@ -19,7 +19,15 @@ import time
 import numpy as np
 import pytest
 
-from oracles import classify_many, cost_recursion_rhs, mc_population_ratio
+from oracles import (
+    classify_many,
+    cost_recursion_rhs,
+    kinematic_first_fail_probability,
+    kinematic_mean_quality,
+    kinematic_translation_sd,
+    mc_population_ratio,
+    read_report_csv,
+)
 from scanloop.acquisition_loop import empirical_vs_analytic, run_cohort
 from scanloop.alpha_distributions import (
     Beta,
@@ -48,7 +56,6 @@ from scanloop.probe_kinematics import (
     image_quality,
     perturb_pose,
 )
-from scanloop.reports import read_report_csv
 
 PUBLISHED_PCT = (64.0, 57.0, 50.0, 37.0, 55.0, 69.0)
 
@@ -227,7 +234,6 @@ def test_criterion_06_predictor_calibration():
 
 def test_criterion_07_kinematic_convergence():
     anatomy = SubjectAnatomy(
-        target_pose=ProbePose.identity(),
         translation_scale=10.0,
         rotation_scale=0.5,
         failure_cutoff=0.5,
@@ -237,8 +243,8 @@ def test_criterion_07_kinematic_convergence():
     rng = np.random.default_rng(7)
     converged = 0
     for _ in range(100):
-        start = perturb_pose(anatomy.target_pose, 8.0, 0.3, rng)
-        offset = guidance_offset(start, anatomy, quiet, rng)
+        start = perturb_pose(8.0, 0.3, rng)
+        offset = guidance_offset(start, quiet, rng)
         landed = apply_move(start, offset, exact_learner, rng)
         converged += image_quality(landed, anatomy) == 1.0
     assert converged == 100
@@ -247,7 +253,7 @@ def test_criterion_07_kinematic_convergence():
     pose = ProbePose(position=(16.0, 0.0, 0.0), orientation=(1.0, 0.0, 0.0, 0.0))
     worst = 0.0
     for k in range(1, 7):
-        offset = guidance_offset(pose, anatomy, quiet, rng)
+        offset = guidance_offset(pose, quiet, rng)
         pose = apply_move(pose, offset, half_learner, rng)
         expected = math.exp(-((16.0 * 0.5**k / 10.0) ** 2))
         rel = abs(image_quality(pose, anatomy) - expected) / expected
@@ -256,6 +262,66 @@ def test_criterion_07_kinematic_convergence():
     print(
         f"criterion 7: PASS — 100/100 one-move runs hit quality exactly 1.0; "
         f"half-gain contraction curve within {worst:.2e} (tol 1e-9)"
+    )
+
+
+KINEMATIC_AR1_CONFIG = """
+[cohort]
+mode = kinematic
+subjects = 20000
+seed = 42
+workers = 2
+
+[predictor]
+kind = score
+noise_scale = 0.0
+
+[costs]
+rescan = 0.1
+correction = 1.0
+
+[policy]
+max_rescans = 10
+threshold = 1.0
+
+[kinematics]
+translation_scale = 10.0
+rotation_scale = 0.5
+failure_cutoff = 0.5
+start_offset_t = 8.0
+start_offset_r = {start_offset_r}
+guidance_noise_t = 1.0
+guidance_noise_r = 0.0
+gain = 0.8
+motor_noise_t = 0.5
+motor_noise_r = 0.0
+"""
+
+
+@pytest.mark.parametrize("start_offset_r", [0.0, 0.3])
+def test_kinematic_quality_curve_matches_ar1_closed_form(start_offset_r):
+    # threshold 1 with a noiseless score flags every scan, so every subject
+    # runs all 11 scans and scan k sees the AR(1) error of k guided moves.
+    config = parse_config(KINEMATIC_AR1_CONFIG.format(start_offset_r=start_offset_r))
+    table = run_cohort(config).table
+    n = len(table)
+    assert (table.scans == 11).all()
+    sds = kinematic_translation_sd(8.0, 0.8, 1.0, 0.5, 11)
+    worst = 0.0
+    for k, sd in enumerate(sds):
+        quality = table.quality_at(k)
+        expected = kinematic_mean_quality(k, sd, 0.8, start_offset_r, 10.0, 0.5)
+        z = (quality.mean() - expected) / (quality.std(ddof=1) / math.sqrt(n))
+        assert abs(z) < 3.0, f"scan {k}: mean quality {quality.mean()} vs {expected}"
+        worst = max(worst, abs(z))
+    if start_offset_r == 0.0:
+        p = kinematic_first_fail_probability(8.0, 10.0, 0.5)
+        z_fail = (table.first_fail.mean() - p) / math.sqrt(p * (1.0 - p) / n)
+        assert abs(z_fail) < 3.0
+        worst = max(worst, abs(z_fail))
+    print(
+        f"AR(1) oracle: PASS — mean quality at all 11 scans of {n} subjects"
+        f" (start_offset_r {start_offset_r}) within 3 SE, largest |z| {worst:.2f}"
     )
 
 

@@ -188,7 +188,6 @@ class TestRunSubjectAbstract:
 
 class TestRunSubjectKinematic:
     ANATOMY = SubjectAnatomy(
-        target_pose=ProbePose.identity(),
         translation_scale=10.0,
         rotation_scale=0.5,
         failure_cutoff=0.5,
@@ -198,7 +197,7 @@ class TestRunSubjectKinematic:
     def test_start_at_target_accepts_immediately(self):
         rec = run_subject_kinematic(
             self.ANATOMY,
-            ProbePose.identity(),
+            ProbePose(position=(0.0, 0.0, 0.0), orientation=(1.0, 0.0, 0.0, 0.0)),
             LoopPolicy(max_rescans=5),
             ScorePredictor(noise_scale=0.0, threshold=0.7),
             self.QUIET,

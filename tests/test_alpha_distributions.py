@@ -20,6 +20,7 @@ from scanloop.alpha_distributions import (
 )
 from scanloop.cost_model import FailureRate, PredictorProfile, cost_ratio_at
 from scanloop.errors import QuadratureFailure, UndefinedRatio
+from scanloop.streams import subject_stream
 
 from oracles import (
     mc_population_ratio,
@@ -512,6 +513,30 @@ def test_histogram_sample_bin_frequencies():
         freq = np.mean((draws > lo) & (draws <= hi))
         se = math.sqrt(m * (1.0 - m) / n)
         assert abs(freq - m) < 3.0 * se + 1e-9
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        HIST,
+        EmpiricalHistogram((0.1, 0.3, 0.5), (0.5, 0.5, 0.0)),
+        EmpiricalHistogram((0.1, 0.3), (0.0, 1.0)),
+        EmpiricalHistogram((0.4,), (1.0,)),
+    ],
+    ids=["five_bins", "empty_last_bin", "empty_first_bin", "one_bin"],
+)
+def test_histogram_sample_equals_sample_many_draw_for_draw(dist):
+    scalar_rng, vector_rng = np.random.default_rng(15), np.random.default_rng(15)
+    scalar = np.array([dist.sample(scalar_rng) for _ in range(20_000)])
+    assert scalar.tobytes() == dist.sample_many(vector_rng, 20_000).tobytes()
+
+
+def test_histogram_sample_alpha_leaves_the_subject_generator_unbuilt():
+    # One scalar uniform, served by the block pass: no per-subject Generator.
+    stream = subject_stream(3, 17)
+    alpha = sample_alpha(HIST, stream)
+    assert stream._generator is None
+    assert alpha == sample_alpha(HIST, subject_stream(3, 17).generator)
 
 
 def test_scalar_sampling_is_deterministic_per_seed():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scanloop.reports import read_report_csv
+from oracles import read_report_csv
 
 EXPECTED_REDUCTIONS = (62.5, 57.1, 50.0, 37.5, 55.3, 69.2)
 PUBLISHED = (64.0, 57.0, 50.0, 37.0, 55.0, 69.0)

@@ -1,6 +1,7 @@
 """Tests for the closed-form re-scan cost model."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -373,14 +374,17 @@ def test_breakeven_iff_on_grid():
     a_lo=st.floats(0.01, 0.2),
     step=st.floats(0.01, 0.05),
 )
+@example(p=1.0, r=1.0, q=5e-324, a_lo=0.01, step=0.01)
 @settings(max_examples=200, deadline=None)
 def test_ratio_strictly_increasing_in_alpha(p, r, q, a_lo, step):
     a_hi = a_lo + step
     if p <= a_hi * r:
         return
-    if p * (1.0 - r) + r * q == 0.0:
+    if p * (1.0 - r) + r * q < sys.float_info.min:
         # Degenerate corner (perfect predictor, free re-scans): the ratio is
-        # identically zero, so strict growth in alpha cannot hold there.
+        # identically zero, so strict growth in alpha cannot hold there.  Next
+        # to it (p = r = 1, q = 5e-324) the numerator is subnormal and both
+        # ratios round to the same double.
         return
     lo = cost_ratio_at(FailureRate(a_lo), PredictorProfile(p, r), q).ratio
     hi = cost_ratio_at(FailureRate(a_hi), PredictorProfile(p, r), q).ratio

@@ -78,12 +78,12 @@ def test_calibrated_factory_round_trip():
     )
 
 
-def test_direct_construction_derives_fpr():
-    pred = ConfusionPredictor(PredictorProfile(0.8, 0.8), FailureRate(0.2))
+def test_calibrated_holds_recall_and_derives_fpr():
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), FailureRate(0.2))
+    assert pred.recall == 0.8
     assert pred.false_positive_rate == pytest.approx(0.05, abs=1e-15)
-    assert pred == ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), FailureRate(0.2))
-    saturated = ConfusionPredictor(PredictorProfile(0.3, 1.0), FailureRate(0.9))
-    assert saturated.false_positive_rate == 1.0
+    saturated = ConfusionPredictor.calibrated(PredictorProfile(0.3, 1.0), FailureRate(0.9))
+    assert saturated == ConfusionPredictor(recall=1.0, false_positive_rate=1.0)
 
 
 def test_calibrated_factory_saturates_above_alpha_max():

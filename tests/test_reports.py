@@ -15,7 +15,6 @@ from scanloop.reports import (
     atomic_write_text,
     format_cell,
     manifest_line,
-    read_report_csv,
     render_csv,
     subjects_csv_header,
     subjects_csv_columns,
@@ -25,7 +24,7 @@ from scanloop.reports import (
     write_summary_json,
 )
 
-from oracles import render_csv_rows, table_row
+from oracles import read_report_csv, render_csv_rows, table_row
 
 ABSTRACT = """
 [cohort]
