@@ -16,11 +16,17 @@ keeps each run's result line and, from its details line, the machine record
 and the load averages.  The summary gives, per workload and end-to-end
 metric, both sides' medians, the before side's quartile spread, and the
 number of pairs in which the after side was better.
+
+Each side's revision is recorded before the first run as its
+``git describe --always --dirty`` and the sha256 of its ``git diff HEAD``,
+so two uncommitted trees on one commit are told apart (stage new files with
+``git add`` first: the diff leaves out untracked ones).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -31,14 +37,14 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("abstract_mix", "kinematic_guidance")
 
 
-def revision(checkout: Path) -> str:
-    return subprocess.run(
-        ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-        cwd=checkout,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
+def revision(checkout: Path) -> dict[str, str]:
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, check=True).stdout
+
+    return {
+        "describe": git("describe", "--always", "--dirty", "--abbrev=12").decode().strip(),
+        "diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest(),
+    }
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -97,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"before": args.before.resolve(), "after": ROOT}
+    revisions = {side: revision(checkout) for side, checkout in sides.items()}
     runs: dict[str, list[dict]] = {"before": [], "after": []}
     for workload in WORKLOADS:
         for k, seed in enumerate(args.seeds):
@@ -108,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seconds": args.seconds,
         "seeds": args.seeds,
-        "revisions": {side: revision(checkout) for side, checkout in sides.items()},
+        "revisions": revisions,
         "summary": summarize(runs, metrics),
         "runs": runs,
     }

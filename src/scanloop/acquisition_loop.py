@@ -450,7 +450,10 @@ def empirical_vs_analytic(
     The analytic and paired empirical cost ratios are the report's own
     aggregates.  Standard errors are sample-based; the cost-ratio one uses
     the delta method for the paired ratio estimator.  With a single subject
-    no spread is estimable, so the errors and z-scores are reported as None.
+    no spread is estimable, so the errors and z-scores are reported as None;
+    so are the ratio's where the delta method squares a ratio or a mean
+    baseline cost beyond the range of doubles (a correction cost extreme
+    against the re-scan cost).
 
     Raises:
         ModeMismatch: for kinematic reports, whose scans violate the
@@ -482,14 +485,18 @@ def empirical_vs_analytic(
         if ratio is not None:
             baseline = rates.correction_cost * report.table.first_fail.astype(float)
             ybar = float(baseline.mean())
-            var = (
-                float(cost.var(ddof=1))
-                - 2.0 * ratio * float(np.cov(cost, baseline, ddof=1)[0, 1])
-                + ratio**2 * float(baseline.var(ddof=1))
-            ) / (n * ybar**2)
-            ratio_se = math.sqrt(max(var, 0.0))
-            if ratio_se > 0.0:
-                z_ratio = (ratio - analytic_ratio) / ratio_se
+            try:
+                var = (
+                    float(cost.var(ddof=1))
+                    - 2.0 * ratio * float(np.cov(cost, baseline, ddof=1)[0, 1])
+                    + ratio**2 * float(baseline.var(ddof=1))
+                ) / (n * ybar**2)
+            except (OverflowError, ZeroDivisionError):
+                var = None  # the ratio or ybar squared leaves the range of doubles
+            if var is not None:
+                ratio_se = math.sqrt(max(var, 0.0))
+                if ratio_se > 0.0:
+                    z_ratio = (ratio - analytic_ratio) / ratio_se
 
     return ComparisonSummary(
         subjects=n,

@@ -10,83 +10,144 @@ move toward the optimum.  Image quality decays as a separable squared
 exponential in the translation and rotation distances from the optimum,
 which keeps it in (0, 1], smooth, and anisotropic via per-subject scales.
 
-All random perturbations consume a fixed number of stream draws per call
-(three Gaussians per translation, three plus one per rotation), so replaying
-a stream through any sequence of these operations is reproducible no matter
-which noise scales are zero.
+Poses, offsets and quaternions are tuples of Python floats, and every
+operation is scalar float arithmetic whose rounding is fixed by IEEE
+binary64, so the results depend on the seed alone, not on the machine.
+
+All random perturbations consume a fixed number of stream draws per call:
+one block of seven Gaussians (three for a translation, three plus one for a
+rotation), so replaying a stream through any sequence of these operations
+is reproducible no matter which noise scales are zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 _UNIT_TOL = 1e-9
 
+# Veltkamp's splitter for binary64: c = (2^27 + 1)·x splits x exactly into a
+# high and a low half of 26 significant bits each.
+_SPLITTER = 134217729.0
+# The products of the halves are exact while x² lies in [2^-960, 2^1000]:
+# below it (|x| < 2^-480) the low half's square underflows, above it the
+# split or the sum can overflow.
+_TINY_SQUARE = 2.0**-960
+_HUGE_SQUARE = 2.0**1000
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D real vector, computed as ``np.linalg.norm`` does."""
-    return math.sqrt(v.dot(v))
+
+def _fused_square_add(x: float, s: float) -> float:
+    """x·x + s for s >= 0, rounded once, as a fused multiply-add rounds it.
+
+    With x split into Veltkamp halves hi + lo, x·x is exactly
+    hi·hi + 2·hi·lo + lo·lo, each product exact in binary64 (Dekker 1971),
+    and ``math.fsum`` rounds their sum with s correctly.  Outside the range
+    where those products are exact, the sum is formed exactly in integers
+    from ``float.as_integer_ratio`` and rounded by int true division, which
+    CPython rounds correctly.
+    """
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    lo = x - hi
+    square = hi * hi
+    if _TINY_SQUARE <= square and square + s <= _HUGE_SQUARE or not x:
+        return math.fsum((s, square, 2.0 * hi * lo, lo * lo))
+    if not (math.isfinite(x) and math.isfinite(s)):
+        return x * x + s  # inf and nan propagate as through a fused multiply-add
+    (n, d), (m, k) = x.as_integer_ratio(), s.as_integer_ratio()
+    try:
+        return (n * n * k + m * d * d) / (d * d * k)
+    except OverflowError:  # the sum rounds past the largest double
+        return math.inf
 
 
-def _quat_normalize(q: np.ndarray) -> np.ndarray:
-    return q / _norm(q)
+def _norm(v: Sequence[float]) -> float:
+    """Euclidean norm of a 3- or 4-vector, rounded as a fused multiply-add
+    chain rounds it: s = x0², then s = fma(xi, xi, s) for each later
+    component, then sqrt(s).
 
-
-def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a.tolist()
-    w2, x2, y2, z2 = b.tolist()
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
+    This is the chain that BLAS ``ddot`` kernels with FMA compute, so on such
+    a machine it equals ``np.linalg.norm``; here it depends on no kernel.
+    """
+    if len(v) == 3:
+        x, y, z = v
+        return math.sqrt(_fused_square_add(z, _fused_square_add(y, x * x)))
+    w, x, y, z = v
+    return math.sqrt(
+        _fused_square_add(z, _fused_square_add(y, _fused_square_add(x, w * w)))
     )
 
 
-def _quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+def _float_tuple(values: Sequence[float], size: int, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of ``size`` floats, read as
+    ``np.asarray(values, dtype=float)`` reads them; ValueError when that
+    array's shape is not ``(size,)``."""
+    if type(values) is tuple and len(values) == size:
+        try:
+            return tuple(map(float, values))
+        except (TypeError, ValueError):
+            pass
+    array = np.asarray(values, dtype=float)
+    if array.shape != (size,):
+        raise ValueError(f"{name} must be a {size}-vector, got shape {array.shape}")
+    return tuple(array.tolist())
 
 
-def _quat_from_axis_angle(rotvec: np.ndarray) -> np.ndarray:
+def _quat_normalize(q: Sequence[float]) -> tuple[float, float, float, float]:
+    n = _norm(q)
+    w, x, y, z = q
+    return (w / n, x / n, y / n, z / n)
+
+
+def _quat_multiply(
+    a: Sequence[float], b: Sequence[float]
+) -> tuple[float, float, float, float]:
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _quat_from_axis_angle(rotvec: Sequence[float]) -> tuple[float, float, float, float]:
     angle = _norm(rotvec)
     if angle == 0.0:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    x, y, z = rotvec.tolist()
+        return (1.0, 0.0, 0.0, 0.0)
+    x, y, z = rotvec
     half = 0.5 * angle
     s = math.sin(half)
-    return np.array([math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle)])
+    return (math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle))
 
 
-def _axis_angle_from_quat(q: np.ndarray) -> np.ndarray:
+def _axis_angle_from_quat(q: Sequence[float]) -> tuple[float, float, float]:
     """Canonical axis-angle vector with angle in [0, pi]."""
-    if q[0] < 0.0:  # q and -q are the same rotation; keep the short way around
-        q = -q
-    vec_norm = _norm(q[1:])
-    angle = 2.0 * math.atan2(vec_norm, float(q[0]))
+    w, x, y, z = q
+    if w < 0.0:  # q and -q are the same rotation; keep the short way around
+        w, x, y, z = -w, -x, -y, -z
+    vec_norm = _norm((x, y, z))
     if vec_norm < 1e-300:
-        return np.zeros(3)
-    return (angle / vec_norm) * q[1:]
+        return (0.0, 0.0, 0.0)
+    k = 2.0 * math.atan2(vec_norm, w) / vec_norm
+    return (k * x, k * y, k * z)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ProbePose:
-    """Probe placement: position in mm, orientation as a unit quaternion [w,x,y,z]."""
+    """Probe placement: position in mm, orientation as a unit quaternion (w, x, y, z)."""
 
-    position: np.ndarray
-    orientation: np.ndarray
+    position: tuple[float, float, float]
+    orientation: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float)
-        ori = np.asarray(self.orientation, dtype=float)
-        if pos.shape != (3,):
-            raise ValueError(f"position must be a 3-vector, got shape {pos.shape}")
-        if ori.shape != (4,):
-            raise ValueError(f"orientation must be a 4-vector, got shape {ori.shape}")
+        pos = _float_tuple(self.position, 3, "position")
+        ori = _float_tuple(self.orientation, 4, "orientation")
         norm = _norm(ori)
         if abs(norm - 1.0) > _UNIT_TOL:
             raise ValueError(f"orientation must be unit-norm, got norm {norm}")
@@ -102,16 +163,12 @@ class PoseOffset:
     (every rotation has such a canonical form).
     """
 
-    translation: np.ndarray
-    rotation: np.ndarray
+    translation: tuple[float, float, float]
+    rotation: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.translation, dtype=float)
-        r = np.asarray(self.rotation, dtype=float)
-        if t.shape != (3,):
-            raise ValueError(f"translation must be a 3-vector, got shape {t.shape}")
-        if r.shape != (3,):
-            raise ValueError(f"rotation must be a 3-vector, got shape {r.shape}")
+        t = _float_tuple(self.translation, 3, "translation")
+        r = _float_tuple(self.rotation, 3, "rotation")
         angle = _norm(r)
         if angle > math.pi + 1e-12:
             raise ValueError(f"rotation angle must be in [0, pi], got {angle}")
@@ -167,8 +224,8 @@ class GuidanceNoise:
 def pose_error(pose: ProbePose) -> tuple[float, float]:
     """(translation distance in mm, geodesic rotation distance in radians)
     from the optimum."""
-    q = pose.orientation
-    return _norm(pose.position), 2.0 * math.atan2(_norm(q[1:]), abs(float(q[0])))
+    w, x, y, z = pose.orientation
+    return _norm(pose.position), 2.0 * math.atan2(_norm((x, y, z)), abs(w))
 
 
 def image_quality(pose: ProbePose, subject: SubjectAnatomy) -> float:
@@ -183,19 +240,22 @@ def image_quality(pose: ProbePose, subject: SubjectAnatomy) -> float:
     )
 
 
-def _random_rotation_quat(scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Small random rotation: Gaussian axis direction, Gaussian angle of width `scale`.
+def _random_rotation_quat(
+    scale: float, normals: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """Small random rotation from four standard normals: the first three give
+    a Gaussian axis direction and the last, times ``scale``, the angle.
 
-    Always consumes four Gaussian draws, even at scale 0 (where it returns
-    the identity), so stream positions never depend on noise settings.
+    The normals are drawn even at scale 0 (where this returns the identity),
+    so stream positions never depend on noise settings.
     """
-    axis = rng.standard_normal(3)
-    angle = scale * float(rng.standard_normal())
-    norm = _norm(axis)
+    ax, ay, az, n = normals
+    angle = scale * n
+    norm = _norm((ax, ay, az))
     if norm < 1e-300:  # degenerate draw; any fixed axis works
-        axis = np.array([1.0, 0.0, 0.0])
-        norm = 1.0
-    return _quat_from_axis_angle((angle / norm) * axis)
+        ax, ay, az, norm = 1.0, 0.0, 0.0, 1.0
+    k = angle / norm
+    return _quat_from_axis_angle((k * ax, k * ay, k * az))
 
 
 def guidance_offset(
@@ -207,11 +267,17 @@ def guidance_offset(
     optimum.  Noise adds zero-mean Gaussians to the translation and composes
     a small random rotation onto the rotation part.
     """
-    translation = -pose.position + noise.guidance_noise_t * rng.standard_normal(3)
+    n0, n1, n2, *rotation = rng.standard_normal(7).tolist()
+    s = noise.guidance_noise_t
+    x, y, z = pose.position
+    w, qx, qy, qz = pose.orientation
     q_noisy = _quat_multiply(
-        _quat_conjugate(pose.orientation), _random_rotation_quat(noise.guidance_noise_r, rng)
+        (w, -qx, -qy, -qz), _random_rotation_quat(noise.guidance_noise_r, rotation)
     )
-    return PoseOffset(translation, _axis_angle_from_quat(_quat_normalize(q_noisy)))
+    return PoseOffset(
+        (-x + s * n0, -y + s * n1, -z + s * n2),
+        _axis_angle_from_quat(_quat_normalize(q_noisy)),
+    )
 
 
 def apply_move(
@@ -221,15 +287,18 @@ def apply_move(
     rng: np.random.Generator,
 ) -> ProbePose:
     """Execute a guided move: gain-scaled offset plus the learner's motor noise."""
-    position = (
-        current.position
-        + policy.gain * offset.translation
-        + policy.motor_noise_t * rng.standard_normal(3)
-    )
-    q_step = _quat_from_axis_angle(policy.gain * offset.rotation)
-    q_motor = _random_rotation_quat(policy.motor_noise_r, rng)
+    n0, n1, n2, *rotation = rng.standard_normal(7).tolist()
+    g, m = policy.gain, policy.motor_noise_t
+    x, y, z = current.position
+    tx, ty, tz = offset.translation
+    rx, ry, rz = offset.rotation
+    q_step = _quat_from_axis_angle((g * rx, g * ry, g * rz))
+    q_motor = _random_rotation_quat(policy.motor_noise_r, rotation)
     orientation = _quat_multiply(_quat_multiply(current.orientation, q_step), q_motor)
-    return ProbePose(position, _quat_normalize(orientation))
+    return ProbePose(
+        (x + g * tx + m * n0, y + g * ty + m * n1, z + g * tz + m * n2),
+        _quat_normalize(orientation),
+    )
 
 
 def perturb_pose(t_scale: float, r_scale: float, rng: np.random.Generator) -> ProbePose:
@@ -237,5 +306,8 @@ def perturb_pose(t_scale: float, r_scale: float, rng: np.random.Generator) -> Pr
 
     Used to draw each subject's start pose.
     """
-    position = t_scale * rng.standard_normal(3)
-    return ProbePose(position, _quat_normalize(_random_rotation_quat(r_scale, rng)))
+    n0, n1, n2, *rotation = rng.standard_normal(7).tolist()
+    return ProbePose(
+        (t_scale * n0, t_scale * n1, t_scale * n2),
+        _quat_normalize(_random_rotation_quat(r_scale, rotation)),
+    )

@@ -10,8 +10,8 @@ standard errors.  Tests compare the fast implementations against these.
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, vectorized flagging, empirical operating
 points, total density mass, SubjectTable rows and the scan-by-scan sums they
-must equal, quaternion algebra on numpy arrays and scalars, a row-at-a-time
-CSV writer and the reader of report CSVs.
+must equal, the fused-square norm in rationals, quaternion algebra on numpy
+arrays and scalars, a row-at-a-time CSV writer and the reader of report CSVs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -361,6 +362,16 @@ def table_rows(table: SubjectTable) -> Iterator[SubjectRow]:
     return (table_row(table, i) for i in range(len(table)))
 
 
+def fused_norm(v: Sequence[float]) -> float:
+    """Euclidean norm as a fused multiply-add chain rounds it: s = x0²
+    rounded, then s = xi² + s for each later component, formed exactly in
+    rationals and rounded once, then sqrt(s)."""
+    s = float(Fraction(v[0]) ** 2)
+    for x in v[1:]:
+        s = float(Fraction(x) ** 2 + Fraction(s))
+    return math.sqrt(s)
+
+
 def quat_multiply_numpy_scalars(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of scalar-first quaternions, unpacked as numpy float64 scalars."""
     w1, x1, y1, z1 = a
@@ -376,8 +387,9 @@ def quat_multiply_numpy_scalars(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quat_from_axis_angle_numpy(rotvec: np.ndarray) -> np.ndarray:
-    """Unit quaternion of a nonzero rotation vector, from numpy array arithmetic."""
-    angle = float(np.linalg.norm(rotvec))
+    """Unit quaternion of a nonzero rotation vector, from numpy array arithmetic
+    (its angle the fused-square norm, which no BLAS kernel rounds)."""
+    angle = fused_norm(rotvec.tolist())
     half = 0.5 * angle
     return np.concatenate(([math.cos(half)], math.sin(half) * (rotvec / angle)))
 

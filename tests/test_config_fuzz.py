@@ -12,7 +12,7 @@ import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scanloop.cli import main
@@ -104,7 +104,23 @@ def abstract_documents(draw) -> tuple[str, str]:
     return text, draw(bins_csv())
 
 
+def extreme_costs(recall: float, rescan: float, correction: float) -> tuple[str, str]:
+    """Two subjects whose correction cost is extreme against the re-scan
+    cost: the delta-method error of the cost ratio squares the ratio or the
+    mean baseline cost past the range of doubles."""
+    text = (
+        "[cohort]\nmode = abstract\nsubjects = 2\nworkers = 1\n"
+        "[distribution]\nfamily = truncated_normal\nmu = 0.0\nsigma = 1.0\nlo = 0.0\nhi = 0.5\n"
+        f"[predictor]\nkind = confusion\nprecision = 1.0\nrecall = {recall!r}\n"
+        f"[costs]\nrescan = {rescan!r}\ncorrection = {correction!r}\n[policy]\n"
+    )
+    return text, "bin_upper_edge,mass\n"
+
+
 @given(document=abstract_documents(), command=st.sampled_from(["ratio", "simulate"]))
+@example(document=extreme_costs(1.0, 1.0, 4.1955249823613083e-190), command="simulate")
+@example(document=extreme_costs(0.0, 0.0, 4.1955249823613083e-190), command="simulate")
+@example(document=extreme_costs(0.0, 0.0, 2.6815615859885194e154), command="simulate")
 @settings(max_examples=300, deadline=None)
 def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
     text, bins = document

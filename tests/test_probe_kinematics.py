@@ -1,22 +1,32 @@
-"""Tests for 6-DOF pose errors, pose-driven quality, and guided moves."""
+"""Tests for 6-DOF pose errors, pose-driven quality, guided moves, and the scalar pose math."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import fused_norm, quat_from_axis_angle_numpy, quat_multiply_numpy_scalars
 from scanloop.probe_kinematics import (
     GuidanceNoise,
     LearnerPolicy,
     PoseOffset,
     ProbePose,
     SubjectAnatomy,
+    _norm,
+    _quat_from_axis_angle,
+    _quat_multiply,
     apply_move,
     guidance_offset,
     image_quality,
     perturb_pose,
     pose_error,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _pose(x=0.0, y=0.0, z=0.0, axis=None, angle=0.0) -> ProbePose:
@@ -182,7 +192,7 @@ def test_zero_noise_guidance_at_target_is_zero_offset():
 def test_guidance_translation_noise_is_zero_mean():
     rng = np.random.default_rng(3)
     start = _pose(x=30.0, y=-4.0, z=2.5)
-    true_offset = -start.position
+    true_offset = -np.asarray(start.position)
     n = 100_000
     noise = GuidanceNoise(guidance_noise_t=1.0)
     sums = np.zeros(3)
@@ -292,7 +302,7 @@ def test_kinematic_operations_deterministic_per_seed():
         pose = perturb_pose(5.0, 0.4, rng)
         off = guidance_offset(pose, GuidanceNoise(0.5, 0.1), rng)
         pose = apply_move(pose, off, LearnerPolicy(0.7, 0.2, 0.05), rng)
-        return pose.position.tolist() + pose.orientation.tolist()
+        return list(pose.position) + list(pose.orientation)
 
     assert run(77) == run(77)
     assert run(77) != run(78)
@@ -310,3 +320,125 @@ def test_fixed_draw_counts_keep_streams_aligned():
     a = consumed(GuidanceNoise(), LearnerPolicy(1.0))
     b = consumed(GuidanceNoise(1.0, 0.2), LearnerPolicy(0.5, 0.3, 0.1))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# scalar pose math
+
+
+def test_norm_equals_fused_chain_bit_for_bit():
+    rng = np.random.default_rng(0)
+    vectors = []
+    for size in (3, 4):
+        for decade in range(-320, 151, 2):  # subnormal squares up to 1e300
+            vectors += (10.0**decade * rng.standard_normal((5, size))).tolist()
+    for decade in range(-300, 0, 2):  # a unit quaternion's w next to a tiny vector part
+        for v in (10.0**decade * rng.standard_normal((5, 3))).tolist():
+            vectors += [[1.0, *v], [math.nextafter(1.0, 0.0), *v]]
+    for _ in range(1000):  # every component at its own decade
+        size = int(rng.integers(3, 5))
+        vectors.append((10.0 ** rng.integers(-320, 151, size) * rng.standard_normal(size)).tolist())
+    for v in vectors:
+        assert _norm(v) == fused_norm(v), v
+        if len(v) == 4:
+            assert _norm(v[1:]) == fused_norm(v[1:]), v
+
+
+def test_norm_past_the_largest_double_and_of_non_finite_components():
+    assert _norm((0.0, 1e200, 0.0)) == math.inf
+    assert _norm((1e200, 1.0, 2.0)) == math.inf
+    assert _norm((1.0, 2.0, math.inf, 0.0)) == math.inf
+    assert math.isnan(_norm((1.0, math.nan, 2.0)))
+    assert _norm((7e153, 7e153, 7e153)) == fused_norm((7e153, 7e153, 7e153))
+
+
+def test_quat_multiply_equals_numpy_scalar_product():
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        a, b = rng.standard_normal(4), rng.standard_normal(4)
+        got = _quat_multiply(a.tolist(), b.tolist())
+        assert list(got) == quat_multiply_numpy_scalars(a, b).tolist()
+
+
+def test_quat_from_axis_angle_equals_numpy_array_arithmetic():
+    rng = np.random.default_rng(2)
+    for scale in (1e-9, 0.1, 1.0, 3.0):
+        for _ in range(500):
+            v = scale * rng.standard_normal(3)
+            assert list(_quat_from_axis_angle(v.tolist())) == quat_from_axis_angle_numpy(v).tolist()
+
+
+GUIDED_CONFIG = """
+[cohort]
+mode = kinematic
+subjects = 300
+seed = 42
+workers = 1
+
+[predictor]
+kind = score
+noise_scale = 0.05
+
+[costs]
+rescan = 0.1
+correction = 1.0
+
+[policy]
+max_rescans = 10
+threshold = 0.9
+
+[kinematics]
+translation_scale = 10.0
+rotation_scale = 0.5
+failure_cutoff = 0.5
+start_offset_t = 8.0
+start_offset_r = 0.3
+guidance_noise_t = 1.0
+guidance_noise_r = 0.05
+gain = 0.8
+motor_noise_t = 0.5
+motor_noise_r = 0.02
+"""
+
+
+# Runs ``guidance`` and writes every scan's quality at full precision beside
+# its outputs: the CSVs' 12 significant digits hide a last-bit difference.
+GUIDANCE_CHILD = """
+import sys
+from pathlib import Path
+
+from scanloop.acquisition_loop import run_cohort
+from scanloop.cli import main
+from scanloop.config import parse_config
+
+config, out = sys.argv[1], Path(sys.argv[2])
+assert main(["guidance", "--config", config, "--out", str(out)]) == 0
+quality = run_cohort(parse_config(Path(config).read_text())).table.quality
+(out / "quality.f64").write_bytes(quality.tobytes())
+"""
+
+
+def test_guidance_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its dot kernel for the CPU at run time; Nehalem's has no
+    # fused multiply-add, so a norm taken through numpy would round otherwise.
+    config = tmp_path / "guided.ini"
+    config.write_text(GUIDED_CONFIG)
+    pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    outputs = {}
+    for kernel in (None, "Nehalem"):
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / str(kernel)
+        result = subprocess.run(
+            [sys.executable, "-c", GUIDANCE_CHILD, str(config), str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs[kernel] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(outputs[None]) == ["quality.f64", "quality_curve.csv", "trajectories.csv"]
+    assert outputs["Nehalem"] == outputs[None]

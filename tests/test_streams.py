@@ -1,12 +1,10 @@
-"""Per-subject streams equal numpy's SeedSequence streams; scalar pose math equals numpy's."""
+"""Per-subject streams equal numpy's SeedSequence streams."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from oracles import quat_from_axis_angle_numpy, quat_multiply_numpy_scalars
-from scanloop.probe_kinematics import _norm, _quat_from_axis_angle, _quat_multiply
 from scanloop.streams import _key_block, _uniform_block, subject_stream
 
 SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1)
@@ -98,27 +96,3 @@ def test_uniform_block_equals_advanced_pcg64_draws():
                 advanced = np.random.PCG64(key).advance(d)
                 assert uniforms[row, d] == (advanced.random_raw() >> 11) * 2.0**-53
 
-
-def test_norm_equals_numpy_norm_bit_for_bit():
-    rng = np.random.default_rng(0)
-    for size in (3, 4):
-        for scale in (1e-200, 1e-3, 1.0, 1e3, 1e150):
-            for _ in range(500):
-                v = scale * rng.standard_normal(size)
-                assert _norm(v) == float(np.linalg.norm(v))
-                assert _norm(v[1:]) == float(np.linalg.norm(v[1:]))
-
-
-def test_quat_multiply_equals_numpy_scalar_product():
-    rng = np.random.default_rng(1)
-    for _ in range(2000):
-        a, b = rng.standard_normal(4), rng.standard_normal(4)
-        assert _quat_multiply(a, b).tolist() == quat_multiply_numpy_scalars(a, b).tolist()
-
-
-def test_quat_from_axis_angle_equals_numpy_array_arithmetic():
-    rng = np.random.default_rng(2)
-    for scale in (1e-9, 0.1, 1.0, 3.0):
-        for _ in range(500):
-            v = scale * rng.standard_normal(3)
-            assert _quat_from_axis_angle(v).tolist() == quat_from_axis_angle_numpy(v).tolist()
