@@ -18,9 +18,18 @@ checkout's ``src`` as ``PYTHONPATH``, run from the checkout's root with
 
 Each run is made in both checkouts.  Every run must exit 0 on both sides, and
 the two must agree on standard output (with the output directory masked) and
-on the bytes of every file written.  The script names each run that failed
-and each file that differs and exits 1, or exits 0 when every run succeeded
-and every byte agrees.
+on the bytes of every file written.
+
+The CSVs carry 12 significant digits, so a change in the last bits of a
+simulated value can leave every file the same.  So each checkout also builds
+``run_cohort(parse_config(...))`` in process for every config above at every
+``--seeds`` value (at ``workers`` 1) and prints the sha256 of the raw bytes of
+each ``SubjectTable`` column: ``alpha``, ``quality`` and each name in
+``SUBJECT_COLUMNS``.  The two sides must agree on every digest.
+
+The script names each run that failed, each file that differs and each column
+that differs and exits 1, or exits 0 when every run succeeded and every byte
+agrees.
 """
 
 from __future__ import annotations
@@ -63,6 +72,27 @@ correction = 1.0
 max_rescans = 50
 """
 HISTOGRAM_CSV = "bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.4,3\n0.5,2\n"
+
+# Run in a checkout with (config path, seed) pairs as arguments: one line per
+# SubjectTable column of each run, "<config> seed=<seed>", the column's name,
+# and its dtype and the sha256 of its raw bytes, separated by tabs.
+COLUMN_DIGESTS = """\
+import hashlib
+import sys
+from pathlib import Path
+
+from scanloop.acquisition_loop import SUBJECT_COLUMNS, run_cohort
+from scanloop.config import parse_config
+
+for path, seed in zip(sys.argv[1::2], sys.argv[2::2]):
+    path = Path(path)
+    text = path.read_text(encoding="utf-8-sig")
+    table = run_cohort(parse_config(text, base_dir=path.parent, seed_override=int(seed))).table
+    for name in ("alpha", "quality", *SUBJECT_COLUMNS):
+        column = getattr(table, name)
+        digest = hashlib.sha256(column.tobytes()).hexdigest()
+        print(f"{path.name} seed={seed}\\t{name}\\t{column.dtype.str} {digest}")
+"""
 
 
 def readme_commands(readme: Path) -> list[list[str]]:
@@ -116,6 +146,38 @@ def run(checkout: Path, args: list[str], out: Path) -> tuple[int, str, str]:
         text=True,
     )
     return proc.returncode, proc.stdout.replace(str(out), "<out>"), proc.stderr
+
+
+def column_digests(checkout: Path, runs: list[tuple[Path, int]]) -> tuple[dict, str]:
+    """(run label, column name) -> dtype and digest, and standard error; the
+    map is empty when the child fails."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [str(value) for run in runs for value in run]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLUMN_DIGESTS, *argv],
+        cwd=checkout,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode:
+        return {}, proc.stderr
+    lines = (line.split("\t") for line in proc.stdout.splitlines())
+    return {(label, name): value for label, name, value in lines}, proc.stderr
+
+
+def compare_columns(before: dict, after: dict) -> list[str]:
+    """One message per column that differs or is held by one side only."""
+    diffs = []
+    for label, name in sorted(before.keys() | after.keys()):
+        key = (label, name)
+        if key not in after:
+            diffs.append(f"{label}: column {name} built only before")
+        elif key not in before:
+            diffs.append(f"{label}: column {name} built only after")
+        elif before[key] != after[key]:
+            diffs.append(f"{label}: column {name} differs")
+    return diffs
 
 
 def files(directory: Path) -> dict[str, bytes]:
@@ -180,9 +242,26 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label}: {verdict} (exit {code}, {written} files)", file=sys.stderr)
             diffs += case_diffs
 
+        # config_cases wrote each config's workers = 1 copy under work.
+        runs = [(work / f"{config.stem}_w1.ini", seed) for config in configs for seed in args.seeds]
+        digests = {}
+        for side, checkout in sides.items():
+            digests[side], err = column_digests(checkout, runs)
+            if not digests[side]:
+                failed += 1
+                diffs.append(f"column digests: the {side} side failed\n{err}".rstrip())
+        if all(digests.values()):
+            column_diffs = compare_columns(digests["before"], digests["after"])
+            verdict = "DIFFERS" if column_diffs else "same"
+            print(f"column digests of {len(runs)} runs: {verdict}", file=sys.stderr)
+            diffs += column_diffs
+
     for message in diffs:
         print(message)
-    print(f"{len(cases)} runs per side, {failed} with a non-zero exit, {len(diffs)} problems")
+    print(
+        f"{len(cases)} runs and {len(runs)} column-digest runs per side,"
+        f" {failed} with a non-zero exit, {len(diffs)} problems"
+    )
     return 1 if diffs else 0
 
 

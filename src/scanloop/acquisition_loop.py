@@ -54,21 +54,6 @@ if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 
-@dataclass(frozen=True, slots=True)
-class LoopPolicy:
-    """Loop controls: when to stop re-scanning.
-
-    A flagged scan triggers a re-scan only while the count of re-scans is
-    below ``max_rescans``; after that the last scan is kept as-is.
-    """
-
-    max_rescans: int
-
-    def __post_init__(self) -> None:
-        if self.max_rescans < 0:
-            raise ValueError(f"max_rescans must be >= 0, got {self.max_rescans}")
-
-
 class SubjectRecord(NamedTuple):
     """What one subject's loop drew, scan by scan: whether each scan truly
     failed and whether it was flagged, and in kinematic mode its image
@@ -87,20 +72,20 @@ class SubjectRecord(NamedTuple):
 
 def run_subject_abstract(
     alpha: FailureRate,
-    policy: LoopPolicy,
+    max_rescans: int,
     predictor: ConfusionPredictor,
     rng: np.random.Generator,
 ) -> SubjectRecord:
     """One subject under the independence assumption.
 
     Each scan fails with probability alpha independently of history; each
-    flagged scan buys a re-scan while budget remains.  Two stream draws per
-    scan (failure, flag), always.
+    flagged scan buys a re-scan while fewer than ``max_rescans`` have been
+    made.  Two stream draws per scan (failure, flag), always.
     """
     a = alpha.alpha
     fails: list[bool] = []
     flags: list[bool] = []
-    for _ in range(policy.max_rescans + 1):
+    for _ in range(max_rescans + 1):
         true_fail = rng.random() < a
         flagged = classify(true_fail, predictor, rng)
         fails.append(true_fail)
@@ -113,7 +98,7 @@ def run_subject_abstract(
 def run_subject_kinematic(
     subject: SubjectAnatomy,
     start: ProbePose,
-    policy: LoopPolicy,
+    max_rescans: int,
     score_pred: ScorePredictor,
     guidance: GuidanceNoise,
     learner: LearnerPolicy,
@@ -131,7 +116,7 @@ def run_subject_kinematic(
     trajectory: list[float] = []
     fails: list[bool] = []
     flags: list[bool] = []
-    for scan in range(policy.max_rescans + 1):
+    for scan in range(max_rescans + 1):
         if scan > 0:
             offset = guidance_offset(pose, guidance, rng)
             pose = apply_move(pose, offset, learner, rng)
@@ -339,7 +324,7 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
                 rng = subject_stream(seed, i)
                 alpha = sample_alpha(config.distribution, rng)
                 predictor = ConfusionPredictor.calibrated(config.profile, alpha)
-                records.append(run_subject_abstract(alpha, config.policy, predictor, rng))
+                records.append(run_subject_abstract(alpha, config.max_rescans, predictor, rng))
         else:
             anatomy = config.anatomy
             for i in range(start, stop):
@@ -350,7 +335,7 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
                     run_subject_kinematic(
                         anatomy,
                         start_pose,
-                        config.policy,
+                        config.max_rescans,
                         config.score_predictor,
                         config.guidance,
                         config.learner,
@@ -408,7 +393,7 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
     analytic = None
     if config.mode == "abstract":
         dist, profile = config.distribution, config.profile
-        quotient, budget = config.rates.quotient, config.policy.max_rescans
+        quotient, budget = config.rates.quotient, config.max_rescans
         try:
             analytic = expected_cost_ratio(dist, profile, quotient, budget).ratio
         except (UndefinedRatio, QuadratureFailure):

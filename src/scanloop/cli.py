@@ -30,7 +30,7 @@ import numpy as np
 
 from .acquisition_loop import empirical_vs_analytic, run_cohort
 from .alpha_distributions import expected_cost_ratio, mean_alpha
-from .config import ExperimentConfig, build_manifest, parse_config
+from .config import build_manifest, parse_config
 from .cost_model import (
     FailureRate,
     PredictorProfile,
@@ -67,14 +67,6 @@ TABLE1_HEADER = (
 )
 
 
-def _out_dir(args: argparse.Namespace, config: ExperimentConfig | None = None) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    if config is not None:
-        return Path(config.out_dir)
-    return Path("runs")
-
-
 def _load_config(args: argparse.Namespace, modes: tuple[str, ...] | None = None):
     if args.config is None:
         raise ConfigError(f"--config: required for the {args.command} command")
@@ -87,7 +79,7 @@ def _load_config(args: argparse.Namespace, modes: tuple[str, ...] | None = None)
         text,
         base_dir=path.parent,
         seed_override=args.seed,
-        out_override=str(args.out) if args.out is not None else None,
+        out_override=args.out,
     )
     if modes is not None and config.mode not in modes:
         raise ConfigError(
@@ -121,7 +113,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         json.dumps({"reference_grid": [list(r) for r in REFERENCE_GRID]}).encode()
     ).hexdigest()
     manifest = build_manifest(args.seed if args.seed is not None else 0, digest)
-    out = _out_dir(args)
+    out = Path(args.out if args.out is not None else "runs")
     write_csv(out / "table1.csv", TABLE1_HEADER, list(zip(*rows)), manifest)
 
     print(
@@ -141,7 +133,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     config = _load_config(args, modes=("abstract",))
     dist, profile, rates = config.distribution, config.profile, config.rates
     mean_a = mean_alpha(dist)
-    ratio = expected_cost_ratio(dist, profile, rates.quotient, config.policy.max_rescans).ratio
+    ratio = expected_cost_ratio(dist, profile, rates.quotient, config.max_rescans).ratio
     original_cost = mean_a * rates.correction_cost
     new_cost = original_cost * ratio
     breakeven = breakeven_precision(FailureRate(mean_a), rates.quotient)
@@ -164,7 +156,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
         },
         "note": note,
     }
-    out = _out_dir(args, config)
+    out = Path(config.out_dir)
     write_json(out / "ratio.json", payload)
 
     print(f"mean failure rate      {mean_a:.6g}")
@@ -188,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if len(report.table) > 0 and report.aggregates.analytic_cost_ratio is not None:
         comparison = empirical_vs_analytic(report, config.distribution, config.rates)
 
-    out = _out_dir(args, config)
+    out = Path(config.out_dir)
     write_summary_json(out / "report.json", report, comparison)
     write_subjects_csv(out / "subjects.csv", report)
 
@@ -247,10 +239,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args, modes=("kinematic",))
     if config.sweep_thresholds is None:
         raise ConfigError("sweep: a [sweep] section is required for the sweep command")
-    if config.policy.max_rescans < 1:
+    if config.max_rescans < 1:
         raise ConfigError("policy.max_rescans: must be >= 1 for a threshold sweep")
 
-    quotient, budget = config.rates.quotient, config.policy.max_rescans
+    quotient, budget = config.rates.quotient, config.max_rescans
     rows = []
     for tau in config.sweep_thresholds:
         tau_config = dataclasses.replace(
@@ -274,7 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             best = min(range(len(rows)), key=lambda i: (values[i] is None, values[i]))
             rows[best][SWEEP_HEADER.index(mark)] = 1
 
-    out = _out_dir(args, config)
+    out = Path(config.out_dir)
     write_csv(out / "sweep.csv", SWEEP_HEADER, list(zip(*rows)), config.manifest_dict())
 
     print(f"{'tau':>6} {'alpha^':>7} {'prec':>6} {'recall':>7} {'plugin':>7} {'cost':>9}")
@@ -295,7 +287,7 @@ def cmd_guidance(args: argparse.Namespace) -> int:
     # One row per scan: the subject's id repeated over its scans, the scan's
     # index among them and the scan's quality.
     starts = np.cumsum(table.scans) - table.scans
-    out = _out_dir(args, config)
+    out = Path(config.out_dir)
     write_csv(
         out / "trajectories.csv",
         ("subject_id", "scan_index", "quality"),

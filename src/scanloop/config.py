@@ -31,7 +31,6 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .acquisition_loop import LoopPolicy
 from .alpha_distributions import (
     Beta,
     EmpiricalHistogram,
@@ -97,7 +96,7 @@ class ExperimentConfig:
     master_seed: int
     workers: int
     rates: CostRates
-    policy: LoopPolicy
+    max_rescans: int
     distribution: FailureDistribution | None
     profile: PredictorProfile | None
     score_predictor: ScorePredictor | None
@@ -370,7 +369,6 @@ def parse_config(
     else:
         threshold = policy_reader.get("threshold", float)
     policy_reader.reject_unknown()
-    policy = LoopPolicy(max_rescans=max_rescans)
 
     predictor = _SectionReader(parser, "predictor")
     kind = predictor.get(
@@ -461,7 +459,7 @@ def parse_config(
         master_seed=seed,
         workers=workers,
         rates=rates,
-        policy=policy,
+        max_rescans=max_rescans,
         distribution=distribution,
         profile=profile,
         score_predictor=score_predictor,

@@ -58,10 +58,6 @@ class ScorePredictor:
     noise_scale: float
     threshold: float
 
-    def __post_init__(self) -> None:
-        if self.noise_scale < 0.0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
-
 
 def score(
     true_quality: float, predictor: ScorePredictor, rng: np.random.Generator

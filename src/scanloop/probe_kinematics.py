@@ -13,6 +13,9 @@ which keeps it in (0, 1], smooth, and anisotropic via per-subject scales.
 Poses, offsets and quaternions are tuples of Python floats, and every
 operation is scalar float arithmetic whose rounding is fixed by IEEE
 binary64, so the results depend on the seed alone, not on the machine.
+Poses and offsets are unchecked named tuples: the functions that build them
+make each orientation unit-norm and each rotation angle canonical, and
+``config.parse_config`` bounds every setting.
 
 All random perturbations consume a fixed number of stream draws per call:
 one block of seven Gaussians (three for a translation, three plus one for a
@@ -24,11 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-_UNIT_TOL = 1e-9
 
 # Veltkamp's splitter for binary64: c = (2^27 + 1)·x splits x exactly into a
 # high and a low half of 26 significant bits each.
@@ -82,21 +83,6 @@ def _norm(v: Sequence[float]) -> float:
     )
 
 
-def _float_tuple(values: Sequence[float], size: int, name: str) -> tuple[float, ...]:
-    """``values`` as a tuple of ``size`` floats, read as
-    ``np.asarray(values, dtype=float)`` reads them; ValueError when that
-    array's shape is not ``(size,)``."""
-    if type(values) is tuple and len(values) == size:
-        try:
-            return tuple(map(float, values))
-        except (TypeError, ValueError):
-            pass
-    array = np.asarray(values, dtype=float)
-    if array.shape != (size,):
-        raise ValueError(f"{name} must be a {size}-vector, got shape {array.shape}")
-    return tuple(array.tolist())
-
-
 def _quat_normalize(q: Sequence[float]) -> tuple[float, float, float, float]:
     n = _norm(q)
     w, x, y, z = q
@@ -138,42 +124,19 @@ def _axis_angle_from_quat(q: Sequence[float]) -> tuple[float, float, float]:
     return (k * x, k * y, k * z)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ProbePose:
+class ProbePose(NamedTuple):
     """Probe placement: position in mm, orientation as a unit quaternion (w, x, y, z)."""
 
     position: tuple[float, float, float]
     orientation: tuple[float, float, float, float]
 
-    def __post_init__(self) -> None:
-        pos = _float_tuple(self.position, 3, "position")
-        ori = _float_tuple(self.orientation, 4, "orientation")
-        norm = _norm(ori)
-        if abs(norm - 1.0) > _UNIT_TOL:
-            raise ValueError(f"orientation must be unit-norm, got norm {norm}")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", ori)
 
-
-@dataclass(frozen=True, eq=False, slots=True)
-class PoseOffset:
-    """6-number move: translation in mm plus an axis-angle rotation vector.
-
-    The rotation vector's norm is the rotation angle and must lie in [0, pi]
-    (every rotation has such a canonical form).
-    """
+class PoseOffset(NamedTuple):
+    """6-number move: translation in mm plus an axis-angle rotation vector
+    whose norm, the rotation angle, lies in [0, pi]."""
 
     translation: tuple[float, float, float]
     rotation: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        t = _float_tuple(self.translation, 3, "translation")
-        r = _float_tuple(self.rotation, 3, "rotation")
-        angle = _norm(r)
-        if angle > math.pi + 1e-12:
-            raise ValueError(f"rotation angle must be in [0, pi], got {angle}")
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "rotation", r)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -185,14 +148,6 @@ class SubjectAnatomy:
     rotation_scale: float
     failure_cutoff: float
 
-    def __post_init__(self) -> None:
-        if self.translation_scale <= 0.0:
-            raise ValueError(f"translation_scale must be > 0, got {self.translation_scale}")
-        if self.rotation_scale <= 0.0:
-            raise ValueError(f"rotation_scale must be > 0, got {self.rotation_scale}")
-        if not 0.0 < self.failure_cutoff < 1.0:
-            raise ValueError(f"failure_cutoff must be in (0, 1), got {self.failure_cutoff}")
-
 
 @dataclass(frozen=True, slots=True)
 class LearnerPolicy:
@@ -202,12 +157,6 @@ class LearnerPolicy:
     motor_noise_t: float = 0.0
     motor_noise_r: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gain <= 1.0:
-            raise ValueError(f"gain must be in (0, 1], got {self.gain}")
-        if self.motor_noise_t < 0.0 or self.motor_noise_r < 0.0:
-            raise ValueError("motor noise scales must be >= 0")
-
 
 @dataclass(frozen=True, slots=True)
 class GuidanceNoise:
@@ -215,10 +164,6 @@ class GuidanceNoise:
 
     guidance_noise_t: float = 0.0
     guidance_noise_r: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.guidance_noise_t < 0.0 or self.guidance_noise_r < 0.0:
-            raise ValueError("guidance noise scales must be >= 0")
 
 
 def pose_error(pose: ProbePose) -> tuple[float, float]:

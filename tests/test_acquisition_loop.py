@@ -12,7 +12,6 @@ from oracles import SubjectRow, subject_row, table_row, table_rows
 from scanloop.acquisition_loop import (
     SUBJECT_COLUMNS,
     ComparisonSummary,
-    LoopPolicy,
     SubjectRecord,
     SubjectTable,
     _simulate_records,
@@ -115,19 +114,13 @@ def _kinematic_config(n, seed=0, workers=1, threshold=0.7, noise_scale=0.05):
     )
 
 
-class TestLoopPolicy:
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_rescans"):
-            LoopPolicy(max_rescans=-1)
-
-
 class TestRunSubjectAbstract:
     def test_never_failing_subject_costs_nothing(self):
-        policy = LoopPolicy(max_rescans=50)
+        max_rescans = 50
         alpha = FailureRate(0.0)
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(50):
-            rec = _row(run_subject_abstract(alpha, policy, predictor, subject_stream(1, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(1, i)))
             assert rec.scans == 1
             assert rec.rescans == 0
             assert rec.cost == 0.0
@@ -137,12 +130,12 @@ class TestRunSubjectAbstract:
         # With alpha close to 1 and a perfect predictor, almost every subject
         # fails and is flagged on all scans, runs out the 3-rescan budget, and
         # pays a correction on the fourth and last scan.
-        policy = LoopPolicy(max_rescans=3)
+        max_rescans = 3
         alpha = FailureRate(0.999)
         predictor = ConfusionPredictor.calibrated(PredictorProfile(1.0, 1.0), alpha)
         exhausted = 0
         for i in range(200):
-            rec = _row(run_subject_abstract(alpha, policy, predictor, subject_stream(2, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(2, i)))
             assert rec.rescans <= 3
             if rec.scans == 4 and rec.final_true_fail:
                 assert rec.cost == pytest.approx(3 * 0.1 + 1.0)
@@ -151,33 +144,33 @@ class TestRunSubjectAbstract:
         assert exhausted >= 190
 
     def test_accounting_identity_and_budget(self):
-        policy = LoopPolicy(max_rescans=5)
+        max_rescans = 5
         alpha = FailureRate(0.4)
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(300):
-            rec = _row(run_subject_abstract(alpha, policy, predictor, subject_stream(3, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(3, i)))
             assert rec.scans == rec.rescans + 1
-            assert rec.rescans <= policy.max_rescans
+            assert rec.rescans <= max_rescans
             expected = rec.rescans * RATES.rescan_cost + (
                 RATES.correction_cost if rec.final_true_fail else 0.0
             )
             assert rec.cost == pytest.approx(expected)
 
     def test_zero_budget_always_single_scan(self):
-        policy = LoopPolicy(max_rescans=0)
+        max_rescans = 0
         alpha = FailureRate(0.5)
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(100):
-            rec = _row(run_subject_abstract(alpha, policy, predictor, subject_stream(4, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(4, i)))
             assert rec.scans == 1
             assert rec.first_fail == rec.final_true_fail
 
     def test_mean_cost_matches_closed_form(self):
-        policy = LoopPolicy(max_rescans=50)
+        max_rescans = 50
         alpha = FailureRate(0.2)
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         records = [
-            run_subject_abstract(alpha, policy, predictor, subject_stream(5, i))
+            run_subject_abstract(alpha, max_rescans, predictor, subject_stream(5, i))
             for i in range(20_000)
         ]
         costs = SubjectTable.from_records(records, RATES).cost
@@ -198,7 +191,7 @@ class TestRunSubjectKinematic:
         rec = run_subject_kinematic(
             self.ANATOMY,
             ProbePose(position=(0.0, 0.0, 0.0), orientation=(1.0, 0.0, 0.0, 0.0)),
-            LoopPolicy(max_rescans=5),
+            5,
             ScorePredictor(noise_scale=0.0, threshold=0.7),
             self.QUIET,
             LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0),
@@ -216,7 +209,7 @@ class TestRunSubjectKinematic:
         rec = run_subject_kinematic(
             self.ANATOMY,
             start,
-            LoopPolicy(max_rescans=5),
+            5,
             ScorePredictor(noise_scale=0.0, threshold=0.9),
             self.QUIET,
             LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0),
@@ -235,7 +228,7 @@ class TestRunSubjectKinematic:
         rec = run_subject_kinematic(
             self.ANATOMY,
             start,
-            LoopPolicy(max_rescans=5),
+            5,
             ScorePredictor(noise_scale=0.0, threshold=1.0),
             self.QUIET,
             LearnerPolicy(gain=0.5, motor_noise_t=0.0, motor_noise_r=0.0),
@@ -258,7 +251,7 @@ class TestRunSubjectKinematic:
             rec = run_subject_kinematic(
                 self.ANATOMY,
                 start,
-                LoopPolicy(max_rescans=8),
+                8,
                 ScorePredictor(noise_scale=0.1, threshold=0.7),
                 noise,
                 learner,
@@ -283,7 +276,7 @@ class TestSubjectTable:
                     run_subject_kinematic(
                         anatomy,
                         start,
-                        LoopPolicy(max_rescans=4),
+                        4,
                         ScorePredictor(noise_scale=0.1, threshold=0.8),
                         GuidanceNoise(guidance_noise_t=0.5, guidance_noise_r=0.02),
                         LearnerPolicy(gain=0.7, motor_noise_t=0.2, motor_noise_r=0.01),
@@ -293,10 +286,10 @@ class TestSubjectTable:
         else:
             alpha = FailureRate(0.3)
             predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
-            policy = LoopPolicy(max_rescans=6)
+            max_rescans = 6
             for i in range(n):
                 rng = subject_stream(21, i)
-                records.append(run_subject_abstract(alpha, policy, predictor, rng))
+                records.append(run_subject_abstract(alpha, max_rescans, predictor, rng))
         return records
 
     @pytest.mark.parametrize("kinematic", [False, True], ids=["abstract", "kinematic"])

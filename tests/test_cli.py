@@ -797,6 +797,19 @@ FLOAT_KEYS = [
 # Rotation-noise standard deviations, bounded to [0, pi] rad.
 ROTATION_SD_KEYS = ("start_offset_r", "guidance_noise_r", "motor_noise_r")
 
+# Finite values just outside a kinematic setting's range, (section, key, text):
+# the config is the only place these ranges are checked.
+OUT_OF_RANGE = [
+    ("kinematics", "translation_scale", "0"),
+    ("kinematics", "rotation_scale", "-0.5"),
+    ("kinematics", "failure_cutoff", "1"),
+    ("kinematics", "gain", "0"),
+    ("kinematics", "gain", "1.5"),
+    ("kinematics", "motor_noise_t", "-1"),
+    ("kinematics", "guidance_noise_r", "-0.1"),
+    ("predictor", "noise_scale", "-0.1"),
+]
+
 FAMILY_SETTINGS = {
     "point_mass": {"alpha": "0.2"},
     "uniform": {"lo": "0.1", "hi": "0.3"},
@@ -862,6 +875,7 @@ class TestNonFiniteNumbers:
         "mode, family, section, key, text",
         [(*k, text) for k in FLOAT_KEYS for text in ("inf", "-inf", "nan")]
         + [("kinematic", None, "kinematics", key, "1e308") for key in ROTATION_SD_KEYS]
+        + [("kinematic", None, *case) for case in OUT_OF_RANGE]
         # a grid this long would be allocated at parse time
         + [("kinematic", None, "sweep", "tau_steps", "1000000000000000")],
         ids=lambda v: v if isinstance(v, str) else None,

@@ -88,7 +88,7 @@ class TestAbstractParsing:
         assert cfg.profile.recall == 0.9
         assert cfg.rates.rescan_cost == 0.1
         assert cfg.rates.correction_cost == 1.0
-        assert cfg.policy.max_rescans == 20
+        assert cfg.max_rescans == 20
         assert cfg.score_predictor is None and cfg.anatomy is None
         assert cfg.out_dir == "out/runs"
 
@@ -101,7 +101,7 @@ class TestAbstractParsing:
         cfg = parse_config(minimal)
         assert cfg.master_seed == 0
         assert cfg.workers >= 1
-        assert cfg.policy.max_rescans == 50
+        assert cfg.max_rescans == 50
         assert cfg.out_dir == "runs"
         assert cfg.echo["cohort"]["seed"] == 0
         assert cfg.echo["policy"]["max_rescans"] == 50
@@ -163,7 +163,7 @@ class TestKinematicParsing:
         # A subject whose every scan is flagged runs the whole budget.
         for budget in (0, 10_000):
             cfg = parse_config(_with(text, line, f"max_rescans = {budget}"))
-            assert cfg.policy.max_rescans == budget
+            assert cfg.max_rescans == budget
         for budget in (-1, 10_001):
             with pytest.raises(
                 ConfigError, match=rf"policy\.max_rescans: must be in \[0, 10000\], got {budget}"

@@ -1,14 +1,17 @@
-"""Config fuzzing: every abstract config, valid or not, ends in a documented exit code.
+"""Config fuzzing: every config, valid or not, ends in a documented exit code.
 
-Documents are generated key by key for the [distribution], [predictor],
-[policy] and [costs] sections, mixing values inside each key's valid range
-with values outside it and text that is no number at all, and sometimes
-leaving a key out.  ``cli.main`` runs each in process on at most 50
-subjects.
+Documents are generated key by key, mixing values inside each key's valid
+range with values outside it and text that is no number at all, and
+sometimes leaving a key out.  Abstract documents fill the [distribution],
+[predictor], [policy] and [costs] sections and run ``ratio`` or
+``simulate`` on at most 50 subjects; kinematic ones fill [predictor],
+[policy], [costs], [kinematics] and, in half of them, [sweep], and run
+``guidance`` on at most 5 subjects.  ``cli.main`` runs each in process.
 """
 
 import contextlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -74,6 +77,33 @@ SECTIONS = {
 }
 
 
+KINEMATIC_SECTIONS = {
+    "predictor": {
+        "kind": mostly(st.just("score"), st.just("confusion")),
+        "noise_scale": number(0.0, 0.5),
+    },
+    "costs": SECTIONS["costs"],
+    "policy": {"max_rescans": count(0, 20), "threshold": number(-0.1, 1.1)},
+    "kinematics": {
+        "translation_scale": number(1e-6, 50.0),
+        "rotation_scale": number(1e-6, 2.0),
+        "failure_cutoff": number(0.0, 1.0),
+        "start_offset_t": number(0.0, 50.0),
+        "start_offset_r": number(0.0, math.pi),
+        "guidance_noise_t": number(0.0, 20.0),
+        "guidance_noise_r": number(0.0, math.pi),
+        "gain": number(0.0, 1.0),
+        "motor_noise_t": number(0.0, 20.0),
+        "motor_noise_r": number(0.0, math.pi),
+    },
+}
+SWEEP_KEYS = {
+    "tau_start": number(-0.1, 1.1),
+    "tau_stop": number(-0.1, 1.1),
+    "tau_steps": count(1, 20),
+}
+
+
 @st.composite
 def section(draw, keys: dict) -> dict[str, str]:
     """Each key's text; a key is left out one time in 16."""
@@ -97,11 +127,25 @@ def abstract_documents(draw) -> tuple[str, str]:
         "distribution": {"family": family, **draw(section(FAMILY_KEYS[family]))},
         **{name: draw(section(keys)) for name, keys in SECTIONS.items()},
     }
-    text = "".join(
+    return render(sections), draw(bins_csv())
+
+
+def render(sections: dict[str, dict[str, str]]) -> str:
+    return "".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
         for name, keys in sections.items()
     )
-    return text, draw(bins_csv())
+
+
+@st.composite
+def kinematic_documents(draw) -> str:
+    sections = {
+        "cohort": {"mode": "kinematic", "subjects": str(draw(st.integers(0, 5))), "workers": "1"},
+        **{name: draw(section(keys)) for name, keys in KINEMATIC_SECTIONS.items()},
+    }
+    if draw(st.booleans()):
+        sections["sweep"] = draw(section(SWEEP_KEYS))
+    return render(sections)
 
 
 def extreme_costs(recall: float, rescan: float, correction: float) -> tuple[str, str]:
@@ -117,13 +161,8 @@ def extreme_costs(recall: float, rescan: float, correction: float) -> tuple[str,
     return text, "bin_upper_edge,mass\n"
 
 
-@given(document=abstract_documents(), command=st.sampled_from(["ratio", "simulate"]))
-@example(document=extreme_costs(1.0, 1.0, 4.1955249823613083e-190), command="simulate")
-@example(document=extreme_costs(0.0, 0.0, 4.1955249823613083e-190), command="simulate")
-@example(document=extreme_costs(0.0, 0.0, 2.6815615859885194e154), command="simulate")
-@settings(max_examples=300, deadline=None)
-def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
-    text, bins = document
+def run_main(command: str, text: str, bins: str = "") -> tuple[int, str, list[str]]:
+    """(exit code, stderr, names of the files written) of ``command`` on ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out"
         config.write_text(text, encoding="utf-8")
@@ -132,10 +171,29 @@ def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--config", str(config), "--out", str(out)])
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    assert code in (0, 2, 3, 4), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue(), written
+
+
+def check_outcome(code: int, err: str, written: list[str], expected: list[str]) -> None:
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
     if code == 0:
-        expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]
         assert written == expected
     else:
-        assert err.getvalue().strip(), "a failing run says why"
+        assert err.strip(), "a failing run says why"
+
+
+@given(document=abstract_documents(), command=st.sampled_from(["ratio", "simulate"]))
+@example(document=extreme_costs(1.0, 1.0, 4.1955249823613083e-190), command="simulate")
+@example(document=extreme_costs(0.0, 0.0, 4.1955249823613083e-190), command="simulate")
+@example(document=extreme_costs(0.0, 0.0, 2.6815615859885194e154), command="simulate")
+@settings(max_examples=300, deadline=None)
+def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
+    expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]
+    check_outcome(*run_main(command, *document), expected)
+
+
+@given(text=kinematic_documents())
+@settings(max_examples=200, deadline=None)
+def test_any_kinematic_config_ends_in_a_documented_exit_code(text):
+    check_outcome(*run_main("guidance", text), ["quality_curve.csv", "trajectories.csv"])

@@ -198,11 +198,6 @@ def test_score_mean_clt_away_from_clamp():
     np.testing.assert_allclose(scalar, vals[:1000], rtol=0, atol=1e-15)
 
 
-def test_score_negative_noise_scale_rejected():
-    with pytest.raises(ValueError):
-        ScorePredictor(-0.1, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # operating_point
 
