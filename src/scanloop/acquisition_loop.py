@@ -34,8 +34,8 @@ import numpy as np
 
 from .alpha_distributions import mean_alpha as _dist_mean_alpha
 from .alpha_distributions import expected_cost_ratio, sample_alpha
-from .cost_model import CostRates, FailureRate
-from .errors import ModeMismatch, QuadratureFailure, UndefinedRatio
+from .cost_model import CostRates
+from .errors import QuadratureFailure, UndefinedRatio
 from .predictor_model import ConfusionPredictor, ScorePredictor, classify, score
 from .probe_kinematics import (
     GuidanceNoise,
@@ -71,7 +71,7 @@ class SubjectRecord(NamedTuple):
 
 
 def run_subject_abstract(
-    alpha: FailureRate,
+    alpha: float,
     max_rescans: int,
     predictor: ConfusionPredictor,
     rng: np.random.Generator,
@@ -82,17 +82,16 @@ def run_subject_abstract(
     flagged scan buys a re-scan while fewer than ``max_rescans`` have been
     made.  Two stream draws per scan (failure, flag), always.
     """
-    a = alpha.alpha
     fails: list[bool] = []
     flags: list[bool] = []
     for _ in range(max_rescans + 1):
-        true_fail = rng.random() < a
+        true_fail = rng.random() < alpha
         flagged = classify(true_fail, predictor, rng)
         fails.append(true_fail)
         flags.append(flagged)
         if not flagged:
             break
-    return SubjectRecord(a, fails, flags)
+    return SubjectRecord(alpha, fails, flags)
 
 
 def run_subject_kinematic(
@@ -228,13 +227,14 @@ class SubjectTable:
 
 @dataclass(frozen=True, slots=True)
 class CohortAggregates:
-    """Cohort summaries, all recomputable from the per-subject table."""
+    """Cohort summaries, all recomputable from the per-subject table; a cost
+    or ratio beyond the range of doubles is None."""
 
     subjects: int
     total_scans: int
     total_rescans: int
     total_corrections: int
-    total_cost: float
+    total_cost: float | None
     mean_cost: float | None
     mean_rescans: float | None
     empirical_precision: float | None
@@ -256,13 +256,19 @@ class SimulationReport:
     manifest: dict
 
 
+def _finite(value: float) -> float | None:
+    """``value``, or None where it left the range of doubles: JSON has no
+    number for it."""
+    return value if math.isfinite(value) else None
+
+
 def _empirical_ratio(table: SubjectTable, rates: CostRates) -> float | None:
     """Paired estimator: looped cost over the cost the same draws would have
     incurred with no loop (correction on first-scan failure)."""
     baseline = rates.correction_cost * float(table.first_fail.sum())
     if baseline == 0.0:
         return None
-    return float(table.cost.sum()) / baseline
+    return _finite(float(table.cost.sum()) / baseline)
 
 
 def _aggregate(
@@ -283,8 +289,8 @@ def _aggregate(
         total_scans=int(table.scans.sum()),
         total_rescans=int(table.rescans.sum()),
         total_corrections=int(table.final_true_fail.sum()),
-        total_cost=float(table.cost.sum()),
-        mean_cost=float(table.cost.mean()) if n > 0 else None,
+        total_cost=_finite(float(table.cost.sum())),
+        mean_cost=_finite(float(table.cost.mean())) if n > 0 else None,
         mean_rescans=float(table.rescans.mean()) if n > 0 else None,
         empirical_precision=hits / flagged if flagged > 0 else None,
         empirical_recall=hits / failed if failed > 0 else None,
@@ -368,7 +374,8 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
     ``config.workers``: subjects consume only their own streams and chunks
     are reassembled in subject order.  The abstract closed-form ratio is None
     where it cannot be had: a zero-mean population, whose baseline cost is 0,
-    or one whose integral the Gauss rules fail to resolve.
+    one whose integral the Gauss rules fail to resolve, or one whose ratio
+    leaves the range of doubles.
     """
     n = config.n_subjects
     workers = config.workers
@@ -395,7 +402,7 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
         dist, profile = config.distribution, config.profile
         quotient, budget = config.rates.quotient, config.max_rescans
         try:
-            analytic = expected_cost_ratio(dist, profile, quotient, budget).ratio
+            analytic = _finite(expected_cost_ratio(dist, profile, quotient, budget))
         except (UndefinedRatio, QuadratureFailure):
             pass
 
@@ -415,9 +422,9 @@ class ComparisonSummary:
 
     subjects: int
     analytic_original_cost: float
-    analytic_new_cost: float
+    analytic_new_cost: float | None
     analytic_cost_ratio: float
-    empirical_mean_cost: float
+    empirical_mean_cost: float | None
     empirical_cost_se: float | None
     empirical_cost_ratio: float | None
     empirical_ratio_se: float | None
@@ -436,19 +443,17 @@ def empirical_vs_analytic(
     aggregates.  Standard errors are sample-based; the cost-ratio one uses
     the delta method for the paired ratio estimator.  With a single subject
     no spread is estimable, so the errors and z-scores are reported as None;
-    so are the ratio's where the delta method squares a ratio or a mean
-    baseline cost beyond the range of doubles (a correction cost extreme
-    against the re-scan cost).
+    so is every figure that leaves the range of doubles, as the spread of
+    extreme costs or the delta method's squares of a ratio or a mean
+    baseline cost can (a correction cost extreme against the re-scan cost).
 
     Raises:
-        ModeMismatch: for kinematic reports, whose scans violate the
-            independence assumption the closed forms rely on.
         ValueError: for an empty cohort, or a report without an analytic
-            cost ratio (a population whose mean failure rate is 0, or whose
-            integral the Gauss rules fail to resolve).
+            cost ratio: a kinematic report, whose scans violate the
+            independence assumption the closed forms rely on, or a population
+            whose mean failure rate is 0, or whose integral the Gauss rules
+            fail to resolve.
     """
-    if report.mode != "abstract":
-        raise ModeMismatch("analytic comparison is defined for abstract-mode reports only")
     n = len(report.table)
     if n == 0:
         raise ValueError("cannot compare an empty cohort")
@@ -464,29 +469,29 @@ def empirical_vs_analytic(
 
     if n > 1:
         cost = report.table.cost
-        cost_se = float(cost.std(ddof=1) / math.sqrt(n))
-        if cost_se > 0.0:
-            z_cost = (agg.mean_cost - analytic_new) / cost_se
+        cost_se = _finite(float(cost.std(ddof=1) / math.sqrt(n)))
+        if cost_se and agg.mean_cost is not None:
+            z_cost = _finite((agg.mean_cost - analytic_new) / cost_se)
         if ratio is not None:
             baseline = rates.correction_cost * report.table.first_fail.astype(float)
             ybar = float(baseline.mean())
-            try:
-                var = (
-                    float(cost.var(ddof=1))
-                    - 2.0 * ratio * float(np.cov(cost, baseline, ddof=1)[0, 1])
-                    + ratio**2 * float(baseline.var(ddof=1))
-                ) / (n * ybar**2)
-            except (OverflowError, ZeroDivisionError):
-                var = None  # the ratio or ybar squared leaves the range of doubles
-            if var is not None:
+            spread = (
+                float(cost.var(ddof=1))
+                - 2.0 * ratio * float(np.cov(cost, baseline, ddof=1)[0, 1])
+                + ratio * ratio * float(baseline.var(ddof=1))
+            )
+            # ybar squared may round to 0, and either square may overflow
+            scale = n * (ybar * ybar)
+            var = spread / scale if scale > 0.0 else math.inf
+            if math.isfinite(var):
                 ratio_se = math.sqrt(max(var, 0.0))
                 if ratio_se > 0.0:
-                    z_ratio = (ratio - analytic_ratio) / ratio_se
+                    z_ratio = _finite((ratio - analytic_ratio) / ratio_se)
 
     return ComparisonSummary(
         subjects=n,
         analytic_original_cost=analytic_original,
-        analytic_new_cost=analytic_new,
+        analytic_new_cost=_finite(analytic_new),
         analytic_cost_ratio=analytic_ratio,
         empirical_mean_cost=agg.mean_cost,
         empirical_cost_se=cost_se,

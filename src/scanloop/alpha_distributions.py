@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_model import (
-    _DEFAULT_MAX_RESCANS,
-    CostRatio,
-    FailureRate,
-    PredictorProfile,
-    budgeted_cost_at,
-)
+from .cost_model import _DEFAULT_MAX_RESCANS, PredictorProfile, budgeted_cost_at
 from .errors import QuadratureFailure, UndefinedRatio
 
 
@@ -102,10 +96,6 @@ class PointMass(FailureDistribution):
 
     alpha: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-
     @property
     def support(self) -> tuple[float, float]:
         return (self.alpha, self.alpha)
@@ -126,12 +116,6 @@ class Uniform(FailureDistribution):
 
     lo: float
     hi: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lo < self.hi < 1.0):
-            raise ValueError(
-                f"support must satisfy 0 <= lo < hi < 1, got [{self.lo}, {self.hi}]"
-            )
 
     @property
     def support(self) -> tuple[float, float]:
@@ -158,12 +142,6 @@ class Beta(FailureDistribution):
 
     a: float
     b: float
-
-    def __post_init__(self) -> None:
-        if not (self.a >= 1.0 and self.b > 1.0):
-            raise ValueError(
-                f"shape parameters must satisfy a >= 1 and b > 1, got a={self.a}, b={self.b}"
-            )
 
     @property
     def support(self) -> tuple[float, float]:
@@ -224,12 +202,6 @@ class TruncatedNormal(FailureDistribution):
     mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not (0.0 <= self.lo < self.hi < 1.0):
-            raise ValueError(
-                f"support must satisfy 0 <= lo < hi < 1, got [{self.lo}, {self.hi}]"
-            )
         ndtr = _special().ndtr
         sign = -1.0 if self.lo > self.mu else 1.0
         cdf_lo = float(ndtr(sign * (self.lo - self.mu) / self.sigma))
@@ -378,12 +350,35 @@ def mean_alpha(dist: FailureDistribution) -> float:
     return math.fsum(m * 0.5 * (lo + hi) for m, lo, hi in bins)
 
 
+def _narrow(lo: float, hi: float) -> bool:
+    """Whether an outermost node of the finer Gauss–Legendre rule on [lo, hi]
+    rounds onto an end.  A Beta's Jacobi weight (1 − t)^right at alpha = 1
+    only moves the nodes away from 1 (Szegő, Orthogonal Polynomials, 6.21.1)."""
+    t, _ = _legendre(_NODES)
+    half = 0.5 * (hi - lo)
+    return lo + half * (float(t[0]) + 1.0) <= lo or lo + half * (float(t[-1]) + 1.0) >= hi
+
+
+def _merge_narrow_pieces(cuts: list[float]) -> list[float]:
+    """``cuts`` without the interior cuts that end a piece on which ``_narrow``
+    holds, so that each such piece joins its neighbour.  Next to alpha = 1 a
+    piece narrower than about 1.6e-13 would put a node on 1, where the cost
+    is undefined and a Jacobi weight's log is not finite."""
+    kept = [cuts[0]]
+    for c in cuts[1:-1]:
+        if not _narrow(kept[-1], c):
+            kept.append(c)
+    while len(kept) > 1 and _narrow(kept[-1], cuts[-1]):
+        kept.pop()
+    return [*kept, cuts[-1]]
+
+
 def expected_cost_ratio(
     dist: FailureDistribution,
     profile: PredictorProfile,
     cost_quotient: float,
     max_rescans: int = _DEFAULT_MAX_RESCANS,
-) -> CostRatio:
+) -> float:
     """Population ratio of looped cost to baseline cost.
 
     The density-weighted mean of ``budgeted_cost_at`` — the loop the simulator
@@ -401,16 +396,13 @@ def expected_cost_ratio(
         QuadratureFailure: when the 64- and 32-node rules disagree by more
             than 1e-10 of the integral, or miss 1e-6 of the density's mass.
     """
-    if cost_quotient < 0.0:
-        raise ValueError(f"cost_quotient must be >= 0, got {cost_quotient}")
-
     def cost(alpha: float) -> float:
-        return budgeted_cost_at(FailureRate(alpha), profile, cost_quotient, max_rescans)
+        return budgeted_cost_at(alpha, profile, cost_quotient, max_rescans)
 
     if isinstance(dist, PointMass):
         if dist.alpha == 0.0:
             raise UndefinedRatio("cost ratio is 0/0 at alpha = 0")
-        return CostRatio(cost(dist.alpha) / dist.alpha)
+        return cost(dist.alpha) / dist.alpha
 
     p, r = profile.precision, profile.recall
     lo, hi = dist.support
@@ -420,6 +412,7 @@ def expected_cost_ratio(
     levels = range(1, max_rescans.bit_length() + 2)
     graded = [alpha_max + (end - alpha_max) * 0.5**j for end in (lo, hi) for j in levels]
     cuts = sorted({lo, hi, *(c for c in (*dist.breakpoints(), alpha_max, *graded) if lo < c < hi)})
+    cuts = _merge_narrow_pieces(cuts)
     pieces = list(zip(cuts, cuts[1:]))
     rules = [[dist.gauss_rule(a, b, n) for a, b in pieces] for n in (_NODES, _CHECK_NODES)]
     mass = math.fsum(w for _, weights in rules[0] for w in weights)
@@ -433,9 +426,9 @@ def expected_cost_ratio(
             f" by {math.fsum(gaps):.3g} on an integral of {total:.3g}, most on the piece"
             f" [{a}, {b}], and find a probability mass of {mass:.12g}"
         )
-    return CostRatio(total / mass / mean_alpha(dist))
+    return total / mass / mean_alpha(dist)
 
 
-def sample_alpha(dist: FailureDistribution, rng: np.random.Generator) -> FailureRate:
+def sample_alpha(dist: FailureDistribution, rng: np.random.Generator) -> float:
     """Draw one subject's failure rate; deterministic given the stream state."""
-    return FailureRate(float(dist.sample(rng)))
+    return dist.sample(rng)

@@ -32,7 +32,6 @@ from .acquisition_loop import empirical_vs_analytic, run_cohort
 from .alpha_distributions import expected_cost_ratio, mean_alpha
 from .config import build_manifest, parse_config
 from .cost_model import (
-    FailureRate,
     PredictorProfile,
     breakeven_precision,
     budgeted_cost_at,
@@ -90,24 +89,11 @@ def _load_config(args: argparse.Namespace, modes: tuple[str, ...] | None = None)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    ratios = cost_reduction_table([list(row) for row in REFERENCE_GRID])
+    ratios = cost_reduction_table(list(REFERENCE_GRID))
     rows = []
-    for (alpha, quotient, precision, recall), ratio, published in zip(
-        REFERENCE_GRID, ratios, PUBLISHED_REDUCTIONS_PCT
-    ):
-        reduction_pct = 100.0 * ratio.reduction
-        rows.append(
-            [
-                alpha,
-                quotient,
-                precision,
-                recall,
-                ratio.ratio,
-                reduction_pct,
-                published,
-                reduction_pct - published,
-            ]
-        )
+    for row, ratio, published in zip(REFERENCE_GRID, ratios, PUBLISHED_REDUCTIONS_PCT):
+        reduction_pct = 100.0 * (1.0 - ratio)
+        rows.append([*row, ratio, reduction_pct, published, reduction_pct - published])
 
     digest = hashlib.sha256(
         json.dumps({"reference_grid": [list(r) for r in REFERENCE_GRID]}).encode()
@@ -133,10 +119,17 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     config = _load_config(args, modes=("abstract",))
     dist, profile, rates = config.distribution, config.profile, config.rates
     mean_a = mean_alpha(dist)
-    ratio = expected_cost_ratio(dist, profile, rates.quotient, config.max_rescans).ratio
+    ratio = expected_cost_ratio(dist, profile, rates.quotient, config.max_rescans)
     original_cost = mean_a * rates.correction_cost
     new_cost = original_cost * ratio
-    breakeven = breakeven_precision(FailureRate(mean_a), rates.quotient)
+    reduction_pct = 100.0 * (1.0 - ratio)
+    if not (math.isfinite(new_cost) and math.isfinite(reduction_pct)):
+        raise UndefinedRatio(
+            f"the cost ratio {ratio}, looped cost {new_cost} or reduction {reduction_pct}%"
+            " leaves the range of doubles"
+        )
+    bound = breakeven_precision(mean_a, rates.quotient)
+    feasible = bound < 1.0
     note = "predictor never flags; the loop never triggers" if profile.recall == 0.0 else None
 
     payload = {
@@ -147,12 +140,12 @@ def cmd_ratio(args: argparse.Namespace) -> int:
             "original_cost": original_cost,
             "new_cost": new_cost,
             "cost_ratio": ratio,
-            "reduction_pct": 100.0 * (1.0 - ratio),
+            "reduction_pct": reduction_pct,
         },
         "breakeven": {
-            "precision_bound": breakeven.bound,
-            "feasible": breakeven.feasible,
-            "met_by_configured_precision": profile.precision > breakeven.bound,
+            "precision_bound": bound,
+            "feasible": feasible,
+            "met_by_configured_precision": profile.precision > bound,
         },
         "note": note,
     }
@@ -163,9 +156,8 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     print(f"baseline cost          {original_cost:.6g}")
     print(f"looped cost            {new_cost:.6g}")
     print(f"cost ratio             {ratio:.6g}")
-    print(f"reduction              {100.0 * (1.0 - ratio):.1f}%")
-    feasibility = "feasible" if breakeven.feasible else "infeasible"
-    print(f"break-even precision   {breakeven.bound:.6g} ({feasibility})")
+    print(f"reduction              {reduction_pct:.1f}%")
+    print(f"break-even precision   {bound:.6g} ({'feasible' if feasible else 'infeasible'})")
     if note:
         print(f"note: {note}")
     print(f"wrote {out / 'ratio.json'}")
@@ -254,7 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         plugin = None
         if precision and recall is not None and 0.0 < alpha_hat < 1.0:
             profile = PredictorProfile(precision, recall)
-            cost = budgeted_cost_at(FailureRate(alpha_hat), profile, quotient, budget)
+            cost = budgeted_cost_at(alpha_hat, profile, quotient, budget)
             plugin = cost / alpha_hat
         mean_cost, ratio = report.aggregates.mean_cost, report.aggregates.empirical_cost_ratio
         rows.append([tau, alpha_hat, precision, recall, plugin, mean_cost, ratio, 0, 0])

@@ -247,6 +247,18 @@ def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
         raise ConfigError(f"distribution.csv: {exc}") from None
 
 
+def _support(reader: _SectionReader) -> tuple[float, float]:
+    """The distribution's ``lo`` and ``hi``, which must satisfy 0 <= lo < hi < 1."""
+    lo = reader.get("lo", float)
+    hi = reader.get("hi", float)
+    if not 0.0 <= lo < hi < 1.0:
+        key = "hi" if hi >= 1.0 else "lo"
+        raise ConfigError(
+            f"distribution.{key}: support must satisfy 0 <= lo < hi < 1, got [{lo}, {hi}]"
+        )
+    return lo, hi
+
+
 def _parse_distribution(reader: _SectionReader, base_dir: Path) -> FailureDistribution:
     family = reader.get(
         "family",
@@ -261,13 +273,7 @@ def _parse_distribution(reader: _SectionReader, base_dir: Path) -> FailureDistri
     if family == "point_mass":
         return PointMass(reader.get("alpha", float, check=_probability(False, True)))
     if family == "uniform":
-        lo = reader.get("lo", float)
-        hi = reader.get("hi", float)
-        if not (0.0 <= lo < hi < 1.0):
-            raise ConfigError(
-                f"distribution.lo: support must satisfy 0 <= lo < hi < 1, got [{lo}, {hi}]"
-            )
-        return Uniform(lo, hi)
+        return Uniform(*_support(reader))
     if family == "beta":
         a = reader.get("a", float, check=lambda v: None if v >= 1.0 else f"must be >= 1, got {v}")
         b = reader.get("b", float, check=lambda v: None if v > 1.0 else f"must be > 1, got {v}")
@@ -275,14 +281,8 @@ def _parse_distribution(reader: _SectionReader, base_dir: Path) -> FailureDistri
     if family == "truncated_normal":
         mu = reader.get("mu", float)
         sigma = reader.get("sigma", float, check=_positive)
-        lo = reader.get("lo", float)
-        hi = reader.get("hi", float)
-        if not (0.0 <= lo < hi < 1.0):
-            raise ConfigError(
-                f"distribution.lo: support must satisfy 0 <= lo < hi < 1, got [{lo}, {hi}]"
-            )
         try:
-            return TruncatedNormal(mu, sigma, lo, hi)
+            return TruncatedNormal(mu, sigma, *_support(reader))
         except ValueError as exc:
             raise ConfigError(f"distribution.mu: {exc}") from None
     # histogram: echo the loaded bins, not the file path, so the digest pins content

@@ -11,6 +11,12 @@ a closed form for a single point value of ``alpha``: the paper's unbounded
 one (``new_cost_at``), and that of the loop the simulator runs, with a
 re-scan budget and a saturating predictor (``budgeted_cost_at``).
 Population-level averages over ``alpha`` live in ``alpha_distributions``.
+
+Rates, costs and ratios are plain floats.  ``config.parse_config`` checks
+each once, where it enters the program: 0 < precision <= 1, 0 <= recall <= 1,
+rescan_cost >= 0, correction_cost > 0 and alpha in [0, 1).  alpha = 1 is
+excluded: a subject who always fails re-scans forever under a perfect
+predictor, so no formula below stays finite there.
 """
 
 from __future__ import annotations
@@ -35,12 +41,6 @@ class PredictorProfile:
     precision: float
     recall: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.precision <= 1.0:
-            raise ValueError(f"precision must be in (0, 1], got {self.precision}")
-        if not 0.0 <= self.recall <= 1.0:
-            raise ValueError(f"recall must be in [0, 1], got {self.recall}")
-
 
 @dataclass(frozen=True, slots=True)
 class CostRates:
@@ -54,53 +54,13 @@ class CostRates:
     rescan_cost: float
     correction_cost: float
 
-    def __post_init__(self) -> None:
-        if self.rescan_cost < 0.0:
-            raise ValueError(f"rescan_cost must be >= 0, got {self.rescan_cost}")
-        if self.correction_cost <= 0.0:
-            raise ValueError(f"correction_cost must be > 0, got {self.correction_cost}")
-
     @property
     def quotient(self) -> float:
         """rescan_cost / correction_cost, the dimensionless knob of the model."""
         return self.rescan_cost / self.correction_cost
 
 
-@dataclass(frozen=True, slots=True)
-class FailureRate:
-    """Per-subject probability that a scan's segmentation fails.
-
-    alpha = 1 is excluded: a subject who always fails re-scans forever under
-    a perfect predictor, so no formula below stays finite there.
-    """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-
-
-@dataclass(frozen=True, slots=True)
-class CostRatio:
-    """Ratio of looped cost to baseline cost; reduction is its complement."""
-
-    ratio: float
-
-    @property
-    def reduction(self) -> float:
-        return 1.0 - self.ratio
-
-
-@dataclass(frozen=True, slots=True)
-class BreakevenPrecision:
-    """Minimum precision at which flagging pays off; infeasible if bound >= 1."""
-
-    bound: float
-    feasible: bool
-
-
-def new_cost_at(alpha: FailureRate, profile: PredictorProfile, rates: CostRates) -> float:
+def new_cost_at(alpha: float, profile: PredictorProfile, rates: CostRates) -> float:
     """Expected per-subject cost under the flag-and-rescan loop.
 
     Fixed point of the retry recursion: a scan passes unflagged but truly
@@ -114,19 +74,15 @@ def new_cost_at(alpha: FailureRate, profile: PredictorProfile, rates: CostRates)
     Raises:
         DivergentLoop: if precision <= alpha * recall.
     """
-    a, p, r = alpha.alpha, profile.precision, profile.recall
+    a, p, r = alpha, profile.precision, profile.recall
     c_s, c_c = rates.rescan_cost, rates.correction_cost
     denom = p - a * r
     if denom <= 0.0:
-        raise DivergentLoop(
-            f"no finite expected cost: precision {p} <= alpha*recall {a * r}"
-        )
+        raise DivergentLoop(f"no finite expected cost: precision {p} <= alpha*recall {a * r}")
     return (p * a * c_c * (1.0 - r) + a * r * c_s) / denom
 
 
-def cost_ratio_at(
-    alpha: FailureRate, profile: PredictorProfile, cost_quotient: float
-) -> CostRatio:
+def cost_ratio_at(alpha: float, profile: PredictorProfile, cost_quotient: float) -> float:
     """Looped cost divided by baseline cost for one subject.
 
     Depends on costs only through ``cost_quotient`` = rescan_cost /
@@ -136,24 +92,20 @@ def cost_ratio_at(
         UndefinedRatio: at alpha = 0, where the baseline cost is zero.
         DivergentLoop: if precision <= alpha * recall.
     """
-    a, p, r = alpha.alpha, profile.precision, profile.recall
-    if cost_quotient < 0.0:
-        raise ValueError(f"cost_quotient must be >= 0, got {cost_quotient}")
+    a, p, r = alpha, profile.precision, profile.recall
     if a == 0.0:
         raise UndefinedRatio("cost ratio is 0/0 at alpha = 0")
     denom = p - a * r
     if denom <= 0.0:
-        raise DivergentLoop(
-            f"no finite expected cost: precision {p} <= alpha*recall {a * r}"
-        )
-    return CostRatio((p - p * r + r * cost_quotient) / denom)
+        raise DivergentLoop(f"no finite expected cost: precision {p} <= alpha*recall {a * r}")
+    return (p - p * r + r * cost_quotient) / denom
 
 
-def false_positive_rate(alpha: FailureRate, profile: PredictorProfile) -> float:
+def false_positive_rate(alpha: float, profile: PredictorProfile) -> float:
     """Rate q of flagging intact scans that solves precision = alpha·recall /
     (alpha·recall + (1 − alpha)·q).  Above alpha_max = p / (p + r − p·r) no
     q <= 1 does, and the predictor saturates: it flags every intact scan."""
-    a, p, r = alpha.alpha, profile.precision, profile.recall
+    a, p, r = alpha, profile.precision, profile.recall
     return min(a * r * (1.0 - p) / (p * (1.0 - a)), 1.0)
 
 
@@ -167,7 +119,7 @@ def _geometric_sum(miss: float, n: int) -> float:
 
 
 def budgeted_cost_at(
-    alpha: FailureRate, profile: PredictorProfile, cost_quotient: float, max_rescans: int
+    alpha: float, profile: PredictorProfile, cost_quotient: float, max_rescans: int
 ) -> float:
     """Expected per-subject cost, in correction costs, of the loop the simulator runs.
 
@@ -179,7 +131,7 @@ def budgeted_cost_at(
     alpha·recall·f^K, c = ``cost_quotient``: finite for every alpha in [0, 1),
     and ``new_cost_at`` / correction_cost in the limit K → ∞, where finite.
     """
-    a, r = alpha.alpha, profile.recall
+    a, r = alpha, profile.recall
     q = false_positive_rate(alpha, profile)
     flag = a * r + (1.0 - a) * q
     miss = a * (1.0 - r) + (1.0 - a) * (1.0 - q)
@@ -189,29 +141,26 @@ def budgeted_cost_at(
     return cost_quotient * rescans + corrections
 
 
-def breakeven_precision(alpha: FailureRate, cost_quotient: float) -> BreakevenPrecision:
+def breakeven_precision(alpha: float, cost_quotient: float) -> float:
     """Precision above which the loop costs less than the baseline.
 
     The bound is ``alpha + cost_quotient``; when it reaches 1 no realizable
     predictor reduces cost for this subject.
     """
-    if cost_quotient < 0.0:
-        raise ValueError(f"cost_quotient must be >= 0, got {cost_quotient}")
-    bound = alpha.alpha + cost_quotient
-    return BreakevenPrecision(bound=bound, feasible=bound < 1.0)
+    return alpha + cost_quotient
 
 
 def cost_reduction_table(
     rows: list[tuple[float, float, float, float]],
-) -> list[CostRatio]:
+) -> list[float]:
     """Evaluate ``cost_ratio_at`` for rows of (alpha, cost_quotient, precision, recall).
 
     Errors from individual rows are re-raised with the row index attached.
     """
-    out: list[CostRatio] = []
+    out: list[float] = []
     for i, (a, quotient, p, r) in enumerate(rows):
         try:
-            out.append(cost_ratio_at(FailureRate(a), PredictorProfile(p, r), quotient))
-        except (ValueError, UndefinedRatio, DivergentLoop) as exc:
+            out.append(cost_ratio_at(a, PredictorProfile(p, r), quotient))
+        except (UndefinedRatio, DivergentLoop) as exc:
             raise type(exc)(f"row {i}: {exc}") from exc
     return out

@@ -10,15 +10,12 @@ class DivergentLoop(ScanLoopError):
 
 
 class UndefinedRatio(ScanLoopError):
-    """Cost ratio requested at alpha = 0, where the baseline cost is zero."""
+    """A cost ratio with no value in doubles: at alpha = 0, where the baseline
+    cost is zero, or beyond the range of doubles."""
 
 
 class QuadratureFailure(ScanLoopError):
     """Two Gauss rules of different order disagree on a population integral."""
-
-
-class ModeMismatch(ScanLoopError):
-    """A report produced in one simulation mode was passed to the other mode's analysis."""
 
 
 class ConfigError(ScanLoopError):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost_model import FailureRate, PredictorProfile, false_positive_rate
+from .cost_model import PredictorProfile, false_positive_rate
 
 
 class ConfusionPredictor(NamedTuple):
@@ -35,9 +35,7 @@ class ConfusionPredictor(NamedTuple):
     false_positive_rate: float
 
     @classmethod
-    def calibrated(
-        cls, profile: PredictorProfile, base_rate: FailureRate
-    ) -> "ConfusionPredictor":
+    def calibrated(cls, profile: PredictorProfile, base_rate: float) -> "ConfusionPredictor":
         """The predictor holding ``profile`` at ``base_rate``: its recall, and the
         rate that makes marginal precision exact (``cost_model.false_positive_rate``)."""
         return cls(profile.recall, false_positive_rate(base_rate, profile))

@@ -116,7 +116,10 @@ def write_csv(
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a non-finite number raises ``ValueError`` instead of
+    being written as ``Infinity`` or ``NaN``, which JSON parsers refuse."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def subjects_csv_header(mode: str) -> list[str]:

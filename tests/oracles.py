@@ -29,7 +29,7 @@ import numpy as np
 
 from scanloop.acquisition_loop import SUBJECT_COLUMNS, SubjectRecord, SubjectTable
 from scanloop.alpha_distributions import Beta, FailureDistribution, PointMass
-from scanloop.cost_model import CostRates, FailureRate, PredictorProfile
+from scanloop.cost_model import CostRates, PredictorProfile
 from scanloop.predictor_model import ConfusionPredictor, ScorePredictor
 from scanloop.reports import format_cell, manifest_line
 
@@ -217,14 +217,14 @@ def mc_population_ratio(
     return float(ratio), float(math.sqrt(max(var, 0.0)))
 
 
-def original_cost_at(alpha: FailureRate, rates: CostRates) -> float:
+def original_cost_at(alpha: float, rates: CostRates) -> float:
     """Expected per-subject cost without the loop: every failure is corrected."""
-    return alpha.alpha * rates.correction_cost
+    return alpha * rates.correction_cost
 
 
 def cost_recursion_rhs(
     candidate: float,
-    alpha: FailureRate,
+    alpha: float,
     profile: PredictorProfile,
     rates: CostRates,
 ) -> float:
@@ -236,7 +236,7 @@ def cost_recursion_rhs(
     same expected cost again).  ``new_cost_at`` is the fixed point of this
     map.
     """
-    a, p, r = alpha.alpha, profile.precision, profile.recall
+    a, p, r = alpha, profile.precision, profile.recall
     return a * (1.0 - r) * rates.correction_cost + (a * r / p) * (
         rates.rescan_cost + candidate
     )

@@ -40,7 +40,6 @@ from scanloop.cli import main as cli_main
 from scanloop.config import parse_config
 from scanloop.cost_model import (
     CostRates,
-    FailureRate,
     PredictorProfile,
     cost_ratio_at,
     new_cost_at,
@@ -118,11 +117,10 @@ def test_criterion_02_fixed_point_grid():
     rates_by_q = {q: CostRates(rescan_cost=q, correction_cost=1.0) for q in GRID_Q}
     checked = 0
     worst = 0.0
-    for a in GRID_ALPHA:
-        alpha = FailureRate(a)
+    for alpha in GRID_ALPHA:
         for p in GRID_P:
             for r in GRID_R:
-                if p <= a * r:
+                if p <= alpha * r:
                     continue
                 profile = PredictorProfile(p, r)
                 for q in GRID_Q:
@@ -144,16 +142,15 @@ def test_criterion_02_fixed_point_grid():
 def test_criterion_03_breakeven_equivalence():
     checked = 0
     counterexamples = 0
-    for a in GRID_ALPHA:
-        alpha = FailureRate(a)
+    for alpha in GRID_ALPHA:
         for p in GRID_P:
             for r in GRID_R:
-                if r == 0.0 or p <= a * r:
+                if r == 0.0 or p <= alpha * r:
                     continue
                 profile = PredictorProfile(p, r)
                 for q in GRID_Q:
-                    ratio = cost_ratio_at(alpha, profile, q).ratio
-                    if (ratio < 1.0) != (p > a + q):
+                    ratio = cost_ratio_at(alpha, profile, q)
+                    if (ratio < 1.0) != (p > alpha + q):
                         counterexamples += 1
                     checked += 1
     assert counterexamples == 0
@@ -198,7 +195,7 @@ def test_criterion_05_quadrature_vs_sampling():
     ]
     details = []
     for label, dist in cases:
-        quadrature = expected_cost_ratio(dist, profile, quotient, budget).ratio
+        quadrature = expected_cost_ratio(dist, profile, quotient, budget)
         alphas = dist.sample_many(np.random.default_rng(2024), 1_000_000)
         mc, se = mc_population_ratio(alphas, profile.precision, profile.recall, quotient, budget)
         assert abs(quadrature - mc) <= 3.0 * se, label
@@ -207,14 +204,14 @@ def test_criterion_05_quadrature_vs_sampling():
 
 
 def test_criterion_06_predictor_calibration():
-    alpha = FailureRate(0.2)
+    alpha = 0.2
     profile = PredictorProfile(0.8, 0.8)
     derived_fpr = false_positive_rate(alpha, profile)
     assert derived_fpr == pytest.approx(0.05, abs=1e-15)
 
     n = 1_000_000
     rng = np.random.default_rng(99)
-    true_fails = rng.random(n) < alpha.alpha
+    true_fails = rng.random(n) < alpha
     predictor = ConfusionPredictor.calibrated(profile, alpha)
     flags = classify_many(true_fails, predictor, rng)
 

@@ -24,11 +24,9 @@ from scanloop.alpha_distributions import PointMass
 from scanloop.config import parse_config
 from scanloop.cost_model import (
     CostRates,
-    FailureRate,
     PredictorProfile,
     new_cost_at,
 )
-from scanloop.errors import ModeMismatch
 from scanloop.predictor_model import ConfusionPredictor, ScorePredictor
 from scanloop.probe_kinematics import (
     GuidanceNoise,
@@ -117,7 +115,7 @@ def _kinematic_config(n, seed=0, workers=1, threshold=0.7, noise_scale=0.05):
 class TestRunSubjectAbstract:
     def test_never_failing_subject_costs_nothing(self):
         max_rescans = 50
-        alpha = FailureRate(0.0)
+        alpha = 0.0
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(50):
             rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(1, i)))
@@ -131,7 +129,7 @@ class TestRunSubjectAbstract:
         # fails and is flagged on all scans, runs out the 3-rescan budget, and
         # pays a correction on the fourth and last scan.
         max_rescans = 3
-        alpha = FailureRate(0.999)
+        alpha = 0.999
         predictor = ConfusionPredictor.calibrated(PredictorProfile(1.0, 1.0), alpha)
         exhausted = 0
         for i in range(200):
@@ -145,7 +143,7 @@ class TestRunSubjectAbstract:
 
     def test_accounting_identity_and_budget(self):
         max_rescans = 5
-        alpha = FailureRate(0.4)
+        alpha = 0.4
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(300):
             rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(3, i)))
@@ -158,7 +156,7 @@ class TestRunSubjectAbstract:
 
     def test_zero_budget_always_single_scan(self):
         max_rescans = 0
-        alpha = FailureRate(0.5)
+        alpha = 0.5
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(100):
             rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(4, i)))
@@ -167,7 +165,7 @@ class TestRunSubjectAbstract:
 
     def test_mean_cost_matches_closed_form(self):
         max_rescans = 50
-        alpha = FailureRate(0.2)
+        alpha = 0.2
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         records = [
             run_subject_abstract(alpha, max_rescans, predictor, subject_stream(5, i))
@@ -284,7 +282,7 @@ class TestSubjectTable:
                     )
                 )
         else:
-            alpha = FailureRate(0.3)
+            alpha = 0.3
             predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
             max_rescans = 6
             for i in range(n):
@@ -712,7 +710,7 @@ class TestEmpiricalVsAnalytic:
 
     def test_kinematic_report_rejected(self):
         report = run_cohort(_kinematic_config(5, seed=47))
-        with pytest.raises(ModeMismatch):
+        with pytest.raises(ValueError, match="no analytic cost ratio"):
             empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
 
     def test_empty_cohort_rejected(self):

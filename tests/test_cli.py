@@ -810,6 +810,26 @@ OUT_OF_RANGE = [
     ("predictor", "noise_scale", "-0.1"),
 ]
 
+# Finite values just outside an abstract setting's range, (family, section, key,
+# text): the config is the only place these ranges are checked.
+ABSTRACT_OUT_OF_RANGE = [
+    ("point_mass", "predictor", "precision", "0"),
+    ("point_mass", "predictor", "precision", "1.5"),
+    ("point_mass", "predictor", "recall", "-0.01"),
+    ("point_mass", "predictor", "recall", "1.01"),
+    ("point_mass", "costs", "rescan", "-0.1"),
+    ("point_mass", "costs", "correction", "0"),
+    ("point_mass", "distribution", "alpha", "1"),
+    ("point_mass", "distribution", "alpha", "-0.1"),
+    ("uniform", "distribution", "lo", "0.5"),  # above hi = 0.3
+    ("uniform", "distribution", "hi", "1"),
+    ("uniform", "distribution", "lo", "-0.1"),
+    ("beta", "distribution", "a", "0.5"),
+    ("beta", "distribution", "b", "1"),
+    ("truncated_normal", "distribution", "sigma", "0"),
+    ("truncated_normal", "distribution", "hi", "1"),
+]
+
 FAMILY_SETTINGS = {
     "point_mass": {"alpha": "0.2"},
     "uniform": {"lo": "0.1", "hi": "0.3"},
@@ -876,6 +896,7 @@ class TestNonFiniteNumbers:
         [(*k, text) for k in FLOAT_KEYS for text in ("inf", "-inf", "nan")]
         + [("kinematic", None, "kinematics", key, "1e308") for key in ROTATION_SD_KEYS]
         + [("kinematic", None, *case) for case in OUT_OF_RANGE]
+        + [("abstract", *case) for case in ABSTRACT_OUT_OF_RANGE]
         # a grid this long would be allocated at parse time
         + [("kinematic", None, "sweep", "tau_steps", "1000000000000000")],
         ids=lambda v: v if isinstance(v, str) else None,

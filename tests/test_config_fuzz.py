@@ -11,7 +11,9 @@ sometimes leaving a key out.  Abstract documents fill the [distribution],
 
 import contextlib
 import io
+import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -148,21 +150,60 @@ def kinematic_documents(draw) -> str:
     return render(sections)
 
 
-def extreme_costs(recall: float, rescan: float, correction: float) -> tuple[str, str]:
-    """Two subjects whose correction cost is extreme against the re-scan
-    cost: the delta-method error of the cost ratio squares the ratio or the
-    mean baseline cost past the range of doubles."""
+def fixed_document(
+    distribution: str,
+    precision: float,
+    recall: float,
+    rescan: float,
+    correction: float,
+    cohort: str = "subjects = 2",
+    policy: str = "",
+) -> tuple[str, str]:
+    """(config text, histogram CSV text) of one abstract document; the
+    ``distribution``, ``cohort`` and ``policy`` sections' keys as lines."""
     text = (
-        "[cohort]\nmode = abstract\nsubjects = 2\nworkers = 1\n"
-        "[distribution]\nfamily = truncated_normal\nmu = 0.0\nsigma = 1.0\nlo = 0.0\nhi = 0.5\n"
-        f"[predictor]\nkind = confusion\nprecision = 1.0\nrecall = {recall!r}\n"
-        f"[costs]\nrescan = {rescan!r}\ncorrection = {correction!r}\n[policy]\n"
+        f"[cohort]\nmode = abstract\n{cohort}\nworkers = 1\n"
+        f"[distribution]\n{distribution}\n"
+        f"[predictor]\nkind = confusion\nprecision = {precision!r}\nrecall = {recall!r}\n"
+        f"[costs]\nrescan = {rescan!r}\ncorrection = {correction!r}\n[policy]\n{policy}"
     )
     return text, "bin_upper_edge,mass\n"
 
 
-def run_main(command: str, text: str, bins: str = "") -> tuple[int, str, list[str]]:
-    """(exit code, stderr, names of the files written) of ``command`` on ``text``."""
+def extreme_costs(recall: float, rescan: float, correction: float) -> tuple[str, str]:
+    """Two subjects whose correction cost is extreme against the re-scan
+    cost: the delta-method error of the cost ratio squares the ratio or the
+    mean baseline cost past the range of doubles."""
+    truncated_normal = "family = truncated_normal\nmu = 0.0\nsigma = 1.0\nlo = 0.0\nhi = 0.5"
+    return fixed_document(truncated_normal, 1.0, recall, rescan, correction)
+
+
+def huge_quotient(precision: float, rescan: float, correction: float) -> tuple[str, str]:
+    """Two subjects at alpha = 0.5 with at most 3 re-scans, whose cost ratio,
+    reduction or looped cost leaves the range of doubles: rescan / correction
+    is infinite or near the largest double, or both costs are."""
+    point_mass, policy = "family = point_mass\nalpha = 0.5", "max_rescans = 3\n"
+    return fixed_document(point_mass, precision, 1.0, rescan, correction, policy=policy)
+
+
+def beta_near_one(a: float, b: float, precision: float) -> tuple[str, str]:
+    """No subjects, and a Beta whose last piece of support is a few ulps wide:
+    a Gauss node on it rounds onto alpha = 1 unless the piece joins its
+    neighbour (at recall 1, alpha_max = precision)."""
+    beta = f"family = beta\na = {a!r}\nb = {b!r}"
+    return fixed_document(beta, precision, 1.0, 0.1, 1.0, cohort="subjects = 0")
+
+
+def seed_7_costs(recall: float, rescan: float, correction: float) -> tuple[str, str]:
+    """Two subjects at seed 7 whose costs overflow the spread of the cost
+    (correction 2.68e154) or the empirical cost ratio (1e300 / 1e-300)."""
+    truncated_normal = "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6"
+    cohort, policy = "subjects = 2\nseed = 7", "max_rescans = 5\n"
+    return fixed_document(truncated_normal, 0.8, recall, rescan, correction, cohort, policy)
+
+
+def run_main(command: str, text: str, bins: str = "") -> tuple[int, str, dict[str, str]]:
+    """(exit code, stderr, the files written by name) of ``command`` on ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out"
         config.write_text(text, encoding="utf-8")
@@ -170,15 +211,24 @@ def run_main(command: str, text: str, bins: str = "") -> tuple[int, str, list[st
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--config", str(config), "--out", str(out)])
-        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        written = {p.name: p.read_text() for p in sorted(out.iterdir())} if out.exists() else {}
     return code, err.getvalue(), written
 
 
-def check_outcome(code: int, err: str, written: list[str], expected: list[str]) -> None:
+def no_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def check_outcome(code: int, err: str, written: dict[str, str], expected: list[str]) -> None:
+    """A documented exit code with no traceback; on success the expected files,
+    each JSON one strict JSON (no ``Infinity`` or ``NaN``)."""
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
     if code == 0:
-        assert written == expected
+        assert list(written) == expected
+        for name, text in written.items():
+            if name.endswith(".json"):
+                json.loads(text, parse_constant=no_constant)
     else:
         assert err.strip(), "a failing run says why"
 
@@ -187,6 +237,18 @@ def check_outcome(code: int, err: str, written: list[str], expected: list[str]) 
 @example(document=extreme_costs(1.0, 1.0, 4.1955249823613083e-190), command="simulate")
 @example(document=extreme_costs(0.0, 0.0, 4.1955249823613083e-190), command="simulate")
 @example(document=extreme_costs(0.0, 0.0, 2.6815615859885194e154), command="simulate")
+@example(document=beta_near_one(1.0, 2.0, 0.9999999999999999), command="ratio")
+@example(document=beta_near_one(1.0, 2.0, 0.9999999999999999), command="simulate")
+@example(document=beta_near_one(23971255501492.0, 4.0, 1.0), command="ratio")
+@example(document=beta_near_one(23971255501492.0, 4.0, 1.0), command="simulate")
+@example(document=seed_7_costs(0.0, 0.0, 2.68e154), command="simulate")
+@example(document=seed_7_costs(0.0, 0.0, 2.68e154), command="ratio")
+@example(document=seed_7_costs(0.8, 1e300, 1e-300), command="simulate")
+@example(document=seed_7_costs(0.8, 1e300, 1e-300), command="ratio")
+@example(document=huge_quotient(0.8, 1.0, 5e-324), command="ratio")
+@example(document=huge_quotient(0.8, 1.0, 1e-307), command="ratio")
+@example(document=huge_quotient(0.3, sys.float_info.max, sys.float_info.max), command="ratio")
+@example(document=huge_quotient(0.3, sys.float_info.max, 1.0), command="simulate")
 @settings(max_examples=300, deadline=None)
 def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
     expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]

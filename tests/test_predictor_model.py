@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scanloop.cost_model import FailureRate, PredictorProfile
+from scanloop.cost_model import PredictorProfile
 from scanloop.predictor_model import (
     ConfusionPredictor,
     ScorePredictor,
@@ -23,28 +23,28 @@ from oracles import OperatingPoint, classify_many, operating_point
 
 
 def test_fpr_reference_point():
-    q = false_positive_rate(FailureRate(0.2), PredictorProfile(0.8, 0.8))
+    q = false_positive_rate(0.2, PredictorProfile(0.8, 0.8))
     assert q == pytest.approx(0.05, abs=1e-15)
 
 
 def test_fpr_perfect_precision_never_false_flags():
     for a in (0.0, 0.3, 0.9):
         for r in (0.0, 0.5, 1.0):
-            assert false_positive_rate(FailureRate(a), PredictorProfile(1.0, r)) == 0.0
+            assert false_positive_rate(a, PredictorProfile(1.0, r)) == 0.0
 
 
 def test_fpr_boundary_flag_everything():
-    q = false_positive_rate(FailureRate(0.5), PredictorProfile(0.5, 1.0))
+    q = false_positive_rate(0.5, PredictorProfile(0.5, 1.0))
     assert q == pytest.approx(1.0, abs=1e-15)
 
 
 def test_fpr_zero_base_rate_is_zero():
-    assert false_positive_rate(FailureRate(0.0), PredictorProfile(0.8, 0.8)) == 0.0
+    assert false_positive_rate(0.0, PredictorProfile(0.8, 0.8)) == 0.0
 
 
 def test_fpr_saturates_above_alpha_max():
     # alpha_max = 0.3 / (0.3 + 1 - 0.3) = 0.3; the exact solution would be 7/3.
-    assert false_positive_rate(FailureRate(0.9), PredictorProfile(0.3, 1.0)) == 1.0
+    assert false_positive_rate(0.9, PredictorProfile(0.3, 1.0)) == 1.0
 
 
 @given(a=st.floats(0.01, 0.9), p=st.floats(0.05, 1.0), r=st.floats(0.0, 1.0))
@@ -54,7 +54,7 @@ def test_fpr_makes_marginal_precision_exact(a, p, r):
     # float range; at subnormal magnitudes (e.g. r = 5e-324) a*r and q round
     # with unbounded relative error and the identity is unfalsifiable
     assume(r == 0.0 or a * r >= 1e-300)
-    q = false_positive_rate(FailureRate(a), PredictorProfile(p, r))
+    q = false_positive_rate(a, PredictorProfile(p, r))
     if a * r * (1.0 - p) > p * (1.0 - a):
         # above alpha_max: saturated, and the flags are purer than asked
         assert q == 1.0
@@ -72,22 +72,20 @@ def test_fpr_makes_marginal_precision_exact(a, p, r):
 
 
 def test_calibrated_factory_round_trip():
-    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), FailureRate(0.2))
-    assert pred.false_positive_rate == false_positive_rate(
-        FailureRate(0.2), PredictorProfile(0.8, 0.8)
-    )
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), 0.2)
+    assert pred.false_positive_rate == false_positive_rate(0.2, PredictorProfile(0.8, 0.8))
 
 
 def test_calibrated_holds_recall_and_derives_fpr():
-    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), FailureRate(0.2))
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), 0.2)
     assert pred.recall == 0.8
     assert pred.false_positive_rate == pytest.approx(0.05, abs=1e-15)
-    saturated = ConfusionPredictor.calibrated(PredictorProfile(0.3, 1.0), FailureRate(0.9))
+    saturated = ConfusionPredictor.calibrated(PredictorProfile(0.3, 1.0), 0.9)
     assert saturated == ConfusionPredictor(recall=1.0, false_positive_rate=1.0)
 
 
 def test_calibrated_factory_saturates_above_alpha_max():
-    pred = ConfusionPredictor.calibrated(PredictorProfile(0.3, 1.0), FailureRate(0.9))
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.3, 1.0), 0.9)
     assert pred.false_positive_rate == 1.0
     rng = np.random.default_rng(3)
     assert all(classify(False, pred, rng) for _ in range(100))
@@ -98,13 +96,13 @@ def test_calibrated_factory_saturates_above_alpha_max():
 
 
 def test_classify_recall_one_always_flags_failures():
-    pred = ConfusionPredictor.calibrated(PredictorProfile(0.9, 1.0), FailureRate(0.2))
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.9, 1.0), 0.2)
     rng = np.random.default_rng(1)
     assert all(classify(True, pred, rng) for _ in range(200))
 
 
 def test_classify_flag_frequencies_binomial():
-    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), FailureRate(0.2))
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), 0.2)
     rng = np.random.default_rng(2)
     n = 100_000
 
@@ -118,7 +116,7 @@ def test_classify_flag_frequencies_binomial():
 
 
 def test_classify_many_matches_scalar_stream():
-    pred = ConfusionPredictor.calibrated(PredictorProfile(0.7, 0.9), FailureRate(0.3))
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.7, 0.9), 0.3)
     fails = np.array([True, False, True, True, False, False, True, False] * 40)
     vec = classify_many(fails, pred, np.random.default_rng(33))
     rng = np.random.default_rng(33)
@@ -127,7 +125,7 @@ def test_classify_many_matches_scalar_stream():
 
 
 def test_classify_deterministic_per_seed():
-    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), FailureRate(0.2))
+    pred = ConfusionPredictor.calibrated(PredictorProfile(0.8, 0.8), 0.2)
     a = [classify(i % 2 == 0, pred, np.random.default_rng(7)) for i in range(1)]
     b = [classify(i % 2 == 0, pred, np.random.default_rng(7)) for i in range(1)]
     assert a == b
@@ -135,7 +133,7 @@ def test_classify_deterministic_per_seed():
 
 def test_calibration_empirical_precision_and_recall():
     a, p, r = 0.2, 0.8, 0.8
-    pred = ConfusionPredictor.calibrated(PredictorProfile(p, r), FailureRate(a))
+    pred = ConfusionPredictor.calibrated(PredictorProfile(p, r), a)
     rng = np.random.default_rng(3)
     n = 1_000_000
     fails = rng.random(n) < a
@@ -154,7 +152,7 @@ def test_calibration_empirical_precision_and_recall():
     [(0.1, 0.6, 0.9), (0.3, 0.9, 0.5), (0.5, 0.5, 1.0), (0.2, 1.0, 0.7)],
 )
 def test_calibration_grid(a, p, r):
-    pred = ConfusionPredictor.calibrated(PredictorProfile(p, r), FailureRate(a))
+    pred = ConfusionPredictor.calibrated(PredictorProfile(p, r), a)
     rng = np.random.default_rng(hash((a, p, r)) % 2**32)
     n = 300_000
     fails = rng.random(n) < a
