@@ -262,6 +262,9 @@ def _finite(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+# numpy stays quiet when a sum or spread of extreme costs overflows: each
+# figure that leaves the range of doubles is None
+@np.errstate(over="ignore", invalid="ignore")
 def _empirical_ratio(table: SubjectTable, rates: CostRates) -> float | None:
     """Paired estimator: looped cost over the cost the same draws would have
     incurred with no loop (correction on first-scan failure)."""
@@ -271,6 +274,7 @@ def _empirical_ratio(table: SubjectTable, rates: CostRates) -> float | None:
     return _finite(float(table.cost.sum()) / baseline)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _empirical_ratio
 def _aggregate(
     table: SubjectTable, rates: CostRates, analytic_ratio: float | None
 ) -> CohortAggregates:
@@ -432,6 +436,7 @@ class ComparisonSummary:
     z_cost_ratio: float | None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _empirical_ratio
 def empirical_vs_analytic(
     report: SimulationReport,
     dist: "FailureDistribution",

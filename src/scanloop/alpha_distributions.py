@@ -70,10 +70,6 @@ class FailureDistribution(ABC):
     def sample(self, rng: np.random.Generator) -> float:
         """One draw from the distribution."""
 
-    @abstractmethod
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws as a vector; same distribution as ``sample``."""
-
     def breakpoints(self) -> tuple[float, ...]:
         """Points where the population integrals split the support: where the
         density is not smooth, or changes much faster than across the support.
@@ -106,9 +102,6 @@ class PointMass(FailureDistribution):
     def sample(self, rng: np.random.Generator) -> float:
         return self.alpha
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.alpha)
-
 
 @dataclass(frozen=True, slots=True)
 class Uniform(FailureDistribution):
@@ -128,9 +121,6 @@ class Uniform(FailureDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.lo + (self.hi - self.lo) * rng.random()
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * rng.random(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,9 +148,6 @@ class Beta(FailureDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return min(float(rng.beta(self.a, self.b)), math.nextafter(1.0, 0.0))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.minimum(rng.beta(self.a, self.b, size=n), math.nextafter(1.0, 0.0))
 
     def breakpoints(self) -> tuple[float, ...]:
         # No cut within sd of 0 or 1: a mode that near an end stays in the
@@ -232,11 +219,6 @@ class TruncatedNormal(FailureDistribution):
         z = self.sign * float(_special().ndtri(u))
         return min(max(self.mu + self.sigma * z, self.lo), self.hi)
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random(n)
-        z = self.sign * _special().ndtri(u)
-        return np.clip(self.mu + self.sigma * z, self.lo, self.hi)
-
     def breakpoints(self) -> tuple[float, ...]:
         # With mu outside [lo, hi] the density peaks at the nearer bound and
         # falls off there on the scale sigma^2 / |mu - bound|.
@@ -304,9 +286,6 @@ class EmpiricalHistogram(FailureDistribution):
         # One scalar uniform, which a subject stream serves without building
         # the subject's own Generator.
         return float(self._invert(rng.random()))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._invert(rng.random(n))
 
     def _invert(self, u):
         """Inverse CDF at ``u``, a scalar or an array of uniforms."""

@@ -361,6 +361,10 @@ def parse_config(
     max_rescans = policy_reader.get(
         "max_rescans", int, default=_DEFAULT_MAX_RESCANS, check=_within(0, _MAX_RESCANS)
     )
+    if not math.isfinite(max_rescans * rescan_cost + correction_cost):  # the dearest subject
+        raise ConfigError(
+            f"costs.rescan: {max_rescans} re-scans and a correction cost more than a double holds"
+        )
     if mode == "abstract":
         policy_reader.forbid(
             "threshold", "not applicable in abstract mode (the predictor flags directly)"

@@ -14,9 +14,9 @@ Population-level averages over ``alpha`` live in ``alpha_distributions``.
 
 Rates, costs and ratios are plain floats.  ``config.parse_config`` checks
 each once, where it enters the program: 0 < precision <= 1, 0 <= recall <= 1,
-rescan_cost >= 0, correction_cost > 0 and alpha in [0, 1).  alpha = 1 is
-excluded: a subject who always fails re-scans forever under a perfect
-predictor, so no formula below stays finite there.
+rescan_cost >= 0, correction_cost > 0 (the dearest subject's cost finite) and
+alpha in [0, 1).  alpha = 1 is excluded: a subject who always fails re-scans
+forever under a perfect predictor, so no formula below stays finite there.
 """
 
 from __future__ import annotations

@@ -31,56 +31,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Veltkamp's splitter for binary64: c = (2^27 + 1)·x splits x exactly into a
-# high and a low half of 26 significant bits each.
-_SPLITTER = 134217729.0
-# The products of the halves are exact while x² lies in [2^-960, 2^1000]:
-# below it (|x| < 2^-480) the low half's square underflows, above it the
-# split or the sum can overflow.
-_TINY_SQUARE = 2.0**-960
-_HUGE_SQUARE = 2.0**1000
-
-
-def _fused_square_add(x: float, s: float) -> float:
-    """x·x + s for s >= 0, rounded once, as a fused multiply-add rounds it.
-
-    With x split into Veltkamp halves hi + lo, x·x is exactly
-    hi·hi + 2·hi·lo + lo·lo, each product exact in binary64 (Dekker 1971),
-    and ``math.fsum`` rounds their sum with s correctly.  Outside the range
-    where those products are exact, the sum is formed exactly in integers
-    from ``float.as_integer_ratio`` and rounded by int true division, which
-    CPython rounds correctly.
-    """
-    c = _SPLITTER * x
-    hi = c - (c - x)
-    lo = x - hi
-    square = hi * hi
-    if _TINY_SQUARE <= square and square + s <= _HUGE_SQUARE or not x:
-        return math.fsum((s, square, 2.0 * hi * lo, lo * lo))
-    if not (math.isfinite(x) and math.isfinite(s)):
-        return x * x + s  # inf and nan propagate as through a fused multiply-add
-    (n, d), (m, k) = x.as_integer_ratio(), s.as_integer_ratio()
-    try:
-        return (n * n * k + m * d * d) / (d * d * k)
-    except OverflowError:  # the sum rounds past the largest double
-        return math.inf
-
 
 def _norm(v: Sequence[float]) -> float:
-    """Euclidean norm of a 3- or 4-vector, rounded as a fused multiply-add
-    chain rounds it: s = x0², then s = fma(xi, xi, s) for each later
-    component, then sqrt(s).
-
-    This is the chain that BLAS ``ddot`` kernels with FMA compute, so on such
-    a machine it equals ``np.linalg.norm``; here it depends on no kernel.
-    """
+    """Euclidean norm of a 3- or 4-vector, declared as the square root of the
+    squares summed left to right: only IEEE ``*``, ``+`` and ``sqrt`` round it,
+    so it equals numpy's elementwise ``np.sqrt(x*x + y*y + z*z)`` anywhere."""
     if len(v) == 3:
         x, y, z = v
-        return math.sqrt(_fused_square_add(z, _fused_square_add(y, x * x)))
+        return math.sqrt(x * x + y * y + z * z)
     w, x, y, z = v
-    return math.sqrt(
-        _fused_square_add(z, _fused_square_add(y, _fused_square_add(x, w * w)))
-    )
+    return math.sqrt(w * w + x * x + y * y + z * z)
 
 
 def _quat_normalize(q: Sequence[float]) -> tuple[float, float, float, float]:

@@ -8,10 +8,11 @@ piecewise-constant densities, and plain Monte Carlo with delta-method
 standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
-only: one-step cost recursion, vectorized flagging, empirical operating
-points, total density mass, SubjectTable rows and the scan-by-scan sums they
-must equal, the fused-square norm in rationals, quaternion algebra on numpy
-arrays and scalars, a row-at-a-time CSV writer and the reader of report CSVs.
+only: one-step cost recursion, total density mass, vectorized sampling and
+flagging, empirical operating points, SubjectTable rows and the scan-by-scan
+sums they must equal, the declared norm on numpy arrays, quaternion algebra
+on numpy arrays and scalars, a row-at-a-time CSV writer and the reader of
+report CSVs.
 """
 
 from __future__ import annotations
@@ -21,14 +22,19 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from scanloop.acquisition_loop import SUBJECT_COLUMNS, SubjectRecord, SubjectTable
-from scanloop.alpha_distributions import Beta, FailureDistribution, PointMass
+from scanloop.alpha_distributions import (
+    Beta,
+    FailureDistribution,
+    PointMass,
+    TruncatedNormal,
+    Uniform,
+)
 from scanloop.cost_model import CostRates, PredictorProfile
 from scanloop.predictor_model import ConfusionPredictor, ScorePredictor
 from scanloop.reports import format_cell, manifest_line
@@ -253,6 +259,25 @@ def total_mass(dist: FailureDistribution) -> float:
     return sum(quad(dist.pdf, a, b, epsabs=1e-13, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
 
 
+def sample_many(dist: FailureDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of ``dist`` as a vector, each family's scalar ``sample`` on
+    arrays: the same formula, but ``n`` uniforms (or Beta variates) drawn at
+    once."""
+    if isinstance(dist, PointMass):
+        return np.full(n, dist.alpha)
+    if isinstance(dist, Uniform):
+        return dist.lo + (dist.hi - dist.lo) * rng.random(n)
+    if isinstance(dist, Beta):
+        return np.minimum(rng.beta(dist.a, dist.b, size=n), math.nextafter(1.0, 0.0))
+    if isinstance(dist, TruncatedNormal):
+        from scipy.special import ndtri
+
+        u = dist.cdf_lo + (dist.cdf_hi - dist.cdf_lo) * rng.random(n)
+        z = dist.sign * ndtri(u)
+        return np.clip(dist.mu + dist.sigma * z, dist.lo, dist.hi)
+    return dist._invert(rng.random(n))
+
+
 def classify_many(
     true_fails: np.ndarray, predictor: ConfusionPredictor, rng: np.random.Generator
 ) -> np.ndarray:
@@ -362,14 +387,15 @@ def table_rows(table: SubjectTable) -> Iterator[SubjectRow]:
     return (table_row(table, i) for i in range(len(table)))
 
 
-def fused_norm(v: Sequence[float]) -> float:
-    """Euclidean norm as a fused multiply-add chain rounds it: s = x0²
-    rounded, then s = xi² + s for each later component, formed exactly in
-    rationals and rounded once, then sqrt(s)."""
-    s = float(Fraction(v[0]) ** 2)
-    for x in v[1:]:
-        s = float(Fraction(x) ** 2 + Fraction(s))
-    return math.sqrt(s)
+def declared_norm(v) -> np.ndarray:
+    """Euclidean norm along the last axis from numpy's elementwise ufuncs:
+    the square root of the squares summed left to right, each operation
+    rounded once."""
+    v = np.asarray(v, dtype=np.float64)
+    s = v[..., 0] * v[..., 0]
+    for i in range(1, v.shape[-1]):
+        s = s + v[..., i] * v[..., i]
+    return np.sqrt(s)
 
 
 def quat_multiply_numpy_scalars(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -388,8 +414,8 @@ def quat_multiply_numpy_scalars(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def quat_from_axis_angle_numpy(rotvec: np.ndarray) -> np.ndarray:
     """Unit quaternion of a nonzero rotation vector, from numpy array arithmetic
-    (its angle the fused-square norm, which no BLAS kernel rounds)."""
-    angle = fused_norm(rotvec.tolist())
+    (its angle the declared norm, which no BLAS kernel rounds)."""
+    angle = float(declared_norm(rotvec))
     half = 0.5 * angle
     return np.concatenate(([math.cos(half)], math.sin(half) * (rotvec / angle)))
 

@@ -27,6 +27,7 @@ from oracles import (
     kinematic_translation_sd,
     mc_population_ratio,
     read_report_csv,
+    sample_many,
 )
 from scanloop.acquisition_loop import empirical_vs_analytic, run_cohort
 from scanloop.alpha_distributions import (
@@ -196,7 +197,7 @@ def test_criterion_05_quadrature_vs_sampling():
     details = []
     for label, dist in cases:
         quadrature = expected_cost_ratio(dist, profile, quotient, budget)
-        alphas = dist.sample_many(np.random.default_rng(2024), 1_000_000)
+        alphas = sample_many(dist, np.random.default_rng(2024), 1_000_000)
         mc, se = mc_population_ratio(alphas, profile.precision, profile.recall, quotient, budget)
         assert abs(quadrature - mc) <= 3.0 * se, label
         details.append(f"{label}: |Δ|/SE = {abs(quadrature - mc) / se:.2f}")

@@ -593,7 +593,7 @@ class TestRunCohort:
                 1, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.38865343848359796, 0.9546587064228296)
             ),
             SubjectRow(
-                2, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.05557154416192084, 0.9011368355472057)
+                2, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.05557154416192079, 0.9011368355472057)
             ),
             SubjectRow(
                 3,

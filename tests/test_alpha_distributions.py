@@ -26,6 +26,7 @@ from oracles import (
     mc_population_ratio,
     piecewise_constant_ratio,
     quad_population_ratio,
+    sample_many,
     simpson_population_ratio,
     total_mass,
 )
@@ -298,7 +299,7 @@ def test_beta_ratio_matches_simpson_oracle():
     [
         (Beta(2.0, 8.0), lambda rng, n: rng.beta(2.0, 8.0, n)),
         (Uniform(0.1, 0.3), lambda rng, n: 0.1 + 0.2 * rng.random(n)),
-        (HIST, lambda rng, n: HIST.sample_many(rng, n)),
+        (HIST, lambda rng, n: sample_many(HIST, rng, n)),
     ],
     ids=["beta", "uniform", "histogram"],
 )
@@ -434,14 +435,14 @@ def test_point_mass_sampling_is_constant():
 
 def test_uniform_sample_mean_clt():
     rng = np.random.default_rng(11)
-    draws = Uniform(0.1, 0.3).sample_many(rng, 1_000_000)
+    draws = sample_many(Uniform(0.1, 0.3), rng, 1_000_000)
     bound = 3.0 * (0.2 / math.sqrt(12.0)) / 1000.0
     assert abs(draws.mean() - 0.2) < bound
 
 
 def test_beta_sample_mean_clt():
     rng = np.random.default_rng(12)
-    draws = Beta(2.0, 8.0).sample_many(rng, 1_000_000)
+    draws = sample_many(Beta(2.0, 8.0), rng, 1_000_000)
     std = math.sqrt(2.0 * 8.0 / ((10.0) ** 2 * 11.0))
     assert abs(draws.mean() - 0.2) < 3.0 * std / 1000.0
 
@@ -449,7 +450,7 @@ def test_beta_sample_mean_clt():
 def test_truncnorm_sample_mean_and_support():
     mu, sigma, lo, hi = 0.25, 0.15, 0.05, 0.6
     rng = np.random.default_rng(13)
-    draws = TruncatedNormal(mu, sigma, lo, hi).sample_many(rng, 500_000)
+    draws = sample_many(TruncatedNormal(mu, sigma, lo, hi), rng, 500_000)
     assert draws.min() >= lo and draws.max() <= hi
     a, b = (lo - mu) / sigma, (hi - mu) / sigma
     ref_mean = stats.truncnorm.mean(a, b, loc=mu, scale=sigma)
@@ -464,7 +465,7 @@ def test_truncnorm_far_upper_tail_draws_stay_near_lo(lo):
     mu, sigma, hi, n = 0.0, 0.01, 0.5, 100_000
     dist = TruncatedNormal(mu, sigma, lo, hi)
     rng = np.random.default_rng(1)
-    draws = dist.sample_many(rng, n)
+    draws = sample_many(dist, rng, n)
     scalar = np.array([dist.sample(rng) for _ in range(10_000)])
     # the excess over lo is about exponential with mean sigma^2 / lo
     for x in (draws, scalar):
@@ -478,7 +479,7 @@ def test_truncnorm_far_upper_tail_draws_stay_near_lo(lo):
 def test_histogram_sample_bin_frequencies():
     rng = np.random.default_rng(14)
     n = 400_000
-    draws = HIST.sample_many(rng, n)
+    draws = sample_many(HIST, rng, n)
     assert draws.min() >= 0.0 and draws.max() <= HIST.edges[-1]
     lows = (0.0,) + HIST.edges[:-1]
     for m, lo, hi in zip(HIST.masses, lows, HIST.edges):
@@ -500,7 +501,7 @@ def test_histogram_sample_bin_frequencies():
 def test_histogram_sample_equals_sample_many_draw_for_draw(dist):
     scalar_rng, vector_rng = np.random.default_rng(15), np.random.default_rng(15)
     scalar = np.array([dist.sample(scalar_rng) for _ in range(20_000)])
-    assert scalar.tobytes() == dist.sample_many(vector_rng, 20_000).tobytes()
+    assert scalar.tobytes() == sample_many(dist, vector_rng, 20_000).tobytes()
 
 
 def test_histogram_sample_alpha_leaves_the_subject_generator_unbuilt():

@@ -422,6 +422,22 @@ class TestSimulate:
         assert payload["aggregates"]["subjects"] == 1500
         assert "comparison" not in payload
 
+    def test_overflowing_cost_spread_is_null_without_numpy_warnings(self, tmp_path):
+        # costs near 1e154 square past the largest double in the comparison's
+        # spreads, which report.json writes as null
+        text = (
+            RATIO_POINTMASS.replace("subjects = 10", "subjects = 200\nseed = 7")
+            .replace("alpha = 0.2", "alpha = 0.3")
+            .replace("correction = 1.0", "correction = 2.68e154")
+        )
+        config = write_config(tmp_path, text)
+        result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        comparison = json.loads((tmp_path / "out" / "report.json").read_text())["comparison"]
+        assert comparison["empirical_cost_se"] is None
+        assert comparison["empirical_ratio_se"] is None
+
     def test_kinematic_simulate(self, tmp_path):
         config = write_config(tmp_path, kinematic_config(subjects=80, noise_scale=0.05))
         result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "out"))
@@ -676,6 +692,21 @@ class TestExitCodes:
         config = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "policy.max_rescans: must be in [0, 10000], got 10001" in capsys.readouterr().err
+
+    def test_cost_past_the_largest_double_names_rescan(self, tmp_path):
+        # three re-scans at the largest double would cost inf in subjects.csv
+        text = (
+            RATIO_POINTMASS.replace("subjects = 10", "subjects = 3")
+            .replace("alpha = 0.2", "alpha = 0.5")
+            .replace("rescan = 0.2", "rescan = 1.7976931348623157e308")
+            .replace("max_rescans = 50", "max_rescans = 3")
+        )
+        config = write_config(tmp_path, text)
+        result = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "costs.rescan" in result.stderr
+        assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["ratio", "simulate"])
     @pytest.mark.parametrize("mu", [40.0, -40.0])
@@ -1076,3 +1107,11 @@ def test_readme_command_runs_as_shipped(tmp_path, monkeypatch, capsys, argv, fil
     assert code == 0, capsys.readouterr().err
     assert files
     assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+def test_package_version_equals_the_project_version():
+    # The manifest stamps outputs with __version__; pyproject.toml builds the package.
+    from scanloop import __version__
+
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]*)"$', pyproject, flags=re.M) == [__version__]

@@ -10,6 +10,7 @@ sometimes leaving a key out.  Abstract documents fill the [distribution],
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -221,7 +222,8 @@ def no_constant(name: str) -> float:
 
 def check_outcome(code: int, err: str, written: dict[str, str], expected: list[str]) -> None:
     """A documented exit code with no traceback; on success the expected files,
-    each JSON one strict JSON (no ``Infinity`` or ``NaN``)."""
+    each JSON one strict JSON (no ``Infinity`` or ``NaN``) and every cost in
+    ``subjects.csv`` a finite number."""
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
     if code == 0:
@@ -229,6 +231,9 @@ def check_outcome(code: int, err: str, written: dict[str, str], expected: list[s
         for name, text in written.items():
             if name.endswith(".json"):
                 json.loads(text, parse_constant=no_constant)
+        if "subjects.csv" in written:
+            rows = csv.DictReader(written["subjects.csv"].splitlines()[1:])  # after the manifest
+            assert all(math.isfinite(float(row["cost"])) for row in rows)
     else:
         assert err.strip(), "a failing run says why"
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import fused_norm, quat_from_axis_angle_numpy, quat_multiply_numpy_scalars
+from oracles import declared_norm, quat_from_axis_angle_numpy, quat_multiply_numpy_scalars
 from scanloop.probe_kinematics import (
     GuidanceNoise,
     LearnerPolicy,
@@ -233,6 +233,25 @@ def test_orientation_stays_normalized_through_noisy_chains():
         assert abs(float(np.linalg.norm(pose.orientation)) - 1.0) < 1e-9
 
 
+def test_noise_free_chain_decays_past_underflowing_squares():
+    # Gain 0.8 shrinks both errors fivefold a step.  Past about 1e-162 the
+    # squares in the norm underflow: the errors read 0, the rotation left in
+    # the orientation (about 1e-163) is too small to steer, and the
+    # translation keeps shrinking through the subnormals to 0.
+    rng = np.random.default_rng(16)
+    pose = _pose(x=20.0, y=-7.0, z=3.0, axis=[1, 2, 3], angle=1.2)
+    translations = []
+    for _ in range(3000):
+        off = guidance_offset(pose, GuidanceNoise(), rng)
+        pose = apply_move(pose, off, LearnerPolicy(gain=0.8), rng)
+        assert 0.0 < image_quality(pose, SUBJECT) <= 1.0
+        assert abs(float(np.linalg.norm(pose.orientation)) - 1.0) < 1e-12
+        translations.append(abs(pose.position[0]))
+    assert any(0.0 < x < 1e-300 for x in translations)
+    assert pose.position == (0.0, 0.0, 0.0) and pose_error(pose) == (0.0, 0.0)
+    assert 0.0 < max(map(abs, pose.orientation[1:])) < 1e-162
+
+
 # ---------------------------------------------------------------------------
 # perturb_pose and determinism
 
@@ -291,22 +310,25 @@ def test_fixed_draw_counts_keep_streams_aligned():
 # scalar pose math
 
 
-def test_norm_equals_fused_chain_bit_for_bit():
+def test_norm_equals_numpy_elementwise_bit_for_bit():
     rng = np.random.default_rng(0)
-    vectors = []
+    vectors = {3: [], 4: []}
     for size in (3, 4):
         for decade in range(-320, 151, 2):  # subnormal squares up to 1e300
-            vectors += (10.0**decade * rng.standard_normal((5, size))).tolist()
+            vectors[size].append(10.0**decade * rng.standard_normal((200, size)))
+        decades = rng.integers(-320, 151, (20_000, size))  # every component at its own decade
+        vectors[size].append(10.0**decades * rng.standard_normal((20_000, size)))
     for decade in range(-300, 0, 2):  # a unit quaternion's w next to a tiny vector part
-        for v in (10.0**decade * rng.standard_normal((5, 3))).tolist():
-            vectors += [[1.0, *v], [math.nextafter(1.0, 0.0), *v]]
-    for _ in range(1000):  # every component at its own decade
-        size = int(rng.integers(3, 5))
-        vectors.append((10.0 ** rng.integers(-320, 151, size) * rng.standard_normal(size)).tolist())
-    for v in vectors:
-        assert _norm(v) == fused_norm(v), v
-        if len(v) == 4:
-            assert _norm(v[1:]) == fused_norm(v[1:]), v
+        v = 10.0**decade * rng.standard_normal((100, 3))
+        for w in (1.0, math.nextafter(1.0, 0.0)):
+            vectors[4].append(np.column_stack((np.full(len(v), w), v)))
+    for size, blocks in vectors.items():
+        block = np.concatenate(blocks)
+        got = np.array([_norm(v) for v in block.tolist()])
+        assert got.tobytes() == declared_norm(block).tobytes(), size
+        if size == 4:
+            got = np.array([_norm(v) for v in block[:, 1:].tolist()])
+            assert got.tobytes() == declared_norm(block[:, 1:]).tobytes()
 
 
 def test_norm_past_the_largest_double_and_of_non_finite_components():
@@ -314,7 +336,7 @@ def test_norm_past_the_largest_double_and_of_non_finite_components():
     assert _norm((1e200, 1.0, 2.0)) == math.inf
     assert _norm((1.0, 2.0, math.inf, 0.0)) == math.inf
     assert math.isnan(_norm((1.0, math.nan, 2.0)))
-    assert _norm((7e153, 7e153, 7e153)) == fused_norm((7e153, 7e153, 7e153))
+    assert _norm((7e153, 7e153, 7e153)) == declared_norm((7e153, 7e153, 7e153))
 
 
 def test_quat_multiply_equals_numpy_scalar_product():
