@@ -13,8 +13,10 @@ checkout's ``src`` as ``PYTHONPATH``, run from the checkout's root with
 * every ``scanloop`` line of this checkout's README, as written;
 * ``simulate`` on every shipped config, plus ``guidance`` on the kinematic
   ones and ``sweep`` on those with a ``[sweep]`` section, and ``simulate`` on
-  a generated histogram config, each at every ``--seeds`` value and at
-  ``workers`` 1 and 4 (a copy of the config with its ``workers`` replaced).
+  generated abstract configs (a histogram, the truncated normal of
+  perfbench's ``abstract_mix`` and one whose support lies far above its
+  mean), each at every ``--seeds`` value and at ``workers`` 1 and 4 (a copy
+  of the config with its ``workers`` replaced).
 
 Each run is made in both checkouts.  Every run must exit 0 on both sides, and
 the two must agree on standard output (with the output directory masked) and
@@ -48,7 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKERS = (1, 4)
 SOURCE_DATE_EPOCH = "1700000000"
 
-HISTOGRAM_CONFIG = """\
+# Abstract configs generated for the runs, by distribution section body.
+ABSTRACT_CONFIG = """\
 [cohort]
 mode = abstract
 subjects = 20000
@@ -56,8 +59,7 @@ seed = 42
 workers = 1
 
 [distribution]
-family = histogram
-csv = histogram.csv
+{distribution}
 
 [predictor]
 kind = confusion
@@ -71,6 +73,17 @@ correction = 1.0
 [policy]
 max_rescans = 50
 """
+GENERATED_CONFIGS = {
+    "histogram.ini": "family = histogram\ncsv = histogram.csv",
+    # perfbench's abstract_mix population
+    "truncated_normal.ini": (
+        "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6"
+    ),
+    # support 12.5 sigma above mu: draws from the mirrored far tail
+    "truncated_normal_far.ini": (
+        "family = truncated_normal\nmu = 0.05\nsigma = 0.02\nlo = 0.3\nhi = 0.7"
+    ),
+}
 HISTOGRAM_CSV = "bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.4,3\n0.5,2\n"
 
 # Run in a checkout with (config path, seed) pairs as arguments: one line per
@@ -219,8 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         work = Path(tmp)
         (work / "histogram.csv").write_text(HISTOGRAM_CSV)
-        (work / "histogram.ini").write_text(HISTOGRAM_CONFIG)
-        configs = sorted((ROOT / "configs").glob("*.ini")) + [work / "histogram.ini"]
+        configs = sorted((ROOT / "configs").glob("*.ini"))
+        for name, distribution in GENERATED_CONFIGS.items():
+            (work / name).write_text(ABSTRACT_CONFIG.format(distribution=distribution))
+            configs.append(work / name)
         cases = [
             (f"README: scanloop {shlex.join(command)}", command)
             for command in readme_commands(ROOT / "README.md")

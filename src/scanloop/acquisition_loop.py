@@ -323,7 +323,8 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
     """Records of subjects [start, stop).
 
     An error raised for a subject is re-raised as the same type, its message
-    led by ``subject <i>, seed <s>``; the message alone crosses a process pool.
+    led by ``subject <i>, seed <s>, config <d>``, d the first 12 hex digits
+    of the config digest; the message alone crosses a process pool.
     """
     records: list[SubjectRecord] = []
     seed = config.master_seed
@@ -353,7 +354,7 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
                     )
                 )
     except Exception as exc:
-        located = _located(exc, f"subject {i}, seed {seed}")
+        located = _located(exc, f"subject {i}, seed {seed}, config {config.digest[:12]}")
         if located is None:
             raise
         raise located from exc

@@ -27,12 +27,113 @@ from .errors import QuadratureFailure, UndefinedRatio
 
 @functools.cache
 def _special():
-    """``scipy.special``, imported on first use: only Beta and the truncated
-    normal need it, and it takes longer to import than the rest of the
-    package, so runs that build neither never load SciPy."""
+    """``scipy.special``, imported on first use: only Beta needs it, and it
+    takes longer to import than the rest of the package, so runs that build
+    no Beta never load SciPy."""
     import scipy.special
 
     return scipy.special
+
+
+# The standard normal CDF and its inverse, ported from Cephes (S. L. Moshier,
+# ndtr.c and ndtri.c, as SciPy runs them): the same coefficients, the same
+# Horner order and the same libm exp, log and sqrt, so every result equals
+# ``scipy.special.ndtr``/``ndtri`` bit for bit, and draws do not depend on
+# the installed SciPy.
+
+
+def _horner(x: float, coef: tuple[float, ...]) -> float:
+    """The polynomial with coefficients ``coef``, leading first, at a finite
+    ``x``, by Horner's rule.  The first step, 0·x + coef[0], is exact, so this
+    equals Cephes's ``polevl`` and, with a leading 1 in ``coef``, ``p1evl``."""
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+# erf(x) = x T(x²) / U(x²) for |x| < 1; erfc(x) = exp(-x²) P(x) / Q(x) for
+# 1 <= x < 8 and exp(-x²) R(x) / S(x) above, 0 once x² exceeds _MAXLOG.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996732e2
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF: 1/2 + erf(a/√2)/2 near 0, erfc(|a|/√2)/2 in the
+    tails.  Cephes splits at |a/√2| < 1/√2, but its erfc is 1 − erf below 1,
+    and on [1/√2, 1) every step of either form is exact but the last, so the
+    erf branch takes all of |a/√2| < 1 with the same bits."""
+    x = a * 0.70710678118654752440
+    z = abs(x)
+    if z < 1.0:
+        zz = x * x
+        return 0.5 + 0.5 * (x * _horner(zz, _ERF_T) / _horner(zz, _ERF_U))
+    if -z * z < -_MAXLOG:
+        y = 0.0
+    elif z < 8.0:
+        y = 0.5 * (math.exp(-z * z) * _horner(z, _ERFC_P) / _horner(z, _ERFC_Q))
+    else:
+        y = 0.5 * (math.exp(-z * z) * _horner(z, _ERFC_R) / _horner(z, _ERFC_S))
+    return 1.0 - y if x > 0.0 else y
+
+
+# ndtri(y) = √(2π) (t + t s P0(s) / Q0(s)) with t = y − 1/2, s = t², for
+# exp(-2) < y < 1 − exp(-2).  In the tails, with x = √(−2 log y) for the
+# smaller of y and 1 − y: x − log(x)/x − P1(1/x) / (x Q1(1/x)) for x < 8,
+# that is y > exp(-32), and P2/Q2 beyond.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of ``_ndtr`` on [0, 1]: ±inf at 1 and 0, NaN outside."""
+    if not 0.0 < y0 < 1.0:
+        return -math.inf if y0 == 0.0 else math.inf if y0 == 1.0 else math.nan
+    y, upper = y0, y0 > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))
+        return x * 2.50662827463100050242e0
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1)
+    else:
+        x1 = z * _horner(z, _NDTRI_P2) / _horner(z, _NDTRI_Q2)
+    x = x - math.log(x) / x - x1
+    return x if upper else -x
 
 
 @functools.cache
@@ -189,10 +290,9 @@ class TruncatedNormal(FailureDistribution):
     mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ndtr = _special().ndtr
         sign = -1.0 if self.lo > self.mu else 1.0
-        cdf_lo = float(ndtr(sign * (self.lo - self.mu) / self.sigma))
-        cdf_hi = float(ndtr(sign * (self.hi - self.mu) / self.sigma))
+        cdf_lo = _ndtr(sign * (self.lo - self.mu) / self.sigma)
+        cdf_hi = _ndtr(sign * (self.hi - self.mu) / self.sigma)
         mass = sign * (cdf_hi - cdf_lo)
         if not mass > 0.0:
             raise ValueError(
@@ -216,7 +316,7 @@ class TruncatedNormal(FailureDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random()
-        z = self.sign * float(_special().ndtri(u))
+        z = self.sign * _ndtri(u)
         return min(max(self.mu + self.sigma * z, self.lo), self.hi)
 
     def breakpoints(self) -> tuple[float, ...]:

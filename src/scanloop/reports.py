@@ -13,9 +13,7 @@ Conventions shared by every emitted file:
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -87,23 +85,51 @@ def _format_column(values: Sequence[object]) -> list[str]:
     return cells
 
 
+def _csv_lines(rows: list[tuple[str, ...]], width: int) -> str:
+    """``rows`` of ``width`` cells each as the lines ``csv.writer`` writes for
+    them: the cells joined by commas, each line ended by a newline, and a row
+    of one empty cell written as ``""``.
+
+    Raises:
+        ValueError: for a cell that ``csv.writer`` would quote, one that holds
+            a comma, a double quote, a CR or a LF.
+    """
+    text = "".join([line + "\n" for line in map(",".join, rows)])
+    if (
+        text.count(",") != len(rows) * max(width - 1, 0)
+        or text.count("\n") != len(rows)
+        or '"' in text
+        or "\r" in text
+    ):
+        cell = next(c for row in rows for c in row if any(ch in c for ch in ',"\r\n'))
+        raise ValueError(f"CSV cell {cell!r} would need quoting")
+    if width == 1:
+        # A lone empty cell is quoted, so that it does not read as a blank line.
+        text = "".join([(cell or '""') + "\n" for cell, in rows])
+    return text
+
+
 def render_csv(
     header: Sequence[str], columns: Sequence[Sequence[object]], manifest: dict
 ) -> str:
     """The CSV text of a table given as equal-length columns, one per header
-    entry, each cell formatted by ``format_cell``'s rules."""
+    entry, each cell formatted by ``format_cell``'s rules.
+
+    Raises:
+        ValueError: for columns of unequal lengths or a count other than the
+            header's, and for a header entry or cell that would need quoting.
+    """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header entries but {len(columns)} columns")
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError("columns must have equal lengths")
-    buffer = io.StringIO()
-    buffer.write(manifest_line(manifest) + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    width = len(header)
+    parts = [manifest_line(manifest) + "\n", _csv_lines([tuple(header)], width)]
     for start in range(0, n, _ROW_BLOCK):
-        writer.writerows(zip(*(_format_column(c[start : start + _ROW_BLOCK]) for c in columns)))
-    return buffer.getvalue()
+        block = zip(*(_format_column(c[start : start + _ROW_BLOCK]) for c in columns))
+        parts.append(_csv_lines(list(block), width))
+    return "".join(parts)
 
 
 def write_csv(

@@ -610,6 +610,55 @@ class TestRunCohort:
             ),
         ]
 
+    @pytest.mark.parametrize(
+        "mu, sigma, lo, hi, alphas",
+        [
+            # central: the quantile's middle branch, and both tails (subjects 8, 11)
+            (0.2, 0.1, 0.0, 0.6, (
+                0.2769069812466963, 0.2835121672317904, 0.14918199880733407,
+                0.12836078072540738, 0.26866647547870254, 0.1134772199282827,
+                0.17540221765338335, 0.20766341607356706, 0.3322594743134796,
+                0.2075838974235642, 0.16849537772342657, 0.02554084410006885,
+            )),
+            # mirrored, lo 12.5 sigma above mu: the far lower tail, beyond exp(-32)
+            (0.05, 0.02, 0.3, 0.7, (
+                0.30235335802499125, 0.30249579212092464, 0.3005428613343636,
+                0.3003929360852269, 0.30218298536154414, 0.3003050737598579,
+                0.3007819925059359, 0.3011630799364949, 0.30371329936076663,
+                0.3011620138374147, 0.3007131895701363, 0.3000291895433491,
+            )),
+        ],
+    )
+    def test_truncated_normal_alphas_pinned(self, mu, sigma, lo, hi, alphas):
+        # Exact failure rates of the first subjects at a fixed seed, so a
+        # change to any bit of the normal CDF or its inverse shows up.
+        text = f"""
+[cohort]
+mode = abstract
+subjects = 12
+seed = 42
+
+[distribution]
+family = truncated_normal
+mu = {mu}
+sigma = {sigma}
+lo = {lo}
+hi = {hi}
+
+[predictor]
+kind = confusion
+precision = 0.8
+recall = 0.8
+
+[costs]
+rescan = 0.1
+correction = 1.0
+
+[policy]
+max_rescans = 50
+"""
+        assert tuple(run_cohort(parse_config(text)).table.alpha.tolist()) == alphas
+
     def test_kinematic_worker_count_does_not_change_results(self):
         reports = [run_cohort(_kinematic_config(300, seed=19, workers=w)) for w in (1, 3)]
         assert np.array_equal(reports[0].table.cost, reports[1].table.cost)

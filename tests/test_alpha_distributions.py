@@ -9,11 +9,14 @@ from scipy import stats
 from scipy.special import hyp2f1, ndtr, ndtri
 
 from scanloop.alpha_distributions import (
+    _MAXLOG,
     Beta,
     EmpiricalHistogram,
     PointMass,
     TruncatedNormal,
     Uniform,
+    _ndtr,
+    _ndtri,
     expected_cost_ratio,
     mean_alpha,
     sample_alpha,
@@ -536,6 +539,55 @@ def test_truncnorm_scalar_sample_equals_clipped_inverse_cdf():
     for _ in range(2000):
         u = cdf_lo + (cdf_hi - cdf_lo) * ref.random()
         assert dist.sample(ours) == float(np.clip(mu + sigma * ndtri(u), lo, hi))
+
+
+def _assert_same_bits(got, want):
+    """Equal bytes, a NaN matching any NaN."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _around(x, steps=3):
+    """x and its neighbours up to ``steps`` doubles either side."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[1:] + above
+
+
+def test_ndtri_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(17)
+    u = [
+        rng.random(40_000),
+        # decades down through the subnormals to 0, and the upper tail up to 1 - 1e-16
+        np.concatenate([10.0 ** (d + rng.random(100)) for d in range(-324, 0)]),
+        1.0 - 10.0 ** -rng.uniform(0.1, 16.0, 20_000),
+        # the branch edges exp(-2), 1 - exp(-2) and exp(-32), and the exact values
+        np.concatenate([_around(e) for e in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32))]),
+        np.array([0.0, -0.0, 5e-324, 0.5, 1.0, math.nextafter(1.0, 0.0), -1e-300, 1.5]),
+        np.array([math.inf, -math.inf, math.nan]),
+    ]
+    u = np.concatenate(u)
+    _assert_same_bits(np.array([_ndtri(x) for x in u.tolist()]), ndtri(u))
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(18)
+    x = [
+        rng.uniform(0.0, 40.0, 20_000),
+        rng.standard_normal(20_000),
+        10.0 ** rng.uniform(-300.0, math.log10(40.0), 20_000),
+        # beyond 38, where the tails are 0 and 1
+        rng.uniform(38.0, 1e6, 10_000),
+        np.array([1e300, math.inf, math.nan, 0.0, 5e-324]),
+        # |x| / sqrt(2) at 1 and 8, erfc's edges, and where its exp(-x²/2) underflows
+        np.concatenate([_around(e * math.sqrt(2.0)) for e in (1.0, 8.0, math.sqrt(_MAXLOG))]),
+    ]
+    x = np.concatenate(x)
+    x = np.concatenate([x, -x])  # both tails
+    _assert_same_bits(np.array([_ndtr(v) for v in x.tolist()]), ndtr(x))
 
 
 def test_truncnorm_derived_bounds_stay_out_of_identity():

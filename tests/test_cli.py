@@ -652,10 +652,11 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, capsys, workers
     ):
         # A fault injected into one subject's simulation is named with the
-        # subject and the seed, also when it crosses the pool: forked workers
-        # inherit the patched module.
+        # subject, the seed and the config digest, also when it crosses the
+        # pool: forked workers inherit the patched module.
         from scanloop import acquisition_loop
         from scanloop.cli import main
+        from scanloop.config import parse_config
         from scanloop.errors import UndefinedRatio
 
         subject_stream = acquisition_loop.subject_stream
@@ -674,7 +675,8 @@ class TestExitCodes:
         config = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert "numerical failure: subject 23, seed 7: injected fault" in err
+        digest = parse_config(text).digest[:12]
+        assert f"numerical failure: subject 23, seed 7, config {digest}: injected fault" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -993,8 +995,8 @@ def run_fresh(code, *argv):
 
 def test_cli_import_leaves_scipy_and_process_pool_unloaded():
     # SciPy (scipy.special alone costs about 0.25 s and 19 MB on import) is
-    # loaded only by the Beta and truncated-normal families, and the process
-    # pool only by a run on more than one worker.
+    # loaded only by the Beta family, and the process pool only by a run on
+    # more than one worker.
     loaded = run_fresh(
         "import json, sys, scanloop.cli\n"
         "names = ('scipy', 'scipy.integrate', 'concurrent.futures.process')\n"
@@ -1024,6 +1026,10 @@ def test_scipy_free_commands_leave_scipy_unloaded(tmp_path):
     uniform = RATIO_POINTMASS.replace(
         "family = point_mass\nalpha = 0.2", "family = uniform\nlo = 0.1\nhi = 0.3"
     )
+    truncated_normal = RATIO_POINTMASS.replace(
+        "family = point_mass\nalpha = 0.2",
+        "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6",
+    )
     argvs = [
         ["guidance", "--config", str(kinematic)],
         ["sweep", "--config", str(kinematic)],
@@ -1033,6 +1039,7 @@ def test_scipy_free_commands_leave_scipy_unloaded(tmp_path):
         ("point_mass", RATIO_POINTMASS),
         ("uniform", uniform),
         ("histogram", histogram),
+        ("truncated_normal", truncated_normal),
     ):
         config = write_config(tmp_path, text, f"{name}.ini")
         argvs += [["ratio", "--config", str(config)], ["simulate", "--config", str(config)]]
@@ -1043,12 +1050,11 @@ def test_scipy_free_commands_leave_scipy_unloaded(tmp_path):
     assert (before, after) == (False, False)
 
 
-def test_truncated_normal_ratio_loads_scipy_and_writes_same_report(tmp_path):
+def test_beta_ratio_loads_scipy_and_writes_same_report(tmp_path):
     from scanloop.cli import main
 
     text = RATIO_POINTMASS.replace(
-        "family = point_mass\nalpha = 0.2",
-        "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6",
+        "family = point_mass\nalpha = 0.2", "family = beta\na = 2\nb = 8"
     )
     config = write_config(tmp_path, text)
     argv = ["ratio", "--config", str(config), "--out", str(tmp_path / "fresh")]

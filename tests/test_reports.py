@@ -219,6 +219,18 @@ class TestRenderCsv:
         with pytest.raises(ValueError, match="columns"):
             render_csv(("a", "b"), [np.arange(2)], {})
 
+    @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+    def test_cell_that_would_need_quoting_rejected(self, cell):
+        with pytest.raises(ValueError, match="quoting"):
+            render_csv(("a", "b"), [[1, 2], ["x", cell]], {})
+        with pytest.raises(ValueError, match="quoting"):
+            render_csv(("a", cell), [[1], [2]], {})
+
+    def test_one_empty_cell_is_quoted_like_csv_writer(self):
+        rows = [[None], [1.5], [math.nan]]
+        assert render_csv(("a",), list(zip(*rows)), {}) == render_csv_rows(("a",), rows, {})
+        assert render_csv(("a", "b"), [[None], [None]], {}).endswith("a,b\n,\n")
+
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50))
     def test_float_columns_format_like_format_cell(self, values):
         column = np.array(values, dtype=np.float64)
