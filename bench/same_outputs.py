@@ -14,8 +14,9 @@ checkout's ``src`` as ``PYTHONPATH``, run from the checkout's root with
 * ``simulate`` on every shipped config, plus ``guidance`` on the kinematic
   ones and ``sweep`` on those with a ``[sweep]`` section, and ``simulate`` on
   generated abstract configs (a histogram, the truncated normal of
-  perfbench's ``abstract_mix`` and one whose support lies far above its
-  mean), each at every ``--seeds`` value and at ``workers`` 1 and 4 (a copy
+  perfbench's ``abstract_mix``, one whose support lies far above its mean,
+  and a uniform population partly above alpha_max, where the predictor
+  saturates), each at every ``--seeds`` value and at ``workers`` 1 and 4 (a copy
   of the config with its ``workers`` replaced).
 
 Each run is made in both checkouts.  Every run must exit 0 on both sides, and
@@ -83,6 +84,8 @@ GENERATED_CONFIGS = {
     "truncated_normal_far.ini": (
         "family = truncated_normal\nmu = 0.05\nsigma = 0.02\nlo = 0.3\nhi = 0.7"
     ),
+    # a quarter of the subjects above alpha_max = 0.833, with long scan loops
+    "uniform.ini": "family = uniform\nlo = 0.5\nhi = 0.95",
 }
 HISTOGRAM_CSV = "bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.4,3\n0.5,2\n"
 

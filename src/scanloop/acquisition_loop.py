@@ -28,15 +28,15 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from .alpha_distributions import mean_alpha as _dist_mean_alpha
-from .alpha_distributions import expected_cost_ratio, sample_alpha
+from .alpha_distributions import Beta, PointMass, expected_cost_ratio, sample_alpha
 from .cost_model import CostRates
 from .errors import QuadratureFailure, UndefinedRatio
-from .predictor_model import ConfusionPredictor, ScorePredictor, classify, score
+from .predictor_model import ConfusionPredictor, ScorePredictor, score
 from .probe_kinematics import (
     GuidanceNoise,
     LearnerPolicy,
@@ -47,7 +47,7 @@ from .probe_kinematics import (
     image_quality,
     perturb_pose,
 )
-from .streams import subject_stream
+from .streams import block_uniforms, subject_stream, uniforms_past_block
 
 if TYPE_CHECKING:
     from .alpha_distributions import FailureDistribution
@@ -74,19 +74,21 @@ def run_subject_abstract(
     alpha: float,
     max_rescans: int,
     predictor: ConfusionPredictor,
-    rng: np.random.Generator,
+    draws: Iterator[float],
 ) -> SubjectRecord:
     """One subject under the independence assumption.
 
     Each scan fails with probability alpha independently of history; each
     flagged scan buys a re-scan while fewer than ``max_rescans`` have been
-    made.  Two stream draws per scan (failure, flag), always.
+    made.  Two uniforms from ``draws`` per scan, always: the failure, then
+    the flag, compared as ``predictor_model.classify`` compares them.
     """
+    recall, false_positive_rate = predictor
     fails: list[bool] = []
     flags: list[bool] = []
     for _ in range(max_rescans + 1):
-        true_fail = rng.random() < alpha
-        flagged = classify(true_fail, predictor, rng)
+        true_fail = next(draws) < alpha
+        flagged = next(draws) < (recall if true_fail else false_positive_rate)
         fails.append(true_fail)
         flags.append(flagged)
         if not flagged:
@@ -319,28 +321,53 @@ def _located(exc: Exception, where: str) -> Exception | None:
         return None
 
 
+def _abstract_records(
+    config: "ExperimentConfig", start: int, stop: int, records: list[SubjectRecord]
+) -> None:
+    """Append the records of abstract subjects [start, stop) to ``records``.
+
+    A Beta subject draws its failure rate and its scans with its
+    ``Generator``.  Otherwise a key block's rates are the inverse CDF on its
+    first column of ``block_uniforms`` (a point mass draws none), and each
+    scan loop reads the rest of its row before its ``uniforms_past_block``.
+    """
+    seed, dist = config.master_seed, config.distribution
+    profile, budget = config.profile, config.max_rescans
+    if isinstance(dist, Beta):
+        for i in range(start, stop):
+            rng = subject_stream(seed, i)
+            alpha = sample_alpha(dist, rng)
+            predictor = ConfusionPredictor.calibrated(profile, alpha)
+            records.append(run_subject_abstract(alpha, budget, predictor, iter(rng.random, None)))
+        return
+    for uniforms in block_uniforms(seed, start, stop):
+        if isinstance(dist, PointMass):
+            alphas, rows = itertools.repeat(dist.alpha), uniforms.tolist()
+        else:
+            alphas, rows = dist.inverse_cdf(uniforms[:, 0]).tolist(), uniforms[:, 1:].tolist()
+        for alpha, row in zip(alphas, rows):
+            predictor = ConfusionPredictor.calibrated(profile, alpha)
+            draws = itertools.chain(row, uniforms_past_block(seed, start + len(records)))
+            records.append(run_subject_abstract(alpha, budget, predictor, draws))
+
+
 def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list[SubjectRecord]:
     """Records of subjects [start, stop).
 
     An error raised for a subject is re-raised as the same type, its message
     led by ``subject <i>, seed <s>, config <d>``, d the first 12 hex digits
-    of the config digest; the message alone crosses a process pool.
+    of the config digest; the message alone crosses a process pool.  The
+    subject is the first whose record is missing.
     """
     records: list[SubjectRecord] = []
     seed = config.master_seed
-    i = start
     try:
         if config.mode == "abstract":
-            for i in range(start, stop):
-                rng = subject_stream(seed, i)
-                alpha = sample_alpha(config.distribution, rng)
-                predictor = ConfusionPredictor.calibrated(config.profile, alpha)
-                records.append(run_subject_abstract(alpha, config.max_rescans, predictor, rng))
+            _abstract_records(config, start, stop, records)
         else:
             anatomy = config.anatomy
             for i in range(start, stop):
-                # The plain generator: kinematic draws are not scalar uniforms.
-                rng = subject_stream(seed, i).generator
+                rng = subject_stream(seed, i)
                 start_pose = perturb_pose(config.start_offset_t, config.start_offset_r, rng)
                 records.append(
                     run_subject_kinematic(
@@ -354,6 +381,7 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
                     )
                 )
     except Exception as exc:
+        i = start + len(records)
         located = _located(exc, f"subject {i}, seed {seed}, config {config.digest[:12]}")
         if located is None:
             raise

@@ -39,13 +39,16 @@ def _special():
 # ndtr.c and ndtri.c, as SciPy runs them): the same coefficients, the same
 # Horner order and the same libm exp, log and sqrt, so every result equals
 # ``scipy.special.ndtr``/``ndtri`` bit for bit, and draws do not depend on
-# the installed SciPy.
+# the installed SciPy.  ``_ndtri`` runs on arrays: numpy's ``*``, ``+``, ``/``
+# and ``sqrt`` round as IEEE requires, as Python's do, but its ``log`` is not
+# libm's, so the logs go through ``math.log``.
 
 
-def _horner(x: float, coef: tuple[float, ...]) -> float:
+def _horner(x, coef: tuple[float, ...]):
     """The polynomial with coefficients ``coef``, leading first, at a finite
-    ``x``, by Horner's rule.  The first step, 0·x + coef[0], is exact, so this
-    equals Cephes's ``polevl`` and, with a leading 1 in ``coef``, ``p1evl``."""
+    ``x`` (a float or an array of them), by Horner's rule.  The first step,
+    0·x + coef[0], is exact, so this equals Cephes's ``polevl`` and, with a
+    leading 1 in ``coef``, ``p1evl``."""
     ans = 0.0
     for c in coef:
         ans = ans * x + c
@@ -114,26 +117,36 @@ _NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099
 _EXP_M2 = 0.13533528323661269189
 
 
-def _ndtri(y0: float) -> float:
-    """Inverse of ``_ndtr`` on [0, 1]: ±inf at 1 and 0, NaN outside."""
-    if not 0.0 < y0 < 1.0:
-        return -math.inf if y0 == 0.0 else math.inf if y0 == 1.0 else math.nan
-    y, upper = y0, y0 > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))
-        return x * 2.50662827463100050242e0
-    x = math.sqrt(-2.0 * math.log(y))
+def _log(x: np.ndarray) -> np.ndarray:
+    """libm's ``log``, elementwise."""
+    return np.array(list(map(math.log, x.tolist())), dtype=np.float64)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Inverse of ``_ndtr`` on [0, 1], elementwise on an array: ±inf at 1 and
+    0, NaN outside."""
+    out = np.where(y0 == 0.0, -math.inf, np.where(y0 == 1.0, math.inf, math.nan))
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    inside = (0.0 < y0) & (y0 < 1.0)
+    # As in Cephes, the central branch never mirrors back: 1 − y0 above
+    # 1 − exp(-2) exceeds exp(-2) by a rounding error at most.
+    central = inside & (y > _EXP_M2)
+    t = y[central] - 0.5
+    t2 = t * t
+    x = t + t * (t2 * _horner(t2, _NDTRI_P0) / _horner(t2, _NDTRI_Q0))
+    out[central] = x * 2.50662827463100050242e0
+    tail = inside & ~central
+    x = np.sqrt(-2.0 * _log(y[tail]))
     z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1)
-    else:
-        x1 = z * _horner(z, _NDTRI_P2) / _horner(z, _NDTRI_Q2)
-    x = x - math.log(x) / x - x1
-    return x if upper else -x
+    x1 = np.where(
+        x < 8.0,
+        z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1),
+        z * _horner(z, _NDTRI_P2) / _horner(z, _NDTRI_Q2),
+    )
+    x = x - _log(x) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 @functools.cache
@@ -167,9 +180,15 @@ class FailureDistribution(ABC):
     def pdf(self, alpha: float) -> float:
         """Density at a point (0 outside the support)."""
 
-    @abstractmethod
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """The draws at an array of uniforms on [0, 1), for the families drawn
+        by inverting their CDF: uniform, truncated normal, histogram."""
+        raise TypeError(f"{type(self).__name__} is not drawn by inverting its CDF")
+
     def sample(self, rng: np.random.Generator) -> float:
-        """One draw from the distribution."""
+        """One draw from the distribution: by default the inverse CDF at one
+        uniform from ``rng``."""
+        return float(self.inverse_cdf(np.array([rng.random()]))[0])
 
     def breakpoints(self) -> tuple[float, ...]:
         """Points where the population integrals split the support: where the
@@ -220,8 +239,8 @@ class Uniform(FailureDistribution):
             return 1.0 / (self.hi - self.lo)
         return 0.0
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.lo + (self.hi - self.lo) * rng.random()
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        return self.lo + (self.hi - self.lo) * u
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,10 +333,9 @@ class TruncatedNormal(FailureDistribution):
         z = (alpha - self.mu) / self.sigma
         return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.sigma * self.mass)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        u = self.cdf_lo + (self.cdf_hi - self.cdf_lo) * rng.random()
-        z = self.sign * _ndtri(u)
-        return min(max(self.mu + self.sigma * z, self.lo), self.hi)
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        z = self.sign * _ndtri(self.cdf_lo + (self.cdf_hi - self.cdf_lo) * u)
+        return np.minimum(np.maximum(self.mu + self.sigma * z, self.lo), self.hi)
 
     def breakpoints(self) -> tuple[float, ...]:
         # With mu outside [lo, hi] the density peaks at the nearer bound and
@@ -382,13 +400,7 @@ class EmpiricalHistogram(FailureDistribution):
         lo, hi = self._bin_bounds(i)
         return self.masses[i] / (hi - lo)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        # One scalar uniform, which a subject stream serves without building
-        # the subject's own Generator.
-        return float(self._invert(rng.random()))
-
-    def _invert(self, u):
-        """Inverse CDF at ``u``, a scalar or an array of uniforms."""
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         cum = np.cumsum(self.masses)
         cum[-1] = 1.0
         idx = np.searchsorted(cum, u, side="right")

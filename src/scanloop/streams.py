@@ -5,27 +5,28 @@ index).  Because a subject's draws never depend on any other subject's, a
 cohort can be simulated in any order and split across any number of workers
 while producing bit-identical results.
 
-Subject i's generator is ``Generator(PCG64(key))`` where the key equals
-``numpy.random.SeedSequence([master_seed, i]).generate_state(4, np.uint64)``:
-the same 256 bits numpy's ``default_rng(SeedSequence([master_seed, i]))``
-seeds PCG64 with, so every draw matches it.  The keys are derived here, for a
-block of consecutive subjects in one vectorized pass, with SeedSequence's
-hash and mix functions at its default pool size of 4.  The generator's
-``seed_seq`` is a ``_Key`` holding that subject's key; it cannot spawn child
-sequences (``Generator.spawn`` raises), and nothing in the package spawns.
+``subject_stream`` returns subject i's ``Generator(PCG64(key))``, where the
+key equals ``numpy.random.SeedSequence([master_seed, i]).generate_state(4,
+np.uint64)``: the same 256 bits numpy's ``default_rng(SeedSequence([master_seed,
+i]))`` seeds PCG64 with, so every draw matches it.  The keys are derived
+here, for a block of 4 096 consecutive subjects in one vectorized pass, with
+SeedSequence's hash and mix functions at its default pool size of 4.  The
+generator's ``seed_seq`` is a ``_Key`` holding that subject's key; it cannot
+spawn child sequences (``Generator.spawn`` raises), and nothing in the
+package spawns.
 
-``subject_stream`` returns a ``SubjectStream``.  It serves the subject's
-first 8 scalar ``random()`` draws from one array that a single numpy pass
-computes for the whole block: numpy's own PCG64 (seeding, 128-bit LCG step
-and XSL-RR output) evaluated on the block's keys.  Every other draw goes to
-the subject's ``Generator``, built on first use and advanced past the
-uniforms already served, so the draws are those of numpy's stream, bit for
-bit.
+``block_uniforms`` gives the first 8 scalar ``random()`` draws of each
+subject of a block as one array row, computed in a single numpy pass: numpy's
+own PCG64 (seeding, 128-bit LCG step and XSL-RR output) evaluated on the
+block's keys.  ``uniforms_past_block`` continues a subject's draws from the
+9th on with its ``Generator``, advanced past the 8, so the draws of a row
+followed by its continuation are those of numpy's stream, bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -132,15 +133,14 @@ def _lcg_step(
 
 
 @lru_cache(maxsize=1)
-def _uniform_block(master_seed: int, block: int) -> memoryview:
-    """First 8 ``random()`` draws of every subject of a key block, row-major.
+def _uniform_block(master_seed: int, block: int) -> np.ndarray:
+    """First 8 ``random()`` draws of every subject of a key block, read-only.
 
-    Element 8·j + d is draw d of subject block·4096 + j.  PCG64 is seeded as
+    Element (j, d) is draw d of subject block·4096 + j.  PCG64 is seeded as
     numpy's ``pcg64_set_seed`` does: from state 0, with increment
     ``(k2·2^64 + k3) << 1 | 1``, step, add ``k0·2^64 + k1``, step again.
     Each draw steps once and takes the XSL-RR output of the new state; a
-    double is its top 53 bits times 2^-53.  Python floats are read from the
-    view one at a time, so draws a subject never makes cost nothing.
+    double is its top 53 bits times 2^-53.
     """
     k0, k1, k2, k3 = _key_block(master_seed, block).T
     inc_hi = (k2 << _ONE) | (k3 >> np.uint64(63))
@@ -152,7 +152,9 @@ def _uniform_block(master_seed: int, block: int) -> memoryview:
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
         folded, rot = hi ^ lo, hi >> np.uint64(58)
         bits[:, d] = ((folded >> rot) | (folded << (-rot & np.uint64(63)))) >> np.uint64(11)
-    return memoryview(bits * 2.0**-53).cast("B").cast("d")
+    uniforms = bits * 2.0**-53
+    uniforms.flags.writeable = False
+    return uniforms
 
 
 class _Key(ISeedSequence):
@@ -169,62 +171,8 @@ class _Key(ISeedSequence):
         return self._words
 
 
-class SubjectStream:
-    """One subject's draws: numpy's ``Generator`` for that subject, with its
-    first 8 scalar uniforms taken from the block pass.
-
-    ``random()`` without arguments serves those uniforms; the block pass runs
-    at the first such call.  Every other draw, and every other ``Generator``
-    attribute (``random(size)``, ``standard_normal``, ``beta``,
-    ``bit_generator``, ``spawn``, ...), goes to ``generator``.  Once that
-    exists, its ``random`` and every attribute read through it are stored on
-    the instance, so later draws reach numpy without passing through here.
-    """
-
-    def __init__(self, master_seed: int, subject_index: int) -> None:
-        self._seed = master_seed
-        self._index = subject_index
-        self._uniforms: memoryview | None = None
-        self._next = self._stop = 0  # the unserved part of this subject's uniforms
-        self._generator: np.random.Generator | None = None
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        """``Generator.random``: scalar draws 1 to 8 come from the block pass."""
-        scalar = size is None and dtype is np.float64 and out is None
-        i = self._next
-        if i < self._stop and scalar:
-            self._next = i + 1
-            return self._uniforms[i]
-        if self._uniforms is None and self._generator is None and scalar:
-            first = self._index % _BLOCK * _DRAWS
-            self._uniforms = _uniform_block(self._seed, self._index // _BLOCK)
-            self._next, self._stop = first + 1, first + _DRAWS
-            return self._uniforms[first]
-        return self.generator.random(size, dtype, out)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The subject's ``Generator``, positioned after every draw served so far."""
-        if self._generator is None:
-            block, row = divmod(self._index, _BLOCK)
-            bit_generator = np.random.PCG64(_Key(_key_block(self._seed, block)[row]))
-            if self._uniforms is not None:
-                bit_generator.advance(self._next - row * _DRAWS)
-            self._next = self._stop = 0
-            self._generator = np.random.Generator(bit_generator)
-            self.random = self._generator.random
-        return self._generator
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        value = getattr(self.generator, name)
-        setattr(self, name, value)
-        return value
-
-
-def subject_stream(master_seed: int, subject_index: int) -> SubjectStream:
-    """Stream for one subject, independent of all other subjects' streams.
+def subject_stream(master_seed: int, subject_index: int) -> np.random.Generator:
+    """Generator for one subject, independent of all other subjects' streams.
 
     Raises:
         ValueError: unless both arguments are in [0, 2^64).
@@ -234,4 +182,24 @@ def subject_stream(master_seed: int, subject_index: int) -> SubjectStream:
             f"master seed and subject index must be in [0, 2^64),"
             f" got {master_seed} and {subject_index}"
         )
-    return SubjectStream(master_seed, subject_index)
+    block, row = divmod(subject_index, _BLOCK)
+    return np.random.Generator(np.random.PCG64(_Key(_key_block(master_seed, block)[row])))
+
+
+def block_uniforms(master_seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """The first 8 ``random()`` draws of subjects [start, stop), one read-only
+    (n, 8) array per key block the range meets: row j of the first array is
+    subject ``start + j``'s, and each later array goes on where the last one
+    ended."""
+    for block in range(start // _BLOCK, -(-stop // _BLOCK)):
+        first = block * _BLOCK
+        yield _uniform_block(master_seed, block)[max(start - first, 0) : stop - first]
+
+
+def uniforms_past_block(master_seed: int, subject_index: int) -> Iterator[float]:
+    """The subject's ``random()`` draws from the 9th on, those after its
+    ``block_uniforms`` row.  The subject's ``Generator`` is built at the first
+    draw taken, so a subject that takes none builds none."""
+    rng = subject_stream(master_seed, subject_index)
+    rng.bit_generator.advance(_DRAWS)
+    yield from iter(rng.random, None)

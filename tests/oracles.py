@@ -9,10 +9,11 @@ standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, total density mass, vectorized sampling and
-flagging, empirical operating points, SubjectTable rows and the scan-by-scan
-sums they must equal, the declared norm on numpy arrays, quaternion algebra
-on numpy arrays and scalars, a row-at-a-time CSV writer and the reader of
-report CSVs.
+flagging, the per-subject abstract loop on each subject's Generator,
+empirical operating points, SubjectTable rows and the scan-by-scan sums they
+must equal, the declared norm on numpy arrays, quaternion algebra on numpy
+arrays and scalars, a row-at-a-time CSV writer and the reader of report
+CSVs.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ from scanloop.alpha_distributions import (
     PointMass,
     TruncatedNormal,
     Uniform,
+    sample_alpha,
 )
 from scanloop.cost_model import CostRates, PredictorProfile
-from scanloop.predictor_model import ConfusionPredictor, ScorePredictor
+from scanloop.predictor_model import ConfusionPredictor, ScorePredictor, classify
 from scanloop.reports import format_cell, manifest_line
+from scanloop.streams import subject_stream
 
 
 def fixed_point_cost(
@@ -275,7 +278,7 @@ def sample_many(dist: FailureDistribution, rng: np.random.Generator, n: int) -> 
         u = dist.cdf_lo + (dist.cdf_hi - dist.cdf_lo) * rng.random(n)
         z = dist.sign * ndtri(u)
         return np.clip(dist.mu + dist.sigma * z, dist.lo, dist.hi)
-    return dist._invert(rng.random(n))
+    return dist.inverse_cdf(rng.random(n))
 
 
 def classify_many(
@@ -285,6 +288,26 @@ def classify_many(
     u = rng.random(len(true_fails))
     cut = np.where(true_fails, predictor.recall, predictor.false_positive_rate)
     return u < cut
+
+
+def abstract_records(config, start: int, stop: int) -> list[SubjectRecord]:
+    """Records of abstract subjects [start, stop), one subject at a time on
+    its own ``Generator``: its failure rate by ``sample_alpha``, its
+    predictor by ``calibrated``, then per scan a failure draw and
+    ``classify``'s flag draw, until a scan passes or the budget is spent."""
+    records = []
+    for i in range(start, stop):
+        rng = subject_stream(config.master_seed, i)
+        alpha = sample_alpha(config.distribution, rng)
+        predictor = ConfusionPredictor.calibrated(config.profile, alpha)
+        fails, flags = [], []
+        for _ in range(config.max_rescans + 1):
+            fails.append(rng.random() < alpha)
+            flags.append(classify(fails[-1], predictor, rng))
+            if not flags[-1]:
+                break
+        records.append(SubjectRecord(alpha, fails, flags))
+    return records
 
 
 @dataclass(frozen=True, slots=True)

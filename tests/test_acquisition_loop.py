@@ -1,6 +1,7 @@
 """Per-subject loop behavior, cohort simulation, and analytic cross-checks."""
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SubjectRow, subject_row, table_row, table_rows
+from oracles import SubjectRow, abstract_records, subject_row, table_row, table_rows
 from scanloop.acquisition_loop import (
     SUBJECT_COLUMNS,
     ComparisonSummary,
@@ -39,6 +40,11 @@ from scanloop.streams import subject_stream
 
 RATES = CostRates(rescan_cost=0.1, correction_cost=1.0)
 PROFILE = PredictorProfile(precision=0.8, recall=0.8)
+
+
+def _draws(seed, i):
+    """Subject i's uniforms, one ``random()`` draw of its stream at a time."""
+    return iter(subject_stream(seed, i).random, None)
 
 
 def _row(record):
@@ -118,7 +124,7 @@ class TestRunSubjectAbstract:
         alpha = 0.0
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(50):
-            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(1, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, _draws(1, i)))
             assert rec.scans == 1
             assert rec.rescans == 0
             assert rec.cost == 0.0
@@ -133,7 +139,7 @@ class TestRunSubjectAbstract:
         predictor = ConfusionPredictor.calibrated(PredictorProfile(1.0, 1.0), alpha)
         exhausted = 0
         for i in range(200):
-            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(2, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, _draws(2, i)))
             assert rec.rescans <= 3
             if rec.scans == 4 and rec.final_true_fail:
                 assert rec.cost == pytest.approx(3 * 0.1 + 1.0)
@@ -146,7 +152,7 @@ class TestRunSubjectAbstract:
         alpha = 0.4
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(300):
-            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(3, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, _draws(3, i)))
             assert rec.scans == rec.rescans + 1
             assert rec.rescans <= max_rescans
             expected = rec.rescans * RATES.rescan_cost + (
@@ -159,7 +165,7 @@ class TestRunSubjectAbstract:
         alpha = 0.5
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(100):
-            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_stream(4, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, _draws(4, i)))
             assert rec.scans == 1
             assert rec.first_fail == rec.final_true_fail
 
@@ -168,7 +174,7 @@ class TestRunSubjectAbstract:
         alpha = 0.2
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         records = [
-            run_subject_abstract(alpha, max_rescans, predictor, subject_stream(5, i))
+            run_subject_abstract(alpha, max_rescans, predictor, _draws(5, i))
             for i in range(20_000)
         ]
         costs = SubjectTable.from_records(records, RATES).cost
@@ -286,8 +292,7 @@ class TestSubjectTable:
             predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
             max_rescans = 6
             for i in range(n):
-                rng = subject_stream(21, i)
-                records.append(run_subject_abstract(alpha, max_rescans, predictor, rng))
+                records.append(run_subject_abstract(alpha, max_rescans, predictor, _draws(21, i)))
         return records
 
     @pytest.mark.parametrize("kinematic", [False, True], ids=["abstract", "kinematic"])
@@ -495,6 +500,102 @@ class TestBlockwiseTable:
         assert got.quality.dtype == want.quality.dtype == np.float64
         assert got.quality.tobytes() == want.quality.tobytes()
         assert (len(got.quality) == 0) == (mode == "abstract" or n == 0)
+
+
+# One population per family; the uniform one puts a quarter of its subjects
+# above alpha_max = 0.833 (p = r = 0.8), where the predictor saturates.
+FAMILIES = {
+    "point_mass": "family = point_mass\nalpha = 0.3",
+    "uniform_saturating": "family = uniform\nlo = 0.5\nhi = 0.95",
+    "beta": "family = beta\na = 2\nb = 8",
+    "truncated_normal": "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6",
+    "histogram": "family = histogram\ncsv = bins.csv",
+}
+# Enough subjects that a table, and a pool chunk at workers 2 and 3, crosses
+# the key block edge at 4096.
+ORACLE_SUBJECTS = 4400
+
+
+@pytest.fixture(scope="module")
+def bins(tmp_path_factory):
+    """Directory holding the histogram population's ``bins.csv``."""
+    base = tmp_path_factory.mktemp("bins")
+    (base / "bins.csv").write_text("bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.5,2\n")
+    return base
+
+
+@functools.cache
+def _family_config(bins, family, max_rescans, workers=1):
+    text = f"""
+[cohort]
+mode = abstract
+subjects = {ORACLE_SUBJECTS}
+seed = 31
+workers = {workers}
+
+[distribution]
+{FAMILIES[family]}
+
+[predictor]
+kind = confusion
+precision = 0.8
+recall = 0.8
+
+[costs]
+rescan = 0.1
+correction = 1.0
+
+[policy]
+max_rescans = {max_rescans}
+"""
+    return parse_config(text, base_dir=bins)
+
+
+def _digests(table):
+    return {
+        name: (getattr(table, name).dtype.str, hashlib.sha256(getattr(table, name)).hexdigest())
+        for name in ("alpha", "quality", *SUBJECT_COLUMNS)
+    }
+
+
+@functools.cache
+def _oracle_digests(bins, family, max_rescans, start=0, stop=ORACLE_SUBJECTS):
+    config = _family_config(bins, family, max_rescans)
+    return _digests(SubjectTable.from_records(abstract_records(config, start, stop), config.rates))
+
+
+class TestAbstractEngineAgainstOracle:
+    # The engine draws the failure rates a key block at a time and feeds each
+    # scan loop from its block row; the oracle runs every subject on its own
+    # Generator.  Every column must have the same bytes.
+    @pytest.mark.parametrize("max_rescans", [0, 1, 3, 50])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cohort_columns_equal_the_oracle(self, bins, family, max_rescans):
+        got = run_cohort(_family_config(bins, family, max_rescans)).table
+        assert _digests(got) == _oracle_digests(bins, family, max_rescans)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_range_across_a_block_edge(self, bins, family):
+        config = _family_config(bins, family, 50)
+        records = _simulate_records(config, 4000, 4200)
+        assert _digests(SubjectTable.from_records(records, config.rates)) == _oracle_digests(
+            bins, family, 50, 4000, 4200
+        )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_pooled_columns_equal_the_oracle(self, bins, family, workers):
+        got = run_cohort(_family_config(bins, family, 3, workers)).table
+        assert _digests(got) == _oracle_digests(bins, family, 3)
+
+    def test_saturating_population_saturates(self, bins):
+        table = run_cohort(_family_config(bins, "uniform_saturating", 50)).table
+        saturated = table.alpha > 0.8 / (0.8 + 0.8 - 0.64)
+        assert 0.2 < saturated.mean() < 0.3
+        # every intact scan of a saturated subject is flagged
+        intact = table.scans - table.failed_scans
+        flagged_intact = table.flagged_scans - table.flagged_failed_scans
+        assert np.array_equal(intact[saturated], flagged_intact[saturated])
 
 
 class TestRunCohort:

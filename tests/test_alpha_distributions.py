@@ -23,7 +23,6 @@ from scanloop.alpha_distributions import (
 )
 from scanloop.cost_model import PredictorProfile, cost_ratio_at
 from scanloop.errors import QuadratureFailure, UndefinedRatio
-from scanloop.streams import subject_stream
 
 from oracles import (
     mc_population_ratio,
@@ -507,12 +506,58 @@ def test_histogram_sample_equals_sample_many_draw_for_draw(dist):
     assert scalar.tobytes() == sample_many(dist, vector_rng, 20_000).tobytes()
 
 
-def test_histogram_sample_alpha_leaves_the_subject_generator_unbuilt():
-    # One scalar uniform, served by the block pass: no per-subject Generator.
-    stream = subject_stream(3, 17)
-    alpha = sample_alpha(HIST, stream)
-    assert stream._generator is None
-    assert alpha == sample_alpha(HIST, subject_stream(3, 17).generator)
+class _Given:
+    """Stands in for a Generator whose scalar ``random()`` draws are ``u``."""
+
+    def __init__(self, u):
+        self.random = iter(u.tolist()).__next__
+
+
+# (distribution, whether some draw of the test below is clamped to lo, to hi)
+INVERSION_CASES = {
+    "uniform": (Uniform(0.5, 0.95), False, False),
+    # lo = 0 sits 2 sigma below mu: draws at u near 0 round below lo
+    "truncnorm": (TruncatedNormal(0.2, 0.1, 0.0, 0.6), True, False),
+    # the support 12.5 sigma above mu: draws from the mirrored far tail
+    "truncnorm_far": (TruncatedNormal(0.05, 0.02, 0.3, 0.7), False, False),
+    # the normal CDF at lo underflows to 0: u = 0 maps to -inf
+    "truncnorm_cdf_lo_0": (TruncatedNormal(0.5, 0.01, 0.0, 0.52), True, False),
+    # the support below mu: draws at u near 0 and near 1 round past lo and hi
+    "truncnorm_below_mu": (TruncatedNormal(0.849, 0.047, 0.432, 0.475), True, True),
+    "hist": (HIST, False, False),
+    "hist_empty_bin": (EmpiricalHistogram((0.1, 0.3, 0.5), (0.5, 0.5, 0.0)), False, False),
+}
+
+
+class _Given:
+    """Stands in for a Generator whose scalar ``random()`` draws are ``u``."""
+
+    def __init__(self, u):
+        self.random = iter(u.tolist()).__next__
+
+
+@pytest.mark.parametrize("name", INVERSION_CASES)
+def test_array_inverse_cdf_equals_scalar_sample_bit_for_bit(name):
+    # A key block's worth of uniforms, the ends of [0, 1) and their
+    # neighbours, and the histogram's cumulative masses: each array draw
+    # equals the draw the scalar ``sample`` makes from the same uniform.
+    dist, clamps_lo, clamps_hi = INVERSION_CASES[name]
+    ends = [0.0, 5e-324, 1e-323, 1.0 - 2.0**-51, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    u = np.concatenate(
+        [np.random.default_rng(21).random(4096), np.array(ends), np.cumsum(HIST.masses)[:-1]]
+    )
+    got = dist.inverse_cdf(u)
+    scalar = _Given(u)
+    want = np.array([dist.sample(scalar) for _ in range(len(u))])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    lo, hi = dist.support
+    assert lo <= got.min() and got.max() <= hi
+    if isinstance(dist, TruncatedNormal):
+        unclamped = dist.mu + dist.sigma * dist.sign * ndtri(
+            dist.cdf_lo + (dist.cdf_hi - dist.cdf_lo) * u
+        )
+        assert ((unclamped < lo) & (got == lo)).any() == clamps_lo
+        assert ((unclamped > hi) & (got == hi)).any() == clamps_hi
 
 
 def test_scalar_sampling_is_deterministic_per_seed():
@@ -570,7 +615,7 @@ def test_ndtri_equals_scipy_bit_for_bit():
         np.array([math.inf, -math.inf, math.nan]),
     ]
     u = np.concatenate(u)
-    _assert_same_bits(np.array([_ndtri(x) for x in u.tolist()]), ndtri(u))
+    _assert_same_bits(_ndtri(u), ndtri(u))
 
 
 def test_ndtr_equals_scipy_bit_for_bit():

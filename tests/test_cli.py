@@ -58,6 +58,8 @@ correction = 1.0
 max_rescans = 50
 """
 
+TRUNCATED_NORMAL = "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6"
+
 RATIO_POINTMASS = """
 [cohort]
 mode = abstract
@@ -669,6 +671,41 @@ class TestExitCodes:
         monkeypatch.setattr(acquisition_loop, "subject_stream", faulty)
         text = (
             ABSTRACT_BETA.format(workers=workers)
+            .replace("subjects = 1500", "subjects = 40")
+            .replace("seed = 42", "seed = 7")
+        )
+        config = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        digest = parse_config(text).digest[:12]
+        assert f"numerical failure: subject 23, seed 7, config {digest}: injected fault" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_loop_error_names_subject_and_seed(self, tmp_path, monkeypatch, capsys, workers):
+        # The same for a truncated normal, whose failure rates are drawn a
+        # key block at a time: a fault in subject 23's scan loop names
+        # subject 23.  The loop is told apart by its failure rate.
+        from scanloop import acquisition_loop
+        from scanloop.alpha_distributions import TruncatedNormal
+        from scanloop.cli import main
+        from scanloop.config import parse_config
+        from scanloop.errors import UndefinedRatio
+        from scanloop.streams import subject_stream
+
+        alpha_23 = TruncatedNormal(0.2, 0.1, 0.0, 0.6).sample(subject_stream(7, 23))
+        run_subject_abstract = acquisition_loop.run_subject_abstract
+
+        def faulty(alpha, *args):
+            if alpha == alpha_23:
+                raise UndefinedRatio("injected fault")
+            return run_subject_abstract(alpha, *args)
+
+        monkeypatch.setattr(acquisition_loop, "run_subject_abstract", faulty)
+        text = (
+            ABSTRACT_BETA.format(workers=workers)
+            .replace("family = beta\na = 2\nb = 8", TRUNCATED_NORMAL)
             .replace("subjects = 1500", "subjects = 40")
             .replace("seed = 42", "seed = 7")
         )

@@ -42,6 +42,24 @@ correction = 1.0
 max_rescans = 3
 """
 
+# The abstract families whose failure rates the engine draws a key block at
+# a time, and Beta, drawn per subject, at the default re-scan budget.
+FAMILIES = {
+    "truncated_normal": "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6",
+    "uniform": "family = uniform\nlo = 0.5\nhi = 0.95",
+    "histogram": "family = histogram\ncsv = bins.csv",
+    "beta": "family = beta\na = 2\nb = 8",
+}
+CASES = {
+    "abstract": ABSTRACT,
+    **{
+        name: ABSTRACT.replace("family = point_mass\nalpha = 0.3", body).replace(
+            "max_rescans = 3", "max_rescans = 50"
+        )
+        for name, body in FAMILIES.items()
+    },
+}
+
 KINEMATIC = """
 [cohort]
 mode = kinematic
@@ -93,14 +111,17 @@ def test_every_boundary_binds_and_unbinds(layers):
     assert vars(SubjectTable)["from_records"] is originals[2]
 
 
-@pytest.mark.parametrize("text", [ABSTRACT, KINEMATIC], ids=["abstract", "kinematic"])
-def test_traced_scans_match_the_table(layers, text):
+@pytest.mark.parametrize("case", [*CASES, "kinematic"])
+def test_traced_scans_match_the_table(layers, case, tmp_path):
     # The traced run counts scans from the record each run_subject_* call
-    # returns and compares them with the outputs.
+    # returns and compares them with the outputs, so every subject's loop
+    # must go through the bound run_subject_abstract or run_subject_kinematic.
+    text = CASES.get(case, KINEMATIC)
+    (tmp_path / "bins.csv").write_text("bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.5,2\n")
     tracer = layers.Tracer()
     try:
         assert layers.bind_all(tracer, scanloop) == []
-        table = run_cohort(parse_config(text)).table
+        table = run_cohort(parse_config(text, base_dir=tmp_path)).table
     finally:
         tracer.unbind()
     assert tracer.scans == table.scans.tolist()

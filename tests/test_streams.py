@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from scanloop.streams import _key_block, _uniform_block, subject_stream
+from scanloop.streams import (
+    _key_block,
+    _uniform_block,
+    block_uniforms,
+    subject_stream,
+    uniforms_past_block,
+)
 
 SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1)
 INDICES = (0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 1)
@@ -56,13 +62,39 @@ def test_subject_stream_cannot_spawn():
 
 @pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
 def test_scalar_draws_across_the_precomputed_eight(seed, index):
-    for n in range(1, 13):
-        got, want = subject_stream(seed, index), reference_stream(seed, index)
-        assert [got.random() for _ in range(n)] == [want.random() for _ in range(n)]
-        assert got.bit_generator.state == want.bit_generator.state
+    # A subject's block row, then its draws past the block, are its stream.
+    (row,) = next(block_uniforms(seed, index, index + 1)).tolist()
+    draws = itertools.chain(row, uniforms_past_block(seed, index))
+    want = reference_stream(seed, index)
+    assert [next(draws) for _ in range(12)] == [want.random() for _ in range(12)]
 
 
-# Draws that the precomputed uniforms do not serve, checked in this order.
+def test_block_uniforms_walk_the_key_blocks():
+    # Ranges inside one block, ending on a block edge, and straddling one or
+    # two edges: the rows are the blocks' rows for those subjects, in order.
+    seed = 5
+    whole = np.concatenate([_uniform_block(seed, b) for b in range(3)])
+    for start, stop in ((0, 4096), (7, 300), (4000, 4096), (4000, 4200), (4095, 8193), (9, 9)):
+        parts = list(block_uniforms(seed, start, stop))
+        assert len(parts) == len(range(start // 4096, -(-stop // 4096)))
+        got = np.concatenate(parts) if parts else np.empty((0, 8))
+        assert got.tobytes() == whole[start:stop].tobytes()
+        assert not any(part.flags.writeable for part in parts)
+
+
+def test_past_block_draws_build_no_generator_until_taken(monkeypatch):
+    import scanloop.streams as streams
+
+    built = []
+    real = streams.subject_stream
+    monkeypatch.setattr(streams, "subject_stream", lambda s, i: built.append(i) or real(s, i))
+    draws = uniforms_past_block(3, 17)
+    assert built == []
+    assert next(draws) == float(reference_stream(3, 17).random(9)[8])
+    assert built == [17]
+
+
+# Draws other than scalar uniforms, checked in this order.
 OTHER_DRAWS = (
     ("standard_normal(3)", lambda g: g.standard_normal(3).tolist()),
     ("beta(2, 8)", lambda g: g.beta(2, 8)),
@@ -86,7 +118,8 @@ def test_uniform_block_equals_advanced_pcg64_draws():
     # Every subject of one block: the 8 precomputed uniforms are the top 53
     # bits of PCG64's raw outputs, and draw d is the one after advance(d).
     seed, block = 2**40 + 3, 2
-    uniforms = np.asarray(_uniform_block(seed, block)).reshape(4096, 8)
+    uniforms = _uniform_block(seed, block)
+    assert uniforms.shape == (4096, 8) and not uniforms.flags.writeable
     for row in range(4096):
         key = np.random.SeedSequence([seed, block * 4096 + row])
         raw = np.random.PCG64(key).random_raw(8)
