@@ -33,7 +33,6 @@ from scanloop.alpha_distributions import (
     Beta,
     FailureDistribution,
     PointMass,
-    TruncatedNormal,
     Uniform,
     sample_alpha,
 )
@@ -272,12 +271,6 @@ def sample_many(dist: FailureDistribution, rng: np.random.Generator, n: int) -> 
         return dist.lo + (dist.hi - dist.lo) * rng.random(n)
     if isinstance(dist, Beta):
         return np.minimum(rng.beta(dist.a, dist.b, size=n), math.nextafter(1.0, 0.0))
-    if isinstance(dist, TruncatedNormal):
-        from scipy.special import ndtri
-
-        u = dist.cdf_lo + (dist.cdf_hi - dist.cdf_lo) * rng.random(n)
-        z = dist.sign * ndtri(u)
-        return np.clip(dist.mu + dist.sigma * z, dist.lo, dist.hi)
     return dist.inverse_cdf(rng.random(n))
 
 

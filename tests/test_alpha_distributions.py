@@ -9,14 +9,13 @@ from scipy import stats
 from scipy.special import hyp2f1, ndtr, ndtri
 
 from scanloop.alpha_distributions import (
-    _MAXLOG,
     Beta,
     EmpiricalHistogram,
     PointMass,
     TruncatedNormal,
     Uniform,
-    _ndtr,
-    _ndtri,
+    _normal_cdf,
+    _normal_quantile,
     expected_cost_ratio,
     mean_alpha,
     sample_alpha,
@@ -516,14 +515,17 @@ class _Given:
 # (distribution, whether some draw of the test below is clamped to lo, to hi)
 INVERSION_CASES = {
     "uniform": (Uniform(0.5, 0.95), False, False),
-    # lo = 0 sits 2 sigma below mu: draws at u near 0 round below lo
-    "truncnorm": (TruncatedNormal(0.2, 0.1, 0.0, 0.6), True, False),
-    # the support 12.5 sigma above mu: draws from the mirrored far tail
-    "truncnorm_far": (TruncatedNormal(0.05, 0.02, 0.3, 0.7), False, False),
+    # lo = 0 sits 2 sigma below mu
+    "truncnorm": (TruncatedNormal(0.2, 0.1, 0.0, 0.6), False, False),
+    # the support 12.5 sigma above mu: draws from the mirrored far tail, and
+    # those at u near 0 round below lo
+    "truncnorm_far": (TruncatedNormal(0.05, 0.02, 0.3, 0.7), True, False),
     # the normal CDF at lo underflows to 0: u = 0 maps to -inf
     "truncnorm_cdf_lo_0": (TruncatedNormal(0.5, 0.01, 0.0, 0.52), True, False),
-    # the support below mu: draws at u near 0 and near 1 round past lo and hi
-    "truncnorm_below_mu": (TruncatedNormal(0.849, 0.047, 0.432, 0.475), True, True),
+    # the support below mu: draws at u near 1 round past hi
+    "truncnorm_below_mu": (TruncatedNormal(0.849, 0.047, 0.432, 0.475), False, True),
+    # the normal CDF at hi rounds to 1: u = 1 - 2^-53 maps to p = 1 and +inf
+    "truncnorm_cdf_hi_1": (TruncatedNormal(0.3, 0.02, 0.3, 0.6), False, True),
     "hist": (HIST, False, False),
     "hist_empty_bin": (EmpiricalHistogram((0.1, 0.3, 0.5), (0.5, 0.5, 0.0)), False, False),
 }
@@ -553,7 +555,7 @@ def test_array_inverse_cdf_equals_scalar_sample_bit_for_bit(name):
     lo, hi = dist.support
     assert lo <= got.min() and got.max() <= hi
     if isinstance(dist, TruncatedNormal):
-        unclamped = dist.mu + dist.sigma * dist.sign * ndtri(
+        unclamped = dist.mu + dist.sigma * dist.sign * _normal_quantile(
             dist.cdf_lo + (dist.cdf_hi - dist.cdf_lo) * u
         )
         assert ((unclamped < lo) & (got == lo)).any() == clamps_lo
@@ -579,18 +581,20 @@ def test_truncnorm_scalar_sample_equals_clipped_inverse_cdf():
     mu, sigma, lo, hi = 0.2, 0.1, 0.0, 0.6
     dist = TruncatedNormal(mu, sigma, lo, hi)
     cdf_lo, cdf_hi = float(ndtr((lo - mu) / sigma)), float(ndtr((hi - mu) / sigma))
-    assert (dist.cdf_lo, dist.cdf_hi) == (cdf_lo, cdf_hi)
+    assert dist.cdf_lo == pytest.approx(cdf_lo, rel=CDF_RTOL)
+    assert dist.cdf_hi == pytest.approx(cdf_hi, rel=CDF_RTOL)
+    # Measured: the draws are within 1.2e-16 of SciPy's, one double's
+    # spacing at 0.6.
     ours, ref = np.random.default_rng(16), np.random.default_rng(16)
     for _ in range(2000):
-        u = cdf_lo + (cdf_hi - cdf_lo) * ref.random()
-        assert dist.sample(ours) == float(np.clip(mu + sigma * ndtri(u), lo, hi))
+        u = dist.cdf_lo + (dist.cdf_hi - dist.cdf_lo) * ref.random()
+        want = float(np.clip(mu + sigma * ndtri(u), lo, hi))
+        assert dist.sample(ours) == pytest.approx(want, rel=0.0, abs=2.0**-51)
 
 
-def _assert_same_bits(got, want):
-    """Equal bytes, a NaN matching any NaN."""
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert got[~nan].tobytes() == want[~nan].tobytes()
+def _ulps(got, want):
+    """How many doubles apart two arrays of finite doubles of one sign are."""
+    return np.abs(got.view(np.int64) - want.view(np.int64))
 
 
 def _around(x, steps=3):
@@ -602,23 +606,38 @@ def _around(x, steps=3):
     return below[1:] + above
 
 
-def test_ndtri_equals_scipy_bit_for_bit():
+def test_normal_quantile_within_6_ulps_of_scipy():
     rng = np.random.default_rng(17)
     u = [
         rng.random(40_000),
-        # decades down through the subnormals to 0, and the upper tail up to 1 - 1e-16
+        # decades down through the subnormals, and the upper tail up to 1 - 1e-16
         np.concatenate([10.0 ** (d + rng.random(100)) for d in range(-324, 0)]),
         1.0 - 10.0 ** -rng.uniform(0.1, 16.0, 20_000),
-        # the branch edges exp(-2), 1 - exp(-2) and exp(-32), and the exact values
-        np.concatenate([_around(e) for e in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32))]),
-        np.array([0.0, -0.0, 5e-324, 0.5, 1.0, math.nextafter(1.0, 0.0), -1e-300, 1.5]),
-        np.array([math.inf, -math.inf, math.nan]),
+        # Cephes's branch edges exp(-2), 1 - exp(-2) and exp(-32), and AS 241's
+        # 0.5 ± 0.425 and exp(-25)
+        np.concatenate(
+            [_around(e) for e in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 0.075, 0.925,
+                                  math.exp(-25))]
+        ),
+        np.array([5e-324, 0.5, math.nextafter(1.0, 0.0)]),
     ]
     u = np.concatenate(u)
-    _assert_same_bits(_ndtri(u), ndtri(u))
+    u = u[u > 0.0]  # decades below 5e-324 underflow to 0, checked below
+    got, want = _normal_quantile(u), ndtri(u)
+    assert np.isfinite(want).all()
+    assert _ulps(got, want).max() <= 6
+    assert _normal_quantile(np.array([0.0, -0.0, 1.0])).tolist() == [-math.inf, -math.inf, math.inf]
 
 
-def test_ndtr_equals_scipy_bit_for_bit():
+# Relative error bounds of the normal CDF against SciPy's, measured on the
+# inputs below: up to 54 ulps on [-8, 8], and up to about 1 750 ulps further
+# down the lower tail, where erfc's exp(-x²) and Cephes's both lose digits.
+CDF_RTOL = 64 * 2.0**-52
+CDF_TAIL_RTOL = 2048 * 2.0**-52
+MAXLOG = math.log(np.finfo(np.float64).max)
+
+
+def test_normal_cdf_within_relative_bounds_of_scipy():
     rng = np.random.default_rng(18)
     x = [
         rng.uniform(0.0, 40.0, 20_000),
@@ -626,13 +645,17 @@ def test_ndtr_equals_scipy_bit_for_bit():
         10.0 ** rng.uniform(-300.0, math.log10(40.0), 20_000),
         # beyond 38, where the tails are 0 and 1
         rng.uniform(38.0, 1e6, 10_000),
-        np.array([1e300, math.inf, math.nan, 0.0, 5e-324]),
-        # |x| / sqrt(2) at 1 and 8, erfc's edges, and where its exp(-x²/2) underflows
-        np.concatenate([_around(e * math.sqrt(2.0)) for e in (1.0, 8.0, math.sqrt(_MAXLOG))]),
+        np.array([1e300, math.inf, 0.0, 5e-324]),
+        # |x| / sqrt(2) at 1 and 8, Cephes's edges, and where its exp(-x²/2) underflows
+        np.concatenate([_around(e * math.sqrt(2.0)) for e in (1.0, 8.0, math.sqrt(MAXLOG))]),
     ]
     x = np.concatenate(x)
     x = np.concatenate([x, -x])  # both tails
-    _assert_same_bits(np.array([_ndtr(v) for v in x.tolist()]), ndtr(x))
+    got, want = np.array([_normal_cdf(v) for v in x.tolist()]), ndtr(x)
+    # Below about -37.5 both CDFs are subnormal or 0, and only close in absolute terms.
+    tiny = np.finfo(np.float64).tiny
+    rtol = np.where(np.abs(x) <= 8.0, CDF_RTOL, CDF_TAIL_RTOL)
+    assert (np.abs(got - want) <= rtol * want + tiny).all()
 
 
 def test_truncnorm_derived_bounds_stay_out_of_identity():

@@ -1032,11 +1032,12 @@ def run_fresh(code, *argv):
 
 def test_cli_import_leaves_scipy_and_process_pool_unloaded():
     # SciPy (scipy.special alone costs about 0.25 s and 19 MB on import) is
-    # loaded only by the Beta family, and the process pool only by a run on
-    # more than one worker.
+    # loaded only by the Beta family, ``statistics`` (about 3 ms and 0.5 MB,
+    # with ``decimal`` and ``fractions``) only by a truncated normal's draws,
+    # and the process pool only by a run on more than one worker.
     loaded = run_fresh(
         "import json, sys, scanloop.cli\n"
-        "names = ('scipy', 'scipy.integrate', 'concurrent.futures.process')\n"
+        "names = ('scipy', 'scipy.integrate', 'statistics', 'concurrent.futures.process')\n"
         "print(json.dumps([n for n in names if n in sys.modules]))"
     )
     assert loaded == []

@@ -203,6 +203,14 @@ def seed_7_costs(recall: float, rescan: float, correction: float) -> tuple[str, 
     return fixed_document(truncated_normal, 0.8, recall, rescan, correction, cohort, policy)
 
 
+def far_tail(lo: float) -> tuple[str, str]:
+    """Two subjects of Normal(0, 0.01) truncated to [lo, 0.5]: at lo = 0.381,
+    38.1 sigma out, the normal CDF at lo, and so the mass between the bounds,
+    is a subnormal with about 20 significant bits."""
+    truncated_normal = f"family = truncated_normal\nmu = 0.0\nsigma = 0.01\nlo = {lo!r}\nhi = 0.5"
+    return fixed_document(truncated_normal, 0.8, 0.8, 0.1, 1.0)
+
+
 def run_main(command: str, text: str, bins: str = "") -> tuple[int, str, dict[str, str]]:
     """(exit code, stderr, the files written by name) of ``command`` on ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -254,6 +262,8 @@ def check_outcome(code: int, err: str, written: dict[str, str], expected: list[s
 @example(document=huge_quotient(0.8, 1.0, 1e-307), command="ratio")
 @example(document=huge_quotient(0.3, sys.float_info.max, sys.float_info.max), command="ratio")
 @example(document=huge_quotient(0.3, sys.float_info.max, 1.0), command="simulate")
+@example(document=far_tail(0.381), command="ratio")
+@example(document=far_tail(0.381), command="simulate")
 @settings(max_examples=300, deadline=None)
 def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
     expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]
