@@ -16,8 +16,10 @@ checkout's ``src`` as ``PYTHONPATH``, run from the checkout's root with
   generated abstract configs (a histogram, the truncated normal of
   perfbench's ``abstract_mix``, one whose support lies far above its mean,
   and a uniform population partly above alpha_max, where the predictor
-  saturates), each at every ``--seeds`` value and at ``workers`` 1 and 4 (a copy
-  of the config with its ``workers`` replaced).
+  saturates), and all three on perfbench's ``kinematic_sweep`` config, built
+  by ``perfbench/workloads.py:config_text``; each at every ``--seeds`` value
+  and at ``workers`` 1 and 4 (a copy of the config with its ``workers``
+  replaced).
 
 Each run is made in both checkouts.  Every run must exit 0 on both sides, and
 the two must agree on standard output (with the output directory masked) and
@@ -109,6 +111,15 @@ for path, seed in zip(sys.argv[1::2], sys.argv[2::2]):
         digest = hashlib.sha256(column.tobytes()).hexdigest()
         print(f"{path.name} seed={seed}\\t{name}\\t{column.dtype.str} {digest}")
 """
+
+
+def perfbench_sweep_config() -> str:
+    """perfbench's ``kinematic_sweep`` config at one worker (``config_text``
+    refuses more workers than CPUs; ``config_cases`` sets the count)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads.config_text(workloads.WORKLOADS["kinematic_sweep"], 0, Path("runs"), 1)
 
 
 def readme_commands(readme: Path) -> list[list[str]]:
@@ -239,6 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, distribution in GENERATED_CONFIGS.items():
             (work / name).write_text(ABSTRACT_CONFIG.format(distribution=distribution))
             configs.append(work / name)
+        (work / "kinematic_sweep.ini").write_text(perfbench_sweep_config())
+        configs.append(work / "kinematic_sweep.ini")
         cases = [
             (f"README: scanloop {shlex.join(command)}", command)
             for command in readme_commands(ROOT / "README.md")

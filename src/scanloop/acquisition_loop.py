@@ -56,14 +56,15 @@ if TYPE_CHECKING:
 
 class SubjectRecord(NamedTuple):
     """What one subject's loop drew, scan by scan: whether each scan truly
-    failed and whether it was flagged, and in kinematic mode its image
-    quality (None in abstract mode).  ``SubjectTable.from_records`` derives
+    failed and whether it was flagged, and in kinematic mode its image quality
+    and score (None in abstract mode).  ``SubjectTable.from_records`` derives
     the subject's tallies and cost from these outcomes."""
 
     alpha: float | None
     fails: list[bool]
     flags: list[bool]
     quality: list[float] | None = None
+    scores: list[float] | None = None
 
     @property
     def scans(self) -> int:
@@ -112,9 +113,9 @@ def run_subject_kinematic(
     the predictor's threshold; each re-scan applies a guidance offset before
     the next scan, so scans are dependent by design.
     """
-    tau = score_pred.threshold
     pose = start
     trajectory: list[float] = []
+    scores: list[float] = []
     fails: list[bool] = []
     flags: list[bool] = []
     for scan in range(max_rescans + 1):
@@ -123,12 +124,12 @@ def run_subject_kinematic(
             pose = apply_move(pose, offset, learner, rng)
         quality = image_quality(pose, subject)
         trajectory.append(quality)
-        flagged = score(quality, score_pred, rng) < tau
+        scores.append(score(quality, score_pred, rng))
         fails.append(quality < subject.failure_cutoff)
-        flags.append(flagged)
-        if not flagged:
+        flags.append(scores[-1] < score_pred.threshold)
+        if not flags[-1]:
             break
-    return SubjectRecord(None, fails, flags, trajectory)
+    return SubjectRecord(None, fails, flags, trajectory, scores)
 
 
 # The per-subject columns of SubjectTable, in the order subjects.csv writes
@@ -149,14 +150,14 @@ class SubjectTable:
     """Column-oriented store of subjects' outcomes for large cohorts.
 
     Holds ``alpha`` (NaN where not applicable, in kinematic mode), one numpy
-    column per entry of ``SUBJECT_COLUMNS``, and ``quality``: every scan's
-    image quality, one subject after another, empty in abstract mode.  A
-    subject's qualities are its ``scans`` entries from offset
-    ``cumsum(scans) - scans``, so million-subject cohorts stay cheap to hold,
-    aggregate, and serialize.
+    column per entry of ``SUBJECT_COLUMNS``, and ``quality`` and ``score``:
+    every scan's image quality and noisy score, one subject after another,
+    empty in abstract mode.  A subject's scans are its ``scans`` entries from
+    offset ``cumsum(scans) - scans``, so million-subject cohorts stay cheap to
+    hold, aggregate, and serialize.
     """
 
-    def __init__(self, alpha: np.ndarray, quality: np.ndarray, **columns: np.ndarray) -> None:
+    def __init__(self, alpha: np.ndarray, quality: np.ndarray, score: np.ndarray, **columns):
         if sorted(columns) != sorted(SUBJECT_COLUMNS):
             raise ValueError(f"columns must be {list(SUBJECT_COLUMNS)}, got {list(columns)}")
         n = len(alpha)
@@ -164,10 +165,9 @@ class SubjectTable:
             if len(values) != n:
                 raise ValueError(f"column {name} has mismatched length")
             setattr(self, name, values)
-        if len(quality) not in (0, int(self.scans.sum())):
-            raise ValueError("quality column has mismatched length: one entry per scan, or none")
-        self.alpha = alpha
-        self.quality = quality
+        if not {len(quality), len(score)} <= {0, int(self.scans.sum())}:
+            raise ValueError("quality or score column has mismatched length: one per scan, or none")
+        self.alpha, self.quality, self.score = alpha, quality, score
 
     @classmethod
     def from_records(cls, records: list[SubjectRecord], rates: CostRates) -> "SubjectTable":
@@ -179,7 +179,7 @@ class SubjectTable:
         draws.  Every scan but the last bought a re-scan; the last is kept
         and pays a correction when it truly failed (``final_true_fail``).
         """
-        alpha, fails, flags, quality = zip(*records) if records else ((),) * 4
+        alpha, fails, flags, quality, scores = zip(*records) if records else ((),) * 5
         n = len(records)
         scans = np.fromiter(map(len, fails), np.int64, n)
         total = int(scans.sum())
@@ -193,8 +193,9 @@ class SubjectTable:
         return cls(
             # numpy stores a None alpha (kinematic mode) as NaN
             alpha=np.array(alpha, dtype=np.float64),
-            # an abstract record's quality is None and adds no entry
+            # an abstract record's quality and scores are None and add no entry
             quality=np.fromiter(itertools.chain.from_iterable(filter(None, quality)), np.float64),
+            score=np.fromiter(itertools.chain.from_iterable(filter(None, scores)), np.float64),
             scans=scans,
             rescans=rescans,
             first_fail=failed[last - rescans],
@@ -211,7 +212,7 @@ class SubjectTable:
         return cls(
             **{
                 name: np.concatenate([getattr(p, name) for p in parts])
-                for name in ("alpha", "quality", *SUBJECT_COLUMNS)
+                for name in ("alpha", "quality", "score", *SUBJECT_COLUMNS)
             },
         )
 
@@ -267,13 +268,13 @@ def _finite(value: float) -> float | None:
 # numpy stays quiet when a sum or spread of extreme costs overflows: each
 # figure that leaves the range of doubles is None
 @np.errstate(over="ignore", invalid="ignore")
-def _empirical_ratio(table: SubjectTable, rates: CostRates) -> float | None:
+def _empirical_ratio(cost: np.ndarray, first_fail: np.ndarray, rates: CostRates) -> float | None:
     """Paired estimator: looped cost over the cost the same draws would have
     incurred with no loop (correction on first-scan failure)."""
-    baseline = rates.correction_cost * float(table.first_fail.sum())
+    baseline = rates.correction_cost * float(first_fail.sum())
     if baseline == 0.0:
         return None
-    return _finite(float(table.cost.sum()) / baseline)
+    return _finite(float(cost.sum()) / baseline)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as _empirical_ratio
@@ -300,7 +301,7 @@ def _aggregate(
         mean_rescans=float(table.rescans.mean()) if n > 0 else None,
         empirical_precision=hits / flagged if flagged > 0 else None,
         empirical_recall=hits / failed if failed > 0 else None,
-        empirical_cost_ratio=_empirical_ratio(table, rates),
+        empirical_cost_ratio=_empirical_ratio(table.cost, table.first_fail, rates),
         analytic_cost_ratio=analytic_ratio,
         mean_initial_quality=mean_initial,
         mean_final_quality=mean_final,

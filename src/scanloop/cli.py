@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition_loop import empirical_vs_analytic, run_cohort
+from .acquisition_loop import _empirical_ratio, _finite, empirical_vs_analytic, run_cohort
 from .alpha_distributions import expected_cost_ratio, mean_alpha
 from .config import build_manifest, parse_config
 from .cost_model import (
@@ -206,49 +206,42 @@ SWEEP_HEADER = (
 )
 
 
-def _first_scan_operating_point(table) -> tuple[float, float | None, float | None]:
-    """(failure fraction, precision, recall) measured on first scans only.
-
-    The first scan of every subject happens before any guided move, so these
-    tallies estimate the predictor's operating point on the raw population —
-    the quantities the closed-form model expects.  A first scan was flagged
-    iff the subject re-scanned at least once (flags always buy a re-scan
-    while budget remains, and the sweep requires a nonzero budget).
-    """
-    n = len(table)
-    if n == 0:
-        return math.nan, None, None
-    flagged = table.rescans >= 1
-    fails = table.first_fail
-    alpha_hat = float(fails.mean())
-    hits = int((flagged & fails).sum())
-    precision = hits / int(flagged.sum()) if flagged.any() else None
-    recall = hits / int(fails.sum()) if fails.any() else None
-    return alpha_hat, precision, recall
-
-
+@np.errstate(over="ignore", invalid="ignore")  # as acquisition_loop._empirical_ratio
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Every threshold's row from one cohort run at the largest: a subject's
+    stream is consumed the same way whatever the threshold, so its run at tau
+    is that run up to its first scan that tau does not flag.  First scans
+    precede any guided move, so their tallies estimate the raw operating point."""
     config = _load_config(args, modes=("kinematic",))
     if config.sweep_thresholds is None:
         raise ConfigError("sweep: a [sweep] section is required for the sweep command")
-    if config.max_rescans < 1:
-        raise ConfigError("policy.max_rescans: must be >= 1 for a threshold sweep")
 
-    quotient, budget = config.rates.quotient, config.max_rescans
+    rates, budget = config.rates, config.max_rescans
+    predictor = dataclasses.replace(config.score_predictor, threshold=max(config.sweep_thresholds))
+    table = run_cohort(dataclasses.replace(config, score_predictor=predictor)).table
+    n, scans, scores, first_fail = len(table), table.scans, table.score, table.first_fail
+    starts = np.cumsum(scans) - scans
+    # each scan's index, and the index of its subject's last scan
+    index, last = np.arange(len(scores)), np.repeat(starts + scans - 1, scans)
+    # each scan's correction cost, were it the one kept
+    correction = np.where(table.quality < config.anatomy.failure_cutoff, rates.correction_cost, 0.0)
+    alpha_hat = float(first_fail.mean()) if n > 0 else math.nan
     rows = []
     for tau in config.sweep_thresholds:
-        tau_config = dataclasses.replace(
-            config, score_predictor=dataclasses.replace(config.score_predictor, threshold=tau)
-        )
-        report = run_cohort(tau_config)
-        alpha_hat, precision, recall = _first_scan_operating_point(report.table)
+        # np.minimum.reduceat refuses an empty list of offsets
+        stop = np.minimum.reduceat(np.where(scores < tau, last, index), starts) if n > 0 else starts
+        cost = (stop - starts) * rates.rescan_cost + correction[stop]
+        flagged = scores[starts] < tau
+        hits = int((flagged & first_fail).sum())
+        precision = hits / int(flagged.sum()) if flagged.any() else None
+        recall = hits / int(first_fail.sum()) if first_fail.any() else None
         # The budgeted closed form at the empirical operating point, when defined.
         plugin = None
         if precision and recall is not None and 0.0 < alpha_hat < 1.0:
             profile = PredictorProfile(precision, recall)
-            cost = budgeted_cost_at(alpha_hat, profile, quotient, budget)
-            plugin = cost / alpha_hat
-        mean_cost, ratio = report.aggregates.mean_cost, report.aggregates.empirical_cost_ratio
+            plugin = budgeted_cost_at(alpha_hat, profile, rates.quotient, budget) / alpha_hat
+        mean_cost = _finite(float(cost.mean())) if n > 0 else None
+        ratio = _empirical_ratio(cost, first_fail, rates)
         rows.append([tau, alpha_hat, precision, recall, plugin, mean_cost, ratio, 0, 0])
 
     # Mark the first row of least simulated cost and of least plug-in ratio.

@@ -54,7 +54,7 @@ _SECTIONS_BY_MODE = {
 _SECTIONS = set().union(*_SECTIONS_BY_MODE.values())
 
 # The largest sweep grid: the grid is built when the config is parsed, and
-# each of its thresholds is a full cohort run.
+# each of its thresholds is a numpy pass over the cohort's table.
 _MAX_TAU_STEPS = 10_000
 # The largest re-scan budget: a kinematic scan takes about 80 us.
 _MAX_RESCANS = 10_000
@@ -282,9 +282,13 @@ def _parse_distribution(reader: _SectionReader, base_dir: Path) -> FailureDistri
         mu = reader.get("mu", float)
         sigma = reader.get("sigma", float, check=_positive)
         try:
-            return TruncatedNormal(mu, sigma, *_support(reader))
+            dist = TruncatedNormal(mu, sigma, *_support(reader))
         except ValueError as exc:
             raise ConfigError(f"distribution.mu: {exc}") from None
+        if dist.mass < np.finfo(float).tiny:  # a subnormal mass has too few digits to divide by
+            key = "lo" if dist.lo > mu else "hi"
+            raise ConfigError(f"distribution.{key}: {dist.mass:.3g} of the normal lies on [lo, hi]")
+        return dist
     # histogram: echo the loaded bins, not the file path, so the digest pins content
     hist = _load_histogram_csv(base_dir / reader.get("csv", str))
     del reader.echo["csv"]

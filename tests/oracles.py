@@ -9,16 +9,17 @@ standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, total density mass, vectorized sampling and
-flagging, the per-subject abstract loop on each subject's Generator,
-empirical operating points, SubjectTable rows and the scan-by-scan sums they
-must equal, the declared norm on numpy arrays, quaternion algebra on numpy
-arrays and scalars, a row-at-a-time CSV writer and the reader of report
-CSVs.
+flagging, the per-subject abstract loop on each subject's Generator, the
+threshold sweep as one cohort run per threshold, empirical operating points,
+SubjectTable rows and the scan-by-scan sums they must equal, the declared
+norm on numpy arrays, quaternion algebra on numpy arrays and scalars, a
+row-at-a-time CSV writer and the reader of report CSVs.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from scanloop.acquisition_loop import SUBJECT_COLUMNS, SubjectRecord, SubjectTable
+from scanloop.acquisition_loop import SUBJECT_COLUMNS, SubjectRecord, SubjectTable, run_cohort
 from scanloop.alpha_distributions import (
     Beta,
     FailureDistribution,
@@ -36,7 +37,7 @@ from scanloop.alpha_distributions import (
     Uniform,
     sample_alpha,
 )
-from scanloop.cost_model import CostRates, PredictorProfile
+from scanloop.cost_model import CostRates, PredictorProfile, budgeted_cost_at
 from scanloop.predictor_model import ConfusionPredictor, ScorePredictor, classify
 from scanloop.reports import format_cell, manifest_line
 from scanloop.streams import subject_stream
@@ -301,6 +302,41 @@ def abstract_records(config, start: int, stop: int) -> list[SubjectRecord]:
                 break
         records.append(SubjectRecord(alpha, fails, flags))
     return records
+
+
+def sweep_rows_per_threshold(config) -> list[list]:
+    """The rows of ``sweep.csv`` (``cli.SWEEP_HEADER``) from one cohort run per
+    threshold, each on a copy of the config with the predictor's threshold
+    replaced.  A first scan counts as flagged iff its subject re-scanned,
+    which holds while the re-scan budget is at least 1."""
+    rows = []
+    for tau in config.sweep_thresholds:
+        predictor = dataclasses.replace(config.score_predictor, threshold=tau)
+        report = run_cohort(dataclasses.replace(config, score_predictor=predictor))
+        table, agg = report.table, report.aggregates
+        flagged, fails = table.rescans >= 1, table.first_fail
+        alpha_hat = float(fails.mean()) if len(table) else math.nan
+        hits = int((flagged & fails).sum())
+        precision = hits / int(flagged.sum()) if flagged.any() else None
+        recall = hits / int(fails.sum()) if fails.any() else None
+        plugin = None
+        if precision and recall is not None and 0.0 < alpha_hat < 1.0:
+            profile = PredictorProfile(precision, recall)
+            quotient, budget = config.rates.quotient, config.max_rescans
+            plugin = budgeted_cost_at(alpha_hat, profile, quotient, budget) / alpha_hat
+        rows.append(
+            [tau, alpha_hat, precision, recall, plugin, agg.mean_cost, agg.empirical_cost_ratio]
+        )
+    # best_simulated and best_plugin: the first row of least mean cost and of
+    # least plug-in ratio, among the rows that have one
+    for column in (5, 4):
+        marks = [0] * len(rows)
+        present = [i for i, row in enumerate(rows) if row[column] is not None]
+        if present:
+            marks[min(present, key=lambda i: rows[i][column])] = 1
+        for row, mark in zip(rows, marks):
+            row.append(mark)
+    return rows
 
 
 @dataclass(frozen=True, slots=True)

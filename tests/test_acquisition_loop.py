@@ -262,7 +262,8 @@ class TestRunSubjectKinematic:
                 rng,
             )
             row = _row(rec)
-            assert row.scans == len(rec.quality)
+            assert row.scans == len(rec.quality) == len(rec.scores)
+            assert rec.flags == [score < 0.7 for score in rec.scores]
             assert row.flagged_failed_scans <= min(row.flagged_scans, row.failed_scans)
             assert row.first_fail == (rec.quality[0] < 0.5)
             assert row.final_true_fail == (rec.quality[-1] < 0.5)
@@ -311,6 +312,7 @@ class TestSubjectTable:
             SubjectTable(
                 alpha=good.alpha,
                 quality=good.quality,
+                score=good.score,
                 scans=good.scans[:3],
                 rescans=good.rescans,
                 first_fail=good.first_fail,
@@ -335,8 +337,11 @@ def _outcomes(draw, max_rescans=st.integers(0, 6), subjects=st.integers(0, 12)):
         fails = draw(st.lists(st.booleans(), min_size=scans, max_size=scans))
         flags = [True] * (scans - 1) + [scans == budget + 1 and draw(st.booleans())]
         if kinematic:
-            quality = draw(st.lists(st.floats(0.0, 1.0), min_size=scans, max_size=scans))
-            records.append(SubjectRecord(None, fails, flags, quality))
+            quality, scores = (
+                draw(st.lists(st.floats(0.0, 1.0), min_size=scans, max_size=scans))
+                for _ in range(2)
+            )
+            records.append(SubjectRecord(None, fails, flags, quality, scores))
         else:
             records.append(SubjectRecord(draw(st.floats(0.0, 1.0)), fails, flags))
     return budget, records
@@ -360,7 +365,8 @@ _DTYPES = {
 def _assert_rows_are_the_scan_by_scan_sums(records, rates):
     table = SubjectTable.from_records(records, rates)
     assert {name: getattr(table, name).dtype for name in SUBJECT_COLUMNS} == _DTYPES
-    assert table.alpha.dtype == table.quality.dtype == np.float64
+    assert table.alpha.dtype == table.quality.dtype == table.score.dtype == np.float64
+    assert table.score.tolist() == [s for record in records for s in record.scores or ()]
     assert list(table_rows(table)) == [
         subject_row(i, record, rates) for i, record in enumerate(records)
     ]
@@ -420,21 +426,27 @@ class TestFromRecords:
         ]
         got = SubjectTable.concatenate(blocks)
         want = SubjectTable.from_records(records, rates)
-        for name in ("alpha", "quality", *SUBJECT_COLUMNS):
+        for name in ("alpha", "quality", "score", *SUBJECT_COLUMNS):
             column, expected = getattr(got, name), getattr(want, name)
             assert column.dtype == expected.dtype, name
             assert column.tobytes() == expected.tobytes(), name
 
 
 class TestQualityColumn:
-    # Three subjects of 1, 3 and 2 scans: their qualities start at offsets
-    # 0, 1 and 4 of the flat column.
+    # Three subjects of 1, 3 and 2 scans: their qualities (and scores, here
+    # the qualities halved) start at offsets 0, 1 and 4 of the flat columns.
     TRAJECTORIES = ((0.1,), (0.2, 0.3, 0.4), (0.5, 0.6))
 
     def _table(self):
         return SubjectTable.from_records(
             [
-                SubjectRecord(None, [False] * len(t), [True] * (len(t) - 1) + [False], list(t))
+                SubjectRecord(
+                    None,
+                    [False] * len(t),
+                    [True] * (len(t) - 1) + [False],
+                    list(t),
+                    [q / 2 for q in t],
+                )
                 for t in self.TRAJECTORIES
             ],
             RATES,
@@ -444,6 +456,7 @@ class TestQualityColumn:
         table = self._table()
         assert table.scans.tolist() == [1, 3, 2]
         assert table.quality.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        assert table.score.tolist() == [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 
     def test_first_last_and_carried_forward(self):
         table = self._table()
@@ -458,17 +471,21 @@ class TestQualityColumn:
         table = self._table()
         both = SubjectTable.concatenate([table, table])
         assert both.quality.tolist() == 2 * table.quality.tolist()
+        assert both.score.tolist() == 2 * table.score.tolist()
         assert both.quality_at(None).tolist() == [0.1, 0.4, 0.6] * 2
 
     def test_abstract_records_leave_it_empty(self):
         table = SubjectTable.from_records([SubjectRecord(0.2, [True, False], [True, False])], RATES)
         assert table.quality.dtype == np.float64 and len(table.quality) == 0
+        assert table.score.dtype == np.float64 and len(table.score) == 0
 
     def test_length_must_match_scans(self):
         table = self._table()
         columns = {name: getattr(table, name) for name in SUBJECT_COLUMNS}
         with pytest.raises(ValueError, match="quality"):
-            SubjectTable(alpha=table.alpha, quality=table.quality[:5], **columns)
+            SubjectTable(alpha=table.alpha, quality=table.quality[:5], score=table.score, **columns)
+        with pytest.raises(ValueError, match="score"):
+            SubjectTable(alpha=table.alpha, quality=table.quality, score=table.score[:5], **columns)
 
 
 @functools.cache
@@ -497,9 +514,11 @@ class TestBlockwiseTable:
             column, expected = getattr(got, name), getattr(want, name)
             assert column.dtype == expected.dtype, name
             assert column.tobytes() == expected.tobytes(), name
-        assert got.quality.dtype == want.quality.dtype == np.float64
-        assert got.quality.tobytes() == want.quality.tobytes()
-        assert (len(got.quality) == 0) == (mode == "abstract" or n == 0)
+        for name in ("quality", "score"):
+            column, expected = getattr(got, name), getattr(want, name)
+            assert column.dtype == expected.dtype == np.float64, name
+            assert column.tobytes() == expected.tobytes(), name
+            assert (len(column) == 0) == (mode == "abstract" or n == 0), name
 
 
 # One population per family; the uniform one puts a quarter of its subjects
@@ -764,6 +783,7 @@ max_rescans = 50
         reports = [run_cohort(_kinematic_config(300, seed=19, workers=w)) for w in (1, 3)]
         assert np.array_equal(reports[0].table.cost, reports[1].table.cost)
         assert reports[0].table.quality.tobytes() == reports[1].table.quality.tobytes()
+        assert reports[0].table.score.tobytes() == reports[1].table.score.tobytes()
 
     def test_kinematic_cohort_improves_quality(self):
         agg = run_cohort(_kinematic_config(300, seed=23)).aggregates

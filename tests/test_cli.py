@@ -144,6 +144,11 @@ def kinematic_config(
         + extra
     )
 
+SWEEP_GRID = "\n[sweep]\ntau_start = 0.0\ntau_stop = 1.0\ntau_steps = 11\n"
+NOISY_GRID = "\n[sweep]\ntau_start = 0.2\ntau_stop = 0.9\ntau_steps = 8\n"
+# three equal thresholds
+REPEATED_GRID = "\n[sweep]\ntau_start = 0.6\ntau_stop = 0.6\ntau_steps = 3\n"
+
 
 class TestTable1:
     def test_reductions_and_deltas(self, tmp_path):
@@ -291,23 +296,35 @@ class TestSimulate:
                 "trajectories.csv",
                 ["subject_id", "scan_index", "quality"],
             ),
+            (
+                "sweep",
+                kinematic_config(subjects=0, extra=SWEEP_GRID),
+                "sweep.csv",
+                ["threshold", "alpha_hat"],
+            ),
         ],
-        ids=["simulate-abstract", "simulate-kinematic", "guidance"],
+        ids=["simulate-abstract", "simulate-kinematic", "guidance", "sweep"],
     )
     def test_empty_cohort_writes_valid_files(self, tmp_path, command, text, csv_name, lead):
         config = write_config(tmp_path, text)
         out = tmp_path / "out"
         result = run_cli(command, "--config", str(config), "--out", str(out))
         assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
         _, header, rows = read_report_csv(out / csv_name)
-        assert rows == []
         assert header[: len(lead)] == lead
+        if command == "sweep":
+            # a row per threshold, with every figure absent and no best row
+            assert [row[0] for row in rows] == [f"{k / 10:.12g}" for k in range(11)]
+            assert all(row[1:] == [""] * 6 + ["0", "0"] for row in rows)
+        else:
+            assert rows == []
         if command == "simulate":
             payload = json.loads((out / "report.json").read_text())
             assert payload["aggregates"]["subjects"] == 0
             assert payload["aggregates"]["mean_cost"] is None
             assert payload["aggregates"]["mean_initial_quality"] is None
-        else:
+        elif command == "guidance":
             _, _, curve_rows = read_report_csv(out / "quality_curve.csv")
             assert curve_rows == []
 
@@ -453,9 +470,6 @@ class TestSimulate:
         assert len(rows) == 80
 
 
-SWEEP_GRID = "\n[sweep]\ntau_start = 0.0\ntau_stop = 1.0\ntau_steps = 11\n"
-NOISY_GRID = "\n[sweep]\ntau_start = 0.2\ntau_stop = 0.9\ntau_steps = 8\n"
-
 
 class TestSweep:
     def test_noiseless_separation_minimizes_above_cutoff(self, tmp_path):
@@ -503,6 +517,78 @@ class TestSweep:
         )
         grid_step = taus[1] - taus[0]
         assert abs(sim_tau - plugin_tau) <= grid_step + 1e-9
+
+    @pytest.mark.parametrize("grid", [SWEEP_GRID, REPEATED_GRID], ids=["0-to-1", "repeated"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.1])
+    @pytest.mark.parametrize("max_rescans", [1, 3])
+    def test_equals_one_cohort_run_per_threshold(
+        self, tmp_path, monkeypatch, max_rescans, noise_scale, seed, grid
+    ):
+        # One run at the largest threshold against tests/oracles.py's run per
+        # threshold: every value equal, and sweep.csv's bytes.
+        from oracles import render_csv_rows, sweep_rows_per_threshold
+        from scanloop import cli
+        from scanloop.config import parse_config
+
+        text = kinematic_config(
+            subjects=300,
+            seed=seed,
+            noise_scale=noise_scale,
+            max_rescans=max_rescans,
+            threshold=0.5,
+            cutoff=0.5,
+            start_t=6.0,
+            gain=0.6,
+            guidance_t=1.0,
+            extra=grid,
+        )
+        columns = []
+        write_csv = cli.write_csv
+
+        def capture(path, header, cols, manifest):
+            columns.append(cols)
+            write_csv(path, header, cols, manifest)
+
+        monkeypatch.setattr(cli, "write_csv", capture)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(write_config(tmp_path, text)), "--out", str(out)]
+        assert cli.main(argv) == 0
+        config = parse_config(text)
+        want = sweep_rows_per_threshold(config)
+        assert repr(list(zip(*columns[0]))) == repr([tuple(row) for row in want])
+        assert (out / "sweep.csv").read_text() == render_csv_rows(
+            cli.SWEEP_HEADER, want, config.manifest_dict()
+        )
+
+    def test_one_cohort_run_at_the_largest_threshold(self, tmp_path, monkeypatch):
+        from scanloop import cli
+
+        thresholds = []
+        run_cohort = cli.run_cohort
+
+        def counted(config):
+            thresholds.append(config.score_predictor.threshold)
+            return run_cohort(config)
+
+        monkeypatch.setattr(cli, "run_cohort", counted)
+        config = write_config(tmp_path, kinematic_config(subjects=50, extra=NOISY_GRID))
+        assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert thresholds == [0.9]
+
+    def test_zero_budget_sweeps_first_scan_flags(self, tmp_path):
+        # With no re-scan the loop changes nothing, so every row's cost ratio
+        # is 1; the first-scan flags still give each threshold's precision.
+        text = kinematic_config(subjects=500, max_rescans=0, extra=SWEEP_GRID)
+        config = write_config(tmp_path, text)
+        result = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        _, header, rows = read_report_csv(tmp_path / "out" / "sweep.csv")
+        by_tau = {float(row[0]): dict(zip(header, row)) for row in rows}
+        assert {row["empirical_cost_ratio"] for row in by_tau.values()} == {"1"}
+        assert len({row["mean_cost"] for row in by_tau.values()}) == 1
+        assert by_tau[1.0]["empirical_precision"] == by_tau[1.0]["alpha_hat"]
+        assert by_tau[0.0]["empirical_precision"] == ""
 
     def test_requires_sweep_section(self, tmp_path):
         config = write_config(tmp_path, kinematic_config())

@@ -1,6 +1,7 @@
 """Config parsing: validation messages, defaults, digests, and manifests."""
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,23 @@ class TestValidationErrors:
         text = _with(ABSTRACT, "lo = 0.1\nhi = 0.3", "lo = 0.1\nhi = 0.3\nalpha = 0.2")
         with pytest.raises(ConfigError, match=r"distribution\.alpha: unknown key"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "mu, far, near, key",
+        [(0.0, (0.381, 0.5), (0.375, 0.5), "lo"), (0.99, (0.1, 0.609), (0.1, 0.615), "hi")],
+        ids=["above-mu", "below-mu"],
+    )
+    def test_subnormal_truncated_normal_mass_names_the_far_bound(self, mu, far, near, key):
+        # 38.1 sigma between mu and the support, its normal mass is a subnormal
+        # double (6.4e-318), too imprecise to normalize the density with; at
+        # 37.5 sigma it is still a normal one (4.6e-308).
+        def config(lo, hi):
+            section = f"family = truncated_normal\nmu = {mu}\nsigma = 0.01\nlo = {lo}\nhi = {hi}"
+            return _with(ABSTRACT, "family = uniform\nlo = 0.1\nhi = 0.3", section)
+
+        with pytest.raises(ConfigError, match=rf"^distribution\.{key}: 6\.41e-318 of the normal"):
+            parse_config(config(*far))
+        assert parse_config(config(*near)).distribution.mass > sys.float_info.min
 
     def test_bad_family_name(self):
         with pytest.raises(ConfigError, match=r"distribution\.family"):

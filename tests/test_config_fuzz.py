@@ -18,6 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -206,7 +207,7 @@ def seed_7_costs(recall: float, rescan: float, correction: float) -> tuple[str, 
 def far_tail(lo: float) -> tuple[str, str]:
     """Two subjects of Normal(0, 0.01) truncated to [lo, 0.5]: at lo = 0.381,
     38.1 sigma out, the normal CDF at lo, and so the mass between the bounds,
-    is a subnormal with about 20 significant bits."""
+    is a subnormal with about 20 significant bits, which the config refuses."""
     truncated_normal = f"family = truncated_normal\nmu = 0.0\nsigma = 0.01\nlo = {lo!r}\nhi = 0.5"
     return fixed_document(truncated_normal, 0.8, 0.8, 0.1, 1.0)
 
@@ -268,6 +269,18 @@ def check_outcome(code: int, err: str, written: dict[str, str], expected: list[s
 def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
     expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]
     check_outcome(*run_main(command, *document), expected)
+
+
+@pytest.mark.parametrize("command", ["ratio", "simulate"])
+def test_far_tail_support_exits_2_naming_lo(command):
+    code, err, written = run_main(command, *far_tail(0.381))
+    assert code == 2 and written == {}
+    assert "distribution.lo" in err and "Traceback" not in err
+    # at 37.5 sigma the mass is a normal double, and both commands run
+    code, err, written = run_main(command, *far_tail(0.375))
+    assert code == 0, err
+    expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]
+    assert list(written) == expected
 
 
 @given(text=kinematic_documents())
