@@ -17,9 +17,10 @@ the subject table derives every tally and the cost from those outcomes:
   independent.  This deliberately relaxes the independence assumption to
   show where the closed form does and does not bend.
 
-Cohorts fan out over worker processes in contiguous index chunks; because
-every subject consumes only its own stream (see ``streams``), results are
-bit-identical for a fixed master seed no matter the worker count.
+Cohorts are cut into contiguous units of work, each inside one key block of
+``streams``, and may fan out over worker processes; because every subject
+consumes only its own stream, results are bit-identical for a fixed master
+seed no matter the worker count.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .probe_kinematics import (
     image_quality,
     perturb_pose,
 )
-from .streams import block_uniforms, subject_stream, uniforms_past_block
+from .streams import BLOCK, block_uniforms, subject_stream, uniforms_past_block
 
 if TYPE_CHECKING:
     from .alpha_distributions import FailureDistribution
@@ -308,11 +309,6 @@ def _aggregate(
     )
 
 
-# Subjects whose records are turned into columns at a time: a chunk returns
-# such blocks, so no chunk-long list of records is held.
-_RECORDS_PER_TABLE = 4096
-
-
 def _located(exc: Exception, where: str) -> Exception | None:
     """``exc`` as the same type with ``where`` leading its message; None when
     the type cannot be built from a message alone."""
@@ -325,12 +321,14 @@ def _located(exc: Exception, where: str) -> Exception | None:
 def _abstract_records(
     config: "ExperimentConfig", start: int, stop: int, records: list[SubjectRecord]
 ) -> None:
-    """Append the records of abstract subjects [start, stop) to ``records``.
+    """Append the records of abstract subjects [start, stop), which lie in one
+    key block, to ``records``.
 
     A Beta subject draws its failure rate and its scans with its
-    ``Generator``.  Otherwise a key block's rates are the inverse CDF on its
-    first column of ``block_uniforms`` (a point mass draws none), and each
-    scan loop reads the rest of its row before its ``uniforms_past_block``.
+    ``Generator``.  Otherwise the rates are the inverse CDF on the first
+    column of the block's ``block_uniforms`` (a point mass draws none), and
+    each scan loop reads the rest of its row before its
+    ``uniforms_past_block``.
     """
     seed, dist = config.master_seed, config.distribution
     profile, budget = config.profile, config.max_rescans
@@ -341,19 +339,19 @@ def _abstract_records(
             predictor = ConfusionPredictor.calibrated(profile, alpha)
             records.append(run_subject_abstract(alpha, budget, predictor, iter(rng.random, None)))
         return
-    for uniforms in block_uniforms(seed, start, stop):
-        if isinstance(dist, PointMass):
-            alphas, rows = itertools.repeat(dist.alpha), uniforms.tolist()
-        else:
-            alphas, rows = dist.inverse_cdf(uniforms[:, 0]).tolist(), uniforms[:, 1:].tolist()
-        for alpha, row in zip(alphas, rows):
-            predictor = ConfusionPredictor.calibrated(profile, alpha)
-            draws = itertools.chain(row, uniforms_past_block(seed, start + len(records)))
-            records.append(run_subject_abstract(alpha, budget, predictor, draws))
+    uniforms = block_uniforms(seed, start, stop)
+    if isinstance(dist, PointMass):
+        alphas, rows = itertools.repeat(dist.alpha), uniforms.tolist()
+    else:
+        alphas, rows = dist.inverse_cdf(uniforms[:, 0]).tolist(), uniforms[:, 1:].tolist()
+    for alpha, row in zip(alphas, rows):
+        predictor = ConfusionPredictor.calibrated(profile, alpha)
+        draws = itertools.chain(row, uniforms_past_block(seed, start + len(records)))
+        records.append(run_subject_abstract(alpha, budget, predictor, draws))
 
 
-def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list[SubjectRecord]:
-    """Records of subjects [start, stop).
+def _simulate_table(config: "ExperimentConfig", start: int, stop: int) -> SubjectTable:
+    """The table of subjects [start, stop), which lie in one key block.
 
     An error raised for a subject is re-raised as the same type, its message
     led by ``subject <i>, seed <s>, config <d>``, d the first 12 hex digits
@@ -387,49 +385,42 @@ def _simulate_records(config: "ExperimentConfig", start: int, stop: int) -> list
         if located is None:
             raise
         raise located from exc
-    return records
-
-
-def _simulate_chunk(config: "ExperimentConfig", start: int, stop: int) -> list[SubjectTable]:
-    """Simulate subjects [start, stop) and return their columns, one table per
-    block of subjects (one empty table when there are none)."""
-    return [
-        SubjectTable.from_records(
-            _simulate_records(config, lo, min(lo + _RECORDS_PER_TABLE, stop)), config.rates
-        )
-        for lo in range(start, stop, _RECORDS_PER_TABLE)
-    ] or [SubjectTable.from_records([], config.rates)]
+    return SubjectTable.from_records(records, config.rates)
 
 
 def run_cohort(config: "ExperimentConfig") -> SimulationReport:
     """Simulate every subject of the configured cohort.
 
     Results are bit-identical for a fixed master seed regardless of
-    ``config.workers``: subjects consume only their own streams and chunks
-    are reassembled in subject order.  The abstract closed-form ratio is None
+    ``config.workers``: subjects consume only their own streams and the units
+    of work are joined in subject order.  The abstract closed-form ratio is None
     where it cannot be had: a zero-mean population, whose baseline cost is 0,
     one whose integral the Gauss rules fail to resolve, or one whose ratio
     leaves the range of doubles.
     """
     n = config.n_subjects
-    workers = config.workers
-    chunk = max(1, -(-n // (workers * 8))) if workers > 1 else max(1, n)
-    bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)] or [(0, 0)]
+    # The pool may start all its workers at once, so it gets no more than
+    # there are CPUs.  A unit of work is a key block at one worker, and else
+    # about an eighth of a worker's share, rounded down to a power of two so
+    # that it divides a key block.
+    workers = min(config.workers, os.cpu_count() or 1)
+    share = max(1, -(-n // (8 * workers)))
+    size = BLOCK if workers == 1 else min(BLOCK, 1 << (share.bit_length() - 1))
+    starts = range(0, n, size) or range(1)
+    stops = [min(start + size, n) for start in starts]
+    configs = [config] * len(starts)
 
-    if workers == 1 or n <= chunk:
-        chunks = [_simulate_chunk(config, s, e) for s, e in bounds]
+    pool_size = min(workers, len(starts))
+    if pool_size < 2:
+        tables = list(map(_simulate_table, configs, starts, stops))
     else:
         # Imported here, not with the module: runs on one worker never pay
         # for loading multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        # The pool may start all its workers at once, so it gets no more
-        # than there are chunks or CPUs.
-        pool_size = min(workers, len(bounds), os.cpu_count() or 1)
-        starts, stops = zip(*bounds)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            chunks = list(pool.map(_simulate_chunk, [config] * len(bounds), starts, stops))
-    table = SubjectTable.concatenate(list(itertools.chain.from_iterable(chunks)))
+            tables = list(pool.map(_simulate_table, configs, starts, stops))
+    table = SubjectTable.concatenate(tables)
 
     analytic = None
     if config.mode == "abstract":

@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-_BLOCK = 4096  # subjects per derived key block (a divisor of 2^32)
+BLOCK = 4096  # subjects per derived key block (a power of two dividing 2^32)
 _DRAWS = 8  # scalar uniforms per subject computed with its block
 _POOL_SIZE = 4
 _XSHIFT = 16
@@ -83,10 +83,10 @@ def _key_block(master_seed: int, block: int) -> np.ndarray:
     with zeros to 4 words is the same pool input.
     """
     seed_words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
-    index = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint64)
-    entropy = [np.full(_BLOCK, w, dtype=np.uint32) for w in seed_words]
+    index = np.arange(block * BLOCK, (block + 1) * BLOCK, dtype=np.uint64)
+    entropy = [np.full(BLOCK, w, dtype=np.uint32) for w in seed_words]
     entropy += [(index & _MASK32).astype(np.uint32), (index >> np.uint64(32)).astype(np.uint32)]
-    entropy += [np.zeros(_BLOCK, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    entropy += [np.zeros(BLOCK, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
 
     constants = iter(_MIX_CONSTANTS)
     pool = [_hashmix(word, *next(constants)) for word in entropy]
@@ -95,7 +95,7 @@ def _key_block(master_seed: int, block: int) -> np.ndarray:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
 
-    state = np.empty((_BLOCK, 2 * _POOL_SIZE), dtype="<u4")
+    state = np.empty((BLOCK, 2 * _POOL_SIZE), dtype="<u4")
     for k, (xor, mult) in enumerate(_STATE_CONSTANTS):
         state[:, k] = _hashmix(pool[k % _POOL_SIZE], xor, mult)
     # Word pairs form uint64s low word first, as SeedSequence does.  On a
@@ -147,7 +147,7 @@ def _uniform_block(master_seed: int, block: int) -> np.ndarray:
     inc_lo = (k3 << _ONE) | _ONE
     lo = inc_lo + k1  # the first step from state 0 leaves inc; add the seed
     hi, lo = _lcg_step(inc_hi + k0 + (lo < k1), lo, inc_hi, inc_lo)
-    bits = np.empty((_BLOCK, _DRAWS), dtype=np.uint64)
+    bits = np.empty((BLOCK, _DRAWS), dtype=np.uint64)
     for d in range(_DRAWS):
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
         folded, rot = hi ^ lo, hi >> np.uint64(58)
@@ -182,18 +182,22 @@ def subject_stream(master_seed: int, subject_index: int) -> np.random.Generator:
             f"master seed and subject index must be in [0, 2^64),"
             f" got {master_seed} and {subject_index}"
         )
-    block, row = divmod(subject_index, _BLOCK)
+    block, row = divmod(subject_index, BLOCK)
     return np.random.Generator(np.random.PCG64(_Key(_key_block(master_seed, block)[row])))
 
 
-def block_uniforms(master_seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
-    """The first 8 ``random()`` draws of subjects [start, stop), one read-only
-    (n, 8) array per key block the range meets: row j of the first array is
-    subject ``start + j``'s, and each later array goes on where the last one
-    ended."""
-    for block in range(start // _BLOCK, -(-stop // _BLOCK)):
-        first = block * _BLOCK
-        yield _uniform_block(master_seed, block)[max(start - first, 0) : stop - first]
+def block_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The first 8 ``random()`` draws of subjects [start, stop), which lie in
+    one key block, as a read-only (n, 8) array: row j is subject
+    ``start + j``'s.
+
+    Raises:
+        ValueError: if the range crosses the edge of a key block.
+    """
+    block, offset = divmod(start, BLOCK)
+    if stop > (block + 1) * BLOCK:
+        raise ValueError(f"subjects [{start}, {stop}) cross a key block edge")
+    return _uniform_block(master_seed, block)[offset : stop - block * BLOCK]
 
 
 def uniforms_past_block(master_seed: int, subject_index: int) -> Iterator[float]:

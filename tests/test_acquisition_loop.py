@@ -15,7 +15,7 @@ from scanloop.acquisition_loop import (
     ComparisonSummary,
     SubjectRecord,
     SubjectTable,
-    _simulate_records,
+    _simulate_table,
     empirical_vs_analytic,
     run_cohort,
     run_subject_abstract,
@@ -35,6 +35,7 @@ from scanloop.probe_kinematics import (
     ProbePose,
     SubjectAnatomy,
     image_quality,
+    perturb_pose,
 )
 from scanloop.streams import subject_stream
 
@@ -492,7 +493,24 @@ class TestQualityColumn:
 def _table_of_all_records(mode, n):
     """One ``from_records`` call over the whole cohort of ``_blockwise_config``."""
     config = _blockwise_config(mode, n, 1)
-    return SubjectTable.from_records(_simulate_records(config, 0, n), config.rates)
+    if mode == "abstract":
+        return SubjectTable.from_records(abstract_records(config, 0, n), config.rates)
+    records = []
+    for i in range(n):
+        rng = subject_stream(config.master_seed, i)
+        start = perturb_pose(config.start_offset_t, config.start_offset_r, rng)
+        records.append(
+            run_subject_kinematic(
+                config.anatomy,
+                start,
+                config.max_rescans,
+                config.score_predictor,
+                config.guidance,
+                config.learner,
+                rng,
+            )
+        )
+    return SubjectTable.from_records(records, config.rates)
 
 
 def _blockwise_config(mode, n, workers):
@@ -501,8 +519,8 @@ def _blockwise_config(mode, n, workers):
 
 
 class TestBlockwiseTable:
-    # Chunks turn records into columns 4096 subjects at a time; the sizes
-    # straddle that block and a pool's chunk bounds.
+    # Units of work turn records into columns at most 4096 subjects at a
+    # time; the sizes straddle that key block and a pool's unit bounds.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", ["abstract", "kinematic"])
     @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
@@ -595,9 +613,10 @@ class TestAbstractEngineAgainstOracle:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a_range_across_a_block_edge(self, bins, family):
+        # Two units, one each side of the key block edge at 4096, joined.
         config = _family_config(bins, family, 50)
-        records = _simulate_records(config, 4000, 4200)
-        assert _digests(SubjectTable.from_records(records, config.rates)) == _oracle_digests(
+        parts = [_simulate_table(config, 4000, 4096), _simulate_table(config, 4096, 4200)]
+        assert _digests(SubjectTable.concatenate(parts)) == _oracle_digests(
             bins, family, 50, 4000, 4200
         )
 
@@ -655,18 +674,21 @@ class TestRunCohort:
         ):
             assert np.array_equal(getattr(tables[0], col), getattr(tables[1], col)), col
 
-    def test_pool_never_larger_than_chunks_or_cpus(self, monkeypatch):
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """Stands an in-process pool in for the process pool; the list it
+        returns gets the (pool size, units) of every pool made."""
         import concurrent.futures
 
-        import scanloop.acquisition_loop as loop
-
-        sizes = []
+        pools = []
 
         class SerialPool:
-            """Stands in for the process pool: records its size, maps in-process."""
+            """Stands in for the process pool: records its size and units,
+            maps in-process."""
 
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.units = []
+                pools.append((max_workers, self.units))
 
             def __enter__(self):
                 return self
@@ -674,17 +696,42 @@ class TestRunCohort:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, configs, starts, stops):
+                self.units += zip(starts, stops)
+                return map(fn, configs, starts, stops)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return pools
+
+    def test_pool_never_larger_than_chunks_or_cpus(self, monkeypatch, serial_pool):
+        import scanloop.acquisition_loop as loop
+
         reference = run_cohort(_abstract_config(100, seed=53)).table
-        for cpus, n, expected in ((4, 3, 3), (4, 100, 4), (None, 100, 1)):
+        # an unknown CPU count runs on one worker, with no pool
+        for cpus, n, expected in ((4, 3, [3]), (4, 100, [4]), (None, 100, [])):
             monkeypatch.setattr(loop.os, "cpu_count", lambda: cpus)
+            serial_pool.clear()
             table = run_cohort(_abstract_config(n, seed=53, workers=10_000)).table
-            assert sizes[-1] == expected
+            assert [size for size, _ in serial_pool] == expected
             assert np.array_equal(table.cost, reference.cost[:n])
-        assert len(sizes) == 3
+
+    def test_units_sized_from_the_pool_lie_in_key_blocks(self, monkeypatch, serial_pool):
+        # workers = 10**6 on 2 CPUs is a pool of 2, its units sized from it:
+        # about an eighth of a worker's share, 1250, rounded down to 1024.
+        import scanloop.acquisition_loop as loop
+
+        monkeypatch.setattr(loop.os, "cpu_count", lambda: 2)
+        table = run_cohort(_abstract_config(20_000, seed=59, workers=10**6)).table
+        ((size, units),) = serial_pool
+        assert size == 2
+        assert [stop for _, stop in units] == [start for start, _ in units[1:]] + [20_000]
+        assert not any(start // 4096 != (stop - 1) // 4096 for start, stop in units)
+        # fewer than 2 * 8 * workers full units, and one partial unit
+        assert {stop - start for start, stop in units[:-1]} == {1024}
+        assert len(units) == 20 and units[-1] == (19 * 1024, 20_000)
+        want = run_cohort(_abstract_config(20_000, seed=59)).table
+        for name in ("alpha", "quality", "score", *SUBJECT_COLUMNS):
+            assert getattr(table, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_first_subjects_pinned(self):
         # Exact rows of the first subjects at a fixed seed, so a change to the

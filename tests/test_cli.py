@@ -812,7 +812,7 @@ class TestExitCodes:
         def no_simulation(*args):
             raise AssertionError("a subject was simulated")
 
-        monkeypatch.setattr(acquisition_loop, "_simulate_chunk", no_simulation)
+        monkeypatch.setattr(acquisition_loop, "_simulate_table", no_simulation)
         text = ABSTRACT_BETA.format(workers=1).replace("max_rescans = 50", "max_rescans = 10001")
         config = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2

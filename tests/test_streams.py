@@ -63,23 +63,26 @@ def test_subject_stream_cannot_spawn():
 @pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
 def test_scalar_draws_across_the_precomputed_eight(seed, index):
     # A subject's block row, then its draws past the block, are its stream.
-    (row,) = next(block_uniforms(seed, index, index + 1)).tolist()
+    (row,) = block_uniforms(seed, index, index + 1).tolist()
     draws = itertools.chain(row, uniforms_past_block(seed, index))
     want = reference_stream(seed, index)
     assert [next(draws) for _ in range(12)] == [want.random() for _ in range(12)]
 
 
 def test_block_uniforms_walk_the_key_blocks():
-    # Ranges inside one block, ending on a block edge, and straddling one or
-    # two edges: the rows are the blocks' rows for those subjects, in order.
+    # Ranges inside one block, up to its edge and empty: the rows are the
+    # block's rows for those subjects, in order.  A range across an edge
+    # raises.
     seed = 5
     whole = np.concatenate([_uniform_block(seed, b) for b in range(3)])
-    for start, stop in ((0, 4096), (7, 300), (4000, 4096), (4000, 4200), (4095, 8193), (9, 9)):
-        parts = list(block_uniforms(seed, start, stop))
-        assert len(parts) == len(range(start // 4096, -(-stop // 4096)))
-        got = np.concatenate(parts) if parts else np.empty((0, 8))
-        assert got.tobytes() == whole[start:stop].tobytes()
-        assert not any(part.flags.writeable for part in parts)
+    for start, stop in ((0, 4096), (7, 300), (4000, 4096), (4096, 4200), (8191, 8192), (9, 9)):
+        part = block_uniforms(seed, start, stop)
+        assert part.shape == (stop - start, 8)
+        assert part.tobytes() == whole[start:stop].tobytes()
+        assert not part.flags.writeable
+    for start, stop in ((4000, 4200), (4095, 8193), (0, 4097)):
+        with pytest.raises(ValueError, match="cross a key block edge"):
+            block_uniforms(seed, start, stop)
 
 
 def test_past_block_draws_build_no_generator_until_taken(monkeypatch):
