@@ -35,7 +35,7 @@ import numpy as np
 
 from .alpha_distributions import mean_alpha as _dist_mean_alpha
 from .alpha_distributions import Beta, PointMass, expected_cost_ratio, sample_alpha
-from .cost_model import CostRates
+from .cost_model import CostRates, false_positive_rate
 from .errors import QuadratureFailure, UndefinedRatio
 from .predictor_model import ConfusionPredictor, ScorePredictor, score
 from .probe_kinematics import (
@@ -326,8 +326,9 @@ def _abstract_records(
 
     A Beta subject draws its failure rate and its scans with its
     ``Generator``.  Otherwise the rates are the inverse CDF on the first
-    column of the block's ``block_uniforms`` (a point mass draws none), and
-    each scan loop reads the rest of its row before its
+    column of the block's ``block_uniforms`` (a point mass draws none), their
+    predictors are built once for the unit (their false-positive rates in one
+    array expression), and each scan loop reads the rest of its row before its
     ``uniforms_past_block``.
     """
     seed, dist = config.master_seed, config.distribution
@@ -342,10 +343,13 @@ def _abstract_records(
     uniforms = block_uniforms(seed, start, stop)
     if isinstance(dist, PointMass):
         alphas, rows = itertools.repeat(dist.alpha), uniforms.tolist()
+        predictors = itertools.repeat(ConfusionPredictor.calibrated(profile, dist.alpha))
     else:
-        alphas, rows = dist.inverse_cdf(uniforms[:, 0]).tolist(), uniforms[:, 1:].tolist()
-    for alpha, row in zip(alphas, rows):
-        predictor = ConfusionPredictor.calibrated(profile, alpha)
+        alphas = dist.inverse_cdf(uniforms[:, 0])
+        rates = false_positive_rate(alphas, profile).tolist()
+        alphas, rows = alphas.tolist(), uniforms[:, 1:].tolist()
+        predictors = map(ConfusionPredictor, itertools.repeat(profile.recall), rates)
+    for alpha, predictor, row in zip(alphas, predictors, rows):
         draws = itertools.chain(row, uniforms_past_block(seed, start + len(records)))
         records.append(run_subject_abstract(alpha, budget, predictor, draws))
 

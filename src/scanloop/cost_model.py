@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivergentLoop, UndefinedRatio
 
 # The re-scan budget of a loop whose config does not set ``policy.max_rescans``.
@@ -101,12 +103,19 @@ def cost_ratio_at(alpha: float, profile: PredictorProfile, cost_quotient: float)
     return (p - p * r + r * cost_quotient) / denom
 
 
-def false_positive_rate(alpha: float, profile: PredictorProfile) -> float:
+def false_positive_rate(
+    alpha: float | np.ndarray, profile: PredictorProfile
+) -> float | np.ndarray:
     """Rate q of flagging intact scans that solves precision = alpha·recall /
     (alpha·recall + (1 − alpha)·q).  Above alpha_max = p / (p + r − p·r) no
-    q <= 1 does, and the predictor saturates: it flags every intact scan."""
+    q <= 1 does, and the predictor saturates: it flags every intact scan.
+
+    ``alpha`` may also be a float64 array, for the rates elementwise: the same
+    IEEE operations in the same order, so each equals the scalar rate's bits.
+    """
     a, p, r = alpha, profile.precision, profile.recall
-    return min(a * r * (1.0 - p) / (p * (1.0 - a)), 1.0)
+    q = a * r * (1.0 - p) / (p * (1.0 - a))
+    return np.minimum(q, 1.0) if isinstance(q, np.ndarray) else min(q, 1.0)
 
 
 def _geometric_sum(miss: float, n: int) -> float:

@@ -14,12 +14,13 @@ Conventions shared by every emitted file:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,13 +45,16 @@ def manifest_line(manifest: dict) -> str:
     return "# manifest " + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its pieces one at a time as they are made, to a
+    temporary file beside ``path`` and rename it into place; on any failure
+    the temporary file is removed and ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -85,15 +89,17 @@ def _format_column(values: Sequence[object]) -> list[str]:
     return cells
 
 
-def _csv_lines(rows: list[tuple[str, ...]], width: int) -> str:
+def _csv_lines(rows: Iterable[tuple[str, ...]], width: int, lead: int | None = None) -> str:
     """``rows`` of ``width`` cells each as the lines ``csv.writer`` writes for
     them: the cells joined by commas, each line ended by a newline, and a row
-    of one empty cell written as ``""``.
+    of one empty cell written as ``""``.  A row may end in a tail, several
+    numeric cells already joined by commas, after its ``lead`` single cells.
 
     Raises:
         ValueError: for a cell that ``csv.writer`` would quote, one that holds
             a comma, a double quote, a CR or a LF.
     """
+    rows = list(rows)
     text = "".join([line + "\n" for line in map(",".join, rows)])
     if (
         text.count(",") != len(rows) * max(width - 1, 0)
@@ -101,12 +107,84 @@ def _csv_lines(rows: list[tuple[str, ...]], width: int) -> str:
         or '"' in text
         or "\r" in text
     ):
-        cell = next(c for row in rows for c in row if any(ch in c for ch in ',"\r\n'))
+        cell = next(c for row in rows for c in row[:lead] if any(ch in c for ch in ',"\r\n'))
         raise ValueError(f"CSV cell {cell!r} would need quoting")
     if width == 1:
         # A lone empty cell is quoted, so that it does not read as a blank line.
         text = "".join([(cell or '""') + "\n" for cell, in rows])
     return text
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a non-empty array, sorted."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+def _tail_codes(
+    columns: list[Sequence[object]], limit: int
+) -> tuple[int, np.ndarray, int] | None:
+    """Where a block's row tails start, each row's tail code and the number
+    of distinct tails; None when there is no tail of at most ``limit``.
+
+    The tail is the longest run of trailing bool, int or float numpy columns
+    that each hold at most ``limit`` distinct values.  Values are told apart
+    by their bit patterns, so 0.0 and -0.0 make distinct tails.
+    """
+    lead, key, radix = len(columns), np.zeros(len(columns[0]), dtype=np.int64), 1
+    while lead and isinstance(last := columns[lead - 1], np.ndarray) and last.dtype.kind in "biuf":
+        bits = last.view(f"u{last.itemsize}")
+        values = _distinct(bits)
+        if len(values) > limit:
+            break
+        # mixed radix over the columns' codes, renumbered before it overflows
+        if radix * len(values) >= 2**62:
+            distinct = _distinct(key)
+            key, radix = np.searchsorted(distinct, key), len(distinct)
+        key, radix = key * len(values) + np.searchsorted(values, bits), radix * len(values)
+        lead -= 1
+    if lead == len(columns):
+        return None
+    distinct = _distinct(key)
+    if len(distinct) > limit:
+        return None
+    return lead, np.searchsorted(distinct, key), len(distinct)
+
+
+def _block_lines(columns: list[Sequence[object]], width: int) -> str:
+    """The CSV lines of one block of rows, given as its column slices: the
+    cells of each distinct row tail (``_tail_codes``, at most an eighth of the
+    rows) are formatted once, every other cell one by one."""
+    tail = _tail_codes(columns, len(columns[0]) // 8)
+    if tail is None:
+        return _csv_lines(zip(*map(_format_column, columns)), width)
+    lead, code, count = tail
+    # a row of each tail: the rows of one tail hold the same bits
+    row_of = np.empty(count, dtype=np.intp)
+    row_of[code] = np.arange(len(code))
+    cells = [_format_column(column[row_of]) for column in columns[lead:]]
+    tails = np.array(list(map(",".join, zip(*cells))), dtype=object)
+    lead_cells = map(_format_column, columns[:lead])
+    return _csv_lines(zip(*lead_cells, tails[code].tolist()), width, lead)
+
+
+def _csv_pieces(
+    header: Sequence[str], columns: Sequence[Sequence[object]], manifest: dict
+) -> Iterator[str]:
+    """The CSV text of ``render_csv``, a block of rows at a time.  The shape
+    and the header are checked now; the cells as each block is rendered."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header entries but {len(columns)} columns")
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError("columns must have equal lengths")
+    width = len(header)
+    head = manifest_line(manifest) + "\n" + _csv_lines([tuple(header)], width)
+    blocks = (
+        _block_lines([c[start : start + _ROW_BLOCK] for c in columns], width)
+        for start in range(0, n, _ROW_BLOCK)
+    )
+    return itertools.chain([head], blocks)
 
 
 def render_csv(
@@ -119,17 +197,7 @@ def render_csv(
         ValueError: for columns of unequal lengths or a count other than the
             header's, and for a header entry or cell that would need quoting.
     """
-    if len(columns) != len(header):
-        raise ValueError(f"{len(header)} header entries but {len(columns)} columns")
-    n = len(columns[0]) if columns else 0
-    if any(len(column) != n for column in columns):
-        raise ValueError("columns must have equal lengths")
-    width = len(header)
-    parts = [manifest_line(manifest) + "\n", _csv_lines([tuple(header)], width)]
-    for start in range(0, n, _ROW_BLOCK):
-        block = zip(*(_format_column(c[start : start + _ROW_BLOCK]) for c in columns))
-        parts.append(_csv_lines(list(block), width))
-    return "".join(parts)
+    return "".join(_csv_pieces(header, columns, manifest))
 
 
 def write_csv(
@@ -138,7 +206,9 @@ def write_csv(
     columns: Sequence[Sequence[object]],
     manifest: dict,
 ) -> None:
-    atomic_write_text(path, render_csv(header, columns, manifest))
+    """``render_csv``'s text, written a block of rows at a time as it is
+    rendered, atomically: a failure leaves no partial file."""
+    atomic_write_text(path, _csv_pieces(header, columns, manifest))
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SubjectRow, abstract_records, subject_row, table_row, table_rows
+from scanloop import acquisition_loop
 from scanloop.acquisition_loop import (
     SUBJECT_COLUMNS,
     ComparisonSummary,
@@ -26,6 +27,7 @@ from scanloop.config import parse_config
 from scanloop.cost_model import (
     CostRates,
     PredictorProfile,
+    false_positive_rate,
     new_cost_at,
 )
 from scanloop.predictor_model import ConfusionPredictor, ScorePredictor
@@ -37,7 +39,7 @@ from scanloop.probe_kinematics import (
     image_quality,
     perturb_pose,
 )
-from scanloop.streams import subject_stream
+from scanloop.streams import block_uniforms, subject_stream
 
 RATES = CostRates(rescan_cost=0.1, correction_cost=1.0)
 PROFILE = PredictorProfile(precision=0.8, recall=0.8)
@@ -561,9 +563,8 @@ def bins(tmp_path_factory):
     return base
 
 
-@functools.cache
-def _family_config(bins, family, max_rescans, workers=1):
-    text = f"""
+def _population_text(body, max_rescans, workers=1):
+    return f"""
 [cohort]
 mode = abstract
 subjects = {ORACLE_SUBJECTS}
@@ -571,7 +572,7 @@ seed = 31
 workers = {workers}
 
 [distribution]
-{FAMILIES[family]}
+{body}
 
 [predictor]
 kind = confusion
@@ -585,7 +586,11 @@ correction = 1.0
 [policy]
 max_rescans = {max_rescans}
 """
-    return parse_config(text, base_dir=bins)
+
+
+@functools.cache
+def _family_config(bins, family, max_rescans, workers=1):
+    return parse_config(_population_text(FAMILIES[family], max_rescans, workers), base_dir=bins)
 
 
 def _digests(table):
@@ -634,6 +639,73 @@ class TestAbstractEngineAgainstOracle:
         intact = table.scans - table.failed_scans
         flagged_intact = table.flagged_scans - table.flagged_failed_scans
         assert np.array_equal(intact[saturated], flagged_intact[saturated])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestUnitOperatingPoints:
+    # A unit's false-positive rates come from one array expression over its
+    # failure rates; each must carry the bits of the scalar rate.
+    POPULATIONS = {
+        # lo = 0 at the mode: the lowest uniforms give alpha = 0 exactly
+        "truncated_normal_at_zero": (
+            "family = truncated_normal\nmu = 0.0\nsigma = 0.1\nlo = 0.0\nhi = 0.6"
+        ),
+        "uniform_saturating": FAMILIES["uniform_saturating"],
+        "histogram_5_bins": "family = histogram\ncsv = bins5.csv",
+    }
+
+    @pytest.fixture
+    def config(self, tmp_path, request):
+        (tmp_path / "bins5.csv").write_text(
+            "bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.5,2\n0.9,3\n"
+        )
+        text = _population_text(self.POPULATIONS[request.param], 50)
+        return parse_config(text, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("config", list(POPULATIONS), indirect=True)
+    def test_array_rates_equal_the_scalar_rates(self, config):
+        # the block's uniforms, and the lowest and highest ones there are
+        ends = [0.0, 5e-324, np.nextafter(1.0, 0.0)]
+        u = np.concatenate((ends, block_uniforms(31, 0, 4096)[:, 0]))
+        alphas = config.distribution.inverse_cdf(u)
+        rates = false_positive_rate(alphas, config.profile)
+        scalar = [false_positive_rate(a, config.profile) for a in alphas.tolist()]
+        assert rates.dtype == np.float64
+        assert _bits(rates) == _bits(scalar)
+
+    @pytest.mark.parametrize("config", list(POPULATIONS), indirect=True)
+    def test_engine_predictors_are_the_calibrated_ones(self, config, monkeypatch):
+        seen = []
+        run = acquisition_loop.run_subject_abstract
+
+        def spy(alpha, max_rescans, predictor, draws):
+            seen.append((alpha, predictor))
+            return run(alpha, max_rescans, predictor, draws)
+
+        monkeypatch.setattr(acquisition_loop, "run_subject_abstract", spy)
+        _simulate_table(config, 4000, 4096)
+        assert len(seen) == 96
+        for alpha, predictor in seen:
+            assert type(predictor) is ConfusionPredictor
+            expected = ConfusionPredictor.calibrated(config.profile, alpha)
+            assert _bits(predictor) == _bits(expected)
+
+    @pytest.mark.parametrize("n, units", [(1, 1), (4096, 1), (5000, 2)])
+    def test_point_mass_calibrates_once_per_unit(self, monkeypatch, n, units):
+        calls = []
+        calibrated = vars(ConfusionPredictor)["calibrated"].__func__
+
+        def counting(cls, profile, base_rate):
+            calls.append(base_rate)
+            return calibrated(cls, profile, base_rate)
+
+        monkeypatch.setattr(ConfusionPredictor, "calibrated", classmethod(counting))
+        table = run_cohort(_abstract_config(n, seed=3, alpha=0.3)).table
+        assert calls == [0.3] * units
+        assert len(table) == n
 
 
 class TestRunCohort:

@@ -709,6 +709,36 @@ class TestGuidance:
         assert result.returncode == 2
 
 
+class TestEntryPoint:
+    # ``python -m scanloop`` moves the import-time heap out of the garbage
+    # collector's reach before it calls ``cli.main``; the files stay the same.
+    @pytest.mark.parametrize("command", ["simulate", "guidance"])
+    def test_module_run_writes_the_bytes_of_cli_main(self, tmp_path, monkeypatch, command):
+        from scanloop.cli import main
+
+        if command == "simulate":
+            text = ABSTRACT_BETA.format(workers=1).replace("subjects = 1500", "subjects = 5000")
+            text = text.replace("family = beta\na = 2\nb = 8", TRUNCATED_NORMAL)
+        else:
+            text = kinematic_config(subjects=300, seed=3)
+        config = write_config(tmp_path, text)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        result = run_cli(command, "--config", str(config), "--out", str(tmp_path / "module"))
+        assert result.returncode == 0, result.stderr
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "main")]) == 0
+        module, direct = tmp_path / "module", tmp_path / "main"
+        written = sorted(path.name for path in module.iterdir())
+        assert written == sorted(path.name for path in direct.iterdir())
+        for name in written:
+            assert (module / name).read_bytes() == (direct / name).read_bytes(), name
+
+    def test_bad_config_exits_2(self, tmp_path):
+        text = ABSTRACT_BETA.format(workers=1).replace("precision = 0.8", "precision = 1.2")
+        result = run_cli("simulate", "--config", str(write_config(tmp_path, text)))
+        assert result.returncode == 2
+        assert "config error" in result.stderr and "predictor.precision" in result.stderr
+
+
 class TestExitCodes:
     def test_missing_config_flag(self, tmp_path):
         result = run_cli("simulate", "--out", str(tmp_path))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scanloop import reports
 from scanloop.acquisition_loop import SUBJECT_COLUMNS, run_cohort
 from scanloop.config import parse_config
 from scanloop.reports import (
@@ -237,6 +238,116 @@ class TestRenderCsv:
         _assert_renders_like_rows(("a", "b"), [column, column[::-1]])
         body = render_csv(("a",), [column], {}).split("\n")[2:-1]
         assert body == [format_cell(v) or '""' for v in values]
+
+
+def _nan(bits):
+    """The float64 NaN with the bit pattern ``bits``."""
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+class TestRenderCsvTails:
+    """A block's trailing numeric columns with few distinct values are
+    formatted one distinct row tail at a time; the bytes stay those of the
+    row-at-a-time reference, on the tail path and on the per-column one."""
+
+    N = 2 * 4096 + 1000  # three blocks, the last one short
+
+    @staticmethod
+    def _tail_lengths(monkeypatch):
+        """Records the length of every column slice ``render_csv`` formats."""
+        lengths = []
+        format_column = reports._format_column
+
+        def spy(values):
+            lengths.append(len(values))
+            return format_column(values)
+
+        monkeypatch.setattr(reports, "_format_column", spy)
+        return lengths
+
+    def test_many_distinct_floats_take_the_per_column_path(self, monkeypatch):
+        floats = np.random.default_rng(3).random(self.N)
+        lengths = self._tail_lengths(monkeypatch)
+        _assert_renders_like_rows(("subject_id", "x"), [np.arange(self.N), floats])
+        assert set(lengths) == {4096, 1000}
+
+    def test_signed_zeros_and_nan_payloads_are_kept_apart(self, monkeypatch):
+        values = [0.0, -0.0, math.nan, -math.nan, _nan(0x7FF8000000000001), 0.25, -math.inf]
+        floats = np.resize(np.array(values), self.N)
+        lengths = self._tail_lengths(monkeypatch)
+        _assert_renders_like_rows(("subject_id", "x"), [np.arange(self.N), floats])
+        body = render_csv(("x",), [floats], {}).split("\n")[2:9]
+        assert body == ["0", "-0", '""', '""', '""', "0.25", "-inf"]
+        # each block formats its seven distinct tails once
+        assert lengths.count(7) == 3 * 2
+
+    def test_bool_and_int_tails(self, monkeypatch):
+        n = self.N
+        lengths = self._tail_lengths(monkeypatch)
+        ints = np.resize(np.array([2**63 - 1, 0, -7, 42, 3], dtype=np.int64), n)
+        small = np.resize(np.array([1, 2, 3], dtype=np.uint8), n)
+        bools = np.resize(np.array([True, False, True, True]), n)
+        columns = [np.arange(n), ints, small, bools]
+        _assert_renders_like_rows(("subject_id", "k", "u", "flag"), columns)
+        # 5 x 3 x 2 distinct tails in every block
+        assert lengths.count(30) == 3 * 3
+
+    def test_many_distinct_tails_take_the_per_column_path(self, monkeypatch):
+        # 64 and 63 values, each few, but 4032 combinations in a block
+        n = self.N
+        lengths = self._tail_lengths(monkeypatch)
+        columns = [np.resize(np.arange(64), n), np.resize(np.arange(63) / 7, n)]
+        _assert_renders_like_rows(("subject_id", "a", "b"), [np.arange(n), *columns])
+        assert set(lengths) == {4096, 1000}
+
+    def test_wide_tail_past_the_range_of_one_key(self, monkeypatch):
+        # 100^10 codes overflow an int64 key, which is renumbered on the way
+        n = self.N
+        lengths = self._tail_lengths(monkeypatch)
+        columns = [np.resize(np.arange(100) * (k + 1), n) for k in range(10)]
+        _assert_renders_like_rows(tuple("abcdefghij"), columns)
+        assert lengths.count(100) == 3 * 10
+
+    def test_cardinality_changing_at_a_block_edge(self, monkeypatch):
+        # Low-cardinality tails in the first and last blocks, distinct values
+        # in the middle one: the middle block alone falls back.
+        n = self.N
+        floats = np.resize(np.array([0.5, 1 / 3, -2.5e17]), n)
+        floats[4096:8192] = np.random.default_rng(5).random(4096)
+        counts = np.resize(np.arange(4, dtype=np.int64), n)
+        counts[4096:8192] = np.arange(4096)
+        lengths = self._tail_lengths(monkeypatch)
+        _assert_renders_like_rows(("subject_id", "x", "c"), [np.arange(n), floats, counts])
+        assert lengths == [12, 12, 4096] + [4096] * 3 + [12, 12, 1000]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_narrow_tables(self, width):
+        tail = np.resize(np.array([math.nan, 1.5, -0.0]), self.N)
+        columns = [tail] if width == 1 else [np.resize(np.array([True, False]), self.N), tail]
+        _assert_renders_like_rows(("a", "b")[:width], columns)
+
+    def test_comma_in_a_lead_cell_before_a_tail_rejected(self):
+        lead = ["x"] * 100
+        lead[57] = "a,b"
+        with pytest.raises(ValueError, match="'a,b' would need quoting"):
+            render_csv(("a", "b", "c"), [lead, np.zeros(100), np.ones(100, dtype=bool)], {})
+
+
+class TestWriteCsvStreaming:
+    def test_writes_the_rendered_text(self, tmp_path):
+        n = 3 * 4096 + 1
+        columns = [np.arange(n), np.resize(np.array([0.1, 0.2]), n)]
+        write_csv(tmp_path / "t.csv", ("a", "b"), columns, {"x": 1})
+        text = render_csv(("a", "b"), columns, {"x": 1})
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == text
+
+    def test_failure_in_a_later_block_leaves_no_file(self, tmp_path):
+        target = tmp_path / "report.csv"
+        lead = ["x"] * 5000
+        lead[4500] = "bad\ncell"
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(target, ("a", "b"), [lead, np.zeros(5000)], {"seed": 0})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSummaryJson:
