@@ -30,7 +30,7 @@ import numpy as np
 
 from .acquisition_loop import _empirical_ratio, _finite, empirical_vs_analytic, run_cohort
 from .alpha_distributions import expected_cost_ratio, mean_alpha
-from .config import build_manifest, parse_config
+from .config import build_manifest, check_seed, parse_config
 from .cost_model import (
     PredictorProfile,
     breakeven_precision,
@@ -98,7 +98,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     digest = hashlib.sha256(
         json.dumps({"reference_grid": [list(r) for r in REFERENCE_GRID]}).encode()
     ).hexdigest()
-    manifest = build_manifest(args.seed if args.seed is not None else 0, digest)
+    manifest = build_manifest(0 if args.seed is None else check_seed(args.seed), digest)
     out = Path(args.out if args.out is not None else "runs")
     write_csv(out / "table1.csv", TABLE1_HEADER, list(zip(*rows)), manifest)
 

@@ -46,13 +46,18 @@ from .probe_kinematics import GuidanceNoise, LearnerPolicy, SubjectAnatomy
 
 _REQUIRED = object()
 
+# Each mode's required sections, in the order a missing one is reported,
+# and its optional ones.
 _SECTIONS_BY_MODE = {
-    "abstract": {"cohort", "distribution", "predictor", "costs", "policy", "output"},
-    "kinematic": {"cohort", "predictor", "costs", "policy", "kinematics", "output", "sweep"},
+    "abstract": (("cohort", "predictor", "costs", "policy", "distribution"), ("output",)),
+    "kinematic": (("cohort", "predictor", "costs", "policy", "kinematics"), ("output", "sweep")),
 }
 
-_SECTIONS = set().union(*_SECTIONS_BY_MODE.values())
+_SECTIONS = {s for required, optional in _SECTIONS_BY_MODE.values() for s in required + optional}
 
+# The largest cohort: a run holds its whole subject table in memory.  At this
+# size a point-mass `simulate` at one worker peaks at 1.3 GB of RSS.
+_MAX_SUBJECTS = 10_000_000
 # The largest sweep grid: the grid is built when the config is parsed, and
 # each of its thresholds is a numpy pass over the cohort's table.
 _MAX_TAU_STEPS = 10_000
@@ -146,10 +151,7 @@ class _SectionReader:
             raise ConfigError(f"{self.section}.{key}: {text!r} is not {kind}") from None
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{self.section}.{key}: must be a finite number, got {text!r}")
-        complaint = check(value)
-        if complaint is not None:
-            raise ConfigError(f"{self.section}.{key}: {complaint}")
-        self.echo[key] = value
+        self.echo[key] = _checked(f"{self.section}.{key}", value, check)
         return value
 
     def reject_unknown(self, allowed: set[str] | None = None) -> None:
@@ -163,54 +165,56 @@ class _SectionReader:
             raise ConfigError(f"{self.section}.{key}: {why}")
 
 
-def _probability(lo_open: bool, hi_open: bool, lo=0.0, hi=1.0) -> Callable[[float], str | None]:
-    def check(v: float) -> str | None:
-        lo_ok = v > lo if lo_open else v >= lo
-        hi_ok = v < hi if hi_open else v <= hi
-        if lo_ok and hi_ok:
-            return None
-        left = "(" if lo_open else "["
-        right = ")" if hi_open else "]"
-        return f"must be in {left}{lo:g}, {hi:g}{right}, got {v}"
+def _checked(name: str, value: Any, check: Callable[[Any], str | None]) -> Any:
+    complaint = check(value)
+    if complaint is not None:
+        raise ConfigError(f"{name}: {complaint}")
+    return value
+
+
+def _interval(lo, hi, lo_open=False, hi_open=False) -> Callable[[Any], str | None]:
+    """The check that a value lies between ``lo`` and ``hi``, each end closed
+    unless marked open.  Int ends print as integers, float ends with ``:g``
+    unless that would round them."""
+
+    def end(x) -> str:
+        return f"{x:g}" if isinstance(x, float) and float(f"{x:g}") == x else repr(x)
+
+    bounds = f"{'(' if lo_open else '['}{end(lo)}, {end(hi)}{')' if hi_open else ']'}"
+
+    def check(v) -> str | None:
+        inside = (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)
+        return None if inside else f"must be in {bounds}, got {v}"
 
     return check
 
 
-def _within(lo: int, hi: int) -> Callable[[int], str | None]:
-    return lambda v: None if lo <= v <= hi else f"must be in [{lo}, {hi}], got {v}"
+def _one_of(*choices: str) -> Callable[[str], str | None]:
+    return lambda v: None if v in choices else f"must be one of {list(choices)}, got {v!r}"
 
 
-def _nonneg(v: float) -> str | None:
-    return None if v >= 0.0 else f"must be >= 0, got {v}"
-
-
-def _positive(v: float) -> str | None:
-    return None if v > 0.0 else f"must be > 0, got {v}"
-
-
-def _rotation_sd(v: float) -> str | None:
-    """A rotation-noise standard deviation: a sampled angle of many turns
-    means nothing, and one near the float limit overflows."""
-    return None if 0.0 <= v <= math.pi else f"must be in [0, pi] rad, got {v}"
-
+_NONNEGATIVE = _interval(0.0, math.inf, hi_open=True)
+_POSITIVE = _interval(0.0, math.inf, lo_open=True, hi_open=True)
+_SEED = _interval(0, 2**64 - 1)
 
 # Image quality is exp(-(d_t / translation_scale)^2 - (d_r / rotation_scale)^2).
 # d_r is at most pi and d_t a sum of Gaussian steps of the translation standard
 # deviations, so with the scales at least _MIN_QUALITY_SCALE and those
 # deviations at most _MAX_TRANSLATION_SD the squared ratios stay hundreds of
-# orders of magnitude below the float limit.
+# orders of magnitude below the float limit.  A rotation standard deviation
+# lies in [0, pi]: a sampled angle of many turns means nothing, and one near
+# the float limit overflows.
 _MIN_QUALITY_SCALE = 1e-6
 _MAX_TRANSLATION_SD = 1e6
+_QUALITY_SCALE = _interval(_MIN_QUALITY_SCALE, math.inf, hi_open=True)
+_TRANSLATION_SD = _interval(0.0, _MAX_TRANSLATION_SD)
+_ROTATION_SD = _interval(0.0, math.pi)
 
 
-def _quality_scale(v: float) -> str | None:
-    return None if v >= _MIN_QUALITY_SCALE else f"must be >= {_MIN_QUALITY_SCALE:g}, got {v}"
-
-
-def _translation_sd(v: float) -> str | None:
-    if 0.0 <= v <= _MAX_TRANSLATION_SD:
-        return None
-    return f"must be in [0, {_MAX_TRANSLATION_SD:g}], got {v}"
+def check_seed(seed: int) -> int:
+    """``seed`` if it lies in ``cohort.seed``'s range, which ``--seed`` shares;
+    ConfigError naming ``cohort.seed`` otherwise."""
+    return _checked("cohort.seed", seed, _SEED)
 
 
 def _load_histogram_csv(path: Path) -> EmpiricalHistogram:
@@ -260,27 +264,21 @@ def _support(reader: _SectionReader) -> tuple[float, float]:
 
 
 def _parse_distribution(reader: _SectionReader, base_dir: Path) -> FailureDistribution:
-    family = reader.get(
-        "family",
-        str,
-        check=lambda v: None
-        if v in _FAMILY_KEYS
-        else f"must be one of {sorted(_FAMILY_KEYS)}, got {v!r}",
-    )
+    family = reader.get("family", str, check=_one_of(*sorted(_FAMILY_KEYS)))
     allowed = {"family"} | _FAMILY_KEYS[family]
     reader.reject_unknown(allowed)
 
     if family == "point_mass":
-        return PointMass(reader.get("alpha", float, check=_probability(False, True)))
+        return PointMass(reader.get("alpha", float, check=_interval(0.0, 1.0, hi_open=True)))
     if family == "uniform":
         return Uniform(*_support(reader))
     if family == "beta":
-        a = reader.get("a", float, check=lambda v: None if v >= 1.0 else f"must be >= 1, got {v}")
-        b = reader.get("b", float, check=lambda v: None if v > 1.0 else f"must be > 1, got {v}")
+        a = reader.get("a", float, check=_interval(1.0, math.inf, hi_open=True))
+        b = reader.get("b", float, check=_interval(1.0, math.inf, lo_open=True, hi_open=True))
         return Beta(a, b)
     if family == "truncated_normal":
         mu = reader.get("mu", float)
-        sigma = reader.get("sigma", float, check=_positive)
+        sigma = reader.get("sigma", float, check=_POSITIVE)
         try:
             dist = TruncatedNormal(mu, sigma, *_support(reader))
         except ValueError as exc:
@@ -315,55 +313,35 @@ def parse_config(
         raise ConfigError(f"config syntax: {exc}") from None
 
     cohort = _SectionReader(parser, "cohort")
-    mode = cohort.get(
-        "mode",
-        str,
-        check=lambda v: None
-        if v in _SECTIONS_BY_MODE
-        else f"must be 'abstract' or 'kinematic', got {v!r}",
-    )
-    allowed_sections = _SECTIONS_BY_MODE[mode]
+    mode = cohort.get("mode", str, check=_one_of(*_SECTIONS_BY_MODE))
+    required, optional = _SECTIONS_BY_MODE[mode]
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"{section}: unknown section")
-        if section not in allowed_sections:
+        if section not in required + optional:
             raise ConfigError(f"{section}: section not applicable in {mode} mode")
-    for section in ("cohort", "predictor", "costs", "policy"):
+    for section in required:
         if not parser.has_section(section):
-            raise ConfigError(f"{section}: required section is missing")
-    if mode == "abstract" and not parser.has_section("distribution"):
-        raise ConfigError("distribution: required section is missing in abstract mode")
-    if mode == "kinematic" and not parser.has_section("kinematics"):
-        raise ConfigError("kinematics: required section is missing in kinematic mode")
+            raise ConfigError(f"{section}: required section is missing in {mode} mode")
 
-    n_subjects = cohort.get("subjects", int, check=lambda v: _nonneg(v))
-    seed = cohort.get(
-        "seed",
-        int,
-        default=0,
-        check=lambda v: None if 0 <= v < 2**64 else f"must be in [0, 2^64), got {v}",
-    )
+    n_subjects = cohort.get("subjects", int, check=_interval(0, _MAX_SUBJECTS))
+    seed = cohort.get("seed", int, default=0, check=_SEED)
     workers = cohort.get(
-        "workers",
-        int,
-        default=os.cpu_count() or 1,
-        check=lambda v: None if v >= 1 else f"must be >= 1, got {v}",
+        "workers", int, default=os.cpu_count() or 1, check=_interval(1, math.inf, hi_open=True)
     )
     cohort.reject_unknown()
     if seed_override is not None:
-        if not 0 <= seed_override < 2**64:
-            raise ConfigError(f"cohort.seed: override must be in [0, 2^64), got {seed_override}")
-        seed = seed_override
+        seed = check_seed(seed_override)
 
     costs = _SectionReader(parser, "costs")
-    rescan_cost = costs.get("rescan", float, check=_nonneg)
-    correction_cost = costs.get("correction", float, check=_positive)
+    rescan_cost = costs.get("rescan", float, check=_NONNEGATIVE)
+    correction_cost = costs.get("correction", float, check=_POSITIVE)
     costs.reject_unknown()
     rates = CostRates(rescan_cost=rescan_cost, correction_cost=correction_cost)
 
     policy_reader = _SectionReader(parser, "policy")
     max_rescans = policy_reader.get(
-        "max_rescans", int, default=_DEFAULT_MAX_RESCANS, check=_within(0, _MAX_RESCANS)
+        "max_rescans", int, default=_DEFAULT_MAX_RESCANS, check=_interval(0, _MAX_RESCANS)
     )
     if not math.isfinite(max_rescans * rescan_cost + correction_cost):  # the dearest subject
         raise ConfigError(
@@ -379,13 +357,7 @@ def parse_config(
     policy_reader.reject_unknown()
 
     predictor = _SectionReader(parser, "predictor")
-    kind = predictor.get(
-        "kind",
-        str,
-        check=lambda v: None
-        if v in ("confusion", "score")
-        else f"must be 'confusion' or 'score', got {v!r}",
-    )
+    kind = predictor.get("kind", str, check=_one_of("confusion", "score"))
     distribution = None
     profile = None
     score_predictor = None
@@ -399,8 +371,8 @@ def parse_config(
     if mode == "abstract":
         if kind != "confusion":
             raise ConfigError("predictor.kind: abstract mode requires 'confusion'")
-        precision = predictor.get("precision", float, check=_probability(True, False))
-        recall = predictor.get("recall", float, check=_probability(False, False))
+        precision = predictor.get("precision", float, check=_interval(0.0, 1.0, lo_open=True))
+        recall = predictor.get("recall", float, check=_interval(0.0, 1.0))
         predictor.reject_unknown()
         profile = PredictorProfile(precision=precision, recall=recall)
         dist_reader = _SectionReader(parser, "distribution")
@@ -410,25 +382,27 @@ def parse_config(
         if kind != "score":
             raise ConfigError("predictor.kind: kinematic mode requires 'score'")
         score_predictor = ScorePredictor(
-            noise_scale=predictor.get("noise_scale", float, check=_nonneg), threshold=threshold
+            noise_scale=predictor.get("noise_scale", float, check=_NONNEGATIVE), threshold=threshold
         )
         predictor.reject_unknown()
         kin = _SectionReader(parser, "kinematics")
         anatomy = SubjectAnatomy(
-            translation_scale=kin.get("translation_scale", float, check=_quality_scale),
-            rotation_scale=kin.get("rotation_scale", float, check=_quality_scale),
-            failure_cutoff=kin.get("failure_cutoff", float, check=_probability(True, True)),
+            translation_scale=kin.get("translation_scale", float, check=_QUALITY_SCALE),
+            rotation_scale=kin.get("rotation_scale", float, check=_QUALITY_SCALE),
+            failure_cutoff=kin.get(
+                "failure_cutoff", float, check=_interval(0.0, 1.0, lo_open=True, hi_open=True)
+            ),
         )
-        start_offset_t = kin.get("start_offset_t", float, check=_translation_sd)
-        start_offset_r = kin.get("start_offset_r", float, check=_rotation_sd)
+        start_offset_t = kin.get("start_offset_t", float, check=_TRANSLATION_SD)
+        start_offset_r = kin.get("start_offset_r", float, check=_ROTATION_SD)
         guidance = GuidanceNoise(
-            guidance_noise_t=kin.get("guidance_noise_t", float, default=0.0, check=_translation_sd),
-            guidance_noise_r=kin.get("guidance_noise_r", float, default=0.0, check=_rotation_sd),
+            guidance_noise_t=kin.get("guidance_noise_t", float, default=0.0, check=_TRANSLATION_SD),
+            guidance_noise_r=kin.get("guidance_noise_r", float, default=0.0, check=_ROTATION_SD),
         )
         learner = LearnerPolicy(
-            gain=kin.get("gain", float, default=1.0, check=_probability(True, False)),
-            motor_noise_t=kin.get("motor_noise_t", float, default=0.0, check=_translation_sd),
-            motor_noise_r=kin.get("motor_noise_r", float, default=0.0, check=_rotation_sd),
+            gain=kin.get("gain", float, default=1.0, check=_interval(0.0, 1.0, lo_open=True)),
+            motor_noise_t=kin.get("motor_noise_t", float, default=0.0, check=_TRANSLATION_SD),
+            motor_noise_r=kin.get("motor_noise_r", float, default=0.0, check=_ROTATION_SD),
         )
         kin.reject_unknown()
         echoed.append(kin)
@@ -438,11 +412,15 @@ def parse_config(
         sweep = _SectionReader(parser, "sweep")
         tau_start = sweep.get("tau_start", float)
         tau_stop = sweep.get("tau_stop", float)
-        tau_steps = sweep.get("tau_steps", int, check=_within(1, _MAX_TAU_STEPS))
+        tau_steps = sweep.get("tau_steps", int, check=_interval(1, _MAX_TAU_STEPS))
         sweep.reject_unknown()
         if tau_start > tau_stop:
             raise ConfigError(
                 f"sweep.tau_start: must be <= tau_stop, got {tau_start} > {tau_stop}"
+            )
+        if not math.isfinite(tau_stop - tau_start):  # np.linspace would make nan and inf
+            raise ConfigError(
+                f"sweep.tau_stop: tau_stop - tau_start must be finite, got {tau_stop} - {tau_start}"
             )
         sweep_thresholds = tuple(float(t) for t in np.linspace(tau_start, tau_stop, tau_steps))
         echoed.append(sweep)

@@ -941,6 +941,68 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_names_seed(self, tmp_path, capsys, seed):
+        from scanloop.cli import main
+
+        document = config_document("abstract", "point_mass", ("cohort", "seed", str(seed)))
+        code, err = run_in_process("abstract", write_config(tmp_path, document), tmp_path, capsys)
+        assert code == 2 and err.startswith("config error: cohort.seed: "), err
+        config = write_config(tmp_path, config_document("abstract", "point_mass"), "valid.ini")
+        for command in ("simulate", "ratio", "table1"):
+            argv = [command, "--config", str(config), f"--seed={seed}", "--out", str(tmp_path)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("config error: cohort.seed: ")
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_run(self, tmp_path, capsys, seed):
+        from scanloop.cli import main
+
+        document = config_document("abstract", "point_mass", ("cohort", "seed", str(seed)))
+        config = write_config(tmp_path, document)
+        code, err = run_in_process("abstract", config, tmp_path / "document", capsys)
+        assert code == 0, err
+        plain = write_config(tmp_path, config_document("abstract", "point_mass"), "plain.ini")
+        out = tmp_path / "override"
+        argv = ["simulate", "--config", str(plain), f"--seed={seed}", "--out", str(out)]
+        assert main(argv) == 0
+        for run in ("document", "override"):
+            report = json.loads((tmp_path / run / "report.json").read_text())
+            assert report["manifest"]["master_seed"] == seed
+        assert (tmp_path / "document" / "subjects.csv").read_bytes() == (
+            out / "subjects.csv"
+        ).read_bytes()
+
+    def test_cohort_past_the_cap_is_refused_before_any_simulation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from scanloop import cli
+
+        def no_cohort(*args):
+            raise AssertionError("a cohort of 10^12 subjects ran")
+
+        # A cohort this large fills memory while it is cut into units.
+        monkeypatch.setattr(cli, "run_cohort", no_cohort)
+        document = config_document("abstract", "point_mass", ("cohort", "subjects", str(10**12)))
+        code, err = run_in_process("abstract", write_config(tmp_path, document), tmp_path, capsys)
+        assert code == 2, err
+        assert "cohort.subjects: must be in [0, 10000000], got 1000000000000" in err
+
+    @pytest.mark.parametrize(
+        "start, stop", [("-1e308", "1e308"), ("-1.7976931348623157e308", "1e300")]
+    )
+    def test_sweep_span_past_the_largest_double_is_refused(self, tmp_path, capsys, start, stop):
+        # linspace from -1e308 to 1e308 gives [nan, inf, inf, inf, 1e308], and
+        # the one cohort run, at their max(), nan, never flags
+        from scanloop.cli import main
+
+        extra = f"\n[sweep]\ntau_start = {start}\ntau_stop = {stop}\ntau_steps = 5\n"
+        config = write_config(tmp_path, kinematic_config(subjects=5, extra=extra))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep.tau_stop: ")
+        assert not (tmp_path / "out").exists()
+
 
 # Every float key of both modes: (mode, distribution family or None, section, key).
 FLOAT_KEYS = [

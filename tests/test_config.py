@@ -1,6 +1,7 @@
 """Config parsing: validation messages, defaults, digests, and manifests."""
 
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +76,45 @@ start_offset_r = 0.2
 def _with(text: str, old: str, new: str) -> str:
     assert old in text
     return text.replace(old, new)
+
+
+def _without(text: str, section: str) -> str:
+    """``text`` without ``[section]`` and its keys."""
+    before, after = text.split(f"[{section}]\n")
+    _, sep, rest = after.partition("\n[")
+    return before + sep.lstrip("\n") + rest
+
+
+def _set(text: str, section: str, key: str, value: str) -> str:
+    """``text`` with ``section.key`` set to ``value``, added if absent."""
+    head = f"[{section}]\n"
+    before, after = text.split(head)
+    body, sep, rest = after.partition("\n[")
+    body = "\n".join(line for line in body.split("\n") if not line.startswith(f"{key} ="))
+    return f"{before}{head}{key} = {value}\n{body}{sep}{rest}"
+
+
+UNIFORM = "family = uniform\nlo = 0.1\nhi = 0.3"
+POINT_MASS = _with(ABSTRACT, UNIFORM, "family = point_mass\nalpha = 0.2")
+BETA = _with(ABSTRACT, UNIFORM, "family = beta\na = 2\nb = 8")
+TRUNCATED_NORMAL = _with(
+    ABSTRACT, UNIFORM, "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6"
+)
+
+
+# Refused values and the complaint after ``section.key: ``, one per kind of end.
+MESSAGES = [
+    (ABSTRACT, "cohort", "seed", "-1", "must be in [0, 18446744073709551615], got -1"),
+    (ABSTRACT, "cohort", "workers", "0", "must be in [1, inf), got 0"),
+    (ABSTRACT, "costs", "rescan", "-1", "must be in [0, inf), got -1.0"),
+    (ABSTRACT, "predictor", "precision", "0", "must be in (0, 1], got 0.0"),
+    (BETA, "distribution", "b", "1", "must be in (1, inf), got 1.0"),
+    (KINEMATIC, "kinematics", "start_offset_r", "4", "must be in [0, 3.141592653589793], got 4.0"),
+    (KINEMATIC, "kinematics", "translation_scale", "0", "must be in [1e-06, inf), got 0.0"),
+    (KINEMATIC, "kinematics", "start_offset_t", "2e6", "must be in [0, 1e+06], got 2000000.0"),
+    (ABSTRACT, "cohort", "mode", "x", "must be one of ['abstract', 'kinematic'], got 'x'"),
+    (KINEMATIC, "predictor", "kind", "x", "must be one of ['confusion', 'score'], got 'x'"),
+]
 
 
 class TestAbstractParsing:
@@ -214,6 +254,25 @@ class TestValidationErrors:
         with pytest.raises(ConfigError, match="costs: required section"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text, mode, order",
+        [
+            (ABSTRACT, "abstract", ("predictor", "costs", "policy", "distribution")),
+            (KINEMATIC, "kinematic", ("predictor", "costs", "policy", "kinematics")),
+        ],
+        ids=["abstract", "kinematic"],
+    )
+    def test_missing_sections_reported_in_order(self, text, mode, order):
+        # with the sections from the i-th on left out, the i-th is reported
+        for i, section in enumerate(order):
+            missing = text
+            for gone in order[i:]:
+                missing = _without(missing, gone)
+            with pytest.raises(
+                ConfigError, match=rf"^{section}: required section is missing in {mode} mode$"
+            ):
+                parse_config(missing)
+
     def test_unparseable_number(self):
         with pytest.raises(ConfigError, match=r"cohort\.subjects.*integer"):
             parse_config(_with(ABSTRACT, "subjects = 100", "subjects = many"))
@@ -275,6 +334,12 @@ class TestValidationErrors:
         with pytest.raises(ConfigError, match=r"sweep\.tau_start"):
             parse_config(text)
 
+    def test_widest_finite_sweep_span_accepted(self):
+        text = KINEMATIC + "\n[sweep]\ntau_start = -8e307\ntau_stop = 8e307\ntau_steps = 5\n"
+        thresholds = parse_config(text).sweep_thresholds
+        assert thresholds[0] == -8e307 and thresholds[-1] == 8e307
+        assert all(map(math.isfinite, thresholds)) and list(thresholds) == sorted(thresholds)
+
     def test_syntax_error_wrapped(self):
         with pytest.raises(ConfigError, match="config syntax"):
             parse_config("not an ini file at all\n")
@@ -282,6 +347,80 @@ class TestValidationErrors:
     def test_negative_subjects(self):
         with pytest.raises(ConfigError, match=r"cohort\.subjects"):
             parse_config(_with(ABSTRACT, "subjects = 100", "subjects = -1"))
+
+    def test_override_does_not_excuse_a_bad_document_seed(self):
+        with pytest.raises(ConfigError, match=r"^cohort\.seed: "):
+            parse_config(_with(ABSTRACT, "seed = 5", "seed = -1"), seed_override=3)
+
+    @pytest.mark.parametrize(
+        "text, section, key, value, complaint",
+        MESSAGES,
+        ids=[f"{section}.{key}" for _, section, key, *_ in MESSAGES],
+    )
+    def test_bound_and_choice_messages(self, text, section, key, value, complaint):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_set(text, section, key, value))
+        assert str(err.value) == f"{section}.{key}: {complaint}"
+
+
+SWEEP = KINEMATIC + "\n[sweep]\ntau_start = 0.5\ntau_stop = 0.9\ntau_steps = 5\n"
+TRANSLATION_SD = (0.0, False, 1e6, False)
+ROTATION_SD = (0.0, False, math.pi, False)
+QUALITY_SCALE = (1e-6, False, math.inf, True)
+
+# Every key with an interval check: (document, section, key, (lo, lo_open, hi,
+# hi_open)).  Int keys have int ends; an infinite end has nothing to test.
+BOUNDS = [
+    (ABSTRACT, "cohort", "seed", (0, False, 2**64 - 1, False)),
+    (ABSTRACT, "cohort", "subjects", (0, False, 10_000_000, False)),
+    (ABSTRACT, "cohort", "workers", (1, False, math.inf, True)),
+    (ABSTRACT, "costs", "rescan", (0.0, False, math.inf, True)),
+    (ABSTRACT, "costs", "correction", (0.0, True, math.inf, True)),
+    (ABSTRACT, "policy", "max_rescans", (0, False, 10_000, False)),
+    (ABSTRACT, "predictor", "precision", (0.0, True, 1.0, False)),
+    (ABSTRACT, "predictor", "recall", (0.0, False, 1.0, False)),
+    (POINT_MASS, "distribution", "alpha", (0.0, False, 1.0, True)),
+    (BETA, "distribution", "a", (1.0, False, math.inf, True)),
+    (BETA, "distribution", "b", (1.0, True, math.inf, True)),
+    (TRUNCATED_NORMAL, "distribution", "sigma", (0.0, True, math.inf, True)),
+    (KINEMATIC, "predictor", "noise_scale", (0.0, False, math.inf, True)),
+    (KINEMATIC, "kinematics", "translation_scale", QUALITY_SCALE),
+    (KINEMATIC, "kinematics", "rotation_scale", QUALITY_SCALE),
+    (KINEMATIC, "kinematics", "failure_cutoff", (0.0, True, 1.0, True)),
+    (KINEMATIC, "kinematics", "start_offset_t", TRANSLATION_SD),
+    (KINEMATIC, "kinematics", "start_offset_r", ROTATION_SD),
+    (KINEMATIC, "kinematics", "guidance_noise_t", TRANSLATION_SD),
+    (KINEMATIC, "kinematics", "guidance_noise_r", ROTATION_SD),
+    (KINEMATIC, "kinematics", "gain", (0.0, True, 1.0, False)),
+    (KINEMATIC, "kinematics", "motor_noise_t", TRANSLATION_SD),
+    (KINEMATIC, "kinematics", "motor_noise_r", ROTATION_SD),
+    (SWEEP, "sweep", "tau_steps", (1, False, 10_000, False)),
+]
+
+
+def _bound_cases():
+    """Per finite end: (the value nearest it inside the interval, the nearest outside)."""
+    for text, section, key, (lo, lo_open, hi, hi_open) in BOUNDS:
+        for end, is_open, outward, side in ((lo, lo_open, -1, "lo"), (hi, hi_open, 1, "hi")):
+            if math.isinf(end):
+                continue
+            if isinstance(end, int):
+                closest = (end - outward, end) if is_open else (end, end + outward)
+            elif is_open:
+                closest = (math.nextafter(end, -outward * math.inf), end)
+            else:
+                closest = (end, math.nextafter(end, outward * math.inf))
+            yield pytest.param(text, section, key, *closest, id=f"{section}.{key}-{side}")
+
+
+class TestBounds:
+    """Each interval check's ends, open or closed, as the config documents them."""
+
+    @pytest.mark.parametrize("text, section, key, inside, outside", list(_bound_cases()))
+    def test_end_accepted_inside_refused_outside(self, text, section, key, inside, outside):
+        parse_config(_set(text, section, key, repr(inside)))
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            parse_config(_set(text, section, key, repr(outside)))
 
 
 # The digests of the shipped configs, which every report made from them names.
