@@ -58,8 +58,8 @@ if TYPE_CHECKING:
 class SubjectRecord(NamedTuple):
     """What one subject's loop drew, scan by scan: whether each scan truly
     failed and whether it was flagged, and in kinematic mode its image quality
-    and score (None in abstract mode).  ``SubjectTable.from_records`` derives
-    the subject's tallies and cost from these outcomes."""
+    and score (None in abstract mode).  ``SubjectTable.from_records`` flattens
+    these into the table, which derives the subject's tallies and cost."""
 
     alpha: float | None
     fails: list[bool]
@@ -148,74 +148,77 @@ SUBJECT_COLUMNS = (
 
 
 class SubjectTable:
-    """Column-oriented store of subjects' outcomes for large cohorts.
+    """Column-oriented store of what subjects' loops drew, for large cohorts.
 
-    Holds ``alpha`` (NaN where not applicable, in kinematic mode), one numpy
-    column per entry of ``SUBJECT_COLUMNS``, and ``quality`` and ``score``:
-    every scan's image quality and noisy score, one subject after another,
-    empty in abstract mode.  A subject's scans are its ``scans`` entries from
-    offset ``cumsum(scans) - scans``, so million-subject cohorts stay cheap to
-    hold, aggregate, and serialize.
+    Stores per subject ``alpha`` (NaN in kinematic mode) and ``scans``, and
+    per scan, one subject after another, ``failed`` and ``flagged`` and, empty
+    in abstract mode, ``quality`` and ``score``; subject i's scans start at
+    ``starts[i]``.  The constructor derives the ``SUBJECT_COLUMNS`` once, at
+    the cost ``rates``.  Tallies count every scan, the last included.
+    ``first_fail``, whether the first scan truly failed, prices the subject
+    with no loop under the same draws.  Every scan but the last bought a
+    re-scan; the last is kept and pays a correction when it truly failed.
     """
 
-    def __init__(self, alpha: np.ndarray, quality: np.ndarray, score: np.ndarray, **columns):
-        if sorted(columns) != sorted(SUBJECT_COLUMNS):
-            raise ValueError(f"columns must be {list(SUBJECT_COLUMNS)}, got {list(columns)}")
-        n = len(alpha)
-        for name, values in columns.items():
-            if len(values) != n:
-                raise ValueError(f"column {name} has mismatched length")
-            setattr(self, name, values)
-        if not {len(quality), len(score)} <= {0, int(self.scans.sum())}:
+    def __init__(self, alpha, scans, failed, flagged, quality, score, rates: CostRates):
+        n, total = len(alpha), int(scans.sum())
+        if len(scans) != n:
+            raise ValueError("column scans has mismatched length: one per subject")
+        if not len(failed) == len(flagged) == total:
+            raise ValueError("failed or flagged column has mismatched length: one per scan")
+        if not {len(quality), len(score)} <= {0, total}:
             raise ValueError("quality or score column has mismatched length: one per scan, or none")
-        self.alpha, self.quality, self.score = alpha, quality, score
+        self.alpha, self.scans, self.failed, self.flagged = alpha, scans, failed, flagged
+        self.quality, self.score, self.rates = quality, score, rates
+        self.starts = np.cumsum(scans) - scans
+        subject = np.repeat(np.arange(n), scans)  # each scan's subject
+        self.rescans = scans - 1
+        self.first_fail = failed[self.starts]
+        self.final_true_fail = failed[self.starts + self.rescans]
+        correction = np.where(self.final_true_fail, rates.correction_cost, 0.0)
+        self.cost = self.rescans * rates.rescan_cost + correction
+        self.flagged_scans = np.bincount(subject[flagged], minlength=n)
+        self.failed_scans = np.bincount(subject[failed], minlength=n)
+        self.flagged_failed_scans = np.bincount(subject[failed & flagged], minlength=n)
 
     @classmethod
     def from_records(cls, records: list[SubjectRecord], rates: CostRates) -> "SubjectTable":
-        """The table of ``records``, in order.
-
-        Tallies count every scan a subject underwent, the last one included.
-        ``first_fail`` is whether the first scan truly failed: the cost the
-        subject would have incurred with no loop at all, under the same
-        draws.  Every scan but the last bought a re-scan; the last is kept
-        and pays a correction when it truly failed (``final_true_fail``).
-        """
+        """The table of ``records``, in order."""
         alpha, fails, flags, quality, scores = zip(*records) if records else ((),) * 5
-        n = len(records)
-        scans = np.fromiter(map(len, fails), np.int64, n)
+        scans = np.fromiter(map(len, fails), np.int64, len(records))
         total = int(scans.sum())
-        failed = np.fromiter(itertools.chain.from_iterable(fails), np.bool_, total)
-        flagged = np.fromiter(itertools.chain.from_iterable(flags), np.bool_, total)
-        # each scan's subject, and each subject's last scan
-        subject = np.repeat(np.arange(n), scans)
-        last = np.cumsum(scans) - 1
-        rescans = scans - 1
-        final_true_fail = failed[last]
         return cls(
-            # numpy stores a None alpha (kinematic mode) as NaN
-            alpha=np.array(alpha, dtype=np.float64),
+            np.array(alpha, dtype=np.float64),  # a None alpha (kinematic mode) is NaN
+            scans,
+            np.fromiter(itertools.chain.from_iterable(fails), np.bool_, total),
+            np.fromiter(itertools.chain.from_iterable(flags), np.bool_, total),
             # an abstract record's quality and scores are None and add no entry
-            quality=np.fromiter(itertools.chain.from_iterable(filter(None, quality)), np.float64),
-            score=np.fromiter(itertools.chain.from_iterable(filter(None, scores)), np.float64),
-            scans=scans,
-            rescans=rescans,
-            first_fail=failed[last - rescans],
-            final_true_fail=final_true_fail,
-            cost=rescans * rates.rescan_cost
-            + np.where(final_true_fail, rates.correction_cost, 0.0),
-            flagged_scans=np.bincount(subject[flagged], minlength=n),
-            failed_scans=np.bincount(subject[failed], minlength=n),
-            flagged_failed_scans=np.bincount(subject[failed & flagged], minlength=n),
+            np.fromiter(itertools.chain.from_iterable(filter(None, quality)), np.float64),
+            np.fromiter(itertools.chain.from_iterable(filter(None, scores)), np.float64),
+            rates,
         )
 
     @classmethod
     def concatenate(cls, parts: list["SubjectTable"]) -> "SubjectTable":
-        return cls(
-            **{
-                name: np.concatenate([getattr(p, name) for p in parts])
-                for name in ("alpha", "quality", "score", *SUBJECT_COLUMNS)
-            },
-        )
+        """The subjects of ``parts``, in order, at the first part's rates."""
+        drawn = ("alpha", "scans", "failed", "flagged", "quality", "score")
+        columns = (np.concatenate([getattr(p, name) for p in parts]) for name in drawn)
+        return cls(*columns, parts[0].rates)
+
+    def truncated(self, flagged: np.ndarray) -> "SubjectTable":
+        """Each subject's run cut after its first scan that ``flagged`` (one
+        entry per scan) leaves unflagged, with ``flagged`` as its flags: the
+        run of a loop that draws every scan the same way and flags by
+        ``flagged``, where ``flagged`` flags no scan that this run did not."""
+        index = np.arange(len(flagged))
+        last = np.repeat(self.starts + self.rescans, self.scans)
+        where = np.where(flagged, last, index)
+        # np.minimum.reduceat refuses an empty list of offsets
+        stop = np.minimum.reduceat(where, self.starts) if len(self) else self.starts
+        keep = index <= np.repeat(stop, self.scans)
+        quality, score = (c[keep] if c.size else c for c in (self.quality, self.score))
+        failed, scans = self.failed[keep], stop - self.starts + 1
+        return SubjectTable(self.alpha, scans, failed, flagged[keep], quality, score, self.rates)
 
     def __len__(self) -> int:
         return len(self.alpha)
@@ -224,9 +227,8 @@ class SubjectTable:
         """Each subject's quality at scan index ``scan`` (the first scan is 0),
         or at its last scan when ``scan`` is None; a subject that stopped
         before ``scan`` keeps its last quality."""
-        last = self.scans - 1
-        offsets = np.cumsum(self.scans) - self.scans
-        return self.quality[offsets + (last if scan is None else np.minimum(scan, last))]
+        last = self.rescans
+        return self.quality[self.starts + (last if scan is None else np.minimum(scan, last))]
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition_loop import _empirical_ratio, _finite, empirical_vs_analytic, run_cohort
+from .acquisition_loop import _aggregate, empirical_vs_analytic, run_cohort
 from .alpha_distributions import expected_cost_ratio, mean_alpha
 from .config import build_manifest, check_seed, parse_config
 from .cost_model import (
@@ -143,7 +143,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
             "reduction_pct": reduction_pct,
         },
         "breakeven": {
-            "precision_bound": bound,
+            "precision_bound": bound if math.isfinite(bound) else None,
             "feasible": feasible,
             "met_by_configured_precision": profile.precision > bound,
         },
@@ -206,11 +206,10 @@ SWEEP_HEADER = (
 )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as acquisition_loop._empirical_ratio
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Every threshold's row from one cohort run at the largest: a subject's
     stream is consumed the same way whatever the threshold, so its run at tau
-    is that run up to its first scan that tau does not flag.  First scans
+    is ``SubjectTable.truncated`` at the flags ``score < tau``.  First scans
     precede any guided move, so their tallies estimate the raw operating point."""
     config = _load_config(args, modes=("kinematic",))
     if config.sweep_thresholds is None:
@@ -219,19 +218,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rates, budget = config.rates, config.max_rescans
     predictor = dataclasses.replace(config.score_predictor, threshold=max(config.sweep_thresholds))
     table = run_cohort(dataclasses.replace(config, score_predictor=predictor)).table
-    n, scans, scores, first_fail = len(table), table.scans, table.score, table.first_fail
-    starts = np.cumsum(scans) - scans
-    # each scan's index, and the index of its subject's last scan
-    index, last = np.arange(len(scores)), np.repeat(starts + scans - 1, scans)
-    # each scan's correction cost, were it the one kept
-    correction = np.where(table.quality < config.anatomy.failure_cutoff, rates.correction_cost, 0.0)
-    alpha_hat = float(first_fail.mean()) if n > 0 else math.nan
+    first_fail = table.first_fail
+    alpha_hat = float(first_fail.mean()) if len(table) > 0 else math.nan
     rows = []
     for tau in config.sweep_thresholds:
-        # np.minimum.reduceat refuses an empty list of offsets
-        stop = np.minimum.reduceat(np.where(scores < tau, last, index), starts) if n > 0 else starts
-        cost = (stop - starts) * rates.rescan_cost + correction[stop]
-        flagged = scores[starts] < tau
+        run = table.truncated(table.score < tau)
+        flagged = run.flagged[run.starts]
         hits = int((flagged & first_fail).sum())
         precision = hits / int(flagged.sum()) if flagged.any() else None
         recall = hits / int(first_fail.sum()) if first_fail.any() else None
@@ -240,9 +232,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if precision and recall is not None and 0.0 < alpha_hat < 1.0:
             profile = PredictorProfile(precision, recall)
             plugin = budgeted_cost_at(alpha_hat, profile, rates.quotient, budget) / alpha_hat
-        mean_cost = _finite(float(cost.mean())) if n > 0 else None
-        ratio = _empirical_ratio(cost, first_fail, rates)
-        rows.append([tau, alpha_hat, precision, recall, plugin, mean_cost, ratio, 0, 0])
+        agg = _aggregate(run, rates, None)
+        cost, ratio = agg.mean_cost, agg.empirical_cost_ratio
+        rows.append([tau, alpha_hat, precision, recall, plugin, cost, ratio, 0, 0])
 
     # Mark the first row of least simulated cost and of least plug-in ratio.
     for value, mark in (("mean_cost", "best_simulated"), ("plugin_cost_ratio", "best_plugin")):
@@ -271,14 +263,13 @@ def cmd_guidance(args: argparse.Namespace) -> int:
 
     # One row per scan: the subject's id repeated over its scans, the scan's
     # index among them and the scan's quality.
-    starts = np.cumsum(table.scans) - table.scans
     out = Path(config.out_dir)
     write_csv(
         out / "trajectories.csv",
         ("subject_id", "scan_index", "quality"),
         [
             np.repeat(np.arange(len(table)), table.scans),
-            np.arange(len(table.quality)) - np.repeat(starts, table.scans),
+            np.arange(len(table.quality)) - np.repeat(table.starts, table.scans),
             table.quality,
         ],
         report.manifest,

@@ -147,7 +147,8 @@ def budgeted_cost_at(
     k = max_rescans
     rescans = flag * _geometric_sum(miss, k)
     corrections = a * (1.0 - r) * _geometric_sum(miss, k + 1) + a * r * flag**k
-    return cost_quotient * rescans + corrections
+    # no expected re-scan costs nothing, also at an infinite cost quotient
+    return cost_quotient * rescans + corrections if rescans else corrections
 
 
 def breakeven_precision(alpha: float, cost_quotient: float) -> float:

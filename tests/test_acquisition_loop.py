@@ -85,7 +85,7 @@ def _abstract_config(
     )
 
 
-def _kinematic_config(n, seed=0, workers=1, threshold=0.7, noise_scale=0.05):
+def _kinematic_config(n, seed=0, workers=1, threshold=0.7, noise_scale=0.05, max_rescans=10):
     return parse_config(
         f"""
         [cohort]
@@ -103,7 +103,7 @@ def _kinematic_config(n, seed=0, workers=1, threshold=0.7, noise_scale=0.05):
         correction = 1.0
 
         [policy]
-        max_rescans = 10
+        max_rescans = {max_rescans}
         threshold = {threshold}
 
         [kinematics]
@@ -311,20 +311,63 @@ class TestSubjectTable:
 
     def test_mismatched_columns_rejected(self):
         good = SubjectTable.from_records(self._records(5), RATES)
-        with pytest.raises(ValueError, match="mismatched"):
-            SubjectTable(
-                alpha=good.alpha,
-                quality=good.quality,
-                score=good.score,
-                scans=good.scans[:3],
-                rescans=good.rescans,
-                first_fail=good.first_fail,
-                final_true_fail=good.final_true_fail,
-                cost=good.cost,
-                flagged_scans=good.flagged_scans,
-                failed_scans=good.failed_scans,
-                flagged_failed_scans=good.flagged_failed_scans,
+        drawn = dict(
+            alpha=good.alpha,
+            scans=good.scans,
+            failed=good.failed,
+            flagged=good.flagged,
+            quality=good.quality,
+            score=good.score,
+            rates=RATES,
+        )
+        SubjectTable(**drawn)
+        # one entry per subject, and one failure and one flag per scan
+        for name, column in (
+            ("scans", good.scans[:3]),
+            ("scans", np.append(good.scans, 1)),
+            ("failed", good.failed[:-1]),
+            ("failed", np.append(good.failed, True)),
+            ("flagged", good.flagged[:-1]),
+            ("flagged", np.append(good.flagged, False)),
+        ):
+            with pytest.raises(ValueError, match=f"{name}.*mismatched"):
+                SubjectTable(**{**drawn, name: column})
+
+
+# the columns a table stores, then those it derives
+_ALL_COLUMNS = ("alpha", "scans", "failed", "flagged", "quality", "score", *SUBJECT_COLUMNS)
+
+
+class TestTruncated:
+    @pytest.mark.parametrize("n", [0, 700])
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.1])
+    @pytest.mark.parametrize("max_rescans", [0, 1, 3, 10])
+    def test_cut_run_is_the_run_at_the_lower_threshold(self, max_rescans, noise_scale, n):
+        # a kinematic subject draws the same way whatever its threshold, so its
+        # run at tau' is its run at 0.9 cut at its first scan not below tau'
+        def table_at(tau):
+            config = _kinematic_config(
+                n, seed=67, threshold=tau, noise_scale=noise_scale, max_rescans=max_rescans
             )
+            return run_cohort(config).table
+
+        table = table_at(0.9)
+        for tau in np.linspace(0.0, 0.9, 10).tolist():
+            got, want = table.truncated(table.score < tau), table_at(tau)
+            for name in _ALL_COLUMNS:
+                column, expected = getattr(got, name), getattr(want, name)
+                assert column.dtype == expected.dtype, (tau, name)
+                assert column.tobytes() == expected.tobytes(), (tau, name)
+
+    def test_all_flagged_keeps_every_scan(self):
+        table = SubjectTable.from_records(
+            [SubjectRecord(0.2, [True, False, True], [True, True, True])], RATES
+        )
+        got = table.truncated(np.ones(3, dtype=np.bool_))
+        assert got.scans.tolist() == [3] and got.cost.tolist() == [2 * 0.1 + 1.0]
+        got = table.truncated(np.array([True, False, True]))
+        assert got.scans.tolist() == [2] and got.cost.tolist() == [0.1]
+        assert got.flagged.tolist() == [True, False] and len(got.quality) == 0
 
 
 @st.composite
@@ -429,7 +472,7 @@ class TestFromRecords:
         ]
         got = SubjectTable.concatenate(blocks)
         want = SubjectTable.from_records(records, rates)
-        for name in ("alpha", "quality", "score", *SUBJECT_COLUMNS):
+        for name in _ALL_COLUMNS:
             column, expected = getattr(got, name), getattr(want, name)
             assert column.dtype == expected.dtype, name
             assert column.tobytes() == expected.tobytes(), name
@@ -484,11 +527,18 @@ class TestQualityColumn:
 
     def test_length_must_match_scans(self):
         table = self._table()
-        columns = {name: getattr(table, name) for name in SUBJECT_COLUMNS}
-        with pytest.raises(ValueError, match="quality"):
-            SubjectTable(alpha=table.alpha, quality=table.quality[:5], score=table.score, **columns)
-        with pytest.raises(ValueError, match="score"):
-            SubjectTable(alpha=table.alpha, quality=table.quality, score=table.score[:5], **columns)
+        drawn = (table.alpha, table.scans, table.failed, table.flagged)
+        empty = np.empty(0)
+        # one entry per scan, or none
+        SubjectTable(*drawn, empty, empty, RATES)
+        for quality, score in (
+            (table.quality[:5], table.score),
+            (table.quality, table.score[:5]),
+            (np.append(table.quality, 0.5), table.score),
+            (table.quality, np.append(table.score, 0.5)),
+        ):
+            with pytest.raises(ValueError, match="quality or score"):
+                SubjectTable(*drawn, quality, score, RATES)
 
 
 @functools.cache
@@ -802,7 +852,7 @@ class TestRunCohort:
         assert {stop - start for start, stop in units[:-1]} == {1024}
         assert len(units) == 20 and units[-1] == (19 * 1024, 20_000)
         want = run_cohort(_abstract_config(20_000, seed=59)).table
-        for name in ("alpha", "quality", "score", *SUBJECT_COLUMNS):
+        for name in _ALL_COLUMNS:
             assert getattr(table, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_first_subjects_pinned(self):

@@ -204,6 +204,15 @@ def seed_7_costs(recall: float, rescan: float, correction: float) -> tuple[str, 
     return fixed_document(truncated_normal, 0.8, recall, rescan, correction, cohort, policy)
 
 
+def never_rescans(
+    recall: float, rescan: float, correction: float, max_rescans: int
+) -> tuple[str, str]:
+    """Two subjects at alpha = 0.2 whose loop never re-scans (recall 0, or no
+    re-scan budget), at a cost quotient that may leave the range of doubles."""
+    point_mass, policy = "family = point_mass\nalpha = 0.2", f"max_rescans = {max_rescans}\n"
+    return fixed_document(point_mass, 0.8, recall, rescan, correction, policy=policy)
+
+
 def far_tail(lo: float) -> tuple[str, str]:
     """Two subjects of Normal(0, 0.01) truncated to [lo, 0.5]: at lo = 0.381,
     38.1 sigma out, the normal CDF at lo, and so the mass between the bounds,
@@ -265,6 +274,10 @@ def check_outcome(code: int, err: str, written: dict[str, str], expected: list[s
 @example(document=huge_quotient(0.3, sys.float_info.max, 1.0), command="simulate")
 @example(document=far_tail(0.381), command="ratio")
 @example(document=far_tail(0.381), command="simulate")
+@example(document=never_rescans(0.8, 1e308, 1e-308, 0), command="ratio")
+@example(document=never_rescans(0.8, 1e308, 1e-308, 0), command="simulate")
+@example(document=never_rescans(0.0, 1.0, 5e-324, 3), command="ratio")
+@example(document=never_rescans(0.0, 1.0, 5e-324, 3), command="simulate")
 @settings(max_examples=300, deadline=None)
 def test_any_abstract_config_ends_in_a_documented_exit_code(document, command):
     expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]
@@ -281,6 +294,31 @@ def test_far_tail_support_exits_2_naming_lo(command):
     assert code == 0, err
     expected = ["ratio.json"] if command == "ratio" else ["report.json", "subjects.csv"]
     assert list(written) == expected
+
+
+@pytest.mark.parametrize(
+    "recall, rescan, correction, max_rescans",
+    [(0.8, 1e308, 1e-308, 0), (0.0, 1.0, 5e-324, 3)],
+    ids=["no-budget", "recall-0"],
+)
+def test_a_loop_that_never_rescans_has_a_ratio_at_any_cost_quotient(
+    recall, rescan, correction, max_rescans
+):
+    # rescan / correction is infinite, but no re-scan is ever paid for
+    document = never_rescans(recall, rescan, correction, max_rescans)
+    code, err, written = run_main("ratio", *document)
+    assert code == 0, err
+    ratio = json.loads(written["ratio.json"])
+    code, err, written = run_main("ratio", *never_rescans(recall, 0.1, 1.0, max_rescans))
+    assert code == 0, err
+    usual = json.loads(written["ratio.json"])
+    assert ratio["population"]["cost_ratio"].hex() == usual["population"]["cost_ratio"].hex()
+    assert ratio["breakeven"]["precision_bound"] is None
+    assert usual["breakeven"]["precision_bound"] == 0.2 + 0.1
+    code, err, written = run_main("simulate", *document)
+    assert code == 0, err
+    report = json.loads(written["report.json"])
+    assert report["aggregates"]["analytic_cost_ratio"] == ratio["population"]["cost_ratio"]
 
 
 @given(text=kinematic_documents())
