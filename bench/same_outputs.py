@@ -29,8 +29,9 @@ The CSVs carry 12 significant digits, so a change in the last bits of a
 simulated value can leave every file the same.  So each checkout also builds
 ``run_cohort(parse_config(...))`` in process for every config above at every
 ``--seeds`` value (at ``workers`` 1) and prints the sha256 of the raw bytes of
-each ``SubjectTable`` column: ``alpha``, ``quality``, ``score`` and each name
-in ``SUBJECT_COLUMNS``.  The two sides must agree on every digest.
+each ``SubjectTable`` column: ``alpha``, the per-scan ``failed``, ``flagged``,
+``quality`` and ``score``, and each name in ``SUBJECT_COLUMNS``.  The two
+sides must agree on every digest.
 
 The script names each run that failed, each file that differs and each column
 that differs and exits 1, or exits 0 when every run succeeded and every byte
@@ -106,7 +107,7 @@ for path, seed in zip(sys.argv[1::2], sys.argv[2::2]):
     path = Path(path)
     text = path.read_text(encoding="utf-8-sig")
     table = run_cohort(parse_config(text, base_dir=path.parent, seed_override=int(seed))).table
-    for name in ("alpha", "quality", "score", *SUBJECT_COLUMNS):
+    for name in ("alpha", "failed", "flagged", "quality", "score", *SUBJECT_COLUMNS):
         column = getattr(table, name)
         digest = hashlib.sha256(column.tobytes()).hexdigest()
         print(f"{path.name} seed={seed}\\t{name}\\t{column.dtype.str} {digest}")

@@ -51,7 +51,6 @@ from .probe_kinematics import (
 from .streams import BLOCK, block_uniforms, subject_stream, uniforms_past_block
 
 if TYPE_CHECKING:
-    from .alpha_distributions import FailureDistribution
     from .config import ExperimentConfig
 
 
@@ -253,13 +252,12 @@ class CohortAggregates:
 
 @dataclass(frozen=True, slots=True)
 class SimulationReport:
-    """Cohort results: config echo, per-subject table, aggregates, manifest."""
+    """Cohort results: the config that ran, whose mode, echo and manifest the
+    report files carry, the per-subject table and its aggregates."""
 
-    mode: str
-    config: dict
+    config: "ExperimentConfig"
     table: SubjectTable
     aggregates: CohortAggregates
-    manifest: dict
 
 
 def _finite(value: float) -> float | None:
@@ -271,19 +269,20 @@ def _finite(value: float) -> float | None:
 # numpy stays quiet when a sum or spread of extreme costs overflows: each
 # figure that leaves the range of doubles is None
 @np.errstate(over="ignore", invalid="ignore")
-def _empirical_ratio(cost: np.ndarray, first_fail: np.ndarray, rates: CostRates) -> float | None:
+def _empirical_ratio(table: SubjectTable) -> float | None:
     """Paired estimator: looped cost over the cost the same draws would have
-    incurred with no loop (correction on first-scan failure)."""
-    baseline = rates.correction_cost * float(first_fail.sum())
+    incurred with no loop (correction on first-scan failure), both at the
+    table's rates."""
+    baseline = table.rates.correction_cost * float(table.first_fail.sum())
     if baseline == 0.0:
         return None
-    return _finite(float(cost.sum()) / baseline)
+    return _finite(float(table.cost.sum()) / baseline)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as _empirical_ratio
-def _aggregate(
-    table: SubjectTable, rates: CostRates, analytic_ratio: float | None
-) -> CohortAggregates:
+def _aggregate(table: SubjectTable, analytic_ratio: float | None) -> CohortAggregates:
+    """The aggregates of ``table``, whose costs are at its own rates, beside
+    the closed-form ``analytic_ratio`` (None where there is none)."""
     n = len(table)
     flagged = int(table.flagged_scans.sum())
     failed = int(table.failed_scans.sum())
@@ -304,7 +303,7 @@ def _aggregate(
         mean_rescans=float(table.rescans.mean()) if n > 0 else None,
         empirical_precision=hits / flagged if flagged > 0 else None,
         empirical_recall=hits / failed if failed > 0 else None,
-        empirical_cost_ratio=_empirical_ratio(table.cost, table.first_fail, rates),
+        empirical_cost_ratio=_empirical_ratio(table),
         analytic_cost_ratio=analytic_ratio,
         mean_initial_quality=mean_initial,
         mean_final_quality=mean_final,
@@ -437,14 +436,7 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
         except (UndefinedRatio, QuadratureFailure):
             pass
 
-    aggregates = _aggregate(table, config.rates, analytic)
-    return SimulationReport(
-        mode=config.mode,
-        config=config.echo,
-        table=table,
-        aggregates=aggregates,
-        manifest=config.manifest_dict(),
-    )
+    return SimulationReport(config, table, _aggregate(table, analytic))
 
 
 @dataclass(frozen=True, slots=True)
@@ -464,12 +456,9 @@ class ComparisonSummary:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as _empirical_ratio
-def empirical_vs_analytic(
-    report: SimulationReport,
-    dist: "FailureDistribution",
-    rates: CostRates,
-) -> ComparisonSummary:
-    """Compare an abstract-mode report against the closed-form population costs.
+def empirical_vs_analytic(report: SimulationReport) -> ComparisonSummary:
+    """Compare an abstract-mode report against the closed-form population costs
+    of the failure-rate distribution and cost rates of the config it ran.
 
     The analytic and paired empirical cost ratios are the report's own
     aggregates.  Standard errors are sample-based; the cost-ratio one uses
@@ -494,7 +483,8 @@ def empirical_vs_analytic(
     if analytic_ratio is None:
         raise ValueError("the report has no analytic cost ratio to compare against")
 
-    analytic_original = _dist_mean_alpha(dist) * rates.correction_cost
+    rates = report.config.rates
+    analytic_original = _dist_mean_alpha(report.config.distribution) * rates.correction_cost
     analytic_new = analytic_original * analytic_ratio
     ratio = agg.empirical_cost_ratio
     cost_se = ratio_se = z_cost = z_ratio = None

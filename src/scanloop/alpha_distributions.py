@@ -284,7 +284,10 @@ class EmpiricalHistogram(FailureDistribution):
     def from_weights(
         cls, edges: tuple[float, ...] | list[float], weights: tuple[float, ...] | list[float]
     ) -> "EmpiricalHistogram":
-        total = math.fsum(weights)
+        try:
+            total = math.fsum(weights)
+        except OverflowError:
+            raise ValueError("weights sum past the largest double") from None
         if total <= 0.0:
             raise ValueError("weights must have positive total")
         return cls(tuple(edges), tuple(w / total for w in weights))

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition_loop import _aggregate, empirical_vs_analytic, run_cohort
+from .acquisition_loop import _aggregate, _finite, empirical_vs_analytic, run_cohort
 from .alpha_distributions import expected_cost_ratio, mean_alpha
 from .config import build_manifest, check_seed, parse_config
 from .cost_model import (
@@ -133,7 +133,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     note = "predictor never flags; the loop never triggers" if profile.recall == 0.0 else None
 
     payload = {
-        "manifest": config.manifest_dict(),
+        "manifest": config.manifest,
         "config": config.echo,
         "population": {
             "mean_failure_rate": mean_a,
@@ -170,7 +170,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     comparison = None
     if len(report.table) > 0 and report.aggregates.analytic_cost_ratio is not None:
-        comparison = empirical_vs_analytic(report, config.distribution, config.rates)
+        comparison = empirical_vs_analytic(report)
 
     out = Path(config.out_dir)
     write_summary_json(out / "report.json", report, comparison)
@@ -215,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if config.sweep_thresholds is None:
         raise ConfigError("sweep: a [sweep] section is required for the sweep command")
 
-    rates, budget = config.rates, config.max_rescans
+    quotient, budget = config.rates.quotient, config.max_rescans
     predictor = dataclasses.replace(config.score_predictor, threshold=max(config.sweep_thresholds))
     table = run_cohort(dataclasses.replace(config, score_predictor=predictor)).table
     first_fail = table.first_fail
@@ -227,12 +227,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         hits = int((flagged & first_fail).sum())
         precision = hits / int(flagged.sum()) if flagged.any() else None
         recall = hits / int(first_fail.sum()) if first_fail.any() else None
-        # The budgeted closed form at the empirical operating point, when defined.
+        # The budgeted closed form at the empirical operating point, when defined
+        # and within the range of doubles.
         plugin = None
         if precision and recall is not None and 0.0 < alpha_hat < 1.0:
             profile = PredictorProfile(precision, recall)
-            plugin = budgeted_cost_at(alpha_hat, profile, rates.quotient, budget) / alpha_hat
-        agg = _aggregate(run, rates, None)
+            plugin = _finite(budgeted_cost_at(alpha_hat, profile, quotient, budget) / alpha_hat)
+        agg = _aggregate(run, None)
         cost, ratio = agg.mean_cost, agg.empirical_cost_ratio
         rows.append([tau, alpha_hat, precision, recall, plugin, cost, ratio, 0, 0])
 
@@ -244,7 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows[best][SWEEP_HEADER.index(mark)] = 1
 
     out = Path(config.out_dir)
-    write_csv(out / "sweep.csv", SWEEP_HEADER, list(zip(*rows)), config.manifest_dict())
+    write_csv(out / "sweep.csv", SWEEP_HEADER, list(zip(*rows)), config.manifest)
 
     print(f"{'tau':>6} {'alpha^':>7} {'prec':>6} {'recall':>7} {'plugin':>7} {'cost':>9}")
     for row in rows:
@@ -272,7 +273,7 @@ def cmd_guidance(args: argparse.Namespace) -> int:
             np.arange(len(table.quality)) - np.repeat(table.starts, table.scans),
             table.quality,
         ],
-        report.manifest,
+        config.manifest,
     )
 
     # Mean cohort quality at each scan index; subjects that stopped early
@@ -283,7 +284,7 @@ def cmd_guidance(args: argparse.Namespace) -> int:
         out / "quality_curve.csv",
         ("scan_index", "mean_quality"),
         [np.arange(longest), means],
-        report.manifest,
+        config.manifest,
     )
 
     agg = report.aggregates

@@ -75,15 +75,22 @@ _FAMILY_KEYS = {
 
 def _manifest_timestamp() -> str | None:
     """Wall-clock timestamps would break byte-identical reruns, so the
-    timestamp is only emitted when pinned via SOURCE_DATE_EPOCH."""
+    timestamp is only emitted when pinned via SOURCE_DATE_EPOCH, which must
+    be integer seconds since 1970 that ``datetime`` can represent."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(
+            f"SOURCE_DATE_EPOCH: must be integer seconds within datetime's range, got {epoch!r}"
+        ) from None
 
 
 def build_manifest(master_seed: int, config_digest: str) -> dict:
-    """Reproducibility stamp embedded in every report file."""
+    """Reproducibility stamp embedded in every report file; ConfigError
+    naming SOURCE_DATE_EPOCH when its timestamp is not integer seconds."""
     return {
         "master_seed": master_seed,
         "config_digest": config_digest,
@@ -94,7 +101,9 @@ def build_manifest(master_seed: int, config_digest: str) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
-    """Validated experiment settings plus their canonical echo and digest."""
+    """Validated experiment settings plus their canonical echo, its digest and
+    the manifest every report file of the run carries, each made once, when
+    the document is parsed."""
 
     mode: str
     n_subjects: int
@@ -114,9 +123,7 @@ class ExperimentConfig:
     out_dir: str
     echo: dict
     digest: str
-
-    def manifest_dict(self) -> dict:
-        return build_manifest(self.master_seed, self.digest)
+    manifest: dict
 
 
 class _SectionReader:
@@ -458,4 +465,5 @@ def parse_config(
         out_dir=out_dir,
         echo=echo,
         digest=digest,
+        manifest=build_manifest(seed, digest),
     )

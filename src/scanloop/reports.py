@@ -20,7 +20,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -168,11 +168,21 @@ def _block_lines(columns: list[Sequence[object]], width: int) -> str:
     return _csv_lines(zip(*lead_cells, tails[code].tolist()), width, lead)
 
 
-def _csv_pieces(
-    header: Sequence[str], columns: Sequence[Sequence[object]], manifest: dict
-) -> Iterator[str]:
-    """The CSV text of ``render_csv``, a block of rows at a time.  The shape
-    and the header are checked now; the cells as each block is rendered."""
+def write_csv(
+    path: str | Path,
+    header: Sequence[str],
+    columns: Sequence[Sequence[object]],
+    manifest: dict,
+) -> None:
+    """A table given as equal-length columns, one per header entry, each cell
+    formatted by ``format_cell``'s rules, as CSV text written a block of rows
+    at a time as it is rendered, atomically: a failure leaves no partial file.
+
+    Raises:
+        ValueError: for columns of unequal lengths or a count other than the
+            header's and for a header entry that would need quoting, before
+            anything is written, and for a cell that would need quoting.
+    """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header entries but {len(columns)} columns")
     n = len(columns[0]) if columns else 0
@@ -184,31 +194,7 @@ def _csv_pieces(
         _block_lines([c[start : start + _ROW_BLOCK] for c in columns], width)
         for start in range(0, n, _ROW_BLOCK)
     )
-    return itertools.chain([head], blocks)
-
-
-def render_csv(
-    header: Sequence[str], columns: Sequence[Sequence[object]], manifest: dict
-) -> str:
-    """The CSV text of a table given as equal-length columns, one per header
-    entry, each cell formatted by ``format_cell``'s rules.
-
-    Raises:
-        ValueError: for columns of unequal lengths or a count other than the
-            header's, and for a header entry or cell that would need quoting.
-    """
-    return "".join(_csv_pieces(header, columns, manifest))
-
-
-def write_csv(
-    path: str | Path,
-    header: Sequence[str],
-    columns: Sequence[Sequence[object]],
-    manifest: dict,
-) -> None:
-    """``render_csv``'s text, written a block of rows at a time as it is
-    rendered, atomically: a failure leaves no partial file."""
-    atomic_write_text(path, _csv_pieces(header, columns, manifest))
+    atomic_write_text(path, itertools.chain([head], blocks))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -230,7 +216,7 @@ def subjects_csv_header(mode: str) -> list[str]:
 def subjects_csv_columns(report: SimulationReport) -> list[Sequence[object]]:
     """The columns of subjects.csv, in the order of ``subjects_csv_header``."""
     table = report.table
-    if report.mode == "abstract":
+    if report.config.mode == "abstract":
         lead = [table.alpha]
     else:
         lead = [table.quality_at(0), table.quality_at(None)]
@@ -238,18 +224,17 @@ def subjects_csv_columns(report: SimulationReport) -> list[Sequence[object]]:
 
 
 def write_subjects_csv(path: str | Path, report: SimulationReport) -> None:
-    write_csv(
-        path, subjects_csv_header(report.mode), subjects_csv_columns(report), report.manifest
-    )
+    config = report.config
+    write_csv(path, subjects_csv_header(config.mode), subjects_csv_columns(report), config.manifest)
 
 
 def summary_payload(
     report: SimulationReport, comparison: ComparisonSummary | None = None
 ) -> dict:
     payload = {
-        "mode": report.mode,
-        "manifest": report.manifest,
-        "config": report.config,
+        "mode": report.config.mode,
+        "manifest": report.config.manifest,
+        "config": report.config.echo,
         "aggregates": dataclasses.asdict(report.aggregates),
     }
     if comparison is not None:

@@ -307,8 +307,9 @@ def abstract_records(config, start: int, stop: int) -> list[SubjectRecord]:
 def sweep_rows_per_threshold(config) -> list[list]:
     """The rows of ``sweep.csv`` (``cli.SWEEP_HEADER``) from one cohort run per
     threshold, each on a copy of the config with the predictor's threshold
-    replaced.  A first scan counts as flagged iff its subject re-scanned,
-    which holds while the re-scan budget is at least 1."""
+    replaced; a plug-in ratio past the largest double is None.  A first scan
+    counts as flagged iff its subject re-scanned, which holds while the
+    re-scan budget is at least 1."""
     rows = []
     for tau in config.sweep_thresholds:
         predictor = dataclasses.replace(config.score_predictor, threshold=tau)
@@ -324,6 +325,8 @@ def sweep_rows_per_threshold(config) -> list[list]:
             profile = PredictorProfile(precision, recall)
             quotient, budget = config.rates.quotient, config.max_rescans
             plugin = budgeted_cost_at(alpha_hat, profile, quotient, budget) / alpha_hat
+            if not math.isfinite(plugin):  # past the largest double: an empty cell
+                plugin = None
         rows.append(
             [tau, alpha_hat, precision, recall, plugin, agg.mean_cost, agg.empirical_cost_ratio]
         )

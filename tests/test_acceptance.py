@@ -33,7 +33,6 @@ from scanloop.acquisition_loop import empirical_vs_analytic, run_cohort
 from scanloop.alpha_distributions import (
     Beta,
     EmpiricalHistogram,
-    PointMass,
     Uniform,
     expected_cost_ratio,
 )
@@ -169,7 +168,7 @@ def test_criterion_04_million_subject_cohort_matches_closed_form():
     report = run_cohort(config)
     elapsed = time.perf_counter() - start
 
-    summary = empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
+    summary = empirical_vs_analytic(report)
     assert summary.analytic_cost_ratio == pytest.approx(0.375, abs=1e-12)
     deviation = abs(summary.empirical_cost_ratio - 0.375)
     assert deviation <= 3.0 * summary.empirical_ratio_se

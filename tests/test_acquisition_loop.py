@@ -22,7 +22,6 @@ from scanloop.acquisition_loop import (
     run_subject_abstract,
     run_subject_kinematic,
 )
-from scanloop.alpha_distributions import PointMass
 from scanloop.config import parse_config
 from scanloop.cost_model import (
     CostRates,
@@ -767,14 +766,14 @@ class TestRunCohort:
         assert agg.mean_cost is None
         assert agg.empirical_cost_ratio is None
         assert agg.analytic_cost_ratio == pytest.approx(0.375)
-        assert report.manifest["master_seed"] == 0
-        assert len(report.manifest["config_digest"]) == 64
+        assert report.config.manifest["master_seed"] == 0
+        assert len(report.config.manifest["config_digest"]) == 64
 
     def test_point_mass_cohort_matches_analytic_ratio(self):
         report = run_cohort(_abstract_config(50_000, seed=13))
         agg = report.aggregates
         assert agg.analytic_cost_ratio == pytest.approx(0.375)
-        summary = empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report)
         assert summary.empirical_cost_ratio == pytest.approx(
             agg.empirical_cost_ratio
         )
@@ -991,7 +990,7 @@ class TestEmpiricalVsAnalytic:
     def test_point_mass_point_three_reference(self):
         config = _abstract_config(20_000, seed=37, alpha=0.3)
         report = run_cohort(config)
-        summary = empirical_vs_analytic(report, PointMass(0.3), CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report)
         assert isinstance(summary, ComparisonSummary)
         assert summary.analytic_cost_ratio == pytest.approx(0.24 / 0.56)
         assert summary.analytic_original_cost == pytest.approx(0.3)
@@ -1001,7 +1000,7 @@ class TestEmpiricalVsAnalytic:
 
     def test_single_subject_reports_no_spread(self):
         report = run_cohort(_abstract_config(1, seed=41, alpha=0.3))
-        summary = empirical_vs_analytic(report, PointMass(0.3), CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report)
         assert summary.subjects == 1
         assert summary.empirical_cost_se is None
         assert summary.empirical_ratio_se is None
@@ -1013,7 +1012,7 @@ class TestEmpiricalVsAnalytic:
         # the paired estimator must return exactly 1 (not merely close).
         config = _abstract_config(5_000, seed=43, recall=0.0)
         report = run_cohort(config)
-        summary = empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report)
         assert summary.empirical_cost_ratio == 1.0
         assert summary.analytic_cost_ratio == 1.0
         assert report.aggregates.empirical_cost_ratio == 1.0
@@ -1023,14 +1022,14 @@ class TestEmpiricalVsAnalytic:
         report = run_cohort(_abstract_config(50, seed=59, alpha=0.0))
         assert report.aggregates.analytic_cost_ratio is None
         with pytest.raises(ValueError, match="analytic"):
-            empirical_vs_analytic(report, PointMass(0.0), CostRates(0.1, 1.0))
+            empirical_vs_analytic(report)
 
     @pytest.mark.parametrize("budget, ratio", [(0, 1.0), (1, 0.5), (2, 0.4), (3, 0.38)])
     def test_small_budgets_agree_with_the_closed_form(self, budget, ratio):
         # alpha = 0.2, p = r = 0.8: f = 0.2 per scan, and the budgeted closed
         # form gives 1, 0.5, 0.4, 0.38 where the unbounded one gives 0.375.
         report = run_cohort(_abstract_config(20_000, seed=61, max_rescans=budget))
-        summary = empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report)
         assert summary.analytic_cost_ratio == pytest.approx(ratio, rel=1e-14)
         if budget == 0:
             assert summary.empirical_cost_ratio == 1.0
@@ -1043,16 +1042,16 @@ class TestEmpiricalVsAnalytic:
         report = run_cohort(
             _abstract_config(20_000, seed=67, alpha=0.5, precision=0.3, recall=0.9, max_rescans=5)
         )
-        summary = empirical_vs_analytic(report, PointMass(0.5), CostRates(0.1, 1.0))
+        summary = empirical_vs_analytic(report)
         assert report.table.flagged_scans.sum() > 0.9 * report.table.scans.sum()
         assert abs(summary.z_cost_ratio) <= 3.0
 
     def test_kinematic_report_rejected(self):
         report = run_cohort(_kinematic_config(5, seed=47))
         with pytest.raises(ValueError, match="no analytic cost ratio"):
-            empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
+            empirical_vs_analytic(report)
 
     def test_empty_cohort_rejected(self):
         report = run_cohort(_abstract_config(0))
         with pytest.raises(ValueError, match="empty"):
-            empirical_vs_analytic(report, PointMass(0.2), CostRates(0.1, 1.0))
+            empirical_vs_analytic(report)

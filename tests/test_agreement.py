@@ -106,7 +106,7 @@ def test_z_scores_across_the_config_space(tmp_path):
         if int(report.table.first_fail.sum()) < MIN_FIRST_FAILURES:
             continue
         counted.append(i)
-        summary = empirical_vs_analytic(report, config.distribution, config.rates)
+        summary = empirical_vs_analytic(report)
         z_cost.append(summary.z_mean_cost)
         if budget == 0:
             assert summary.empirical_cost_ratio == 1.0, i

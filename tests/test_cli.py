@@ -558,8 +558,50 @@ class TestSweep:
         want = sweep_rows_per_threshold(config)
         assert repr(list(zip(*columns[0]))) == repr([tuple(row) for row in want])
         assert (out / "sweep.csv").read_text() == render_csv_rows(
-            cli.SWEEP_HEADER, want, config.manifest_dict()
+            cli.SWEEP_HEADER, want, config.manifest
         )
+
+    @pytest.mark.parametrize("extreme", [False, True], ids=["shipped-costs", "extreme-costs"])
+    def test_plugin_ratio_past_the_largest_double_is_empty_and_never_marked(
+        self, tmp_path, capsys, extreme
+    ):
+        # configs/kinematic_guided.ini at 300 subjects.  Re-scans at 1e308
+        # against corrections at 1e-10 and one re-scan are a valid config,
+        # whose plug-in ratio from tau = 0.1 on is past the largest double:
+        # sweep.csv wrote inf there and marked tau = 0.1 best.
+        from oracles import render_csv_rows, sweep_rows_per_threshold
+        from scanloop import cli
+        from scanloop.config import parse_config
+
+        text = (REPO / "configs" / "kinematic_guided.ini").read_text(encoding="utf-8")
+        text = text.replace("subjects = 5000", "subjects = 300")
+        extremes = {
+            "rescan = 0.1": "rescan = 1e308",
+            "correction = 1.0": "correction = 1e-10",
+            "max_rescans = 10": "max_rescans = 1",
+        }
+        for shipped, value in extremes.items() if extreme else ():
+            assert shipped in text
+            text = text.replace(shipped, value)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(write_config(tmp_path, text)), "--out", str(out)]
+        assert cli.main(argv) == 0
+        console = capsys.readouterr().out.splitlines()[1:-1]
+        config = parse_config(text)
+        written = (out / "sweep.csv").read_text(encoding="utf-8")
+        assert written == render_csv_rows(
+            cli.SWEEP_HEADER, sweep_rows_per_threshold(config), config.manifest
+        )
+        _, header, rows = read_report_csv(out / "sweep.csv")
+        plugin, best = header.index("plugin_cost_ratio"), header.index("best_plugin")
+        assert "inf" not in written
+        if extreme:
+            assert [row[plugin] for row in rows] == [""] * len(rows)
+            assert [row[best] for row in rows] == ["0"] * len(rows)
+            assert [line.split()[4] for line in console] == ["-"] * len(rows)
+        else:
+            assert all(row[plugin] for row in rows[1:])
+            assert [row[best] for row in rows].count("1") == 1
 
     def test_one_cohort_run_at_the_largest_threshold(self, tmp_path, monkeypatch):
         from scanloop import cli
@@ -694,10 +736,10 @@ class TestGuidance:
         ]
         expected = {
             "trajectories.csv": render_csv_rows(
-                ("subject_id", "scan_index", "quality"), rows, report.manifest
+                ("subject_id", "scan_index", "quality"), rows, report.config.manifest
             ),
             "quality_curve.csv": render_csv_rows(
-                ("scan_index", "mean_quality"), curve, report.manifest
+                ("scan_index", "mean_quality"), curve, report.config.manifest
             ),
         }
         for name, content in expected.items():
@@ -973,6 +1015,31 @@ class TestExitCodes:
         assert (tmp_path / "document" / "subjects.csv").read_bytes() == (
             out / "subjects.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999"])
+    @pytest.mark.parametrize("command", ["table1", "simulate"])
+    def test_source_date_epoch_not_integer_seconds_exits_2(
+        self, tmp_path, monkeypatch, capsys, command, epoch
+    ):
+        # "abc" and "1e9" ended in a ValueError traceback, simulate's only
+        # after the whole cohort ran; the last one exited 4 as an i/o error.
+        from scanloop import cli
+
+        def no_cohort(*args):
+            raise AssertionError("a cohort ran")
+
+        monkeypatch.setattr(cli, "run_cohort", no_cohort)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out)]
+        if command == "simulate":
+            config = write_config(tmp_path, config_document("abstract", "point_mass"))
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: SOURCE_DATE_EPOCH: "), err
+        assert repr(epoch) in err
+        assert not out.exists()
 
     def test_cohort_past_the_cap_is_refused_before_any_simulation(
         self, tmp_path, monkeypatch, capsys

@@ -574,6 +574,20 @@ class TestHistogramConfig:
         with pytest.raises(ConfigError, match="non-numeric"):
             parse_config(self._config(), base_dir=tmp_path)
 
+    @pytest.mark.parametrize("command", ["ratio", "simulate"])
+    def test_weights_summing_past_the_largest_double(self, tmp_path, capsys, command):
+        # math.fsum raised OverflowError here, a traceback and exit 1 from the CLI
+        from scanloop.cli import main
+
+        self._write(tmp_path, "bin_upper_edge,mass\n0.5,1e308\n0.6,1e308\n")
+        with pytest.raises(ConfigError, match=r"^distribution\.csv: weights sum past"):
+            parse_config(self._config(), base_dir=tmp_path)
+        config = tmp_path / "experiment.ini"
+        config.write_text(self._config())
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: distribution.csv: ")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_bins_wrapped(self, tmp_path):
         self._write(tmp_path, "bin_upper_edge,mass\n0.3,0.5\n0.1,0.5\n")
         with pytest.raises(ConfigError, match=r"distribution\.csv"):
@@ -583,7 +597,7 @@ class TestHistogramConfig:
 class TestManifest:
     def test_fields(self):
         cfg = parse_config(ABSTRACT)
-        manifest = cfg.manifest_dict()
+        manifest = cfg.manifest
         assert manifest["master_seed"] == 5
         assert manifest["config_digest"] == cfg.digest
         assert manifest["version"]
@@ -591,10 +605,24 @@ class TestManifest:
 
     def test_timestamp_only_when_pinned(self, monkeypatch):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-        assert parse_config(ABSTRACT).manifest_dict()["timestamp"] is None
+        assert parse_config(ABSTRACT).manifest["timestamp"] is None
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-        stamped = parse_config(ABSTRACT).manifest_dict()["timestamp"]
+        stamped = parse_config(ABSTRACT).manifest["timestamp"]
         assert stamped == "2023-11-14T22:13:20+00:00"
+
+    @pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999", "253402300800"])
+    def test_timestamp_not_integer_seconds_refused(self, monkeypatch, epoch):
+        # the last one is the first second of the year 10000
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        with pytest.raises(ConfigError, match=r"^SOURCE_DATE_EPOCH: must be integer seconds"):
+            parse_config(ABSTRACT)
+
+    def test_manifest_made_once_where_the_config_is_parsed(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        cfg = parse_config(ABSTRACT)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        assert cfg.manifest["timestamp"] == "2023-11-14T22:13:20+00:00"
+        assert dataclasses.replace(cfg, workers=2).manifest == cfg.manifest
 
     def test_config_is_frozen(self):
         cfg = parse_config(ABSTRACT)

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from scanloop.reports import (
     atomic_write_text,
     format_cell,
     manifest_line,
-    render_csv,
     subjects_csv_header,
     subjects_csv_columns,
     summary_payload,
@@ -131,7 +132,7 @@ class TestSubjectsCsv:
         write_subjects_csv(path, report)
 
         manifest, header, rows = read_report_csv(path)
-        assert manifest == report.manifest
+        assert manifest == report.config.manifest
         assert header == subjects_csv_header("abstract")
         assert len(rows) == 200
         table = report.table
@@ -162,7 +163,7 @@ class TestSubjectsCsv:
         table = report.table
         rows = []
         for i in range(len(table)):
-            if report.mode == "abstract":
+            if report.config.mode == "abstract":
                 lead = [table.alpha[i].item()]
             else:
                 trajectory = table_row(table, i).quality_trajectory
@@ -170,7 +171,8 @@ class TestSubjectsCsv:
             columns = [getattr(table, name)[i].item() for name in SUBJECT_COLUMNS]
             rows.append([i, *lead, *columns])
         write_subjects_csv(tmp_path / "subjects.csv", report)
-        expected = render_csv_rows(subjects_csv_header(report.mode), rows, report.manifest)
+        config = report.config
+        expected = render_csv_rows(subjects_csv_header(config.mode), rows, config.manifest)
         assert (tmp_path / "subjects.csv").read_text(encoding="utf-8") == expected
 
     def test_rows_match_table_length(self):
@@ -180,13 +182,22 @@ class TestSubjectsCsv:
         assert all(len(column) == 0 for column in columns)
 
 
+def written_csv(header, columns, manifest) -> str:
+    """The text ``write_csv`` writes for a table, read back undecoded of its
+    line ends."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(path, header, columns, manifest)
+        return path.read_bytes().decode("utf-8")
+
+
 def _assert_renders_like_rows(header, columns):
     rows = list(zip(*(column.tolist() for column in columns)))
-    assert render_csv(header, columns, {"x": 1}) == render_csv_rows(header, rows, {"x": 1})
+    assert written_csv(header, columns, {"x": 1}) == render_csv_rows(header, rows, {"x": 1})
 
 
-class TestRenderCsv:
-    """The column renderer writes the bytes of the row-at-a-time reference."""
+class TestWriteCsvText:
+    """The column writer writes the bytes of the row-at-a-time reference."""
 
     FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 1e-300, 0.1, 1 / 3, -2.5e17]
 
@@ -202,7 +213,7 @@ class TestRenderCsv:
     def test_empty_table(self):
         columns = [np.arange(0), np.array([], dtype=np.float64), np.array([], dtype=bool)]
         _assert_renders_like_rows(("subject_id", "x", "flag"), columns)
-        assert render_csv(("a", "b", "c"), columns, {"x": 1}).count("\n") == 2
+        assert written_csv(("a", "b", "c"), columns, {"x": 1}).count("\n") == 2
 
     def test_sweep_style_rows_with_none(self):
         rows = [
@@ -212,31 +223,31 @@ class TestRenderCsv:
         ]
         header = tuple(f"c{i}" for i in range(9))
         columns = list(zip(*rows))
-        assert render_csv(header, columns, {"x": 1}) == render_csv_rows(header, rows, {"x": 1})
+        assert written_csv(header, columns, {"x": 1}) == render_csv_rows(header, rows, {"x": 1})
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
-            render_csv(("a", "b"), [np.arange(2), np.zeros(3)], {})
+            written_csv(("a", "b"), [np.arange(2), np.zeros(3)], {})
         with pytest.raises(ValueError, match="columns"):
-            render_csv(("a", "b"), [np.arange(2)], {})
+            written_csv(("a", "b"), [np.arange(2)], {})
 
     @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
     def test_cell_that_would_need_quoting_rejected(self, cell):
         with pytest.raises(ValueError, match="quoting"):
-            render_csv(("a", "b"), [[1, 2], ["x", cell]], {})
+            written_csv(("a", "b"), [[1, 2], ["x", cell]], {})
         with pytest.raises(ValueError, match="quoting"):
-            render_csv(("a", cell), [[1], [2]], {})
+            written_csv(("a", cell), [[1], [2]], {})
 
     def test_one_empty_cell_is_quoted_like_csv_writer(self):
         rows = [[None], [1.5], [math.nan]]
-        assert render_csv(("a",), list(zip(*rows)), {}) == render_csv_rows(("a",), rows, {})
-        assert render_csv(("a", "b"), [[None], [None]], {}).endswith("a,b\n,\n")
+        assert written_csv(("a",), list(zip(*rows)), {}) == render_csv_rows(("a",), rows, {})
+        assert written_csv(("a", "b"), [[None], [None]], {}).endswith("a,b\n,\n")
 
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50))
     def test_float_columns_format_like_format_cell(self, values):
         column = np.array(values, dtype=np.float64)
         _assert_renders_like_rows(("a", "b"), [column, column[::-1]])
-        body = render_csv(("a",), [column], {}).split("\n")[2:-1]
+        body = written_csv(("a",), [column], {}).split("\n")[2:-1]
         assert body == [format_cell(v) or '""' for v in values]
 
 
@@ -245,7 +256,7 @@ def _nan(bits):
     return np.array([bits], dtype=np.uint64).view(np.float64)[0]
 
 
-class TestRenderCsvTails:
+class TestWriteCsvTails:
     """A block's trailing numeric columns with few distinct values are
     formatted one distinct row tail at a time; the bytes stay those of the
     row-at-a-time reference, on the tail path and on the per-column one."""
@@ -254,7 +265,7 @@ class TestRenderCsvTails:
 
     @staticmethod
     def _tail_lengths(monkeypatch):
-        """Records the length of every column slice ``render_csv`` formats."""
+        """Records the length of every column slice ``write_csv`` formats."""
         lengths = []
         format_column = reports._format_column
 
@@ -276,7 +287,7 @@ class TestRenderCsvTails:
         floats = np.resize(np.array(values), self.N)
         lengths = self._tail_lengths(monkeypatch)
         _assert_renders_like_rows(("subject_id", "x"), [np.arange(self.N), floats])
-        body = render_csv(("x",), [floats], {}).split("\n")[2:9]
+        body = written_csv(("x",), [floats], {}).split("\n")[2:9]
         assert body == ["0", "-0", '""', '""', '""', "0.25", "-inf"]
         # each block formats its seven distinct tails once
         assert lengths.count(7) == 3 * 2
@@ -330,7 +341,7 @@ class TestRenderCsvTails:
         lead = ["x"] * 100
         lead[57] = "a,b"
         with pytest.raises(ValueError, match="'a,b' would need quoting"):
-            render_csv(("a", "b", "c"), [lead, np.zeros(100), np.ones(100, dtype=bool)], {})
+            written_csv(("a", "b", "c"), [lead, np.zeros(100), np.ones(100, dtype=bool)], {})
 
 
 class TestWriteCsvStreaming:
@@ -338,7 +349,7 @@ class TestWriteCsvStreaming:
         n = 3 * 4096 + 1
         columns = [np.arange(n), np.resize(np.array([0.1, 0.2]), n)]
         write_csv(tmp_path / "t.csv", ("a", "b"), columns, {"x": 1})
-        text = render_csv(("a", "b"), columns, {"x": 1})
+        text = render_csv_rows(("a", "b"), zip(*(c.tolist() for c in columns)), {"x": 1})
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == text
 
     def test_failure_in_a_later_block_leaves_no_file(self, tmp_path):
@@ -357,8 +368,8 @@ class TestSummaryJson:
         write_summary_json(path, report)
         payload = json.loads(path.read_text())
         assert payload["mode"] == "abstract"
-        assert payload["manifest"] == report.manifest
-        assert payload["config"] == report.config
+        assert payload["manifest"] == report.config.manifest
+        assert payload["config"] == report.config.echo
         # JSON floats re-parse to the exact in-memory values
         assert payload["aggregates"]["mean_cost"] == report.aggregates.mean_cost
         assert (
@@ -389,7 +400,7 @@ class TestReadReportCsv:
         with pytest.raises(ValueError, match="manifest"):
             read_report_csv(path)
 
-    def test_render_csv_uses_unix_newlines(self):
-        text = render_csv(("a",), [[1.5]], {"x": 1})
+    def test_write_csv_uses_unix_newlines(self):
+        text = written_csv(("a",), [[1.5]], {"x": 1})
         assert "\r" not in text
         assert text == '# manifest {"x":1}\na\n1.5\n'
