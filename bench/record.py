@@ -14,8 +14,15 @@ side runs first alternates from seed to seed.  A run that exits non-zero or
 does not print ``"correct": true`` stops the script with its output.  It
 keeps each run's result line and, from its details line, the machine record
 and the load averages.  The summary gives, per workload and end-to-end
-metric, both sides' medians, the before side's quartile spread, and the
-number of pairs in which the after side was better.
+metric, both sides' medians, the before side's quartile spread, the number
+of pairs in which the after side was better, and two verdicts:
+
+* ``claim_met``: the after side was better in at least 9 of every 10 pairs
+  (ties count for neither side), and its median is better than the before
+  median by more than the before side's quartile spread;
+* ``regressed``: the after median is worse than the before median by more
+  than the metric's ``bound`` in ``BENCHMARK.json``, taken relative to the
+  before median.
 
 Each side's revision is recorded before the first run as its
 ``git describe --always --dirty`` and the sha256 of its ``git diff HEAD``,
@@ -83,12 +90,17 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
             before = [b[name]["value"] for b, _ in pairs]
             after = [a[name]["value"] for _, a in pairs]
             q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else before * 3
+            before_median, after_median = statistics.median(before), statistics.median(after)
+            better = sum(sign * (x - y) > 0 for x, y in zip(before, after))
+            gain = sign * (before_median - after_median)
             per_metric[name] = {
-                "before_median": statistics.median(before),
-                "after_median": statistics.median(after),
+                "before_median": before_median,
+                "after_median": after_median,
                 "before_quartile_spread": q3 - q1,
-                "pairs_after_better": sum(sign * (x - y) > 0 for x, y in zip(before, after)),
+                "pairs_after_better": better,
                 "pairs": len(pairs),
+                "claim_met": 10 * better >= 9 * len(pairs) and gain > q3 - q1,
+                "regressed": -gain > metric["bound"] * abs(before_median),
             }
         summary[workload] = per_metric
     return summary

@@ -144,6 +144,8 @@ SUBJECT_COLUMNS = (
     "failed_scans",
     "flagged_failed_scans",
 )
+# the columns SubjectTable derives on first use, all together
+_DERIVED = frozenset(("starts", *SUBJECT_COLUMNS[1:]))
 
 
 class SubjectTable:
@@ -151,12 +153,14 @@ class SubjectTable:
 
     Stores per subject ``alpha`` (NaN in kinematic mode) and ``scans``, and
     per scan, one subject after another, ``failed`` and ``flagged`` and, empty
-    in abstract mode, ``quality`` and ``score``; subject i's scans start at
-    ``starts[i]``.  The constructor derives the ``SUBJECT_COLUMNS`` once, at
-    the cost ``rates``.  Tallies count every scan, the last included.
-    ``first_fail``, whether the first scan truly failed, prices the subject
-    with no loop under the same draws.  Every scan but the last bought a
-    re-scan; the last is kept and pays a correction when it truly failed.
+    in abstract mode, ``quality`` and ``score``, with the cost ``rates``.  The
+    first read of ``starts`` (where each subject's scans start) or of a
+    ``SUBJECT_COLUMNS`` name after ``scans`` derives all of them together, so
+    a unit of work that is only joined or pickled never derives them.
+    Tallies count every scan, the last included.  ``first_fail``, whether the
+    first scan truly failed, prices the subject with no loop under the same
+    draws.  Every scan but the last bought a re-scan; the last is kept and
+    pays a correction when it truly failed.
     """
 
     def __init__(self, alpha, scans, failed, flagged, quality, score, rates: CostRates):
@@ -169,16 +173,32 @@ class SubjectTable:
             raise ValueError("quality or score column has mismatched length: one per scan, or none")
         self.alpha, self.scans, self.failed, self.flagged = alpha, scans, failed, flagged
         self.quality, self.score, self.rates = quality, score, rates
-        self.starts = np.cumsum(scans) - scans
-        subject = np.repeat(np.arange(n), scans)  # each scan's subject
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Called only for a name the instance lacks.  Pickling looks names up
+        # here too, on a table whose columns are not yet restored, so any
+        # name but a derived one is missing.
+        if name not in _DERIVED:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        scans, failed, flagged = self.scans, self.failed, self.flagged
+        self.starts = starts = np.cumsum(scans) - scans
         self.rescans = scans - 1
-        self.first_fail = failed[self.starts]
-        self.final_true_fail = failed[self.starts + self.rescans]
-        correction = np.where(self.final_true_fail, rates.correction_cost, 0.0)
-        self.cost = self.rescans * rates.rescan_cost + correction
-        self.flagged_scans = np.bincount(subject[flagged], minlength=n)
-        self.failed_scans = np.bincount(subject[failed], minlength=n)
-        self.flagged_failed_scans = np.bincount(subject[failed & flagged], minlength=n)
+        self.first_fail = failed[starts]
+        self.final_true_fail = failed[starts + self.rescans]
+        correction = np.where(self.final_true_fail, self.rates.correction_cost, 0.0)
+        self.cost = self.rescans * self.rates.rescan_cost + correction
+
+        def tally(per_scan: np.ndarray) -> np.ndarray:
+            # each subject's sum; np.add.reduceat may refuse an empty list of
+            # offsets
+            if not len(starts):
+                return np.zeros(0, dtype=np.int64)
+            return np.add.reduceat(per_scan, starts, dtype=np.int64)
+
+        self.flagged_scans = tally(flagged)
+        self.failed_scans = tally(failed)
+        self.flagged_failed_scans = tally(failed & flagged)
+        return vars(self)[name]
 
     @classmethod
     def from_records(cls, records: list[SubjectRecord], rates: CostRates) -> "SubjectTable":
@@ -356,7 +376,9 @@ def _abstract_records(
 
 
 def _simulate_table(config: "ExperimentConfig", start: int, stop: int) -> SubjectTable:
-    """The table of subjects [start, stop), which lie in one key block.
+    """The table of subjects [start, stop), which lie in one key block.  It
+    holds only the drawn columns, which are all that joining it or sending it
+    back from a worker process needs.
 
     An error raised for a subject is re-raised as the same type, its message
     led by ``subject <i>, seed <s>, config <d>``, d the first 12 hex digits
@@ -398,19 +420,24 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
 
     Results are bit-identical for a fixed master seed regardless of
     ``config.workers``: subjects consume only their own streams and the units
-    of work are joined in subject order.  The abstract closed-form ratio is None
-    where it cannot be had: a zero-mean population, whose baseline cost is 0,
-    one whose integral the Gauss rules fail to resolve, or one whose ratio
-    leaves the range of doubles.
+    of work are joined in subject order.  At one worker a unit is 1 024
+    subjects, so no more records than that are alive at once; each unit's
+    table holds only its drawn columns, and the joined table derives the
+    tallies once.  The abstract closed-form ratio is None where it cannot be
+    had: a zero-mean population, whose baseline cost is 0, one whose integral
+    the Gauss rules fail to resolve, or one whose ratio leaves the range of
+    doubles.
     """
     n = config.n_subjects
     # The pool may start all its workers at once, so it gets no more than
-    # there are CPUs.  A unit of work is a key block at one worker, and else
-    # about an eighth of a worker's share, rounded down to a power of two so
-    # that it divides a key block.
+    # there are CPUs.  A unit of work is a quarter of a key block at one
+    # worker, and else about an eighth of a worker's share, rounded down to a
+    # power of two so that it divides a key block.  A pool's units are not
+    # capped at a quarter block too: each worker would rebuild the keys and
+    # uniforms of every block it shares with another.
     workers = min(config.workers, os.cpu_count() or 1)
     share = max(1, -(-n // (8 * workers)))
-    size = BLOCK if workers == 1 else min(BLOCK, 1 << (share.bit_length() - 1))
+    size = BLOCK // 4 if workers == 1 else min(BLOCK, 1 << (share.bit_length() - 1))
     starts = range(0, n, size) or range(1)
     stops = [min(start + size, n) for start in starts]
     configs = [config] * len(starts)

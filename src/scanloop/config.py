@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -76,11 +77,15 @@ _FAMILY_KEYS = {
 def _manifest_timestamp() -> str | None:
     """Wall-clock timestamps would break byte-identical reruns, so the
     timestamp is only emitted when pinned via SOURCE_DATE_EPOCH, which must
-    be integer seconds since 1970 that ``datetime`` can represent."""
+    be integer seconds since 1970 that ``datetime`` can represent, written as
+    plain ASCII digits with an optional leading ``-``: ``int`` alone would
+    also take spaces, ``+``, ``_`` separators and non-ASCII digits."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
     try:
+        if not re.fullmatch("-?[0-9]+", epoch):
+            raise ValueError(epoch)
         return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
     except (ValueError, OverflowError, OSError):
         raise ConfigError(

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -331,6 +332,24 @@ class TestSubjectTable:
         ):
             with pytest.raises(ValueError, match=f"{name}.*mismatched"):
                 SubjectTable(**{**drawn, name: column})
+
+    @pytest.mark.parametrize(
+        "make", [_abstract_config, _kinematic_config], ids=["abstract", "kinematic"]
+    )
+    def test_unit_holds_its_drawn_columns_until_one_derived_is_read(self, make):
+        # a unit crosses the process pool as what its loops drew, and the
+        # copy derives the same columns
+        table = _simulate_table(make(512, seed=5), 0, 512)
+        drawn = {"alpha", "scans", "failed", "flagged", "quality", "score", "rates"}
+        assert set(vars(table)) == drawn
+        copy = pickle.loads(pickle.dumps(table))
+        assert set(vars(table)) == set(vars(copy)) == drawn
+        for name in ("starts", *_ALL_COLUMNS):
+            column, expected = getattr(copy, name), getattr(table, name)
+            assert column.dtype == expected.dtype, name
+            assert column.tobytes() == expected.tobytes(), name
+        with pytest.raises(AttributeError, match="has no attribute 'tallies'"):
+            table.tallies
 
 
 # the columns a table stores, then those it derives
@@ -742,7 +761,7 @@ class TestUnitOperatingPoints:
             expected = ConfusionPredictor.calibrated(config.profile, alpha)
             assert _bits(predictor) == _bits(expected)
 
-    @pytest.mark.parametrize("n, units", [(1, 1), (4096, 1), (5000, 2)])
+    @pytest.mark.parametrize("n, units", [(1, 1), (4096, 4), (5000, 5)])
     def test_point_mass_calibrates_once_per_unit(self, monkeypatch, n, units):
         calls = []
         calibrated = vars(ConfusionPredictor)["calibrated"].__func__

@@ -610,9 +610,13 @@ class TestManifest:
         stamped = parse_config(ABSTRACT).manifest["timestamp"]
         assert stamped == "2023-11-14T22:13:20+00:00"
 
-    @pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999", "253402300800"])
+    @pytest.mark.parametrize(
+        "epoch",
+        ["abc", "1e9", "99999999999999999", "253402300800", " 17 ", "+17", "1_700_000_000", "１７"],
+    )
     def test_timestamp_not_integer_seconds_refused(self, monkeypatch, epoch):
-        # the last one is the first second of the year 10000
+        # 253402300800 is the first second of the year 10000; int() takes the
+        # last four, which are not plain ASCII digits
         monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
         with pytest.raises(ConfigError, match=r"^SOURCE_DATE_EPOCH: must be integer seconds"):
             parse_config(ABSTRACT)

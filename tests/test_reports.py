@@ -261,7 +261,8 @@ class TestWriteCsvTails:
     formatted one distinct row tail at a time; the bytes stay those of the
     row-at-a-time reference, on the tail path and on the per-column one."""
 
-    N = 2 * 4096 + 1000  # three blocks, the last one short
+    B = reports._ROW_BLOCK
+    N = 2 * B + 1000  # three blocks, the last one short
 
     @staticmethod
     def _tail_lengths(monkeypatch):
@@ -280,7 +281,7 @@ class TestWriteCsvTails:
         floats = np.random.default_rng(3).random(self.N)
         lengths = self._tail_lengths(monkeypatch)
         _assert_renders_like_rows(("subject_id", "x"), [np.arange(self.N), floats])
-        assert set(lengths) == {4096, 1000}
+        assert set(lengths) == {self.B, 1000}
 
     def test_signed_zeros_and_nan_payloads_are_kept_apart(self, monkeypatch):
         values = [0.0, -0.0, math.nan, -math.nan, _nan(0x7FF8000000000001), 0.25, -math.inf]
@@ -304,12 +305,13 @@ class TestWriteCsvTails:
         assert lengths.count(30) == 3 * 3
 
     def test_many_distinct_tails_take_the_per_column_path(self, monkeypatch):
-        # 64 and 63 values, each few, but 4032 combinations in a block
+        # 64 and 63 values, each few, but every row of a block a combination
+        # of its own: they repeat only every 64 * 63 = 4032 rows
         n = self.N
         lengths = self._tail_lengths(monkeypatch)
         columns = [np.resize(np.arange(64), n), np.resize(np.arange(63) / 7, n)]
         _assert_renders_like_rows(("subject_id", "a", "b"), [np.arange(n), *columns])
-        assert set(lengths) == {4096, 1000}
+        assert set(lengths) == {self.B, 1000}
 
     def test_wide_tail_past_the_range_of_one_key(self, monkeypatch):
         # 100^10 codes overflow an int64 key, which is renumbered on the way
@@ -324,12 +326,13 @@ class TestWriteCsvTails:
         # in the middle one: the middle block alone falls back.
         n = self.N
         floats = np.resize(np.array([0.5, 1 / 3, -2.5e17]), n)
-        floats[4096:8192] = np.random.default_rng(5).random(4096)
+        b = self.B
+        floats[b : 2 * b] = np.random.default_rng(5).random(b)
         counts = np.resize(np.arange(4, dtype=np.int64), n)
-        counts[4096:8192] = np.arange(4096)
+        counts[b : 2 * b] = np.arange(b)
         lengths = self._tail_lengths(monkeypatch)
         _assert_renders_like_rows(("subject_id", "x", "c"), [np.arange(n), floats, counts])
-        assert lengths == [12, 12, 4096] + [4096] * 3 + [12, 12, 1000]
+        assert lengths == [12, 12, b] + [b] * 3 + [12, 12, 1000]
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_narrow_tables(self, width):
