@@ -1,12 +1,19 @@
-"""Module entry point: ``python -m scanloop``."""
+"""Program entry point: ``python -m scanloop`` and the ``scanloop`` script both
+run ``run``."""
 
 import gc
 import sys
 
-from .cli import main
+from . import cli
 
-if __name__ == "__main__":
+
+def run() -> int:
+    """``cli.main`` on the process's arguments, as a program."""
     # The heap built by the imports lives as long as the run: moved out of
     # the collector's reach, full collections during the run skip it.
     gc.freeze()
-    sys.exit(main())
+    return cli.main()
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -23,8 +23,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# Set before numpy is first imported, so that OpenBLAS (numpy's and, once a
+# Beta family loads it, SciPy's) starts no worker threads: the CLI does no
+# matrix work that threads could share, and starting the pool took about
+# 0.07 s of every call on a 2-core VM.  A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -66,8 +66,7 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
 
 # Rows rendered at a time: every column is formatted a block at a time, so
 # only one block's cell strings are alive at once.  Blocks of 1 024 rows hold
-# a quarter of the strings of 4 096 and cost a few milliseconds per 10^5 rows
-# of subjects.csv, whose distinct row tails are formatted once per block.
+# a quarter of the strings of 4 096.
 _ROW_BLOCK = 1024
 
 
@@ -153,10 +152,18 @@ def _tail_codes(
     return lead, np.searchsorted(distinct, key), len(distinct)
 
 
-def _block_lines(columns: list[Sequence[object]], width: int) -> str:
+def _block_lines(
+    columns: list[Sequence[object]], width: int, tails: dict[bytes, str]
+) -> str:
     """The CSV lines of one block of rows, given as its column slices: the
     cells of each distinct row tail (``_tail_codes``, at most an eighth of the
-    rows) are formatted once, every other cell one by one."""
+    rows) are formatted once, every other cell one by one.
+
+    ``tails`` holds the tails formatted so far and is shared by the blocks of
+    one file, so a tail met again in a later block is not formatted again.
+    Its keys are the bits of a tail's cells, each widened to 8 bytes, so a
+    key's length also tells the column the tail starts at.
+    """
     tail = _tail_codes(columns, len(columns[0]) // 8)
     if tail is None:
         return _csv_lines(zip(*map(_format_column, columns)), width)
@@ -164,10 +171,21 @@ def _block_lines(columns: list[Sequence[object]], width: int) -> str:
     # a row of each tail: the rows of one tail hold the same bits
     row_of = np.empty(count, dtype=np.intp)
     row_of[code] = np.arange(len(code))
-    cells = [_format_column(column[row_of]) for column in columns[lead:]]
-    tails = np.array(list(map(",".join, zip(*cells))), dtype=object)
+    bits = np.empty((count, width - lead), dtype=np.uint64)
+    for j, column in enumerate(columns[lead:]):
+        bits[:, j] = column[row_of].view(f"u{column.itemsize}")
+    keys = list(map(bytes, bits))
+    new = [i for i, key in enumerate(keys) if key not in tails]
+    if len(tails) + len(new) > _ROW_BLOCK:
+        # a file of ever new tails keeps at most about a block of them
+        tails.clear()
+        new = range(count)
+    if new:
+        cells = [_format_column(column[row_of[new]]) for column in columns[lead:]]
+        tails.update(zip([keys[i] for i in new], map(",".join, zip(*cells))))
+    block_tails = np.array([tails[key] for key in keys], dtype=object)
     lead_cells = map(_format_column, columns[:lead])
-    return _csv_lines(zip(*lead_cells, tails[code].tolist()), width, lead)
+    return _csv_lines(zip(*lead_cells, block_tails[code].tolist()), width, lead)
 
 
 def write_csv(
@@ -192,8 +210,9 @@ def write_csv(
         raise ValueError("columns must have equal lengths")
     width = len(header)
     head = manifest_line(manifest) + "\n" + _csv_lines([tuple(header)], width)
+    tails: dict[bytes, str] = {}
     blocks = (
-        _block_lines([c[start : start + _ROW_BLOCK] for c in columns], width)
+        _block_lines([c[start : start + _ROW_BLOCK] for c in columns], width, tails)
         for start in range(0, n, _ROW_BLOCK)
     )
     atomic_write_text(path, itertools.chain([head], blocks))

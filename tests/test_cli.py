@@ -1,7 +1,9 @@
 """End-to-end CLI runs through subprocesses: artifacts, examples, exit codes."""
 
+import gc
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -774,6 +776,36 @@ class TestEntryPoint:
         for name in written:
             assert (module / name).read_bytes() == (direct / name).read_bytes(), name
 
+    def test_script_target_is_the_function_the_module_runs(self, monkeypatch):
+        # ``scanloop`` (the console script) and ``python -m scanloop`` both
+        # freeze the heap from ``__main__.run`` and then call ``cli.main``.
+        import runpy
+        from importlib.metadata import EntryPoint
+
+        from scanloop import cli
+
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))
+        target = pyproject["project"]["scripts"]["scanloop"]
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(sys._getframe(1).f_code))
+        monkeypatch.setattr(cli, "main", lambda argv=None: calls.append(argv) or 0)
+        monkeypatch.delitem(sys.modules, "scanloop.__main__", raising=False)
+        with pytest.raises(SystemExit) as raised:
+            runpy.run_module("scanloop", run_name="__main__")
+        assert raised.value.code == 0
+        script = EntryPoint("scanloop", target, "console_scripts").load()
+        assert script() == 0
+        assert calls == [script.__code__, None, script.__code__, None]
+
+    def test_cli_main_in_process_keeps_the_default_collector(self, tmp_path, monkeypatch):
+        from scanloop.cli import main
+
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        assert main(["table1", "--out", str(tmp_path)]) == 0
+        assert calls == []
+
     def test_bad_config_exits_2(self, tmp_path):
         text = ABSTRACT_BETA.format(workers=1).replace("precision = 0.8", "precision = 1.2")
         result = run_cli("simulate", "--config", str(write_config(tmp_path, text)))
@@ -1266,10 +1298,10 @@ class TestKinematicBounds:
         assert rows and all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 
-def run_fresh(code, *argv):
+def run_fresh(code, *argv, env=None):
     """Run ``code`` in a new interpreter; its last stdout line, parsed as JSON."""
     result = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=300
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
@@ -1286,6 +1318,44 @@ def test_cli_import_leaves_scipy_and_process_pool_unloaded():
         "print(json.dumps([n for n in names if n in sys.modules]))"
     )
     assert loaded == []
+
+
+def blas_env(**settings):
+    """This process's environment without the variables OpenBLAS takes its
+    thread count from, plus ``settings``."""
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    return {**{k: v for k, v in os.environ.items() if k not in names}, **settings}
+
+
+# Imports the CLI, then loads SciPy, counting the process's threads after
+# each, and reports them with the OpenBLAS setting left in the environment.
+THREAD_COUNTS = (
+    "import json, os\n"
+    "import scanloop.cli\n"
+    "from scanloop.alpha_distributions import _special\n"
+    "counts = [len(os.listdir('/proc/self/task'))]\n"
+    "_special()\n"
+    "counts.append(len(os.listdir('/proc/self/task')))\n"
+    "print(json.dumps([counts, os.environ.get('OPENBLAS_NUM_THREADS')]))"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+class TestBlasThreads:
+    def test_cli_process_starts_no_blas_thread(self):
+        # numpy's OpenBLAS and the one scipy.special loads would each start a
+        # worker per CPU after the first.
+        assert run_fresh(THREAD_COUNTS, env=blas_env()) == [[1, 1], "1"]
+
+    def test_thread_count_set_by_the_user_is_kept(self):
+        _, setting = run_fresh(THREAD_COUNTS, env=blas_env(OPENBLAS_NUM_THREADS="2"))
+        assert setting == "2"
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # Library users who import no CLI keep their own BLAS settings.
+    code = "import json, sys, scanloop\nprint(json.dumps('numpy' in sys.modules))"
+    assert run_fresh(code, env=blas_env()) is False
 
 
 # Runs cli.main on each argv given as a JSON list, then reports the exit codes

@@ -429,3 +429,53 @@ def test_guidance_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         outputs[kernel] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     assert sorted(outputs[None]) == ["quality.f64", "quality_curve.csv", "trajectories.csv"]
     assert outputs["Nehalem"] == outputs[None]
+
+
+ABSTRACT_CONFIG = """
+[cohort]
+mode = abstract
+subjects = 20000
+seed = 5
+workers = 1
+
+[distribution]
+family = uniform
+lo = 0.05
+hi = 0.45
+
+[predictor]
+kind = confusion
+precision = 0.8
+recall = 0.8
+
+[costs]
+rescan = 0.1
+correction = 1.0
+
+[policy]
+max_rescans = 10
+"""
+
+
+def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The comparison block's covariance is the one BLAS call of a run.
+    config = tmp_path / "abstract.ini"
+    config.write_text(ABSTRACT_CONFIG)
+    pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "scanloop", "simulate", "--config", str(config), "--out"]
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        result = subprocess.run(
+            [*argv, str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs[threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(outputs["1"]) == ["report.json", "subjects.csv"]
+    assert b'"comparison"' in outputs["1"]["report.json"]
+    assert outputs["2"] == outputs["1"]

@@ -290,8 +290,8 @@ class TestWriteCsvTails:
         _assert_renders_like_rows(("subject_id", "x"), [np.arange(self.N), floats])
         body = written_csv(("x",), [floats], {}).split("\n")[2:9]
         assert body == ["0", "-0", '""', '""', '""', "0.25", "-inf"]
-        # each block formats its seven distinct tails once
-        assert lengths.count(7) == 3 * 2
+        # each file formats its seven distinct tails once, in its first block
+        assert lengths.count(7) == 2
 
     def test_bool_and_int_tails(self, monkeypatch):
         n = self.N
@@ -301,8 +301,8 @@ class TestWriteCsvTails:
         bools = np.resize(np.array([True, False, True, True]), n)
         columns = [np.arange(n), ints, small, bools]
         _assert_renders_like_rows(("subject_id", "k", "u", "flag"), columns)
-        # 5 x 3 x 2 distinct tails in every block
-        assert lengths.count(30) == 3 * 3
+        # 5 x 3 x 2 distinct tails in every block, formatted in the first
+        assert lengths.count(30) == 3
 
     def test_many_distinct_tails_take_the_per_column_path(self, monkeypatch):
         # 64 and 63 values, each few, but every row of a block a combination
@@ -319,11 +319,12 @@ class TestWriteCsvTails:
         lengths = self._tail_lengths(monkeypatch)
         columns = [np.resize(np.arange(100) * (k + 1), n) for k in range(10)]
         _assert_renders_like_rows(tuple("abcdefghij"), columns)
-        assert lengths.count(100) == 3 * 10
+        assert lengths.count(100) == 10
 
     def test_cardinality_changing_at_a_block_edge(self, monkeypatch):
         # Low-cardinality tails in the first and last blocks, distinct values
-        # in the middle one: the middle block alone falls back.
+        # in the middle one: the middle block alone falls back, and the last
+        # block's tails were formatted in the first.
         n = self.N
         floats = np.resize(np.array([0.5, 1 / 3, -2.5e17]), n)
         b = self.B
@@ -332,7 +333,30 @@ class TestWriteCsvTails:
         counts[b : 2 * b] = np.arange(b)
         lengths = self._tail_lengths(monkeypatch)
         _assert_renders_like_rows(("subject_id", "x", "c"), [np.arange(n), floats, counts])
-        assert lengths == [12, 12, b] + [b] * 3 + [12, 12, 1000]
+        assert lengths == [12, 12, b] + [b] * 3 + [1000]
+
+    def test_tail_of_every_block_formatted_once_per_file(self, monkeypatch):
+        # 0.0 and -0.0 are equal floats with distinct bits: the first block
+        # holds 0.0 only and the later ones -0.0 as well, which must not be
+        # served the 0.0 tail's "0".
+        floats = np.zeros(self.N)
+        floats[self.B + 1 :: 2] = -0.0
+        ints = np.resize(np.array([7, 8], dtype=np.int64), self.N)
+        lengths = self._tail_lengths(monkeypatch)
+        columns = [np.arange(self.N), floats, ints]
+        _assert_renders_like_rows(("subject_id", "x", "k"), columns)
+        # tails (0, 7) and (0, 8) in the first block, only (-0, 8) is new after
+        assert lengths == [2, 2, self.B, 1, 1, self.B, 1000]
+        body = written_csv(("x", "k"), columns[1:], {}).split("\n")[2:-1]
+        assert body[self.B : self.B + 2] == ["0,7", "-0,8"]
+
+    def test_ever_new_tails_past_the_kept_number(self):
+        # 64 new tails in every block beside one in all of them: the kept
+        # tails are dropped once they pass a block's rows, and made again.
+        n = 20 * self.B
+        counts = np.arange(n) // 16
+        counts[::2] = -1
+        _assert_renders_like_rows(("subject_id", "k"), [np.arange(n), counts])
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_narrow_tables(self, width):
