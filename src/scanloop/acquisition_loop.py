@@ -20,7 +20,8 @@ the subject table derives every tally and the cost from those outcomes:
 Cohorts are cut into contiguous units of work, each inside one key block of
 ``streams``, and may fan out over worker processes; because every subject
 consumes only its own stream, results are bit-identical for a fixed master
-seed no matter the worker count.
+seed no matter the worker count.  A run may hand each unit on as it is drawn
+and keep only what its aggregates read (``KeptColumns``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -250,6 +251,73 @@ class SubjectTable:
         return self.quality[self.starts + (last if scan is None else np.minimum(scan, last))]
 
 
+# A unit of work as a run hands it on: its first subject's index and its table.
+Unit = tuple[int, SubjectTable]
+
+
+class KeptColumns:
+    """What a cohort run keeps of its subjects for its aggregates, one unit
+    of subjects at a time (``add``), so the units themselves can be dropped.
+
+    Per subject it keeps ``cost`` and ``first_fail`` and, for a kinematic
+    run, ``scans`` and the per-scan ``quality`` (both empty otherwise); for
+    the cohort, the integer sums ``total_scans``, ``total_corrections`` and
+    those of the three per-subject scan tallies, at the cost ``rates``.  The
+    per-subject arrays span the whole cohort, so the float aggregates reduce
+    them exactly as they would the joined table's columns, however the
+    cohort was split.
+    """
+
+    def __init__(self, n: int, rates: CostRates, kinematic: bool):
+        self.rates, self.kinematic = rates, kinematic
+        self.cost = np.empty(n)
+        self.first_fail = np.empty(n, dtype=bool)
+        self.scans = np.empty(n if kinematic else 0, dtype=np.int64)
+        self.quality = np.zeros(0)
+        self._quality: list[np.ndarray] = []
+        self.total_scans = self.total_corrections = 0
+        self.flagged_scans = self.failed_scans = self.flagged_failed_scans = 0
+
+    @classmethod
+    def of(cls, table: SubjectTable, kinematic: bool) -> "KeptColumns":
+        """What a run keeps of the whole ``table``."""
+        kept = cls(len(table), table.rates, kinematic)
+        kept.add(0, table)
+        kept.finish()
+        return kept
+
+    def add(self, start: int, unit: SubjectTable) -> None:
+        """Keep what the aggregates read of ``unit``, the subjects from index
+        ``start`` on."""
+        where = slice(start, start + len(unit))
+        self.cost[where] = unit.cost
+        self.first_fail[where] = unit.first_fail
+        failed, flagged = unit.failed, unit.flagged
+        self.total_scans += len(failed)
+        self.total_corrections += int(np.count_nonzero(unit.final_true_fail))
+        self.flagged_scans += int(np.count_nonzero(flagged))
+        self.failed_scans += int(np.count_nonzero(failed))
+        self.flagged_failed_scans += int(np.count_nonzero(failed & flagged))
+        if self.kinematic:
+            self.scans[where] = unit.scans
+            self._quality.append(unit.quality)
+
+    def finish(self) -> None:
+        """Join the kept qualities and find where each subject's scans start,
+        once every unit has been added."""
+        if self._quality:
+            self.quality = np.concatenate(self._quality)
+            self._quality = []
+        self.starts = np.cumsum(self.scans) - self.scans
+        self.rescans = self.scans - 1
+
+    def __len__(self) -> int:
+        return len(self.cost)
+
+    # reads quality, starts and rescans, which a kinematic run keeps
+    quality_at = SubjectTable.quality_at
+
+
 @dataclass(frozen=True, slots=True)
 class CohortAggregates:
     """Cohort summaries, all recomputable from the per-subject table; a cost
@@ -273,10 +341,13 @@ class CohortAggregates:
 @dataclass(frozen=True, slots=True)
 class SimulationReport:
     """Cohort results: the config that ran, whose mode, echo and manifest the
-    report files carry, the per-subject table and its aggregates."""
+    report files carry, the per-subject table (None when the run handed its
+    units to a sink), the columns kept for the aggregates, and the
+    aggregates."""
 
     config: "ExperimentConfig"
-    table: SubjectTable
+    table: SubjectTable | None
+    kept: KeptColumns
     aggregates: CohortAggregates
 
 
@@ -289,41 +360,43 @@ def _finite(value: float) -> float | None:
 # numpy stays quiet when a sum or spread of extreme costs overflows: each
 # figure that leaves the range of doubles is None
 @np.errstate(over="ignore", invalid="ignore")
-def _empirical_ratio(table: SubjectTable) -> float | None:
+def _empirical_ratio(kept: KeptColumns) -> float | None:
     """Paired estimator: looped cost over the cost the same draws would have
     incurred with no loop (correction on first-scan failure), both at the
-    table's rates."""
-    baseline = table.rates.correction_cost * float(table.first_fail.sum())
+    kept columns' rates."""
+    baseline = kept.rates.correction_cost * float(kept.first_fail.sum())
     if baseline == 0.0:
         return None
-    return _finite(float(table.cost.sum()) / baseline)
+    return _finite(float(kept.cost.sum()) / baseline)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as _empirical_ratio
-def _aggregate(table: SubjectTable, analytic_ratio: float | None) -> CohortAggregates:
-    """The aggregates of ``table``, whose costs are at its own rates, beside
-    the closed-form ``analytic_ratio`` (None where there is none)."""
-    n = len(table)
-    flagged = int(table.flagged_scans.sum())
-    failed = int(table.failed_scans.sum())
-    hits = int(table.flagged_failed_scans.sum())
+def _aggregate(kept: KeptColumns, analytic_ratio: float | None) -> CohortAggregates:
+    """The aggregates of the ``kept`` columns, whose costs are at their own
+    rates, beside the closed-form ``analytic_ratio`` (None where there is
+    none).  Counts and the mean re-scans come from the integer tallies; every
+    other figure reduces a whole-cohort array."""
+    n = len(kept)
+    rescans = kept.total_scans - n
+    flagged, failed, hits = kept.flagged_scans, kept.failed_scans, kept.flagged_failed_scans
 
     mean_initial = mean_final = None
-    if table.quality.size:
-        mean_initial = float(table.quality_at(0).mean())
-        mean_final = float(table.quality_at(None).mean())
+    if kept.quality.size:
+        mean_initial = float(kept.quality_at(0).mean())
+        mean_final = float(kept.quality_at(None).mean())
 
     return CohortAggregates(
         subjects=n,
-        total_scans=int(table.scans.sum()),
-        total_rescans=int(table.rescans.sum()),
-        total_corrections=int(table.final_true_fail.sum()),
-        total_cost=_finite(float(table.cost.sum())),
-        mean_cost=_finite(float(table.cost.mean())) if n > 0 else None,
-        mean_rescans=float(table.rescans.mean()) if n > 0 else None,
+        total_scans=kept.total_scans,
+        total_rescans=rescans,
+        total_corrections=kept.total_corrections,
+        total_cost=_finite(float(kept.cost.sum())),
+        mean_cost=_finite(float(kept.cost.mean())) if n > 0 else None,
+        # an integer sum below 2**53, so the quotient numpy's mean would give
+        mean_rescans=rescans / n if n > 0 else None,
         empirical_precision=hits / flagged if flagged > 0 else None,
         empirical_recall=hits / failed if failed > 0 else None,
-        empirical_cost_ratio=_empirical_ratio(table),
+        empirical_cost_ratio=_empirical_ratio(kept),
         analytic_cost_ratio=analytic_ratio,
         mean_initial_quality=mean_initial,
         mean_final_quality=mean_final,
@@ -415,17 +488,27 @@ def _simulate_table(config: "ExperimentConfig", start: int, stop: int) -> Subjec
     return SubjectTable.from_records(records, config.rates)
 
 
-def run_cohort(config: "ExperimentConfig") -> SimulationReport:
+def run_cohort(
+    config: "ExperimentConfig", sink: Callable[[Iterator[Unit]], None] | None = None
+) -> SimulationReport:
     """Simulate every subject of the configured cohort.
 
     Results are bit-identical for a fixed master seed regardless of
     ``config.workers``: subjects consume only their own streams and the units
-    of work are joined in subject order.  At one worker a unit is 1 024
-    subjects, so no more records than that are alive at once; each unit's
-    table holds only its drawn columns, and the joined table derives the
-    tallies once.  The abstract closed-form ratio is None where it cannot be
-    had: a zero-mean population, whose baseline cost is 0, one whose integral
-    the Gauss rules fail to resolve, or one whose ratio leaves the range of
+    of work come in subject order.  At one worker a unit is 1 024 subjects.
+
+    With a ``sink``, ``sink(units)`` gets the iterator of ``(start, unit)``
+    pairs, each unit the ``SubjectTable`` of the subjects from index
+    ``start`` on, drawn as the sink asks for it.  Each unit is kept
+    (``KeptColumns.add``) as it passes and then left to the sink, so no more
+    than a unit's table need be alive at once, and ``report.table`` is None;
+    units the sink does not ask for are drawn after it returns.  Without a
+    sink the units are joined into ``report.table``.  Either way the
+    aggregates come from the kept columns, with the same bits.
+
+    The abstract closed-form ratio is None where it cannot be had: a
+    zero-mean population, whose baseline cost is 0, one whose integral the
+    Gauss rules fail to resolve, or one whose ratio leaves the range of
     doubles.
     """
     n = config.n_subjects
@@ -444,15 +527,40 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
 
     pool_size = min(workers, len(starts))
     if pool_size < 2:
-        tables = list(map(_simulate_table, configs, starts, stops))
-    else:
-        # Imported here, not with the module: runs on one worker never pay
-        # for loading multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+        return _report(config, zip(starts, map(_simulate_table, configs, starts, stops)), sink)
+    # Imported here, not with the module: runs on one worker never pay for
+    # loading multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            tables = list(pool.map(_simulate_table, configs, starts, stops))
-    table = SubjectTable.concatenate(tables)
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        units = zip(starts, pool.map(_simulate_table, configs, starts, stops))
+        return _report(config, units, sink)
+
+
+def _report(
+    config: "ExperimentConfig",
+    units: Iterator[Unit],
+    sink: Callable[[Iterator[Unit]], None] | None,
+) -> SimulationReport:
+    """The report of ``units``, the whole cohort's in subject order, handed
+    to ``sink`` when there is one (see ``run_cohort``)."""
+    kinematic = config.mode == "kinematic"
+    if sink is None:
+        table = SubjectTable.concatenate([unit for _, unit in units])
+        kept = KeptColumns.of(table, kinematic)
+    else:
+        table, kept = None, KeptColumns(config.n_subjects, config.rates, kinematic)
+
+        def kept_units() -> Iterator[Unit]:
+            for start, unit in units:
+                kept.add(start, unit)
+                yield start, unit
+
+        stream = kept_units()
+        sink(stream)
+        for _ in stream:
+            pass
+        kept.finish()
 
     analytic = None
     if config.mode == "abstract":
@@ -463,7 +571,7 @@ def run_cohort(config: "ExperimentConfig") -> SimulationReport:
         except (UndefinedRatio, QuadratureFailure):
             pass
 
-    return SimulationReport(config, table, _aggregate(table, analytic))
+    return SimulationReport(config, table, kept, _aggregate(kept, analytic))
 
 
 @dataclass(frozen=True, slots=True)
@@ -502,7 +610,8 @@ def empirical_vs_analytic(report: SimulationReport) -> ComparisonSummary:
             whose mean failure rate is 0, or whose integral the Gauss rules
             fail to resolve.
     """
-    n = len(report.table)
+    kept = report.kept
+    n = len(kept)
     if n == 0:
         raise ValueError("cannot compare an empty cohort")
     agg = report.aggregates
@@ -517,12 +626,12 @@ def empirical_vs_analytic(report: SimulationReport) -> ComparisonSummary:
     cost_se = ratio_se = z_cost = z_ratio = None
 
     if n > 1:
-        cost = report.table.cost
+        cost = kept.cost
         cost_se = _finite(float(cost.std(ddof=1) / math.sqrt(n)))
         if cost_se and agg.mean_cost is not None:
             z_cost = _finite((agg.mean_cost - analytic_new) / cost_se)
         if ratio is not None:
-            baseline = rates.correction_cost * report.table.first_fail.astype(float)
+            baseline = rates.correction_cost * kept.first_fail.astype(float)
             ybar = float(baseline.mean())
             spread = (
                 float(cost.var(ddof=1))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -35,7 +36,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .acquisition_loop import _aggregate, _finite, empirical_vs_analytic, run_cohort
+from .acquisition_loop import KeptColumns, _aggregate, _finite, empirical_vs_analytic, run_cohort
 from .alpha_distributions import expected_cost_ratio, mean_alpha
 from .config import build_manifest, check_seed, parse_config
 from .cost_model import (
@@ -107,7 +108,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     ).hexdigest()
     manifest = build_manifest(0 if args.seed is None else check_seed(args.seed), digest)
     out = Path(args.out if args.out is not None else "runs")
-    write_csv(out / "table1.csv", TABLE1_HEADER, list(zip(*rows)), manifest)
+    write_csv(out / "table1.csv", TABLE1_HEADER, [list(zip(*rows))], manifest)
 
     print(
         f"{'alpha':>6} {'cs/cc':>6} {'prec':>6} {'recall':>7}"
@@ -173,17 +174,14 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    report = run_cohort(config)
-
-    comparison = None
-    if len(report.table) > 0 and report.aggregates.analytic_cost_ratio is not None:
-        comparison = empirical_vs_analytic(report)
-
     out = Path(config.out_dir)
-    write_summary_json(out / "report.json", report, comparison)
-    write_subjects_csv(out / "subjects.csv", report)
-
+    report = run_cohort(config, functools.partial(write_subjects_csv, out / "subjects.csv", config))
     agg = report.aggregates
+    comparison = None
+    if agg.subjects > 0 and agg.analytic_cost_ratio is not None:
+        comparison = empirical_vs_analytic(report)
+    write_summary_json(out / "report.json", report, comparison)
+
     print(f"subjects               {agg.subjects}")
     print(f"total rescans          {agg.total_rescans}")
     print(f"total corrections      {agg.total_corrections}")
@@ -240,7 +238,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if precision and recall is not None and 0.0 < alpha_hat < 1.0:
             profile = PredictorProfile(precision, recall)
             plugin = _finite(budgeted_cost_at(alpha_hat, profile, quotient, budget) / alpha_hat)
-        agg = _aggregate(run, None)
+        agg = _aggregate(KeptColumns.of(run, kinematic=False), None)
         cost, ratio = agg.mean_cost, agg.empirical_cost_ratio
         rows.append([tau, alpha_hat, precision, recall, plugin, cost, ratio, 0, 0])
 
@@ -252,7 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows[best][SWEEP_HEADER.index(mark)] = 1
 
     out = Path(config.out_dir)
-    write_csv(out / "sweep.csv", SWEEP_HEADER, list(zip(*rows)), config.manifest)
+    write_csv(out / "sweep.csv", SWEEP_HEADER, [list(zip(*rows))], config.manifest)
 
     print(f"{'tau':>6} {'alpha^':>7} {'prec':>6} {'recall':>7} {'plugin':>7} {'cost':>9}")
     for row in rows:
@@ -266,31 +264,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_guidance(args: argparse.Namespace) -> int:
     config = _load_config(args, modes=("kinematic",))
-    report = run_cohort(config)
-    table = report.table
-
-    # One row per scan: the subject's id repeated over its scans, the scan's
-    # index among them and the scan's quality.
     out = Path(config.out_dir)
-    write_csv(
-        out / "trajectories.csv",
-        ("subject_id", "scan_index", "quality"),
-        [
-            np.repeat(np.arange(len(table)), table.scans),
-            np.arange(len(table.quality)) - np.repeat(table.starts, table.scans),
-            table.quality,
-        ],
-        config.manifest,
-    )
+
+    def write_trajectories(units) -> None:
+        # One row per scan, each unit's written as it is drawn: the subject's
+        # id repeated over its scans, the scan's index among them and the
+        # scan's quality.
+        blocks = (
+            [
+                np.repeat(np.arange(start, start + len(unit)), unit.scans),
+                np.arange(len(unit.quality)) - np.repeat(unit.starts, unit.scans),
+                unit.quality,
+            ]
+            for start, unit in units
+        )
+        header = ("subject_id", "scan_index", "quality")
+        write_csv(out / "trajectories.csv", header, blocks, config.manifest)
+
+    report = run_cohort(config, write_trajectories)
+    kept = report.kept
 
     # Mean cohort quality at each scan index; subjects that stopped early
     # hold their final quality, so the curve tracks the whole cohort's state.
-    longest = int(table.scans.max(initial=0))
-    means = [float(table.quality_at(k).mean()) for k in range(longest)]
+    longest = int(kept.scans.max(initial=0))
+    means = [float(kept.quality_at(k).mean()) for k in range(longest)]
     write_csv(
         out / "quality_curve.csv",
         ("scan_index", "mean_quality"),
-        [np.arange(longest), means],
+        [[np.arange(longest), means]],
         config.manifest,
     )
 

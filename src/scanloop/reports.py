@@ -14,17 +14,25 @@ Conventions shared by every emitted file:
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .acquisition_loop import SUBJECT_COLUMNS, ComparisonSummary, SimulationReport
+from .acquisition_loop import (
+    SUBJECT_COLUMNS,
+    ComparisonSummary,
+    SimulationReport,
+    SubjectTable,
+    Unit,
+)
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 def format_cell(value: object) -> str:
@@ -47,9 +55,15 @@ def manifest_line(manifest: dict) -> str:
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write ``text``, or its pieces one at a time as they are made, to a
-    temporary file beside ``path`` and rename it into place; on any failure
-    the temporary file is removed and ``path`` is left as it was."""
+    temporary file beside ``path`` and rename it into place; on any failure,
+    also one raised while a piece is made, the temporary file and the
+    directories made for it are removed and ``path`` is left as it was."""
     path = Path(path)
+    made = []  # the missing directories, deepest first
+    parent = path.parent
+    while not parent.exists():
+        made.append(parent)
+        parent = parent.parent
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -61,6 +75,11 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
             os.unlink(tmp)
         except OSError:
             pass
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty: another writer's file is in it
+                break
         raise
 
 
@@ -191,31 +210,40 @@ def _block_lines(
 def write_csv(
     path: str | Path,
     header: Sequence[str],
-    columns: Sequence[Sequence[object]],
+    blocks: Iterable[Sequence[Sequence[object]]],
     manifest: dict,
 ) -> None:
-    """A table given as equal-length columns, one per header entry, each cell
-    formatted by ``format_cell``'s rules, as CSV text written a block of rows
-    at a time as it is rendered, atomically: a failure leaves no partial file.
+    """A table given as consecutive blocks of rows, each a list of
+    equal-length columns, one per header entry, with each cell formatted by
+    ``format_cell``'s rules, as CSV text, written atomically: a failure leaves
+    no partial file.  A table in memory is one block.  Each block is read
+    from ``blocks`` only once the rows before it are written, and is rendered
+    ``_ROW_BLOCK`` rows at a time, so a generator of blocks is never held
+    whole.
 
     Raises:
-        ValueError: for columns of unequal lengths or a count other than the
-            header's and for a header entry that would need quoting, before
-            anything is written, and for a cell that would need quoting.
+        ValueError: for a header entry that would need quoting, before
+            anything is written, and for a block whose columns have unequal
+            lengths or a count other than the header's, or a cell that would
+            need quoting.
     """
-    if len(columns) != len(header):
-        raise ValueError(f"{len(header)} header entries but {len(columns)} columns")
-    n = len(columns[0]) if columns else 0
-    if any(len(column) != n for column in columns):
-        raise ValueError("columns must have equal lengths")
     width = len(header)
     head = manifest_line(manifest) + "\n" + _csv_lines([tuple(header)], width)
     tails: dict[bytes, str] = {}
-    blocks = (
-        _block_lines([c[start : start + _ROW_BLOCK] for c in columns], width, tails)
-        for start in range(0, n, _ROW_BLOCK)
-    )
-    atomic_write_text(path, itertools.chain([head], blocks))
+
+    def lines() -> Iterator[str]:
+        yield head
+        for columns in blocks:
+            if len(columns) != width:
+                raise ValueError(f"{width} header entries but {len(columns)} columns")
+            n = len(columns[0]) if columns else 0
+            if any(len(column) != n for column in columns):
+                raise ValueError("columns must have equal lengths")
+            for start in range(0, n, _ROW_BLOCK):
+                rows = [c[start : start + _ROW_BLOCK] for c in columns]
+                yield _block_lines(rows, width, tails)
+
+    atomic_write_text(path, lines())
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -234,19 +262,20 @@ def subjects_csv_header(mode: str) -> list[str]:
     return lead + list(SUBJECT_COLUMNS)
 
 
-def subjects_csv_columns(report: SimulationReport) -> list[Sequence[object]]:
-    """The columns of subjects.csv, in the order of ``subjects_csv_header``."""
-    table = report.table
-    if report.config.mode == "abstract":
-        lead = [table.alpha]
-    else:
-        lead = [table.quality_at(0), table.quality_at(None)]
-    return [np.arange(len(table)), *lead, *(getattr(table, name) for name in SUBJECT_COLUMNS)]
+def subjects_csv_columns(mode: str, start: int, unit: SubjectTable) -> list[np.ndarray]:
+    """The block of subjects.csv for the subjects of ``unit``, the first of
+    them subject ``start``: its columns, in the order of
+    ``subjects_csv_header(mode)``."""
+    lead = [unit.alpha] if mode == "abstract" else [unit.quality_at(0), unit.quality_at(None)]
+    ids = np.arange(start, start + len(unit))
+    return [ids, *lead, *(getattr(unit, name) for name in SUBJECT_COLUMNS)]
 
 
-def write_subjects_csv(path: str | Path, report: SimulationReport) -> None:
-    config = report.config
-    write_csv(path, subjects_csv_header(config.mode), subjects_csv_columns(report), config.manifest)
+def write_subjects_csv(path: str | Path, config: "ExperimentConfig", units: Iterable[Unit]) -> None:
+    """subjects.csv of a run of ``config``, given its units in subject order
+    (a ``run_cohort`` sink): each unit's rows are written as it is read."""
+    blocks = (subjects_csv_columns(config.mode, start, unit) for start, unit in units)
+    write_csv(path, subjects_csv_header(config.mode), blocks, config.manifest)
 
 
 def summary_payload(

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 import pickle
 
@@ -798,6 +799,20 @@ class TestRunCohort:
         )
         assert abs(summary.z_cost_ratio) < 3.0
         assert abs(summary.z_mean_cost) < 3.0
+
+    @pytest.mark.parametrize("taken", [0, 1])
+    def test_units_a_sink_leaves_are_drawn_after_it_returns(self, taken):
+        # 2 500 subjects make 3 units at one worker; a sink that stops early
+        # still gets the aggregates of the whole cohort.
+        config = _abstract_config(2500, seed=17)
+        seen = []
+
+        def sink(units):
+            seen.extend(start for start, _ in itertools.islice(units, taken))
+
+        report = run_cohort(config, sink)
+        assert report.table is None and seen == [0][:taken]
+        assert report.aggregates == run_cohort(config).aggregates
 
     def test_worker_count_does_not_change_results(self):
         tables = [run_cohort(_abstract_config(1200, seed=17, workers=w)).table for w in (1, 3)]

@@ -548,9 +548,9 @@ class TestSweep:
         columns = []
         write_csv = cli.write_csv
 
-        def capture(path, header, cols, manifest):
-            columns.append(cols)
-            write_csv(path, header, cols, manifest)
+        def capture(path, header, blocks, manifest):
+            columns.append(blocks[0])
+            write_csv(path, header, blocks, manifest)
 
         monkeypatch.setattr(cli, "write_csv", capture)
         out = tmp_path / "out"
@@ -873,10 +873,15 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_scan_loop_error_names_subject_and_seed(self, tmp_path, monkeypatch, capsys, workers):
+    @pytest.mark.parametrize("subjects, subject", [(40, 23), (2000, 1500)])
+    def test_scan_loop_error_names_subject_and_seed(
+        self, tmp_path, monkeypatch, capsys, workers, subjects, subject
+    ):
         # The same for a truncated normal, whose failure rates are drawn a
         # key block at a time: a fault in subject 23's scan loop names
-        # subject 23.  The loop is told apart by its failure rate.
+        # subject 23.  The loop is told apart by its failure rate.  Subject
+        # 1 500 lies in a later unit than the first, whose subjects.csv rows
+        # were written by then: the failure still leaves no file behind.
         from scanloop import acquisition_loop
         from scanloop.alpha_distributions import TruncatedNormal
         from scanloop.cli import main
@@ -884,28 +889,30 @@ class TestExitCodes:
         from scanloop.errors import UndefinedRatio
         from scanloop.streams import subject_stream
 
-        alpha_23 = TruncatedNormal(0.2, 0.1, 0.0, 0.6).sample(subject_stream(7, 23))
+        alpha = TruncatedNormal(0.2, 0.1, 0.0, 0.6).sample(subject_stream(7, subject))
         run_subject_abstract = acquisition_loop.run_subject_abstract
 
-        def faulty(alpha, *args):
-            if alpha == alpha_23:
+        def faulty(rate, *args):
+            if rate == alpha:
                 raise UndefinedRatio("injected fault")
-            return run_subject_abstract(alpha, *args)
+            return run_subject_abstract(rate, *args)
 
         monkeypatch.setattr(acquisition_loop, "run_subject_abstract", faulty)
         text = (
             ABSTRACT_BETA.format(workers=workers)
             .replace("family = beta\na = 2\nb = 8", TRUNCATED_NORMAL)
-            .replace("subjects = 1500", "subjects = 40")
+            .replace("subjects = 1500", f"subjects = {subjects}")
             .replace("seed = 42", "seed = 7")
         )
         config = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         digest = parse_config(text).digest[:12]
-        assert f"numerical failure: subject 23, seed 7, config {digest}: injected fault" in err
+        where = f"subject {subject}, seed 7, config {digest}"
+        assert f"numerical failure: {where}: injected fault" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_rescan_budget_bound_checked_before_any_simulation(
         self, tmp_path, monkeypatch, capsys
@@ -1227,6 +1234,87 @@ def run_in_process(mode, config, out, capsys):
     command = "simulate" if mode == "abstract" else "guidance"
     code = main([command, "--config", str(config), "--out", str(out)])
     return code, capsys.readouterr().err
+
+
+HISTOGRAM_BINS = "bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.5,2\n"
+
+
+class TestStreamedRun:
+    """``simulate`` and ``guidance`` write each unit of subjects as it is
+    drawn and keep only the columns their aggregates read."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family", [*FAMILY_SETTINGS, "histogram", None])
+    def test_outputs_equal_those_of_the_joined_table(self, tmp_path, capsys, family, workers):
+        # 2 100 subjects make 3 units at workers 1 and 17 at workers 2; the
+        # sink-less run joins them into one table before it aggregates.
+        from scanloop.acquisition_loop import empirical_vs_analytic, run_cohort
+        from scanloop.cli import main
+        from scanloop.config import parse_config
+        from scanloop.reports import (
+            subjects_csv_columns,
+            subjects_csv_header,
+            write_csv,
+            write_summary_json,
+        )
+
+        mode = "kinematic" if family is None else "abstract"
+        text = config_document(mode, "point_mass" if family == "histogram" else family)
+        if family == "histogram":
+            histogram = "family = histogram\ncsv = b.csv"
+            text = text.replace("family = point_mass\nalpha = 0.2", histogram)
+            (tmp_path / "b.csv").write_text(HISTOGRAM_BINS)
+        text = text.replace("subjects = 5", "subjects = 2100")
+        text = text.replace("workers = 1", f"workers = {workers}")
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        config = parse_config(text, base_dir=tmp_path, out_override=str(out))
+        report = run_cohort(config)
+        assert report.table is not None and len(report.table) == 2100
+        comparison = None
+        if report.aggregates.analytic_cost_ratio is not None:
+            comparison = empirical_vs_analytic(report)
+        assert (comparison is None) == (family is None)
+        write_summary_json(tmp_path / "report.json", report, comparison)
+        assert (out / "report.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+        columns = subjects_csv_columns(mode, 0, report.table)
+        write_csv(tmp_path / "subjects.csv", subjects_csv_header(mode), [columns], config.manifest)
+        assert (out / "subjects.csv").read_bytes() == (tmp_path / "subjects.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "mode, family, held", [("abstract", "point_mass", 89), ("kinematic", None, 172)]
+    )
+    def test_peak_memory_grows_by_half_a_held_table(self, tmp_path, capsys, mode, family, held):
+        # The tracemalloc peak of simulate (abstract) or guidance (kinematic)
+        # in process, at 4 096 and 16 384 subjects.  A run that held the
+        # whole cohort's table until it wrote its files grew by ``held`` bytes
+        # a subject between the two; one that keeps a few columns a subject
+        # must grow by at most half that.
+        import tracemalloc
+
+        from scanloop import streams
+
+        peaks = []
+        # the first run, untraced, makes what any run makes once per process
+        for subjects in (4096, 4096, 16384):
+            document = config_document(mode, family, ("cohort", "subjects", str(subjects)))
+            config = write_config(tmp_path, document, f"{subjects}.ini")
+            # each run draws its key blocks afresh, whatever ran before it
+            streams._key_block.cache_clear()
+            streams._uniform_block.cache_clear()
+            if peaks:
+                tracemalloc.start()
+            try:
+                code, err = run_in_process(mode, config, tmp_path / f"out{len(peaks)}", capsys)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        per_subject = (peaks[2] - peaks[1]) / (16384 - 4096)
+        assert per_subject <= held / 2, f"{per_subject:.1f} B a subject"
 
 
 class TestNonFiniteNumbers:

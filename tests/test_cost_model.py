@@ -54,8 +54,8 @@ def test_cost_ratio_reduction_is_exact_complement(tmp_path, monkeypatch):
     """table1's reduction column is the complement of its ratio column, in doubles."""
     columns = {}
 
-    def capture(path, header, values, manifest):
-        columns.update(zip(header, values))
+    def capture(path, header, blocks, manifest):
+        columns.update(zip(header, blocks[0]))
 
     monkeypatch.setattr(cli, "write_csv", capture)
     assert cli.main(["table1", "--out", str(tmp_path)]) == 0

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ class TestAtomicity:
                 raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
-            write_csv(target, ("a", "b"), [[1, 2], [2.0, Exploding()]], {"seed": 0})
+            write_csv(target, ("a", "b"), [[[1, 2], [2.0, Exploding()]]], {"seed": 0})
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # temp file cleaned up too
 
@@ -129,7 +130,7 @@ class TestSubjectsCsv:
     def test_abstract_round_trip_at_emitted_precision(self, tmp_path):
         report = run_cohort(parse_config(ABSTRACT))
         path = tmp_path / "subjects.csv"
-        write_subjects_csv(path, report)
+        run_cohort(report.config, partial(write_subjects_csv, path, report.config))
 
         manifest, header, rows = read_report_csv(path)
         assert manifest == report.config.manifest
@@ -148,7 +149,7 @@ class TestSubjectsCsv:
     def test_kinematic_columns_carry_quality(self, tmp_path):
         report = run_cohort(parse_config(KINEMATIC))
         path = tmp_path / "subjects.csv"
-        write_subjects_csv(path, report)
+        run_cohort(report.config, partial(write_subjects_csv, path, report.config))
         _, header, rows = read_report_csv(path)
         assert header[:3] == ["subject_id", "initial_quality", "final_quality"]
         assert "alpha" not in header
@@ -170,14 +171,14 @@ class TestSubjectsCsv:
                 lead = [trajectory[0], trajectory[-1]]
             columns = [getattr(table, name)[i].item() for name in SUBJECT_COLUMNS]
             rows.append([i, *lead, *columns])
-        write_subjects_csv(tmp_path / "subjects.csv", report)
         config = report.config
+        run_cohort(config, partial(write_subjects_csv, tmp_path / "subjects.csv", config))
         expected = render_csv_rows(subjects_csv_header(config.mode), rows, config.manifest)
         assert (tmp_path / "subjects.csv").read_text(encoding="utf-8") == expected
 
     def test_rows_match_table_length(self):
         report = run_cohort(parse_config(ABSTRACT.replace("subjects = 200", "subjects = 0")))
-        columns = subjects_csv_columns(report)
+        columns = subjects_csv_columns("abstract", 0, report.table)
         assert len(columns) == len(subjects_csv_header("abstract"))
         assert all(len(column) == 0 for column in columns)
 
@@ -187,7 +188,7 @@ def written_csv(header, columns, manifest) -> str:
     line ends."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        write_csv(path, header, columns, manifest)
+        write_csv(path, header, [columns], manifest)
         return path.read_bytes().decode("utf-8")
 
 
@@ -375,7 +376,7 @@ class TestWriteCsvStreaming:
     def test_writes_the_rendered_text(self, tmp_path):
         n = 3 * 4096 + 1
         columns = [np.arange(n), np.resize(np.array([0.1, 0.2]), n)]
-        write_csv(tmp_path / "t.csv", ("a", "b"), columns, {"x": 1})
+        write_csv(tmp_path / "t.csv", ("a", "b"), [columns], {"x": 1})
         text = render_csv_rows(("a", "b"), zip(*(c.tolist() for c in columns)), {"x": 1})
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == text
 
@@ -384,7 +385,7 @@ class TestWriteCsvStreaming:
         lead = ["x"] * 5000
         lead[4500] = "bad\ncell"
         with pytest.raises(ValueError, match="quoting"):
-            write_csv(target, ("a", "b"), [lead, np.zeros(5000)], {"seed": 0})
+            write_csv(target, ("a", "b"), [[lead, np.zeros(5000)]], {"seed": 0})
         assert list(tmp_path.iterdir()) == []
 
 
