@@ -23,7 +23,10 @@ checkout's ``src`` as ``PYTHONPATH``, run from the checkout's root with
 
 Each run is made in both checkouts.  Every run must exit 0 on both sides, and
 the two must agree on standard output (with the output directory masked) and
-on the bytes of every file written.
+on the bytes of every file written.  When the two checkouts'
+``scanloop.__version__`` differ, the script prints the change once and masks
+the manifest's ``version`` value in every file, so that after a version bump
+it still names only the files whose other bytes moved.
 
 The CSVs carry 12 significant digits, so a change in the last bits of a
 simulated value can leave every file the same.  So each checkout also builds
@@ -208,14 +211,35 @@ def compare_columns(before: dict, after: dict) -> list[str]:
     return diffs
 
 
-def files(directory: Path) -> dict[str, bytes]:
+def package_version(checkout: Path) -> str:
+    """The checkout's ``scanloop.__version__``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import scanloop; print(scanloop.__version__)"],
+        cwd=checkout,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return proc.stdout.strip()
+
+
+def files(directory: Path, version: str | None = None) -> dict[str, bytes]:
+    """Each file's bytes, with the manifest's ``version`` value ``version``
+    masked when one is given: the file's first ``"version":`` entry, which
+    is the manifest's in a CSV's header line and in a JSON report alike."""
     if not directory.is_dir():
         return {}
-    return {
+    read = {
         str(path.relative_to(directory)): path.read_bytes()
         for path in sorted(directory.rglob("*"))
         if path.is_file()
     }
+    if version is None:
+        return read
+    pattern = re.compile(rb'("version":\s*)"' + re.escape(version.encode()) + rb'"')
+    return {name: pattern.sub(rb'\1"<version>"', data, count=1) for name, data in read.items()}
 
 
 def compare(label: str, before: tuple, after: tuple) -> list[str]:
@@ -244,6 +268,14 @@ def main(argv: list[str] | None = None) -> int:
     if not (sides["before"] / "src" / "scanloop").is_dir():
         parser.error(f"--before: no src/scanloop in {sides['before']}")
 
+    versions = {side: package_version(checkout) for side, checkout in sides.items()}
+    masked = versions["before"] != versions["after"]
+    if masked:
+        print(
+            f"version {versions['before']} before, {versions['after']} after:"
+            " the manifests' version values are masked"
+        )
+
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         work = Path(tmp)
         (work / "histogram.csv").write_text(HISTOGRAM_CSV)
@@ -263,7 +295,8 @@ def main(argv: list[str] | None = None) -> int:
             results = {}
             for side, checkout in sides.items():
                 out = work / side / str(k)
-                results[side] = (*run(checkout, command, out), files(out))
+                version = versions[side] if masked else None
+                results[side] = (*run(checkout, command, out), files(out, version))
             case_diffs = compare(label, results["before"], results["after"])
             code, written = results["after"][0], len(results["after"][3])
             if any(results[side][0] for side in sides):

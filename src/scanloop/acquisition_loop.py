@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 import numpy as np
 
 from .alpha_distributions import mean_alpha as _dist_mean_alpha
-from .alpha_distributions import Beta, PointMass, expected_cost_ratio, sample_alpha
+from .alpha_distributions import PointMass, expected_cost_ratio
 from .cost_model import CostRates, false_positive_rate
-from .errors import QuadratureFailure, UndefinedRatio
+from .errors import QuadratureFailure, UndefinedDraw, UndefinedRatio
 from .predictor_model import ConfusionPredictor, ScorePredictor, score
 from .probe_kinematics import (
     GuidanceNoise,
@@ -418,34 +418,29 @@ def _abstract_records(
     """Append the records of abstract subjects [start, stop), which lie in one
     key block, to ``records``.
 
-    A Beta subject draws its failure rate and its scans with its
-    ``Generator``.  Otherwise the rates are the inverse CDF on the first
-    column of the block's ``block_uniforms`` (a point mass draws none), their
-    predictors are built once for the unit (their false-positive rates in one
-    array expression), and each scan loop reads the rest of its row before its
-    ``uniforms_past_block``.
+    The failure rates are the inverse CDF on the first column of the block's
+    ``block_uniforms`` (a point mass draws none), their predictors are built
+    once for the unit (false-positive rates in one array expression), and each
+    scan loop reads the rest of its row, then its ``uniforms_past_block``.  A
+    NaN rate raises ``UndefinedDraw`` once the subjects before it are appended.
     """
     seed, dist = config.master_seed, config.distribution
     profile, budget = config.profile, config.max_rescans
-    if isinstance(dist, Beta):
-        for i in range(start, stop):
-            rng = subject_stream(seed, i)
-            alpha = sample_alpha(dist, rng)
-            predictor = ConfusionPredictor.calibrated(profile, alpha)
-            records.append(run_subject_abstract(alpha, budget, predictor, iter(rng.random, None)))
-        return
     uniforms = block_uniforms(seed, start, stop)
     if isinstance(dist, PointMass):
         alphas, rows = itertools.repeat(dist.alpha), uniforms.tolist()
         predictors = itertools.repeat(ConfusionPredictor.calibrated(profile, dist.alpha))
     else:
         alphas = dist.inverse_cdf(uniforms[:, 0])
+        alphas = alphas[: np.flatnonzero(np.isnan(alphas)).min(initial=len(alphas))]
         rates = false_positive_rate(alphas, profile).tolist()
         alphas, rows = alphas.tolist(), uniforms[:, 1:].tolist()
         predictors = map(ConfusionPredictor, itertools.repeat(profile.recall), rates)
     for alpha, predictor, row in zip(alphas, predictors, rows):
         draws = itertools.chain(row, uniforms_past_block(seed, start + len(records)))
         records.append(run_subject_abstract(alpha, budget, predictor, draws))
+    if len(records) < stop - start:
+        raise UndefinedDraw(f"{dist}: betaincinv gives a NaN failure rate")
 
 
 def _simulate_table(config: "ExperimentConfig", start: int, stop: int) -> SubjectTable:

@@ -89,7 +89,7 @@ class FailureDistribution(ABC):
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """The draws at an array of uniforms on [0, 1), for the families drawn
-        by inverting their CDF: uniform, truncated normal, histogram."""
+        by inverting their CDF: every family but the point mass."""
         raise TypeError(f"{type(self).__name__} is not drawn by inverting its CDF")
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -173,8 +173,8 @@ class Beta(FailureDistribution):
         powers = sp.xlogy(self.a - 1.0, alpha) + sp.xlog1py(self.b - 1.0, -alpha)
         return powers - sp.betaln(self.a, self.b)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return min(float(rng.beta(self.a, self.b)), math.nextafter(1.0, 0.0))
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        return np.minimum(_special().betaincinv(self.a, self.b, u), math.nextafter(1.0, 0.0))
 
     def breakpoints(self) -> tuple[float, ...]:
         # No cut within sd of 0 or 1: a mode that near an end stays in the

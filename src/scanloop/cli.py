@@ -45,7 +45,7 @@ from .cost_model import (
     budgeted_cost_at,
     cost_reduction_table,
 )
-from .errors import ConfigError, QuadratureFailure, UndefinedRatio
+from .errors import ConfigError, QuadratureFailure, UndefinedDraw, UndefinedRatio
 from .reports import format_cell, write_csv, write_json, write_subjects_csv, write_summary_json
 
 # Reference operating grid: (failure rate, rescan/correction cost quotient,
@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureFailure, UndefinedRatio) as exc:
+    except (QuadratureFailure, UndefinedDraw, UndefinedRatio) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

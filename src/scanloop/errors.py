@@ -14,6 +14,10 @@ class UndefinedRatio(ScanLoopError):
     cost is zero, or beyond the range of doubles."""
 
 
+class UndefinedDraw(ScanLoopError):
+    """A failure rate drawn as NaN, as ``betaincinv`` gives at some Beta shapes."""
+
+
 class QuadratureFailure(ScanLoopError):
     """Two Gauss rules of different order disagree on a population integral."""
 

@@ -264,14 +264,11 @@ def total_mass(dist: FailureDistribution) -> float:
 
 def sample_many(dist: FailureDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws of ``dist`` as a vector, each family's scalar ``sample`` on
-    arrays: the same formula, but ``n`` uniforms (or Beta variates) drawn at
-    once."""
+    arrays: the same formula, but ``n`` uniforms drawn at once."""
     if isinstance(dist, PointMass):
         return np.full(n, dist.alpha)
     if isinstance(dist, Uniform):
         return dist.lo + (dist.hi - dist.lo) * rng.random(n)
-    if isinstance(dist, Beta):
-        return np.minimum(rng.beta(dist.a, dist.b, size=n), math.nextafter(1.0, 0.0))
     return dist.inverse_cdf(rng.random(n))
 
 

@@ -724,6 +724,7 @@ class TestUnitOperatingPoints:
         ),
         "uniform_saturating": FAMILIES["uniform_saturating"],
         "histogram_5_bins": "family = histogram\ncsv = bins5.csv",
+        "beta": FAMILIES["beta"],
     }
 
     @pytest.fixture

@@ -1,12 +1,15 @@
 """Tests for failure-rate distribution families and their cost integrals."""
 
+import functools
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import hyp2f1, ndtr, ndtri
+from scipy.special import betainc, betaincinv, hyp2f1, ndtr, ndtri
 
 from scanloop.alpha_distributions import (
     Beta,
@@ -22,6 +25,7 @@ from scanloop.alpha_distributions import (
 )
 from scanloop.cost_model import PredictorProfile, cost_ratio_at
 from scanloop.errors import QuadratureFailure, UndefinedRatio
+from scanloop.streams import block_uniforms
 
 from oracles import (
     mc_population_ratio,
@@ -528,6 +532,9 @@ INVERSION_CASES = {
     "truncnorm_cdf_hi_1": (TruncatedNormal(0.3, 0.02, 0.3, 0.6), False, True),
     "hist": (HIST, False, False),
     "hist_empty_bin": (EmpiricalHistogram((0.1, 0.3, 0.5), (0.5, 0.5, 0.0)), False, False),
+    "beta": (Beta(2.0, 8.0), False, False),
+    # the mass near 1: the last uniforms draw within 1e-13 of it
+    "beta_near_1": (Beta(300.0, 1.5), False, False),
 }
 
 
@@ -560,6 +567,45 @@ def test_array_inverse_cdf_equals_scalar_sample_bit_for_bit(name):
         )
         assert ((unclamped < lo) & (got == lo)).any() == clamps_lo
         assert ((unclamped > hi) & (got == hi)).any() == clamps_hi
+
+
+# the first uniforms of a key block's subjects, as the engine draws rates from
+BLOCK = block_uniforms(31, 0, 4096)[:, 0]
+
+
+@functools.cache
+def _block_draws(name):
+    return INVERSION_CASES[name][0].inverse_cdf(BLOCK)
+
+
+@pytest.mark.parametrize("name", INVERSION_CASES)
+@given(start=st.integers(0, len(BLOCK)), stop=st.integers(0, len(BLOCK)))
+@settings(max_examples=50, deadline=None)
+def test_inverse_cdf_of_a_slice_of_a_block_is_those_rows_of_the_block(name, start, stop):
+    got = INVERSION_CASES[name][0].inverse_cdf(BLOCK[start:stop])
+    assert got.tobytes() == _block_draws(name)[start:stop].tobytes()
+
+
+# from near-uniform to a mass near 1, through one whose 1 / B(a, b) overflows
+BETA_SHAPES = [(1.0, 1.0 + 1e-7), (1.0, 1.2), (2.0, 1.5), (2.0, 8.0), (400.0, 1600.0), (300.0, 1.5)]
+
+
+@pytest.mark.parametrize("a, b", [*BETA_SHAPES, (6.33, 1.005)])
+def test_beta_inverse_cdf_maps_0_to_0_and_the_last_uniform_below_1(a, b):
+    last = math.nextafter(1.0, 0.0)
+    if (a, b) == (6.33, 1.005):
+        assert betaincinv(a, b, last) == 1.0  # so the clip below 1 is what holds
+    got = Beta(a, b).inverse_cdf(np.array([0.0, last]))
+    assert got[0] == 0.0 and got[1] < 1.0
+
+
+@pytest.mark.parametrize("a, b", BETA_SHAPES)
+def test_beta_inverse_cdf_round_trips_through_betainc(a, b):
+    # the block's uniforms and the smallest, middle and largest nonzero ones
+    # a subject's first draw can be
+    u = np.concatenate([BLOCK[BLOCK > 0.0], [2.0**-53, 0.5, 1.0 - 2.0**-53]])
+    back = betainc(a, b, Beta(a, b).inverse_cdf(u))
+    assert (np.abs(back - u) <= 1e-12 * u).all()
 
 
 def test_scalar_sampling_is_deterministic_per_seed():

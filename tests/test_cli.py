@@ -845,7 +845,8 @@ class TestExitCodes:
     ):
         # A fault injected into one subject's simulation is named with the
         # subject, the seed and the config digest, also when it crosses the
-        # pool: forked workers inherit the patched module.
+        # pool: forked workers inherit the patched module.  Kinematic
+        # subjects each build their stream with subject_stream.
         from scanloop import acquisition_loop
         from scanloop.cli import main
         from scanloop.config import parse_config
@@ -859,10 +860,8 @@ class TestExitCodes:
             return subject_stream(seed, i)
 
         monkeypatch.setattr(acquisition_loop, "subject_stream", faulty)
-        text = (
-            ABSTRACT_BETA.format(workers=workers)
-            .replace("subjects = 1500", "subjects = 40")
-            .replace("seed = 42", "seed = 7")
+        text = kinematic_config(subjects=40, seed=7).replace(
+            "workers = 1", f"workers = {workers}"
         )
         config = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
@@ -872,24 +871,30 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("family", ["truncated_normal", "beta"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("subjects, subject", [(40, 23), (2000, 1500)])
     def test_scan_loop_error_names_subject_and_seed(
-        self, tmp_path, monkeypatch, capsys, workers, subjects, subject
+        self, tmp_path, monkeypatch, capsys, workers, subjects, subject, family
     ):
-        # The same for a truncated normal, whose failure rates are drawn a
-        # key block at a time: a fault in subject 23's scan loop names
-        # subject 23.  The loop is told apart by its failure rate.  Subject
-        # 1 500 lies in a later unit than the first, whose subjects.csv rows
-        # were written by then: the failure still leaves no file behind.
+        # The same for the families whose failure rates are drawn a key
+        # block at a time, from its first column: a fault in subject 23's
+        # scan loop names subject 23.  The loop is told apart by its failure
+        # rate.  Subject 1 500 lies in a later unit than the first, whose
+        # subjects.csv rows were written by then: the failure still leaves no
+        # file behind.
         from scanloop import acquisition_loop
-        from scanloop.alpha_distributions import TruncatedNormal
+        from scanloop.alpha_distributions import Beta, TruncatedNormal
         from scanloop.cli import main
         from scanloop.config import parse_config
         from scanloop.errors import UndefinedRatio
-        from scanloop.streams import subject_stream
+        from scanloop.streams import block_uniforms
 
-        alpha = TruncatedNormal(0.2, 0.1, 0.0, 0.6).sample(subject_stream(7, subject))
+        body, dist = {
+            "truncated_normal": (TRUNCATED_NORMAL, TruncatedNormal(0.2, 0.1, 0.0, 0.6)),
+            "beta": ("family = beta\na = 2\nb = 8", Beta(2.0, 8.0)),
+        }[family]
+        alpha = float(dist.inverse_cdf(block_uniforms(7, subject, subject + 1)[:, 0])[0])
         run_subject_abstract = acquisition_loop.run_subject_abstract
 
         def faulty(rate, *args):
@@ -900,7 +905,7 @@ class TestExitCodes:
         monkeypatch.setattr(acquisition_loop, "run_subject_abstract", faulty)
         text = (
             ABSTRACT_BETA.format(workers=workers)
-            .replace("family = beta\na = 2\nb = 8", TRUNCATED_NORMAL)
+            .replace("family = beta\na = 2\nb = 8", body)
             .replace("subjects = 1500", f"subjects = {subjects}")
             .replace("seed = 42", "seed = 7")
         )
@@ -913,6 +918,36 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("a, b", [("1e300", "1.5"), ("2", "1e300"), ("1e6", "1e300")])
+    def test_nan_failure_rate_names_its_subject(self, tmp_path, capsys, workers, a, b):
+        # SciPy's betaincinv gives NaN at these accepted shapes: on every
+        # uniform at the first two, on about half of them at the third.  The
+        # run ends at the first subject whose rate is NaN, and writes nothing.
+        from scanloop.alpha_distributions import Beta
+        from scanloop.cli import main
+        from scanloop.config import parse_config
+        from scanloop.streams import block_uniforms
+
+        u = block_uniforms(7, 0, 40)[:, 0]
+        nan = np.flatnonzero(np.isnan(Beta(float(a), float(b)).inverse_cdf(u)))
+        assert nan.size
+        text = (
+            ABSTRACT_BETA.format(workers=workers)
+            .replace("a = 2\nb = 8", f"a = {a}\nb = {b}")
+            .replace("subjects = 1500", "subjects = 40")
+            .replace("seed = 42", "seed = 7")
+        )
+        config = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        digest = parse_config(text).digest[:12]
+        where = f"subject {nan[0]}, seed 7, config {digest}"
+        assert f"numerical failure: {where}: Beta(a={float(a)}, b={float(b)}):" in err
+        assert "betaincinv gives a NaN failure rate" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_rescan_budget_bound_checked_before_any_simulation(
         self, tmp_path, monkeypatch, capsys
