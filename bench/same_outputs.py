@@ -28,6 +28,11 @@ on the bytes of every file written.  When the two checkouts'
 the manifest's ``version`` value in every file, so that after a version bump
 it still names only the files whose other bytes moved.
 
+Within this checkout, each config run at ``workers`` 4 must also write the
+same files as the same run at ``workers`` 1, byte for byte (with the version
+masked as above): a change that moves every byte relative to the other
+checkout still has its worker invariance checked.
+
 The CSVs carry 12 significant digits, so a change in the last bits of a
 simulated value can leave every file the same.  So each checkout also builds
 ``run_cohort(parse_config(...))`` in process for every config above at every
@@ -258,6 +263,22 @@ def compare(label: str, before: tuple, after: tuple) -> list[str]:
     return diffs
 
 
+def compare_workers(written: dict[str, dict[str, bytes]]) -> list[str]:
+    """One message per file that a config run writes differently at the
+    largest worker count than at one worker.  ``written`` maps each run's
+    label, as ``config_cases`` makes it, to the files it wrote."""
+    one, many = (f"workers={w}" for w in (WORKERS[0], WORKERS[-1]))
+    diffs = []
+    for label, files_many in written.items():
+        if many not in label.split():
+            continue
+        files_one = written[label.replace(many, one)]
+        for name in sorted(files_one.keys() | files_many.keys()):
+            if files_one.get(name) != files_many.get(name):
+                diffs.append(f"{label}: {name} differs from the run at {one}")
+    return diffs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -290,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             for command in readme_commands(ROOT / "README.md")
         ] + config_cases(configs, args.seeds, work)
 
-        diffs, failed = [], 0
+        diffs, failed, written_after = [], 0, {}
         for k, (label, command) in enumerate(cases):
             results = {}
             for side, checkout in sides.items():
@@ -306,6 +327,13 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = "DIFFERS" if case_diffs else "same"
             print(f"{label}: {verdict} (exit {code}, {written} files)", file=sys.stderr)
             diffs += case_diffs
+            written_after[label] = results["after"][3]
+
+        worker_diffs = compare_workers(written_after)
+        verdict = "DIFFERS" if worker_diffs else "same"
+        counts = " and ".join(map(str, WORKERS))
+        print(f"this checkout at workers {counts}: {verdict}", file=sys.stderr)
+        diffs += worker_diffs
 
         # config_cases wrote each config's workers = 1 copy under work.
         runs = [(work / f"{config.stem}_w1.ini", seed) for config in configs for seed in args.seeds]

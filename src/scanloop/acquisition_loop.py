@@ -17,11 +17,11 @@ the subject table derives every tally and the cost from those outcomes:
   independent.  This deliberately relaxes the independence assumption to
   show where the closed form does and does not bend.
 
-Cohorts are cut into contiguous units of work, each inside one key block of
-``streams``, and may fan out over worker processes; because every subject
-consumes only its own stream, results are bit-identical for a fixed master
-seed no matter the worker count.  A run may hand each unit on as it is drawn
-and keep only what its aggregates read (``KeptColumns``).
+Cohorts are cut into contiguous units of work, which may fan out over worker
+processes; because every subject consumes only its own draws (``streams``),
+results are bit-identical for a fixed master seed no matter the worker count.
+A run may hand each unit on as it is drawn and keep only what its aggregates
+read (``KeptColumns``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .probe_kinematics import (
     image_quality,
     perturb_pose,
 )
-from .streams import BLOCK, block_uniforms, subject_stream, uniforms_past_block
+from .streams import block_uniforms, subject_streams, uniforms_past_block
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -415,10 +415,9 @@ def _located(exc: Exception, where: str) -> Exception | None:
 def _abstract_records(
     config: "ExperimentConfig", start: int, stop: int, records: list[SubjectRecord]
 ) -> None:
-    """Append the records of abstract subjects [start, stop), which lie in one
-    key block, to ``records``.
+    """Append the records of abstract subjects [start, stop) to ``records``.
 
-    The failure rates are the inverse CDF on the first column of the block's
+    The failure rates are the inverse CDF on the first column of the unit's
     ``block_uniforms`` (a point mass draws none), their predictors are built
     once for the unit (false-positive rates in one array expression), and each
     scan loop reads the rest of its row, then its ``uniforms_past_block``.  A
@@ -444,9 +443,9 @@ def _abstract_records(
 
 
 def _simulate_table(config: "ExperimentConfig", start: int, stop: int) -> SubjectTable:
-    """The table of subjects [start, stop), which lie in one key block.  It
-    holds only the drawn columns, which are all that joining it or sending it
-    back from a worker process needs.
+    """The table of subjects [start, stop).  It holds only the drawn
+    columns, which are all that joining it or sending it back from a worker
+    process needs.  Kinematic subjects draw from ``subject_streams``.
 
     An error raised for a subject is re-raised as the same type, its message
     led by ``subject <i>, seed <s>, config <d>``, d the first 12 hex digits
@@ -460,8 +459,7 @@ def _simulate_table(config: "ExperimentConfig", start: int, stop: int) -> Subjec
             _abstract_records(config, start, stop, records)
         else:
             anatomy = config.anatomy
-            for i in range(start, stop):
-                rng = subject_stream(seed, i)
+            for rng in subject_streams(seed, start, stop):
                 start_pose = perturb_pose(config.start_offset_t, config.start_offset_r, rng)
                 records.append(
                     run_subject_kinematic(
@@ -508,14 +506,11 @@ def run_cohort(
     """
     n = config.n_subjects
     # The pool may start all its workers at once, so it gets no more than
-    # there are CPUs.  A unit of work is a quarter of a key block at one
-    # worker, and else about an eighth of a worker's share, rounded down to a
-    # power of two so that it divides a key block.  A pool's units are not
-    # capped at a quarter block too: each worker would rebuild the keys and
-    # uniforms of every block it shares with another.
+    # there are CPUs.  A unit of work is 1 024 subjects at one worker, and
+    # else an eighth of a worker's share, so that the workers finish together,
+    # but at most 4 096 subjects, which bounds the table a unit holds.
     workers = min(config.workers, os.cpu_count() or 1)
-    share = max(1, -(-n // (8 * workers)))
-    size = BLOCK // 4 if workers == 1 else min(BLOCK, 1 << (share.bit_length() - 1))
+    size = 1024 if workers == 1 else min(4096, max(1, -(-n // (8 * workers))))
     starts = range(0, n, size) or range(1)
     stops = [min(start + size, n) for start in starts]
     configs = [config] * len(starts)

@@ -64,6 +64,11 @@ _MAX_SUBJECTS = 10_000_000
 _MAX_TAU_STEPS = 10_000
 # The largest re-scan budget: a kinematic scan takes about 80 us.
 _MAX_RESCANS = 10_000
+# The largest Beta shape.  On a grid of shapes up to it SciPy's betaincinv
+# inverts a block of uniforms with no NaN, and the Gauss rules stay inside the
+# range of doubles; far past it an inversion takes milliseconds a draw, gives
+# NaN, or both.
+_MAX_BETA_SHAPE = 1e6
 
 _FAMILY_KEYS = {
     "point_mass": {"alpha"},
@@ -285,8 +290,8 @@ def _parse_distribution(reader: _SectionReader, base_dir: Path) -> FailureDistri
     if family == "uniform":
         return Uniform(*_support(reader))
     if family == "beta":
-        a = reader.get("a", float, check=_interval(1.0, math.inf, hi_open=True))
-        b = reader.get("b", float, check=_interval(1.0, math.inf, lo_open=True, hi_open=True))
+        a = reader.get("a", float, check=_interval(1.0, _MAX_BETA_SHAPE))
+        b = reader.get("b", float, check=_interval(1.0, _MAX_BETA_SHAPE, lo_open=True))
         return Beta(a, b)
     if family == "truncated_normal":
         mu = reader.get("mu", float)

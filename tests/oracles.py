@@ -9,11 +9,11 @@ standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, total density mass, vectorized sampling and
-flagging, the per-subject abstract loop on each subject's Generator, the
-threshold sweep as one cohort run per threshold, empirical operating points,
-SubjectTable rows and the scan-by-scan sums they must equal, the declared
-norm on numpy arrays, quaternion algebra on numpy arrays and scalars, a
-row-at-a-time CSV writer and the reader of report CSVs.
+flagging, each subject's scalar draws by the stream rule and the per-subject
+abstract loop on them, the threshold sweep as one cohort run per threshold,
+empirical operating points, SubjectTable rows and the scan-by-scan sums they
+must equal, the declared norm on numpy arrays, quaternion algebra on numpy
+arrays and scalars, a row-at-a-time CSV writer and the reader of report CSVs.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -281,14 +283,35 @@ def classify_many(
     return u < cut
 
 
+def block_draws(seed: int, i: int) -> list[float]:
+    """Subject i's 8 block draws by the stream rule, one scalar Philox per
+    4-word block: the words of the blocks at counters (i, 0, 0, 1) and
+    (i, 1, 0, 1) under the key (seed, 0), each as ``random()`` makes a double.
+    numpy steps the counter before it computes a block, so each Philox
+    starts one below.  The key is given as uint64 words: numpy reads a list
+    such as [2**64 - 1, 0] through float64."""
+    key, words = np.array([seed, 0], dtype=np.uint64), []
+    for half in (0, 1):
+        counter = (1 << 192) + (half << 64) + i - 1
+        words += np.random.Philox(key=key, counter=counter).random_raw(4).tolist()
+    return [(w >> 11) * 2.0**-53 for w in words]
+
+
+def subject_draws(seed: int, i: int) -> Iterator[float]:
+    """Subject i's scalar uniforms: its 8 block draws, then its
+    ``subject_stream``'s ``random()`` draws from the first."""
+    return itertools.chain(block_draws(seed, i), iter(subject_stream(seed, i).random, None))
+
+
 def abstract_records(config, start: int, stop: int) -> list[SubjectRecord]:
-    """Records of abstract subjects [start, stop), one subject at a time on
-    its own ``Generator``: its failure rate by ``sample_alpha``, its
-    predictor by ``calibrated``, then per scan a failure draw and
+    """Records of abstract subjects [start, stop), one subject and one draw
+    at a time from ``subject_draws``: its failure rate by ``sample_alpha``,
+    its predictor by ``calibrated``, then per scan a failure draw and
     ``classify``'s flag draw, until a scan passes or the budget is spent."""
     records = []
     for i in range(start, stop):
-        rng = subject_stream(config.master_seed, i)
+        # the one method sample_alpha and classify call on a Generator
+        rng = SimpleNamespace(random=subject_draws(config.master_seed, i).__next__)
         alpha = sample_alpha(config.distribution, rng)
         predictor = ConfusionPredictor.calibrated(config.profile, alpha)
         fails, flags = [], []

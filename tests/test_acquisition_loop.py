@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SubjectRow, abstract_records, subject_row, table_row, table_rows
+from oracles import (
+    SubjectRow,
+    abstract_records,
+    subject_draws,
+    subject_row,
+    table_row,
+    table_rows,
+)
 from scanloop import acquisition_loop
 from scanloop.acquisition_loop import (
     SUBJECT_COLUMNS,
@@ -44,11 +51,6 @@ from scanloop.streams import block_uniforms, subject_stream
 
 RATES = CostRates(rescan_cost=0.1, correction_cost=1.0)
 PROFILE = PredictorProfile(precision=0.8, recall=0.8)
-
-
-def _draws(seed, i):
-    """Subject i's uniforms, one ``random()`` draw of its stream at a time."""
-    return iter(subject_stream(seed, i).random, None)
 
 
 def _row(record):
@@ -128,7 +130,7 @@ class TestRunSubjectAbstract:
         alpha = 0.0
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(50):
-            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, _draws(1, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_draws(1, i)))
             assert rec.scans == 1
             assert rec.rescans == 0
             assert rec.cost == 0.0
@@ -143,7 +145,7 @@ class TestRunSubjectAbstract:
         predictor = ConfusionPredictor.calibrated(PredictorProfile(1.0, 1.0), alpha)
         exhausted = 0
         for i in range(200):
-            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, _draws(2, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_draws(2, i)))
             assert rec.rescans <= 3
             if rec.scans == 4 and rec.final_true_fail:
                 assert rec.cost == pytest.approx(3 * 0.1 + 1.0)
@@ -156,7 +158,7 @@ class TestRunSubjectAbstract:
         alpha = 0.4
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(300):
-            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, _draws(3, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_draws(3, i)))
             assert rec.scans == rec.rescans + 1
             assert rec.rescans <= max_rescans
             expected = rec.rescans * RATES.rescan_cost + (
@@ -169,7 +171,7 @@ class TestRunSubjectAbstract:
         alpha = 0.5
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         for i in range(100):
-            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, _draws(4, i)))
+            rec = _row(run_subject_abstract(alpha, max_rescans, predictor, subject_draws(4, i)))
             assert rec.scans == 1
             assert rec.first_fail == rec.final_true_fail
 
@@ -178,7 +180,7 @@ class TestRunSubjectAbstract:
         alpha = 0.2
         predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
         records = [
-            run_subject_abstract(alpha, max_rescans, predictor, _draws(5, i))
+            run_subject_abstract(alpha, max_rescans, predictor, subject_draws(5, i))
             for i in range(20_000)
         ]
         costs = SubjectTable.from_records(records, RATES).cost
@@ -297,7 +299,9 @@ class TestSubjectTable:
             predictor = ConfusionPredictor.calibrated(PROFILE, alpha)
             max_rescans = 6
             for i in range(n):
-                records.append(run_subject_abstract(alpha, max_rescans, predictor, _draws(21, i)))
+                records.append(
+                    run_subject_abstract(alpha, max_rescans, predictor, subject_draws(21, i))
+                )
         return records
 
     @pytest.mark.parametrize("kinematic", [False, True], ids=["abstract", "kinematic"])
@@ -591,7 +595,7 @@ def _blockwise_config(mode, n, workers):
 
 class TestBlockwiseTable:
     # Units of work turn records into columns at most 4096 subjects at a
-    # time; the sizes straddle that key block and a pool's unit bounds.
+    # time; the sizes straddle that bound and a pool's unit bounds.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", ["abstract", "kinematic"])
     @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
@@ -620,7 +624,7 @@ FAMILIES = {
     "histogram": "family = histogram\ncsv = bins.csv",
 }
 # Enough subjects that a table, and a pool chunk at workers 2 and 3, crosses
-# the key block edge at 4096.
+# subject 4096, where the largest unit ends.
 ORACLE_SUBJECTS = 4400
 
 
@@ -676,9 +680,10 @@ def _oracle_digests(bins, family, max_rescans, start=0, stop=ORACLE_SUBJECTS):
 
 
 class TestAbstractEngineAgainstOracle:
-    # The engine draws the failure rates a key block at a time and feeds each
-    # scan loop from its block row; the oracle runs every subject on its own
-    # Generator.  Every column must have the same bytes.
+    # The engine draws the failure rates a unit at a time and feeds each scan
+    # loop from its block_uniforms row; the oracle reads every subject's
+    # draws one at a time from scalar Philox blocks, then its Generator.
+    # Every column must have the same bytes.
     @pytest.mark.parametrize("max_rescans", [0, 1, 3, 50])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_cohort_columns_equal_the_oracle(self, bins, family, max_rescans):
@@ -687,7 +692,7 @@ class TestAbstractEngineAgainstOracle:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a_range_across_a_block_edge(self, bins, family):
-        # Two units, one each side of the key block edge at 4096, joined.
+        # Two units, one each side of subject 4096, joined.
         config = _family_config(bins, family, 50)
         parts = [_simulate_table(config, 4000, 4096), _simulate_table(config, 4096, 4200)]
         assert _digests(SubjectTable.concatenate(parts)) == _oracle_digests(
@@ -871,9 +876,9 @@ class TestRunCohort:
             assert [size for size, _ in serial_pool] == expected
             assert np.array_equal(table.cost, reference.cost[:n])
 
-    def test_units_sized_from_the_pool_lie_in_key_blocks(self, monkeypatch, serial_pool):
+    def test_units_sized_from_the_pool_tile_the_cohort(self, monkeypatch, serial_pool):
         # workers = 10**6 on 2 CPUs is a pool of 2, its units sized from it:
-        # about an eighth of a worker's share, 1250, rounded down to 1024.
+        # an eighth of a worker's share, 1250.
         import scanloop.acquisition_loop as loop
 
         monkeypatch.setattr(loop.os, "cpu_count", lambda: 2)
@@ -881,10 +886,9 @@ class TestRunCohort:
         ((size, units),) = serial_pool
         assert size == 2
         assert [stop for _, stop in units] == [start for start, _ in units[1:]] + [20_000]
-        assert not any(start // 4096 != (stop - 1) // 4096 for start, stop in units)
-        # fewer than 2 * 8 * workers full units, and one partial unit
-        assert {stop - start for start, stop in units[:-1]} == {1024}
-        assert len(units) == 20 and units[-1] == (19 * 1024, 20_000)
+        # 8 units a worker, all full
+        assert {stop - start for start, stop in units} == {1250}
+        assert len(units) == 16 and units[-1] == (15 * 1250, 20_000)
         want = run_cohort(_abstract_config(20_000, seed=59)).table
         for name in _ALL_COLUMNS:
             assert getattr(table, name).tobytes() == getattr(want, name).tobytes(), name
@@ -892,63 +896,74 @@ class TestRunCohort:
     def test_first_subjects_pinned(self):
         # Exact rows of the first subjects at a fixed seed, so a change to the
         # loops, the table's tallies or the streams shows up as a diff.
-        # Abstract: budget 3 (subject 4 ends at it, still failing), flags on
-        # intact scans (subjects 1, 4, 7); kinematic: a four-scan subject.
+        # Abstract: budget 3 (subject 13 ends at it intact, subject 21 still
+        # failing), flags on intact scans (subjects 4, 13, 17 to 19 and 21);
+        # kinematic: a four-scan subject.
         abstract = run_cohort(
-            _abstract_config(8, seed=42, alpha=0.5, precision=0.7, recall=0.9, max_rescans=3)
+            _abstract_config(22, seed=42, alpha=0.5, precision=0.7, recall=0.9, max_rescans=3)
         ).table
         assert list(table_rows(abstract)) == [
             SubjectRow(0, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
-            SubjectRow(1, 0.5, 3, 2, False, False, 0.2, 2, 1, 1),
-            SubjectRow(2, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
-            SubjectRow(3, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
-            SubjectRow(4, 0.5, 4, 3, False, True, 1.3, 4, 2, 2),
-            SubjectRow(5, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
-            SubjectRow(6, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
-            SubjectRow(7, 0.5, 2, 1, False, False, 0.1, 1, 0, 0),
+            SubjectRow(1, 0.5, 3, 2, True, False, 0.2, 2, 2, 2),
+            SubjectRow(2, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(3, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(4, 0.5, 2, 1, False, False, 0.1, 1, 0, 0),
+            SubjectRow(5, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
+            SubjectRow(6, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(7, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
+            SubjectRow(8, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(9, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(10, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(11, 0.5, 1, 0, True, True, 1.0, 0, 1, 0),
+            SubjectRow(12, 0.5, 4, 3, True, False, 0.30000000000000004, 3, 3, 3),
+            SubjectRow(13, 0.5, 4, 3, False, False, 0.30000000000000004, 4, 2, 2),
+            SubjectRow(14, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
+            SubjectRow(15, 0.5, 2, 1, True, False, 0.1, 1, 1, 1),
+            SubjectRow(16, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(17, 0.5, 3, 2, True, False, 0.2, 2, 1, 1),
+            SubjectRow(18, 0.5, 3, 2, False, False, 0.2, 2, 1, 1),
+            SubjectRow(19, 0.5, 2, 1, False, False, 0.1, 1, 0, 0),
+            SubjectRow(20, 0.5, 1, 0, False, False, 0.0, 0, 0, 0),
+            SubjectRow(21, 0.5, 4, 3, True, True, 1.3, 4, 3, 3),
         ]
         kinematic = run_cohort(_kinematic_config(4, seed=42, threshold=0.95, noise_scale=0.1))
         assert list(table_rows(kinematic.table)) == [
             SubjectRow(
-                0, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.3269509038323635, 0.944655947562555)
+                0, None, 3, 2, False, False, 0.2, 2, 0, 0,
+                (0.5598937980864115, 0.9904611648074202, 0.9893701602382191),
             ),
             SubjectRow(
-                1, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.38865343848359796, 0.9546587064228296)
+                1, None, 2, 1, True, False, 0.1, 1, 1, 1,
+                (0.33358374750749026, 0.9465204680350449),
             ),
             SubjectRow(
-                2, None, 2, 1, True, False, 0.1, 1, 1, 1, (0.05557154416192079, 0.9011368355472057)
+                2, None, 2, 1, False, False, 0.1, 1, 0, 0,
+                (0.5929848274613939, 0.9785460131932856),
             ),
             SubjectRow(
-                3,
-                None,
-                4,
-                3,
-                True,
-                False,
-                0.30000000000000004,
-                3,
-                1,
-                1,
-                (0.019579030732588258, 0.8618565738282645, 0.9964992416620488, 0.9904225896153147),
+                3, None, 4, 3, True, False, 0.30000000000000004, 3, 1, 1,
+                (0.13263043457751605, 0.9165100510797437, 0.9981233364222925, 0.9912953925450447),
             ),
         ]
 
     @pytest.mark.parametrize(
         "mu, sigma, lo, hi, alphas",
         [
-            # central: the quantile's middle branch, and its near tail (subject 11)
+            # central: the quantile's middle branch, and its near tail (subject 13)
             (0.2, 0.1, 0.0, 0.6, (
-                0.2769069812466963, 0.2835121672317904, 0.14918199880733407,
-                0.1283607807254074, 0.26866647547870254, 0.11347721992828275,
-                0.17540221765338335, 0.20766341607356706, 0.33225947431347946,
-                0.2075838974235642, 0.1684953777234266, 0.025540844100068905,
+                0.24249208407999315, 0.0972465644143056, 0.24294054663692477,
+                0.24392759518218968, 0.2540721001883746, 0.1006042821239379,
+                0.2494923179458282, 0.14990234514664827, 0.26629731745035257,
+                0.27773916002056487, 0.3236270511869205, 0.17893631401383858,
+                0.07701673779081886, 0.3538664442503642,
             )),
             # mirrored, lo 12.5 sigma above mu: the far lower tail, beyond exp(-25)
             (0.05, 0.02, 0.3, 0.7, (
-                0.30235335802499125, 0.30249579212092453, 0.30054286133436353,
-                0.3003929360852267, 0.30218298536154414, 0.3003050737598578,
-                0.3007819925059358, 0.3011630799364947, 0.3037132993607666,
-                0.3011620138374147, 0.3007131895701363, 0.30002918954334906,
+                0.30169452577663325, 0.3002256188239498, 0.301702234264331,
+                0.30171928010762233, 0.3019008800994956, 0.3002407484961477,
+                0.3018174428620258, 0.3005486536992036, 0.30213549427410685,
+                0.302371014081185, 0.30347595764985114, 0.30081887700766186,
+                0.30014754822364004, 0.30434931520668973,
             )),
         ],
     )
@@ -958,7 +973,7 @@ class TestRunCohort:
         text = f"""
 [cohort]
 mode = abstract
-subjects = 12
+subjects = {len(alphas)}
 seed = 42
 
 [distribution]

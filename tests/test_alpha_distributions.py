@@ -547,7 +547,7 @@ class _Given:
 
 @pytest.mark.parametrize("name", INVERSION_CASES)
 def test_array_inverse_cdf_equals_scalar_sample_bit_for_bit(name):
-    # A key block's worth of uniforms, the ends of [0, 1) and their
+    # 4 096 uniforms, the ends of [0, 1) and their
     # neighbours, and the histogram's cumulative masses: each array draw
     # equals the draw the scalar ``sample`` makes from the same uniform.
     dist, clamps_lo, clamps_hi = INVERSION_CASES[name]
@@ -569,7 +569,7 @@ def test_array_inverse_cdf_equals_scalar_sample_bit_for_bit(name):
         assert ((unclamped > hi) & (got == hi)).any() == clamps_hi
 
 
-# the first uniforms of a key block's subjects, as the engine draws rates from
+# the first uniforms of 4 096 subjects, as the engine draws rates from
 BLOCK = block_uniforms(31, 0, 4096)[:, 0]
 
 

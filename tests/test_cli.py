@@ -846,20 +846,21 @@ class TestExitCodes:
         # A fault injected into one subject's simulation is named with the
         # subject, the seed and the config digest, also when it crosses the
         # pool: forked workers inherit the patched module.  Kinematic
-        # subjects each build their stream with subject_stream.
+        # subjects take their streams from subject_streams.
         from scanloop import acquisition_loop
         from scanloop.cli import main
         from scanloop.config import parse_config
         from scanloop.errors import UndefinedRatio
 
-        subject_stream = acquisition_loop.subject_stream
+        subject_streams = acquisition_loop.subject_streams
 
-        def faulty(seed, i):
-            if i == 23:
-                raise UndefinedRatio("injected fault")
-            return subject_stream(seed, i)
+        def faulty(seed, start, stop):
+            for i, rng in enumerate(subject_streams(seed, start, stop), start):
+                if i == 23:
+                    raise UndefinedRatio("injected fault")
+                yield rng
 
-        monkeypatch.setattr(acquisition_loop, "subject_stream", faulty)
+        monkeypatch.setattr(acquisition_loop, "subject_streams", faulty)
         text = kinematic_config(subjects=40, seed=7).replace(
             "workers = 1", f"workers = {workers}"
         )
@@ -877,8 +878,8 @@ class TestExitCodes:
     def test_scan_loop_error_names_subject_and_seed(
         self, tmp_path, monkeypatch, capsys, workers, subjects, subject, family
     ):
-        # The same for the families whose failure rates are drawn a key
-        # block at a time, from its first column: a fault in subject 23's
+        # The same for the families whose failure rates are drawn a unit at
+        # a time, from its block_uniforms' first column: a fault in subject 23's
         # scan loop names subject 23.  The loop is told apart by its failure
         # rate.  Subject 1 500 lies in a later unit than the first, whose
         # subjects.csv rows were written by then: the failure still leaves no
@@ -921,32 +922,67 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("a, b", [("1e300", "1.5"), ("2", "1e300"), ("1e6", "1e300")])
-    def test_nan_failure_rate_names_its_subject(self, tmp_path, capsys, workers, a, b):
-        # SciPy's betaincinv gives NaN at these accepted shapes: on every
-        # uniform at the first two, on about half of them at the third.  The
-        # run ends at the first subject whose rate is NaN, and writes nothing.
+    def test_nan_failure_rate_names_its_subject(
+        self, tmp_path, monkeypatch, capsys, workers, a, b
+    ):
+        # SciPy's betaincinv gives NaN at these shapes: on every uniform at
+        # the first two, on about half of them at the third.  A config cannot
+        # ask for them (a and b are at most 1e6), so the run gets them from a
+        # parsed config with its distribution replaced.  The run ends at the
+        # first subject whose rate is NaN, and writes nothing.
+        import dataclasses
+
+        from scanloop import cli
         from scanloop.alpha_distributions import Beta
-        from scanloop.cli import main
         from scanloop.config import parse_config
         from scanloop.streams import block_uniforms
 
+        dist = Beta(float(a), float(b))
         u = block_uniforms(7, 0, 40)[:, 0]
-        nan = np.flatnonzero(np.isnan(Beta(float(a), float(b)).inverse_cdf(u)))
+        nan = np.flatnonzero(np.isnan(dist.inverse_cdf(u)))
         assert nan.size
+
+        def with_beta(*args, **kwargs):
+            return dataclasses.replace(parse_config(*args, **kwargs), distribution=dist)
+
+        monkeypatch.setattr(cli, "parse_config", with_beta)
         text = (
             ABSTRACT_BETA.format(workers=workers)
-            .replace("a = 2\nb = 8", f"a = {a}\nb = {b}")
             .replace("subjects = 1500", "subjects = 40")
             .replace("seed = 42", "seed = 7")
         )
         config = write_config(tmp_path, text)
-        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         digest = parse_config(text).digest[:12]
         where = f"subject {nan[0]}, seed 7, config {digest}"
         assert f"numerical failure: {where}: Beta(a={float(a)}, b={float(b)}):" in err
         assert "betaincinv gives a NaN failure rate" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ratio", "simulate"])
+    @pytest.mark.parametrize(
+        "a, b, key", [("1e20", "1e100", "a"), ("1e300", "1.5", "a"), ("2", "1e300", "b")]
+    )
+    def test_beta_shape_past_1e6_exits_2(self, tmp_path, capsys, command, a, b, key):
+        # Such shapes took seconds to invert and overflowed numpy's exp in the
+        # Gauss rule; they are refused before any of it, with no warning.
+        import warnings
+
+        from scanloop.cli import main
+
+        text = ABSTRACT_BETA.format(workers=1).replace("a = 2\nb = 8", f"a = {a}\nb = {b}")
+        config = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        value = {"a": a, "b": b}[key]
+        assert f"config error: distribution.{key}: must be in" in err
+        assert f"got {float(value)}" in err
+        assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "out").exists()
 
     def test_rescan_budget_bound_checked_before_any_simulation(
@@ -1330,16 +1366,11 @@ class TestStreamedRun:
         # must grow by at most half that.
         import tracemalloc
 
-        from scanloop import streams
-
         peaks = []
         # the first run, untraced, makes what any run makes once per process
         for subjects in (4096, 4096, 16384):
             document = config_document(mode, family, ("cohort", "subjects", str(subjects)))
             config = write_config(tmp_path, document, f"{subjects}.ini")
-            # each run draws its key blocks afresh, whatever ran before it
-            streams._key_block.cache_clear()
-            streams._uniform_block.cache_clear()
             if peaks:
                 tracemalloc.start()
             try:

@@ -108,7 +108,8 @@ MESSAGES = [
     (ABSTRACT, "cohort", "workers", "0", "must be in [1, inf), got 0"),
     (ABSTRACT, "costs", "rescan", "-1", "must be in [0, inf), got -1.0"),
     (ABSTRACT, "predictor", "precision", "0", "must be in (0, 1], got 0.0"),
-    (BETA, "distribution", "b", "1", "must be in (1, inf), got 1.0"),
+    (BETA, "distribution", "a", "1e20", "must be in [1, 1e+06], got 1e+20"),
+    (BETA, "distribution", "b", "1", "must be in (1, 1e+06], got 1.0"),
     (KINEMATIC, "kinematics", "start_offset_r", "4", "must be in [0, 3.141592653589793], got 4.0"),
     (KINEMATIC, "kinematics", "translation_scale", "0", "must be in [1e-06, inf), got 0.0"),
     (KINEMATIC, "kinematics", "start_offset_t", "2e6", "must be in [0, 1e+06], got 2000000.0"),

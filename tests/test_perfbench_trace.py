@@ -42,8 +42,8 @@ correction = 1.0
 max_rescans = 3
 """
 
-# The abstract families whose failure rates the engine draws a key block at
-# a time, at the default re-scan budget.
+# The abstract families whose failure rates the engine draws by inversion, a
+# unit of work at a time, at the default re-scan budget.
 FAMILIES = {
     "truncated_normal": "family = truncated_normal\nmu = 0.2\nsigma = 0.1\nlo = 0.0\nhi = 0.6",
     "uniform": "family = uniform\nlo = 0.5\nhi = 0.95",

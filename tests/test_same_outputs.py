@@ -1,4 +1,5 @@
-"""How ``bench/same_outputs.py`` reads a run's files across a version change."""
+"""How ``bench/same_outputs.py`` reads a run's files across a version change and
+across worker counts."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,40 @@ def test_only_the_given_version_is_masked(tmp_path, version):
     run = _run(tmp_path / "run", "0.4.0")
     assert same_outputs.files(run, version) == same_outputs.files(run)
     assert b'"version":"0.4.0"' in same_outputs.files(run)["subjects.csv"]
+
+
+def _written(cost_at_four: str = "0.5") -> dict[str, dict[str, bytes]]:
+    """What the config runs of one command and seed wrote, by label."""
+    csv = "subject_id,cost\n0,{}\n"
+    return {
+        "README: scanloop table1": {"table1.csv": b"x"},
+        "simulate a.ini workers=1 seed=1": {"subjects.csv": csv.format("0.5").encode()},
+        "simulate a.ini workers=4 seed=1": {"subjects.csv": csv.format(cost_at_four).encode()},
+    }
+
+
+def test_runs_at_four_workers_equal_to_one_have_no_problem():
+    assert same_outputs.compare_workers(_written()) == []
+
+
+def test_a_byte_that_moves_with_the_worker_count_is_named():
+    assert same_outputs.compare_workers(_written(cost_at_four="0.25")) == [
+        "simulate a.ini workers=4 seed=1: subjects.csv differs from the run at workers=1"
+    ]
+
+
+def test_a_file_written_at_one_worker_count_only_is_named():
+    written = _written()
+    written["simulate a.ini workers=1 seed=1"]["report.json"] = b"{}"
+    assert same_outputs.compare_workers(written) == [
+        "simulate a.ini workers=4 seed=1: report.json differs from the run at workers=1"
+    ]
+
+
+def test_worker_invariance_reads_the_labels_config_cases_makes(tmp_path):
+    config = tmp_path / "a.ini"
+    config.write_text("[cohort]\nmode = abstract\nworkers = 2\n")
+    labels = [label for label, _ in same_outputs.config_cases([config], [1], tmp_path)]
+    assert labels == ["simulate a.ini workers=1 seed=1", "simulate a.ini workers=4 seed=1"]
+    written = dict.fromkeys(labels, {"subjects.csv": b"0"})
+    assert same_outputs.compare_workers(written) == []

@@ -1,88 +1,128 @@
-"""Per-subject streams equal numpy's SeedSequence streams."""
+"""Per-subject streams equal numpy's own Philox4x64-10 streams."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scanloop.streams import (
-    _key_block,
-    _uniform_block,
-    block_uniforms,
-    subject_stream,
-    uniforms_past_block,
-)
+from oracles import block_draws
+from scanloop.streams import block_uniforms, subject_stream, subject_streams, uniforms_past_block
 
 SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1)
 INDICES = (0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 1)
 
 
 def reference_stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+    # the key as uint64 words: numpy reads a list such as [2**64 - 1, 0]
+    # through float64
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def plain(state: dict) -> dict:
+    """A bit generator's state with its arrays as lists, so states compare."""
+    return {
+        k: plain(v) if isinstance(v, dict) else v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in state.items()
+    }
 
 
 def assert_same_stream(got: np.random.Generator, want: np.random.Generator) -> None:
-    assert got.bit_generator.state == want.bit_generator.state
+    assert plain(got.bit_generator.state) == plain(want.bit_generator.state)
     assert got.random(8).tolist() == want.random(8).tolist()
 
 
+def test_philox_is_random123s_philox4x64_10():
+    # Random123's known answer for an all-zero key and counter.  numpy steps
+    # the counter before each block, so the counter one below 0 computes it.
+    words = np.random.Philox(key=0, counter=2**256 - 1).random_raw(4)
+    assert [f"{w:016x}" for w in words.tolist()] == [
+        "16554d9eca36314c",
+        "db20fe9d672d0fdc",
+        "d7e772cee186176b",
+        "7e68b68aec7ba23b",
+    ]
+
+
 @pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
-def test_subject_stream_equals_seed_sequence_stream(seed, index):
+def test_block_row_equals_scalar_philox_blocks(seed, index):
+    (row,) = block_uniforms(seed, index, index + 1).tolist()
+    assert row == block_draws(seed, index)
+
+
+@pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
+def test_subject_stream_equals_keyed_philox_stream(seed, index):
     assert_same_stream(subject_stream(seed, index), reference_stream(seed, index))
 
 
-def test_key_block_rows_equal_seed_sequence_state():
-    keys = _key_block(7, 2)
-    assert keys.shape == (4096, 4) and keys.dtype == np.uint64
-    for row in (0, 1, 2047, 4095):
-        want = np.random.SeedSequence([7, 2 * 4096 + row]).generate_state(4, np.uint64)
-        assert keys[row].tolist() == want.tolist()
+@pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
+def test_scalar_draws_are_the_block_row_then_the_subject_stream(seed, index):
+    (row,) = block_uniforms(seed, index, index + 1).tolist()
+    draws = itertools.chain(row, uniforms_past_block(seed, index))
+    past = iter(reference_stream(seed, index).random, None)
+    want = itertools.chain(block_draws(seed, index), past)
+    assert list(itertools.islice(draws, 12)) == list(itertools.islice(want, 12))
 
 
-def test_out_of_order_access_matches_fresh_calls():
-    order = (5000, 3, 5000)
-    _key_block.cache_clear()
-    streams = [subject_stream(11, i) for i in order]
-    for rng, i in zip(streams, order):
-        _key_block.cache_clear()
-        assert rng.bit_generator.state == subject_stream(11, i).bit_generator.state
-        assert_same_stream(rng, reference_stream(11, i))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("start, stop", [(0, 40), (4090, 4100), (2**64 - 20, 2**64)])
+def test_subject_streams_equal_fresh_streams(seed, start, stop):
+    # Each subject takes a different number of words, so the next one is
+    # keyed after a subject that stopped partway through a 4-word block or
+    # holds half a word for a 32-bit draw.
+    for k, rng in enumerate(subject_streams(seed, start, stop)):
+        i = start + k
+        assert plain(rng.bit_generator.state) == plain(subject_stream(seed, i).bit_generator.state)
+        want = reference_stream(seed, i)
+        assert rng.random(k % 7).tolist() == want.random(k % 7).tolist()
+        if k % 3 == 0:
+            assert rng.integers(1000, dtype=np.uint32) == want.integers(1000, dtype=np.uint32)
+        assert rng.standard_normal(k % 2).tolist() == want.standard_normal(k % 2).tolist()
+    assert k == stop - start - 1
+
+
+def test_subject_streams_of_an_empty_range_yield_none():
+    assert list(subject_streams(3, 10, 10)) == []
+    assert list(subject_streams(3, 10, 5)) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(start=st.integers(0, 300), stop=st.integers(0, 300))
+def test_any_range_of_block_uniforms_is_those_rows_of_a_larger_one(start, stop):
+    whole = block_uniforms(5, 0, 300)
+    part = block_uniforms(5, start, stop)
+    assert part.shape == (max(stop - start, 0), 8) and part.dtype == np.float64
+    assert part.tobytes() == whole[start:stop].tobytes()
+
+
+def test_block_uniforms_reach_the_last_subject():
+    rows = block_uniforms(7, 2**64 - 3, 2**64).tolist()
+    assert rows == [block_draws(7, i) for i in range(2**64 - 3, 2**64)]
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-5, -5), (2**64, 0), (0, 2**64)])
 def test_out_of_range_inputs_rejected(seed, index):
     with pytest.raises(ValueError):
         subject_stream(seed, index)
+    with pytest.raises(ValueError):
+        uniforms_past_block(seed, index).__next__()
+
+
+@pytest.mark.parametrize(
+    "seed, start, stop",
+    [(-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 0, 2**64 + 1), (0, 2**64, 2**64 + 1)],
+)
+def test_out_of_range_ranges_rejected(seed, start, stop):
+    with pytest.raises(ValueError):
+        block_uniforms(seed, start, stop)
+    with pytest.raises(ValueError):
+        subject_streams(seed, start, stop)
 
 
 def test_subject_stream_cannot_spawn():
     with pytest.raises(TypeError):
         subject_stream(1, 2).spawn(1)
-
-
-@pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
-def test_scalar_draws_across_the_precomputed_eight(seed, index):
-    # A subject's block row, then its draws past the block, are its stream.
-    (row,) = block_uniforms(seed, index, index + 1).tolist()
-    draws = itertools.chain(row, uniforms_past_block(seed, index))
-    want = reference_stream(seed, index)
-    assert [next(draws) for _ in range(12)] == [want.random() for _ in range(12)]
-
-
-def test_block_uniforms_walk_the_key_blocks():
-    # Ranges inside one block, up to its edge and empty: the rows are the
-    # block's rows for those subjects, in order.  A range across an edge
-    # raises.
-    seed = 5
-    whole = np.concatenate([_uniform_block(seed, b) for b in range(3)])
-    for start, stop in ((0, 4096), (7, 300), (4000, 4096), (4096, 4200), (8191, 8192), (9, 9)):
-        part = block_uniforms(seed, start, stop)
-        assert part.shape == (stop - start, 8)
-        assert part.tobytes() == whole[start:stop].tobytes()
-        assert not part.flags.writeable
-    for start, stop in ((4000, 4200), (4095, 8193), (0, 4097)):
-        with pytest.raises(ValueError, match="cross a key block edge"):
-            block_uniforms(seed, start, stop)
 
 
 def test_past_block_draws_build_no_generator_until_taken(monkeypatch):
@@ -93,7 +133,7 @@ def test_past_block_draws_build_no_generator_until_taken(monkeypatch):
     monkeypatch.setattr(streams, "subject_stream", lambda s, i: built.append(i) or real(s, i))
     draws = uniforms_past_block(3, 17)
     assert built == []
-    assert next(draws) == float(reference_stream(3, 17).random(9)[8])
+    assert next(draws) == reference_stream(3, 17).random()
     assert built == [17]
 
 
@@ -102,7 +142,7 @@ OTHER_DRAWS = (
     ("standard_normal(3)", lambda g: g.standard_normal(3).tolist()),
     ("beta(2, 8)", lambda g: g.beta(2, 8)),
     ("random(5)", lambda g: g.random(5).tolist()),
-    ("bit_generator.state", lambda g: g.bit_generator.state),
+    ("bit_generator.state", lambda g: plain(g.bit_generator.state)),
     ("random()", lambda g: g.random()),
 )
 
@@ -115,20 +155,3 @@ def test_other_draws_continue_the_stream(seed, index, scalar_draws):
         assert got.random() == want.random()
     for name, draw in OTHER_DRAWS:
         assert draw(got) == draw(want), name
-
-
-def test_uniform_block_equals_advanced_pcg64_draws():
-    # Every subject of one block: the 8 precomputed uniforms are the top 53
-    # bits of PCG64's raw outputs, and draw d is the one after advance(d).
-    seed, block = 2**40 + 3, 2
-    uniforms = _uniform_block(seed, block)
-    assert uniforms.shape == (4096, 8) and not uniforms.flags.writeable
-    for row in range(4096):
-        key = np.random.SeedSequence([seed, block * 4096 + row])
-        raw = np.random.PCG64(key).random_raw(8)
-        assert uniforms[row].tolist() == ((raw >> 11) * 2.0**-53).tolist()
-        if row in (0, 1, 4095):
-            for d in range(8):
-                advanced = np.random.PCG64(key).advance(d)
-                assert uniforms[row, d] == (advanced.random_raw() >> 11) * 2.0**-53
-
