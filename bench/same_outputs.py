@@ -16,9 +16,12 @@ checkout's ``src`` as ``PYTHONPATH``, run from the checkout's root with
   generated abstract configs (a histogram, the truncated normal of
   perfbench's ``abstract_mix``, one whose support lies far above its mean,
   and a uniform population partly above alpha_max, where the predictor
-  saturates), and all three on perfbench's ``kinematic_sweep`` config, built
-  by ``perfbench/workloads.py:config_text``; each at every ``--seeds`` value
-  and at ``workers`` 1 and 4 (a copy of the config with its ``workers``
+  saturates), ``simulate`` and ``guidance`` on a generated kinematic config
+  that reaches the kinematic loop's rare branches (no guidance or motor
+  noise, gain 1, threshold 1 and 30 re-scans: exact convergence and long
+  runs), and all three on perfbench's ``kinematic_sweep`` config, built by
+  ``perfbench/workloads.py:config_text``; each at every ``--seeds`` value and
+  at ``workers`` 1 and 4 (a copy of the config with its ``workers``
   replaced).
 
 Each run is made in both checkouts.  Every run must exit 0 on both sides, and
@@ -99,6 +102,44 @@ GENERATED_CONFIGS = {
     "uniform.ini": "family = uniform\nlo = 0.5\nhi = 0.95",
 }
 HISTOGRAM_CSV = "bin_upper_edge,mass\n0.1,5\n0.2,12\n0.3,8\n0.4,3\n0.5,2\n"
+
+# Kinematic configs generated for the runs, by file name.  With no guidance
+# or motor noise and a gain of 1 the first move lands on the optimum, where
+# a threshold of 1 flags every score the noise moves below 1: exact
+# convergence, and long runs that draw their normals a re-scan at a time.
+KINEMATIC_CONFIGS = {
+    "kinematic_exact.ini": """\
+[cohort]
+mode = kinematic
+subjects = 5000
+seed = 42
+workers = 1
+
+[predictor]
+kind = score
+noise_scale = 0.05
+
+[costs]
+rescan = 0.1
+correction = 1.0
+
+[policy]
+max_rescans = 30
+threshold = 1.0
+
+[kinematics]
+translation_scale = 10.0
+rotation_scale = 0.5
+failure_cutoff = 0.5
+start_offset_t = 8.0
+start_offset_r = 0.3
+guidance_noise_t = 0.0
+guidance_noise_r = 0.0
+gain = 1.0
+motor_noise_t = 0.0
+motor_noise_r = 0.0
+""",
+}
 
 # Run in a checkout with (config path, seed) pairs as arguments: one line per
 # SubjectTable column of each run, "<config> seed=<seed>", the column's name,
@@ -303,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         configs = sorted((ROOT / "configs").glob("*.ini"))
         for name, distribution in GENERATED_CONFIGS.items():
             (work / name).write_text(ABSTRACT_CONFIG.format(distribution=distribution))
+            configs.append(work / name)
+        for name, text in KINEMATIC_CONFIGS.items():
+            (work / name).write_text(text)
             configs.append(work / name)
         (work / "kinematic_sweep.ini").write_text(perfbench_sweep_config())
         configs.append(work / "kinematic_sweep.ini")

@@ -30,6 +30,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from math import atan2, cos, exp, sin, sqrt
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -38,18 +39,8 @@ from .alpha_distributions import mean_alpha as _dist_mean_alpha
 from .alpha_distributions import PointMass, expected_cost_ratio
 from .cost_model import CostRates, false_positive_rate
 from .errors import QuadratureFailure, UndefinedDraw, UndefinedRatio
-from .predictor_model import ConfusionPredictor, ScorePredictor, score
-from .probe_kinematics import (
-    GuidanceNoise,
-    LearnerPolicy,
-    ProbePose,
-    SubjectAnatomy,
-    apply_move,
-    guidance_offset,
-    image_quality,
-    perturb_pose,
-)
-from .streams import block_uniforms, subject_streams, uniforms_past_block
+from .predictor_model import ConfusionPredictor
+from .streams import block_uniforms, subject_streams, uniforms_past_blocks
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -98,37 +89,142 @@ def run_subject_abstract(
     return SubjectRecord(alpha, fails, flags)
 
 
-def run_subject_kinematic(
-    subject: SubjectAnatomy,
-    start: ProbePose,
-    max_rescans: int,
-    score_pred: ScorePredictor,
-    guidance: GuidanceNoise,
-    learner: LearnerPolicy,
-    rng: np.random.Generator,
-) -> SubjectRecord:
-    """One subject with pose-driven quality and guided re-scans.
+def run_subject_kinematic(config: "ExperimentConfig", rng: np.random.Generator) -> SubjectRecord:
+    """One kinematic subject of ``config`` on its stream ``rng``: a start pose
+    around the optimum, then pose-driven quality and guided re-scans.
 
-    Quality comes from the probe pose; a scan truly fails when quality is
-    below the subject's cutoff.  Flagging compares the noisy score against
-    the predictor's threshold; each re-scan applies a guidance offset before
-    the next scan, so scans are dependent by design.
+    A scan truly fails when its quality is below the subject's cutoff and is
+    flagged when its noisy score is below the predictor's threshold; each
+    re-scan applies a guidance offset before the next scan, so scans are
+    dependent by design.
+
+    This is ``probe_kinematics.perturb_pose`` for the start pose, then per
+    scan ``image_quality`` and ``predictor_model.score`` and, before each
+    re-scan, ``guidance_offset`` and ``apply_move``, written out on floats:
+    the same IEEE operations in the same order, so the same bits.  The
+    stream gives the same normals in the same order too, in fewer calls:
+    ``standard_normal(n)`` yields what successive smaller calls would.  One
+    call of 23 covers the start pose (7), the first score (1) and the first
+    re-scan, and one of 15 each later re-scan: the guidance offset (7), the
+    move (7) and the score (1).
     """
-    pose = start
+    anatomy, predictor = config.anatomy, config.score_predictor
+    guidance, learner = config.guidance, config.learner
+    t_scale, r_scale = config.start_offset_t, config.start_offset_r
+    scale_t, scale_r = anatomy.translation_scale, anatomy.rotation_scale
+    cutoff = anatomy.failure_cutoff
+    noise, threshold = predictor.noise_scale, predictor.threshold
+    guide_t, guide_r = guidance.guidance_noise_t, guidance.guidance_noise_r
+    gain, motor_t, motor_r = learner.gain, learner.motor_noise_t, learner.motor_noise_r
+
+    n0, n1, n2, ax, ay, az, an, eps, *normals = rng.standard_normal(23).tolist()
+    # perturb_pose: a Gaussian position and a random small rotation
+    px, py, pz = t_scale * n0, t_scale * n1, t_scale * n2
+    angle = r_scale * an
+    norm = sqrt(ax * ax + ay * ay + az * az)
+    if norm < 1e-300:  # degenerate draw; any fixed axis works
+        ax, ay, az, norm = 1.0, 0.0, 0.0, 1.0
+    k = angle / norm
+    x, y, z = k * ax, k * ay, k * az
+    angle = sqrt(x * x + y * y + z * z)
+    if angle == 0.0:
+        qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0
+    else:
+        half = 0.5 * angle
+        s = sin(half)
+        qw, qx, qy, qz = cos(half), s * (x / angle), s * (y / angle), s * (z / angle)
+    norm = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+
     trajectory: list[float] = []
     scores: list[float] = []
     fails: list[bool] = []
     flags: list[bool] = []
-    for scan in range(max_rescans + 1):
-        if scan > 0:
-            offset = guidance_offset(pose, guidance, rng)
-            pose = apply_move(pose, offset, learner, rng)
-        quality = image_quality(pose, subject)
+    for scan in range(config.max_rescans + 1):
+        if scan:
+            if scan > 1:
+                normals = rng.standard_normal(15).tolist()
+            n0, n1, n2, ax, ay, az, an, m0, m1, m2, bx, by, bz, bn, eps = normals
+
+            # guidance_offset: the conjugate orientation composed with a
+            # random rotation of scale guide_r, as a canonical rotation vector
+            angle = guide_r * an
+            norm = sqrt(ax * ax + ay * ay + az * az)
+            if norm < 1e-300:
+                ax, ay, az, norm = 1.0, 0.0, 0.0, 1.0
+            k = angle / norm
+            x, y, z = k * ax, k * ay, k * az
+            angle = sqrt(x * x + y * y + z * z)
+            if angle == 0.0:
+                rw, rx, ry, rz = 1.0, 0.0, 0.0, 0.0
+            else:
+                half = 0.5 * angle
+                s = sin(half)
+                rw, rx, ry, rz = cos(half), s * (x / angle), s * (y / angle), s * (z / angle)
+            cx, cy, cz = -qx, -qy, -qz
+            w = qw * rw - cx * rx - cy * ry - cz * rz
+            x = qw * rx + cx * rw + cy * rz - cz * ry
+            y = qw * ry - cx * rz + cy * rw + cz * rx
+            z = qw * rz + cx * ry - cy * rx + cz * rw
+            norm = sqrt(w * w + x * x + y * y + z * z)
+            w, x, y, z = w / norm, x / norm, y / norm, z / norm
+            if w < 0.0:  # q and -q are the same rotation; keep the short way around
+                w, x, y, z = -w, -x, -y, -z
+            vec_norm = sqrt(x * x + y * y + z * z)
+            if vec_norm < 1e-300:
+                ox, oy, oz = 0.0, 0.0, 0.0
+            else:
+                k = 2.0 * atan2(vec_norm, w) / vec_norm
+                ox, oy, oz = k * x, k * y, k * z
+            tx, ty, tz = -px + guide_t * n0, -py + guide_t * n1, -pz + guide_t * n2
+
+            # apply_move: the gain-scaled step, then a random motor rotation
+            x, y, z = gain * ox, gain * oy, gain * oz
+            angle = sqrt(x * x + y * y + z * z)
+            if angle == 0.0:
+                sw, sx, sy, sz = 1.0, 0.0, 0.0, 0.0
+            else:
+                half = 0.5 * angle
+                s = sin(half)
+                sw, sx, sy, sz = cos(half), s * (x / angle), s * (y / angle), s * (z / angle)
+            angle = motor_r * bn
+            norm = sqrt(bx * bx + by * by + bz * bz)
+            if norm < 1e-300:
+                bx, by, bz, norm = 1.0, 0.0, 0.0, 1.0
+            k = angle / norm
+            x, y, z = k * bx, k * by, k * bz
+            angle = sqrt(x * x + y * y + z * z)
+            if angle == 0.0:
+                rw, rx, ry, rz = 1.0, 0.0, 0.0, 0.0
+            else:
+                half = 0.5 * angle
+                s = sin(half)
+                rw, rx, ry, rz = cos(half), s * (x / angle), s * (y / angle), s * (z / angle)
+            w = qw * sw - qx * sx - qy * sy - qz * sz
+            x = qw * sx + qx * sw + qy * sz - qz * sy
+            y = qw * sy - qx * sz + qy * sw + qz * sx
+            z = qw * sz + qx * sy - qy * sx + qz * sw
+            qw = w * rw - x * rx - y * ry - z * rz
+            qx = w * rx + x * rw + y * rz - z * ry
+            qy = w * ry - x * rz + y * rw + z * rx
+            qz = w * rz + x * ry - y * rx + z * rw
+            norm = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+            px = px + gain * tx + motor_t * m0
+            py = py + gain * ty + motor_t * m1
+            pz = pz + gain * tz + motor_t * m2
+
+        # image_quality, then score
+        d_t = sqrt(px * px + py * py + pz * pz)
+        d_r = 2.0 * atan2(sqrt(qx * qx + qy * qy + qz * qz), abs(qw))
+        quality = exp(-((d_t / scale_t) ** 2) - (d_r / scale_r) ** 2)
+        noisy = min(max(quality + noise * eps, 0.0), 1.0)
         trajectory.append(quality)
-        scores.append(score(quality, score_pred, rng))
-        fails.append(quality < subject.failure_cutoff)
-        flags.append(scores[-1] < score_pred.threshold)
-        if not flags[-1]:
+        scores.append(noisy)
+        fails.append(quality < cutoff)
+        flagged = noisy < threshold
+        flags.append(flagged)
+        if not flagged:
             break
     return SubjectRecord(None, fails, flags, trajectory, scores)
 
@@ -420,12 +516,13 @@ def _abstract_records(
     The failure rates are the inverse CDF on the first column of the unit's
     ``block_uniforms`` (a point mass draws none), their predictors are built
     once for the unit (false-positive rates in one array expression), and each
-    scan loop reads the rest of its row, then its ``uniforms_past_block``.  A
+    scan loop reads the rest of its row, then its ``uniforms_past_blocks``, all
+    from one generator built for the first subject that draws past its row.  A
     NaN rate raises ``UndefinedDraw`` once the subjects before it are appended.
     """
     seed, dist = config.master_seed, config.distribution
     profile, budget = config.profile, config.max_rescans
-    uniforms = block_uniforms(seed, start, stop)
+    uniforms, past_block = block_uniforms(seed, start, stop), uniforms_past_blocks(seed)
     if isinstance(dist, PointMass):
         alphas, rows = itertools.repeat(dist.alpha), uniforms.tolist()
         predictors = itertools.repeat(ConfusionPredictor.calibrated(profile, dist.alpha))
@@ -436,7 +533,7 @@ def _abstract_records(
         alphas, rows = alphas.tolist(), uniforms[:, 1:].tolist()
         predictors = map(ConfusionPredictor, itertools.repeat(profile.recall), rates)
     for alpha, predictor, row in zip(alphas, predictors, rows):
-        draws = itertools.chain(row, uniforms_past_block(seed, start + len(records)))
+        draws = itertools.chain(row, past_block(start + len(records)))
         records.append(run_subject_abstract(alpha, budget, predictor, draws))
     if len(records) < stop - start:
         raise UndefinedDraw(f"{dist}: betaincinv gives a NaN failure rate")
@@ -458,20 +555,8 @@ def _simulate_table(config: "ExperimentConfig", start: int, stop: int) -> Subjec
         if config.mode == "abstract":
             _abstract_records(config, start, stop, records)
         else:
-            anatomy = config.anatomy
             for rng in subject_streams(seed, start, stop):
-                start_pose = perturb_pose(config.start_offset_t, config.start_offset_r, rng)
-                records.append(
-                    run_subject_kinematic(
-                        anatomy,
-                        start_pose,
-                        config.max_rescans,
-                        config.score_predictor,
-                        config.guidance,
-                        config.learner,
-                        rng,
-                    )
-                )
+                records.append(run_subject_kinematic(config, rng))
     except Exception as exc:
         i = start + len(records)
         located = _located(exc, f"subject {i}, seed {seed}, config {config.digest[:12]}")

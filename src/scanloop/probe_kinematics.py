@@ -21,6 +21,13 @@ All random perturbations consume a fixed number of stream draws per call:
 one block of seven Gaussians (three for a translation, three plus one for a
 rotation), so replaying a stream through any sequence of these operations
 is reproducible no matter which noise scales are zero.
+
+These step functions are the reference for a kinematic subject's loop.  The
+simulator's kernel, ``acquisition_loop.run_subject_kinematic(config, rng)``,
+writes ``perturb_pose``, ``image_quality``, ``guidance_offset`` and
+``apply_move`` out on floats with the same operations in the same order,
+drawing a subject's normals in one call and then one per re-scan, and the
+tests hold it to these functions' bits.
 """
 
 from __future__ import annotations

@@ -11,15 +11,16 @@ subject i, so a cohort split any way gives bit-identical results:
   them for any range of subjects in two numpy calls.
 * every other draw of subject i comes from ``subject_stream(s, i)``,
   ``Generator(Philox(key=[s, i]))`` from counter 0.  Its counters never
-  reach word 3, so it never repeats a block draw.  ``uniforms_past_block``
-  gives its scalar draws, and ``subject_streams`` the streams of a range of
-  subjects from one re-keyed generator.  A stream cannot spawn child streams
-  (``Generator.spawn`` raises), and nothing in the package spawns.
+  reach word 3, so it never repeats a block draw.  ``uniforms_past_blocks``
+  gives the scalar draws of any subjects, and ``subject_streams`` the streams
+  of a range of subjects, each from one re-keyed generator.  A stream cannot
+  spawn child streams (``Generator.spawn`` raises), and nothing in the
+  package spawns.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -60,15 +61,9 @@ def subject_stream(master_seed: int, subject_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(master_seed, subject_index), counter=_ZERO))
 
 
-def subject_streams(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """``subject_stream(master_seed, i)`` for each i in [start, stop), as one
-    ``Generator`` re-keyed for each subject: a subject's draws must all be
-    taken before the next subject's stream is.
-
-    Raises:
-        ValueError: unless the seed and every index are in [0, 2^64).
-    """
-    _check(master_seed, start, max(start, stop))
+def _rekeyed(master_seed: int) -> Callable[[int], np.random.Generator]:
+    """A function of i that gives ``subject_stream(master_seed, i)`` as one
+    ``Generator``, re-keyed at each call (i unchecked)."""
     rng, key = np.random.Generator(np.random.Philox(_Key(master_seed, 0))), [master_seed, 0]
     # A fresh Philox's state: counter 0, no buffered word.  numpy reads lists
     # here faster than the arrays its own state holds.
@@ -80,7 +75,19 @@ def subject_streams(master_seed: int, start: int, stop: int) -> Iterator[np.rand
         rng.bit_generator.state = state
         return rng
 
-    return map(rekeyed, range(start, stop))
+    return rekeyed
+
+
+def subject_streams(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """``subject_stream(master_seed, i)`` for each i in [start, stop), as one
+    ``Generator`` re-keyed for each subject: a subject's draws must all be
+    taken before the next subject's stream is.
+
+    Raises:
+        ValueError: unless the seed and every index are in [0, 2^64).
+    """
+    _check(master_seed, start, max(start, stop))
+    return map(_rekeyed(master_seed), range(start, stop))
 
 
 def block_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -101,8 +108,24 @@ def block_uniforms(master_seed: int, start: int, stop: int) -> np.ndarray:
     return (bits >> np.uint64(11)) * 2.0**-53
 
 
-def uniforms_past_block(master_seed: int, subject_index: int) -> Iterator[float]:
-    """The subject's scalar draws after its 8 block draws: those of its
-    ``subject_stream``, from the first.  The ``Generator`` is built at the
-    first draw taken, so a subject that takes none builds none."""
-    yield from iter(subject_stream(master_seed, subject_index).random, None)
+def uniforms_past_blocks(master_seed: int) -> Callable[[int], Iterator[float]]:
+    """A function of i that gives subject i's scalar draws after its 8 block
+    draws: those of its ``subject_stream``, from the first.  All subjects'
+    draws come from one ``Generator``, built at the first draw any subject
+    takes and re-keyed for each subject that takes one, so a subject that
+    takes none costs none; a subject's draws must all be taken before the
+    next subject's are.
+
+    Raises (at a subject's first draw):
+        ValueError: unless the seed and the subject's index are in [0, 2^64).
+    """
+    rekeyed = None
+
+    def uniforms(subject_index: int) -> Iterator[float]:
+        nonlocal rekeyed
+        _check(master_seed, subject_index, subject_index + 1)
+        if rekeyed is None:
+            rekeyed = _rekeyed(master_seed)
+        yield from iter(rekeyed(subject_index).random, None)
+
+    return uniforms

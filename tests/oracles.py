@@ -10,10 +10,11 @@ standard errors.  Tests compare the fast implementations against these.
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, total density mass, vectorized sampling and
 flagging, each subject's scalar draws by the stream rule and the per-subject
-abstract loop on them, the threshold sweep as one cohort run per threshold,
-empirical operating points, SubjectTable rows and the scan-by-scan sums they
-must equal, the declared norm on numpy arrays, quaternion algebra on numpy
-arrays and scalars, a row-at-a-time CSV writer and the reader of report CSVs.
+abstract loop on them, the kinematic loop one step function at a time, the
+threshold sweep as one cohort run per threshold, empirical operating points,
+SubjectTable rows and the scan-by-scan sums they must equal, the declared
+norm on numpy arrays, quaternion algebra on numpy arrays and scalars, a
+row-at-a-time CSV writer and the reader of report CSVs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,17 @@ from scanloop.alpha_distributions import (
     sample_alpha,
 )
 from scanloop.cost_model import CostRates, PredictorProfile, budgeted_cost_at
-from scanloop.predictor_model import ConfusionPredictor, ScorePredictor, classify
+from scanloop.predictor_model import ConfusionPredictor, ScorePredictor, classify, score
+from scanloop.probe_kinematics import (
+    GuidanceNoise,
+    LearnerPolicy,
+    ProbePose,
+    SubjectAnatomy,
+    apply_move,
+    guidance_offset,
+    image_quality,
+    perturb_pose,
+)
 from scanloop.reports import format_cell, manifest_line
 from scanloop.streams import subject_stream
 
@@ -321,6 +332,61 @@ def abstract_records(config, start: int, stop: int) -> list[SubjectRecord]:
             if not flags[-1]:
                 break
         records.append(SubjectRecord(alpha, fails, flags))
+    return records
+
+
+def kinematic_record(
+    subject: SubjectAnatomy,
+    start: ProbePose,
+    max_rescans: int,
+    score_pred: ScorePredictor,
+    guidance: GuidanceNoise,
+    learner: LearnerPolicy,
+    rng: np.random.Generator,
+) -> SubjectRecord:
+    """One kinematic subject from the pose ``start``, one step function at a
+    time: per scan ``image_quality`` and ``score`` and, before each re-scan,
+    ``guidance_offset`` and ``apply_move``, all on ``rng``.  On the stream
+    ``perturb_pose`` drew ``start`` from, this is the record
+    ``run_subject_kinematic`` gives."""
+    pose = start
+    trajectory: list[float] = []
+    scores: list[float] = []
+    fails: list[bool] = []
+    flags: list[bool] = []
+    for scan in range(max_rescans + 1):
+        if scan > 0:
+            offset = guidance_offset(pose, guidance, rng)
+            pose = apply_move(pose, offset, learner, rng)
+        quality = image_quality(pose, subject)
+        trajectory.append(quality)
+        scores.append(score(quality, score_pred, rng))
+        fails.append(quality < subject.failure_cutoff)
+        flags.append(scores[-1] < score_pred.threshold)
+        if not flags[-1]:
+            break
+    return SubjectRecord(None, fails, flags, trajectory, scores)
+
+
+def kinematic_records(config, start: int, stop: int) -> list[SubjectRecord]:
+    """Records of kinematic subjects [start, stop), each from a fresh
+    ``subject_stream``: its start pose by ``perturb_pose``, then
+    ``kinematic_record``."""
+    records = []
+    for i in range(start, stop):
+        rng = subject_stream(config.master_seed, i)
+        pose = perturb_pose(config.start_offset_t, config.start_offset_r, rng)
+        records.append(
+            kinematic_record(
+                config.anatomy,
+                pose,
+                config.max_rescans,
+                config.score_predictor,
+                config.guidance,
+                config.learner,
+                rng,
+            )
+        )
     return records
 
 

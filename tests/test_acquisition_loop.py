@@ -1,10 +1,12 @@
 """Per-subject loop behavior, cohort simulation, and analytic cross-checks."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from oracles import (
     SubjectRow,
     abstract_records,
+    kinematic_record,
+    kinematic_records,
     subject_draws,
     subject_row,
     table_row,
@@ -88,7 +92,27 @@ def _abstract_config(
     )
 
 
-def _kinematic_config(n, seed=0, workers=1, threshold=0.7, noise_scale=0.05, max_rescans=10):
+# The [kinematics] section of _kinematic_config, key by key.
+KINEMATICS = dict(
+    translation_scale=10.0,
+    rotation_scale=0.5,
+    failure_cutoff=0.5,
+    start_offset_t=8.0,
+    start_offset_r=0.3,
+    gain=0.8,
+    guidance_noise_t=0.5,
+    guidance_noise_r=0.02,
+    motor_noise_t=0.2,
+    motor_noise_r=0.01,
+)
+
+
+def _kinematic_config(
+    n, seed=0, workers=1, threshold=0.7, noise_scale=0.05, max_rescans=10, **kinematics
+):
+    """A kinematic config; ``kinematics`` replaces keys of ``KINEMATICS``."""
+    lines = [f"{key} = {value}" for key, value in {**KINEMATICS, **kinematics}.items()]
+    section = "\n        ".join(lines)
     return parse_config(
         f"""
         [cohort]
@@ -110,18 +134,20 @@ def _kinematic_config(n, seed=0, workers=1, threshold=0.7, noise_scale=0.05, max
         threshold = {threshold}
 
         [kinematics]
-        translation_scale = 10.0
-        rotation_scale = 0.5
-        failure_cutoff = 0.5
-        start_offset_t = 8.0
-        start_offset_r = 0.3
-        gain = 0.8
-        guidance_noise_t = 0.5
-        guidance_noise_r = 0.02
-        motor_noise_t = 0.2
-        motor_noise_r = 0.01
+        {section}
         """
     )
+
+
+# _kinematic_config's noise settings for an exact learner and scorer
+NOISELESS = dict(
+    noise_scale=0.0,
+    gain=1.0,
+    guidance_noise_t=0.0,
+    guidance_noise_r=0.0,
+    motor_noise_t=0.0,
+    motor_noise_r=0.0,
+)
 
 
 class TestRunSubjectAbstract:
@@ -198,15 +224,11 @@ class TestRunSubjectKinematic:
     QUIET = GuidanceNoise(guidance_noise_t=0.0, guidance_noise_r=0.0)
 
     def test_start_at_target_accepts_immediately(self):
-        rec = run_subject_kinematic(
-            self.ANATOMY,
-            ProbePose(position=(0.0, 0.0, 0.0), orientation=(1.0, 0.0, 0.0, 0.0)),
-            5,
-            ScorePredictor(noise_scale=0.0, threshold=0.7),
-            self.QUIET,
-            LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0),
-            subject_stream(7, 0),
+        # zero start offsets put the kernel's start pose on the optimum
+        config = _kinematic_config(
+            1, max_rescans=5, start_offset_t=0.0, start_offset_r=0.0, **NOISELESS
         )
+        rec = run_subject_kinematic(config, subject_stream(7, 0))
         assert rec.scans == 1
         assert rec.quality == [1.0]
         assert _row(rec).cost == 0.0
@@ -216,7 +238,7 @@ class TestRunSubjectKinematic:
         start = ProbePose(position=(4.0, 0.0, 0.0), orientation=(1.0, 0.0, 0.0, 0.0))
         q0 = image_quality(start, self.ANATOMY)
         assert q0 < 0.9
-        rec = run_subject_kinematic(
+        rec = kinematic_record(
             self.ANATOMY,
             start,
             5,
@@ -235,7 +257,7 @@ class TestRunSubjectKinematic:
         # is flagged, so the trajectory walks the predicted contraction curve
         # until the budget runs out.
         start = ProbePose(position=(16.0, 0.0, 0.0), orientation=(1.0, 0.0, 0.0, 0.0))
-        rec = run_subject_kinematic(
+        rec = kinematic_record(
             self.ANATOMY,
             start,
             5,
@@ -258,7 +280,7 @@ class TestRunSubjectKinematic:
         for i in range(100):
             rng = subject_stream(10, i)
             start = ProbePose(position=(8.0, 1.0, -2.0), orientation=(1.0, 0.0, 0.0, 0.0))
-            rec = run_subject_kinematic(
+            rec = kinematic_record(
                 self.ANATOMY,
                 start,
                 8,
@@ -275,6 +297,101 @@ class TestRunSubjectKinematic:
             assert row.final_true_fail == (rec.quality[-1] < 0.5)
 
 
+SHIPPED_KINEMATIC = Path(__file__).resolve().parent.parent / "configs" / "kinematic_guided.ini"
+# Configs that reach the kernel's rare branches: a rotation angle of 0 and
+# exact convergence, long runs that draw more normals at each re-scan after
+# the first (a score flags unless it is clipped to 1), no re-scan at all,
+# a start at the optimum, an orientation that stays the identity (a rotation
+# vector of norm 0), and rotations past pi (a quaternion with w < 0).
+KERNEL_EDGE_CASES = {
+    "exact_convergence": dict(NOISELESS, threshold=1.0),
+    "long_runs": dict(threshold=1.0, max_rescans=30),
+    "no_rescans": dict(max_rescans=0),
+    "start_at_optimum": dict(start_offset_t=0.0, start_offset_r=0.0),
+    "identity_orientation": dict(
+        threshold=1.0, start_offset_r=0.0, guidance_noise_r=0.0, motor_noise_r=0.0
+    ),
+    "wide_rotations": dict(start_offset_r=3.0, guidance_noise_r=1.0, motor_noise_r=1.0),
+}
+
+
+def _kernel_config(case, seed, n):
+    if case == "shipped":
+        text = SHIPPED_KINEMATIC.read_text(encoding="utf-8")
+        config = parse_config(text, seed_override=seed)
+        return dataclasses.replace(config, n_subjects=n)
+    return _kinematic_config(n, seed=seed, **KERNEL_EDGE_CASES[case])
+
+
+class TestKinematicKernelAgainstOracle:
+    # run_subject_kinematic writes perturb_pose, image_quality, score,
+    # guidance_offset and apply_move out on floats and draws its normals in
+    # two calls; on the same stream it must give the record of the step
+    # functions, in every column's bits.
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("case", ["shipped", *KERNEL_EDGE_CASES])
+    def test_columns_equal_the_oracle(self, case, seed):
+        n = 600
+        config = _kernel_config(case, seed, n)
+        records = [run_subject_kinematic(config, subject_stream(seed, i)) for i in range(n)]
+        got = SubjectTable.from_records(records, config.rates)
+        want = SubjectTable.from_records(kinematic_records(config, 0, n), config.rates)
+        for name in ("alpha", "scans", "failed", "flagged", "quality", "score", *SUBJECT_COLUMNS):
+            column, expected = getattr(got, name), getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert column.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "normals",
+        [
+            (0.0,) * 6 + (1.0, -1.0),
+            (0.0, -0.0, 0.0, 1.5, -0.0, 0.0, -0.7, -2.0),
+            (1e-200, -1e-200, 1e-200, 0.5, 2.0, -3.0, 1e-200, -1.0),
+        ],
+        ids=["zeros", "signed_zeros", "tiny"],
+    )
+    def test_degenerate_normals_equal_the_oracle(self, normals):
+        # Normals no Gaussian stream gives in practice: rotation axes of norm
+        # below 1e-300, which both replace by a fixed axis, and zero angles.
+        # Eight a period, so the first score's normal is the last of them and
+        # each later re-scan's lands one earlier.
+        config = _kinematic_config(1, threshold=1.0, max_rescans=6)
+
+        class Scripted:
+            """A stand-in stream that hands out ``normals`` in turn, cycling."""
+
+            def __init__(self):
+                self.next = itertools.cycle(normals).__next__
+
+            def standard_normal(self, size=None):
+                if size is None:
+                    return self.next()
+                return np.array([self.next() for _ in range(size)])
+
+        rng = Scripted()
+        start = perturb_pose(config.start_offset_t, config.start_offset_r, rng)
+        args = config.max_rescans, config.score_predictor, config.guidance, config.learner
+        want = kinematic_record(config.anatomy, start, *args, rng)
+        got = run_subject_kinematic(config, Scripted())
+        assert got.scans == want.scans > 1
+        for column in ("fails", "flags", "quality", "scores"):
+            got_bits, want_bits = (np.array(getattr(r, column)).tobytes() for r in (got, want))
+            assert got_bits == want_bits, column
+
+    def test_edge_cases_reach_their_branches(self):
+        # what each edge case is there for shows in its columns
+        tables = {
+            case: _simulate_table(_kernel_config(case, 1, 600), 0, 600)
+            for case in KERNEL_EDGE_CASES
+        }
+        exact = tables["exact_convergence"]
+        assert (exact.scans == 2).all() and (exact.quality_at(None) == 1.0).all()
+        assert (tables["long_runs"].scans > 2).sum() > 300
+        assert (tables["no_rescans"].scans == 1).all()
+        assert (tables["start_at_optimum"].quality_at(0) == 1.0).all()
+        assert (tables["identity_orientation"].scans > 2).any()
+
+
 class TestSubjectTable:
     def _records(self, n, kinematic=False):
         records = []
@@ -284,7 +401,7 @@ class TestSubjectTable:
                 rng = subject_stream(20, i)
                 start = ProbePose(position=(6.0, 0.0, 0.0), orientation=(1.0, 0.0, 0.0, 0.0))
                 records.append(
-                    run_subject_kinematic(
+                    kinematic_record(
                         anatomy,
                         start,
                         4,
@@ -568,24 +685,8 @@ class TestQualityColumn:
 def _table_of_all_records(mode, n):
     """One ``from_records`` call over the whole cohort of ``_blockwise_config``."""
     config = _blockwise_config(mode, n, 1)
-    if mode == "abstract":
-        return SubjectTable.from_records(abstract_records(config, 0, n), config.rates)
-    records = []
-    for i in range(n):
-        rng = subject_stream(config.master_seed, i)
-        start = perturb_pose(config.start_offset_t, config.start_offset_r, rng)
-        records.append(
-            run_subject_kinematic(
-                config.anatomy,
-                start,
-                config.max_rescans,
-                config.score_predictor,
-                config.guidance,
-                config.learner,
-                rng,
-            )
-        )
-    return SubjectTable.from_records(records, config.rates)
+    oracle = abstract_records if mode == "abstract" else kinematic_records
+    return SubjectTable.from_records(oracle(config, 0, n), config.rates)
 
 
 def _blockwise_config(mode, n, workers):
@@ -698,6 +799,23 @@ class TestAbstractEngineAgainstOracle:
         assert _digests(SubjectTable.concatenate(parts)) == _oracle_digests(
             bins, family, 50, 4000, 4200
         )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("max_rescans", [3, 50])
+    def test_a_unit_builds_at_most_one_generator(self, bins, monkeypatch, family, max_rescans):
+        # Subjects whose scan loops draw past their block row, two uniforms a
+        # scan, share one generator, built for the first of them; a unit in
+        # which none does builds none.  The row holds 8 uniforms, or 7 after
+        # the failure rate's.
+        config = _family_config(bins, family, max_rescans)
+        built = []
+        real = np.random.Generator
+        monkeypatch.setattr(np.random, "Generator", lambda bits: built.append(bits) or real(bits))
+        table = _simulate_table(config, 0, 1024)
+        row = 8 if family == "point_mass" else 7
+        past_block = np.count_nonzero(2 * table.scans > row)
+        assert past_block > 1 or (family, max_rescans) == ("point_mass", 3)
+        assert len(built) == (past_block > 0)
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("family", FAMILIES)

@@ -1,11 +1,15 @@
 """How ``bench/same_outputs.py`` reads a run's files across a version change and
-across worker counts."""
+across worker counts, and the configs it generates."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+from scanloop.acquisition_loop import run_cohort
+from scanloop.config import parse_config
+from scanloop.probe_kinematics import GuidanceNoise, LearnerPolicy
 from scanloop.reports import manifest_line, write_json
 
 _PATH = Path(__file__).resolve().parent.parent / "bench" / "same_outputs.py"
@@ -83,3 +87,36 @@ def test_worker_invariance_reads_the_labels_config_cases_makes(tmp_path):
     assert labels == ["simulate a.ini workers=1 seed=1", "simulate a.ini workers=4 seed=1"]
     written = dict.fromkeys(labels, {"subjects.csv": b"0"})
     assert same_outputs.compare_workers(written) == []
+
+
+def test_every_generated_config_parses(tmp_path):
+    (tmp_path / "histogram.csv").write_text(same_outputs.HISTOGRAM_CSV)
+    for distribution in same_outputs.GENERATED_CONFIGS.values():
+        text = same_outputs.ABSTRACT_CONFIG.format(distribution=distribution)
+        assert parse_config(text, base_dir=tmp_path).mode == "abstract"
+    for text in same_outputs.KINEMATIC_CONFIGS.values():
+        config = parse_config(text)
+        assert config.mode == "kinematic"
+
+
+def test_the_kinematic_config_converges_exactly_and_runs_long():
+    (text,) = same_outputs.KINEMATIC_CONFIGS.values()
+    config = parse_config(text)
+    assert config.guidance == GuidanceNoise(0.0, 0.0)
+    assert config.learner == LearnerPolicy(gain=1.0, motor_noise_t=0.0, motor_noise_r=0.0)
+    assert (config.score_predictor.threshold, config.max_rescans) == (1.0, 30)
+    table = run_cohort(dataclasses.replace(config, n_subjects=500)).table
+    assert (table.quality_at(1)[table.scans > 1] == 1.0).all()
+    assert table.scans.max() > 3
+
+
+def test_generated_kinematic_configs_also_run_guidance(tmp_path):
+    (name,) = same_outputs.KINEMATIC_CONFIGS
+    config = tmp_path / name
+    config.write_text(same_outputs.KINEMATIC_CONFIGS[name])
+    labels = [label for label, _ in same_outputs.config_cases([config], [1], tmp_path)]
+    assert labels == [
+        f"{command} {name} workers={workers} seed=1"
+        for workers in (1, 4)
+        for command in ("simulate", "guidance")
+    ]

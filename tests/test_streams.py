@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import block_draws
-from scanloop.streams import block_uniforms, subject_stream, subject_streams, uniforms_past_block
+from scanloop.streams import block_uniforms, subject_stream, subject_streams, uniforms_past_blocks
 
 SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1)
 INDICES = (0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 1)
@@ -59,7 +59,7 @@ def test_subject_stream_equals_keyed_philox_stream(seed, index):
 @pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
 def test_scalar_draws_are_the_block_row_then_the_subject_stream(seed, index):
     (row,) = block_uniforms(seed, index, index + 1).tolist()
-    draws = itertools.chain(row, uniforms_past_block(seed, index))
+    draws = itertools.chain(row, uniforms_past_blocks(seed)(index))
     past = iter(reference_stream(seed, index).random, None)
     want = itertools.chain(block_draws(seed, index), past)
     assert list(itertools.islice(draws, 12)) == list(itertools.islice(want, 12))
@@ -106,7 +106,7 @@ def test_out_of_range_inputs_rejected(seed, index):
     with pytest.raises(ValueError):
         subject_stream(seed, index)
     with pytest.raises(ValueError):
-        uniforms_past_block(seed, index).__next__()
+        uniforms_past_blocks(seed)(index).__next__()
 
 
 @pytest.mark.parametrize(
@@ -126,15 +126,36 @@ def test_subject_stream_cannot_spawn():
 
 
 def test_past_block_draws_build_no_generator_until_taken(monkeypatch):
-    import scanloop.streams as streams
-
+    # ... and then one generator for the subjects after, too
+    indices = (17, 18, 2**64 - 1, 5)
+    want = [reference_stream(3, index).random(3).tolist() for index in indices]
     built = []
-    real = streams.subject_stream
-    monkeypatch.setattr(streams, "subject_stream", lambda s, i: built.append(i) or real(s, i))
-    draws = uniforms_past_block(3, 17)
+    real = np.random.Generator
+    monkeypatch.setattr(np.random, "Generator", lambda bits: built.append(bits) or real(bits))
+    uniforms = uniforms_past_blocks(3)
+    draws = uniforms(17)
     assert built == []
-    assert next(draws) == reference_stream(3, 17).random()
-    assert built == [17]
+    assert next(draws) == want[0][0]
+    assert len(built) == 1
+    for index, expected in zip(indices[1:], want[1:]):
+        assert list(itertools.islice(uniforms(index), 3)) == expected
+    assert len(built) == 1
+
+
+def test_normals_in_calls_of_23_and_15_are_the_step_functions_normals():
+    # run_subject_kinematic draws 23 normals, then 15 a re-scan, where the
+    # step functions draw 7 (start pose), 1 (score), 7 (guidance), 7 (move),
+    # 1 (score), 7, 7, 1: numpy's ziggurat must yield the same normals in the
+    # same order whatever the calls.  Over this many normals it takes its
+    # slow paths, the tail beyond 3.654 among them.
+    got, want = [], []
+    for index, rng in enumerate(subject_streams(11, 0, 1000)):
+        got += rng.standard_normal(23).tolist() + rng.standard_normal(15).tolist()
+        ref = subject_stream(11, index)
+        for size in (7, 1, 7, 7, 1, 7, 7, 1):
+            want += ref.standard_normal(7).tolist() if size == 7 else [ref.standard_normal()]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.count_nonzero(np.abs(got) > 3.6541528853610088) > 0
 
 
 # Draws other than scalar uniforms, checked in this order.
