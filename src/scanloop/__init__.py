@@ -16,4 +16,4 @@ re-scan whenever the prediction flags the scan.  This package provides:
 - a reproducible experiment CLI (``cli``).
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

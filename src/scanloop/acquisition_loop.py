@@ -40,7 +40,7 @@ from .alpha_distributions import PointMass, expected_cost_ratio
 from .cost_model import CostRates, false_positive_rate
 from .errors import QuadratureFailure, UndefinedDraw, UndefinedRatio
 from .predictor_model import ConfusionPredictor
-from .streams import block_uniforms, subject_streams, uniforms_past_blocks
+from .streams import alpha_uniforms, block_uniforms, later_scan_uniforms, subject_streams
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -456,25 +456,18 @@ def _finite(value: float) -> float | None:
 # numpy stays quiet when a sum or spread of extreme costs overflows: each
 # figure that leaves the range of doubles is None
 @np.errstate(over="ignore", invalid="ignore")
-def _empirical_ratio(kept: KeptColumns) -> float | None:
-    """Paired estimator: looped cost over the cost the same draws would have
-    incurred with no loop (correction on first-scan failure), both at the
-    kept columns' rates."""
-    baseline = kept.rates.correction_cost * float(kept.first_fail.sum())
-    if baseline == 0.0:
-        return None
-    return _finite(float(kept.cost.sum()) / baseline)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as _empirical_ratio
 def _aggregate(kept: KeptColumns, analytic_ratio: float | None) -> CohortAggregates:
     """The aggregates of the ``kept`` columns, whose costs are at their own
     rates, beside the closed-form ``analytic_ratio`` (None where there is
     none).  Counts and the mean re-scans come from the integer tallies; every
-    other figure reduces a whole-cohort array."""
+    other figure reduces a whole-cohort array.  The paired empirical ratio is
+    the looped cost over the cost the same draws would have incurred with no
+    loop, a correction on each first-scan failure."""
     n = len(kept)
     rescans = kept.total_scans - n
     flagged, failed, hits = kept.flagged_scans, kept.failed_scans, kept.flagged_failed_scans
+    total_cost = float(kept.cost.sum())
+    baseline = kept.rates.correction_cost * float(kept.first_fail.sum())
 
     mean_initial = mean_final = None
     if kept.quality.size:
@@ -486,13 +479,13 @@ def _aggregate(kept: KeptColumns, analytic_ratio: float | None) -> CohortAggrega
         total_scans=kept.total_scans,
         total_rescans=rescans,
         total_corrections=kept.total_corrections,
-        total_cost=_finite(float(kept.cost.sum())),
+        total_cost=_finite(total_cost),
         mean_cost=_finite(float(kept.cost.mean())) if n > 0 else None,
         # an integer sum below 2**53, so the quotient numpy's mean would give
         mean_rescans=rescans / n if n > 0 else None,
         empirical_precision=hits / flagged if flagged > 0 else None,
         empirical_recall=hits / failed if failed > 0 else None,
-        empirical_cost_ratio=_empirical_ratio(kept),
+        empirical_cost_ratio=_finite(total_cost / baseline) if baseline else None,
         analytic_cost_ratio=analytic_ratio,
         mean_initial_quality=mean_initial,
         mean_final_quality=mean_final,
@@ -513,27 +506,26 @@ def _abstract_records(
 ) -> None:
     """Append the records of abstract subjects [start, stop) to ``records``.
 
-    The failure rates are the inverse CDF on the first column of the unit's
-    ``block_uniforms`` (a point mass draws none), their predictors are built
-    once for the unit (false-positive rates in one array expression), and each
-    scan loop reads the rest of its row, then its ``uniforms_past_blocks``, all
-    from one generator built for the first subject that draws past its row.  A
-    NaN rate raises ``UndefinedDraw`` once the subjects before it are appended.
+    Every draw is one of the cohort key's (``streams``).  The failure rates
+    are the inverse CDF on the unit's ``alpha_uniforms`` (a point mass draws
+    none), their predictors are built once for the unit (false-positive rates
+    in one array expression), and each scan loop reads its ``block_uniforms``
+    row, scans 0 to 3, then its ``later_scan_uniforms``.  A NaN rate raises
+    ``UndefinedDraw`` once the subjects before it are appended.
     """
     seed, dist = config.master_seed, config.distribution
     profile, budget = config.profile, config.max_rescans
-    uniforms, past_block = block_uniforms(seed, start, stop), uniforms_past_blocks(seed)
+    rows, later = block_uniforms(seed, start, stop).tolist(), later_scan_uniforms(seed)
     if isinstance(dist, PointMass):
-        alphas, rows = itertools.repeat(dist.alpha), uniforms.tolist()
+        alphas = itertools.repeat(dist.alpha)
         predictors = itertools.repeat(ConfusionPredictor.calibrated(profile, dist.alpha))
     else:
-        alphas = dist.inverse_cdf(uniforms[:, 0])
+        alphas = dist.inverse_cdf(alpha_uniforms(seed, start, stop))
         alphas = alphas[: np.flatnonzero(np.isnan(alphas)).min(initial=len(alphas))]
-        rates = false_positive_rate(alphas, profile).tolist()
-        alphas, rows = alphas.tolist(), uniforms[:, 1:].tolist()
+        alphas, rates = alphas.tolist(), false_positive_rate(alphas, profile).tolist()
         predictors = map(ConfusionPredictor, itertools.repeat(profile.recall), rates)
     for alpha, predictor, row in zip(alphas, predictors, rows):
-        draws = itertools.chain(row, past_block(start + len(records)))
+        draws = itertools.chain(row, later(start + len(records)))
         records.append(run_subject_abstract(alpha, budget, predictor, draws))
     if len(records) < stop - start:
         raise UndefinedDraw(f"{dist}: betaincinv gives a NaN failure rate")
@@ -665,7 +657,7 @@ class ComparisonSummary:
     z_cost_ratio: float | None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as _empirical_ratio
+@np.errstate(over="ignore", invalid="ignore")  # as _aggregate
 def empirical_vs_analytic(report: SimulationReport) -> ComparisonSummary:
     """Compare an abstract-mode report against the closed-form population costs
     of the failure-rate distribution and cost rates of the config it ran.
@@ -706,13 +698,13 @@ def empirical_vs_analytic(report: SimulationReport) -> ComparisonSummary:
         if cost_se and agg.mean_cost is not None:
             z_cost = _finite((agg.mean_cost - analytic_new) / cost_se)
         if ratio is not None:
-            baseline = rates.correction_cost * kept.first_fail.astype(float)
-            ybar = float(baseline.mean())
-            spread = (
-                float(cost.var(ddof=1))
-                - 2.0 * ratio * float(np.cov(cost, baseline, ddof=1)[0, 1])
-                + ratio * ratio * float(baseline.var(ddof=1))
-            )
+            # the baseline column, c on k first-scan failures and 0 else, by its moments
+            c, k = rates.correction_cost, int(np.count_nonzero(kept.first_fail))
+            ybar = c * k / n
+            failed_cost = float(cost.sum(where=kept.first_fail))
+            cov = c * (failed_cost - k * float(cost.mean())) / (n - 1)
+            var_baseline = c * (c * (k * (n - k) / (n * (n - 1))))
+            spread = float(cost.var(ddof=1)) - 2.0 * ratio * cov + ratio * ratio * var_baseline
             # ybar squared may round to 0, and either square may overflow
             scale = n * (ybar * ybar)
             var = spread / scale if scale > 0.0 else math.inf

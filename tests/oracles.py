@@ -9,12 +9,14 @@ standard errors.  Tests compare the fast implementations against these.
 
 The helpers at the end take the package's own types and are called by tests
 only: one-step cost recursion, total density mass, vectorized sampling and
-flagging, each subject's scalar draws by the stream rule and the per-subject
-abstract loop on them, the kinematic loop one step function at a time, the
-threshold sweep as one cohort run per threshold, empirical operating points,
-SubjectTable rows and the scan-by-scan sums they must equal, the declared
-norm on numpy arrays, quaternion algebra on numpy arrays and scalars, a
-row-at-a-time CSV writer and the reader of report CSVs.
+flagging, each abstract subject's draws by the stream rule, read from
+numpy's Philox one block at a time, and the per-subject abstract loop on
+them, the delta-method ratio SE from sample covariances, the kinematic loop
+one step function at a time, the threshold sweep as one cohort run per
+threshold, empirical operating points, SubjectTable rows and the
+scan-by-scan sums they must equal, the declared norm on numpy arrays,
+quaternion algebra on numpy arrays and scalars, a row-at-a-time CSV writer
+and the reader of report CSVs.
 """
 
 from __future__ import annotations
@@ -294,36 +296,48 @@ def classify_many(
     return u < cut
 
 
-def block_draws(seed: int, i: int) -> list[float]:
-    """Subject i's 8 block draws by the stream rule, one scalar Philox per
-    4-word block: the words of the blocks at counters (i, 0, 0, 1) and
-    (i, 1, 0, 1) under the key (seed, 0), each as ``random()`` makes a double.
-    numpy steps the counter before it computes a block, so each Philox
-    starts one below.  The key is given as uint64 words: numpy reads a list
-    such as [2**64 - 1, 0] through float64."""
-    key, words = np.array([seed, 0], dtype=np.uint64), []
-    for half in (0, 1):
-        counter = (1 << 192) + (half << 64) + i - 1
-        words += np.random.Philox(key=key, counter=counter).random_raw(4).tolist()
+def cohort_block(seed: int, counter: int) -> list[float]:
+    """The 4 words of the block at ``counter`` under the cohort key (seed, 0)
+    from a scalar Philox, each as ``random()`` makes a double.  numpy steps
+    the counter before it computes a block, so the Philox starts one below.
+    The key is given as uint64 words: numpy reads a list such as
+    [2**64 - 1, 0] through float64."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=counter - 1).random_raw(4).tolist()
     return [(w >> 11) * 2.0**-53 for w in words]
 
 
+def alpha_draw(seed: int, i: int) -> float:
+    """Subject i's failure-rate uniform by the stream rule: word 0 of the
+    block at counter (i, 0, 1, 1)."""
+    return cohort_block(seed, i + (1 << 128) + (1 << 192))[0]
+
+
 def subject_draws(seed: int, i: int) -> Iterator[float]:
-    """Subject i's scalar uniforms: its 8 block draws, then its
-    ``subject_stream``'s ``random()`` draws from the first."""
-    return itertools.chain(block_draws(seed, i), iter(subject_stream(seed, i).random, None))
+    """Subject i's scan uniforms by the stream rule, a failure and a flag
+    draw a scan: the words of its blocks at counters (i, 0, 0, 1),
+    (i, 1, 0, 1) and so on, so that scan k reads block k // 2."""
+    for block in itertools.count():
+        yield from cohort_block(seed, i + (block << 64) + (1 << 192))
+
+
+def block_draws(seed: int, i: int) -> list[float]:
+    """Subject i's scan uniforms of scans 0 to 3, its first two blocks'."""
+    return list(itertools.islice(subject_draws(seed, i), 8))
 
 
 def abstract_records(config, start: int, stop: int) -> list[SubjectRecord]:
     """Records of abstract subjects [start, stop), one subject and one draw
-    at a time from ``subject_draws``: its failure rate by ``sample_alpha``,
-    its predictor by ``calibrated``, then per scan a failure draw and
-    ``classify``'s flag draw, until a scan passes or the budget is spent."""
-    records = []
+    at a time: its failure rate by ``sample_alpha`` on ``alpha_draw``, its
+    predictor by ``calibrated``, then per scan a failure draw and
+    ``classify``'s flag draw from ``subject_draws``, until a scan passes or
+    the budget is spent."""
+    records, seed = [], config.master_seed
     for i in range(start, stop):
-        # the one method sample_alpha and classify call on a Generator
-        rng = SimpleNamespace(random=subject_draws(config.master_seed, i).__next__)
-        alpha = sample_alpha(config.distribution, rng)
+        # random(), the one method sample_alpha and classify call on a Generator
+        alpha_rng = SimpleNamespace(random=lambda: alpha_draw(seed, i))
+        alpha = sample_alpha(config.distribution, alpha_rng)
+        rng = SimpleNamespace(random=subject_draws(seed, i).__next__)
         predictor = ConfusionPredictor.calibrated(config.profile, alpha)
         fails, flags = [], []
         for _ in range(config.max_rescans + 1):
@@ -333,6 +347,27 @@ def abstract_records(config, start: int, stop: int) -> list[SubjectRecord]:
                 break
         records.append(SubjectRecord(alpha, fails, flags))
     return records
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def ratio_se_by_cov(
+    cost: np.ndarray, first_fail: np.ndarray, correction_cost: float, ratio: float
+) -> float | None:
+    """The delta-method SE of the paired cost ratio ``ratio`` from the
+    per-subject costs and first-scan failures, by sample variances and
+    ``np.cov`` of the float baseline column (c on a first-scan failure, 0
+    else); None where it leaves the range of doubles."""
+    n = len(cost)
+    baseline = correction_cost * first_fail.astype(float)
+    ybar = float(baseline.mean())
+    spread = (
+        float(cost.var(ddof=1))
+        - 2.0 * ratio * float(np.cov(cost, baseline, ddof=1)[0, 1])
+        + ratio * ratio * float(baseline.var(ddof=1))
+    )
+    scale = n * (ybar * ybar)
+    var = spread / scale if scale > 0.0 else math.inf
+    return math.sqrt(max(var, 0.0)) if math.isfinite(var) else None
 
 
 def kinematic_record(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     SubjectRow,
     abstract_records,
@@ -51,7 +52,7 @@ from scanloop.probe_kinematics import (
     image_quality,
     perturb_pose,
 )
-from scanloop.streams import block_uniforms, subject_stream
+from scanloop.streams import alpha_uniforms, subject_stream
 
 RATES = CostRates(rescan_cost=0.1, correction_cost=1.0)
 PROFILE = PredictorProfile(precision=0.8, recall=0.8)
@@ -782,9 +783,10 @@ def _oracle_digests(bins, family, max_rescans, start=0, stop=ORACLE_SUBJECTS):
 
 class TestAbstractEngineAgainstOracle:
     # The engine draws the failure rates a unit at a time and feeds each scan
-    # loop from its block_uniforms row; the oracle reads every subject's
-    # draws one at a time from scalar Philox blocks, then its Generator.
-    # Every column must have the same bytes.
+    # loop from its block_uniforms row, then from one re-set Philox; the
+    # oracle reads every subject's draws one block at a time, each from a
+    # scalar Philox at the block's counter.  Every column must have the same
+    # bytes.
     @pytest.mark.parametrize("max_rescans", [0, 1, 3, 50])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_cohort_columns_equal_the_oracle(self, bins, family, max_rescans):
@@ -802,20 +804,33 @@ class TestAbstractEngineAgainstOracle:
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("max_rescans", [3, 50])
-    def test_a_unit_builds_at_most_one_generator(self, bins, monkeypatch, family, max_rescans):
-        # Subjects whose scan loops draw past their block row, two uniforms a
-        # scan, share one generator, built for the first of them; a unit in
-        # which none does builds none.  The row holds 8 uniforms, or 7 after
-        # the failure rate's.
+    def test_a_unit_builds_no_generator(self, bins, monkeypatch, family, max_rescans):
+        # Every draw is a cohort-key block's: a unit builds one Philox for
+        # each of block_uniforms' two blocks, one for the failure rates (a
+        # point mass draws none) and one whose counter is re-set for every
+        # block of scans 4 on, which a subject reaches only past 3 re-scans.
         config = _family_config(bins, family, max_rescans)
         built = []
-        real = np.random.Generator
-        monkeypatch.setattr(np.random, "Generator", lambda bits: built.append(bits) or real(bits))
+
+        def counted(cls):
+            return lambda *args, **kwargs: built.append(cls.__name__) or cls(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted(np.random.Philox))
+        monkeypatch.setattr(np.random, "Generator", counted(np.random.Generator))
         table = _simulate_table(config, 0, 1024)
-        row = 8 if family == "point_mass" else 7
-        past_block = np.count_nonzero(2 * table.scans > row)
-        assert past_block > 1 or (family, max_rescans) == ("point_mass", 3)
-        assert len(built) == (past_block > 0)
+        assert (np.count_nonzero(table.scans > 4) > 0) == (max_rescans > 3)
+        assert built == ["Philox"] * (3 if family == "point_mass" else 4)
+
+    def test_most_subjects_past_scan_4(self, bins):
+        # A predictor that flags nearly every scan above alpha_max, about
+        # 0.56 here, so most subjects read blocks past block_uniforms' two.
+        text = _population_text(FAMILIES["uniform_saturating"], 50)
+        text = text.replace("precision = 0.8", "precision = 0.55")
+        config = parse_config(text.replace("recall = 0.8", "recall = 0.95"))
+        got = run_cohort(config).table
+        assert np.count_nonzero(got.scans > 4) > len(got) / 2
+        want = SubjectTable.from_records(abstract_records(config, 0, len(got)), config.rates)
+        assert _digests(got) == _digests(want)
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -862,7 +877,7 @@ class TestUnitOperatingPoints:
     def test_array_rates_equal_the_scalar_rates(self, config):
         # the block's uniforms, and the lowest and highest ones there are
         ends = [0.0, 5e-324, np.nextafter(1.0, 0.0)]
-        u = np.concatenate((ends, block_uniforms(31, 0, 4096)[:, 0]))
+        u = np.concatenate((ends, alpha_uniforms(31, 0, 4096)))
         alphas = config.distribution.inverse_cdf(u)
         rates = false_positive_rate(alphas, config.profile)
         scalar = [false_positive_rate(a, config.profile) for a in alphas.tolist()]
@@ -1067,21 +1082,22 @@ class TestRunCohort:
     @pytest.mark.parametrize(
         "mu, sigma, lo, hi, alphas",
         [
-            # central: the quantile's middle branch, and its near tail (subject 13)
+            # central: the quantile's middle branch, and its near tail below
+            # and above (subjects 10 and 11)
             (0.2, 0.1, 0.0, 0.6, (
-                0.24249208407999315, 0.0972465644143056, 0.24294054663692477,
-                0.24392759518218968, 0.2540721001883746, 0.1006042821239379,
-                0.2494923179458282, 0.14990234514664827, 0.26629731745035257,
-                0.27773916002056487, 0.3236270511869205, 0.17893631401383858,
-                0.07701673779081886, 0.3538664442503642,
+                0.20922694948161855, 0.17064462088086588, 0.12246306201773771,
+                0.06255375220891751, 0.1296897133908409, 0.1912270889905177,
+                0.162031328987587, 0.17544284317233522, 0.17176554111225378,
+                0.1602643369719988, 0.04126128916624955, 0.35125211812699936,
+                0.09213846310402701, 0.21133679062538568,
             )),
             # mirrored, lo 12.5 sigma above mu: the far lower tail, beyond exp(-25)
             (0.05, 0.02, 0.3, 0.7, (
-                0.30169452577663325, 0.3002256188239498, 0.301702234264331,
-                0.30171928010762233, 0.3019008800994956, 0.3002407484961477,
-                0.3018174428620258, 0.3005486536992036, 0.30213549427410685,
-                0.302371014081185, 0.30347595764985114, 0.30081887700766186,
-                0.30014754822364004, 0.30434931520668973,
+                0.30118417414017995, 0.30073413942350313, 0.3003563006050816,
+                0.3001040202969945, 0.3004015326615832, 0.30095627948467346,
+                0.30065263711349793, 0.30078240998282824, 0.3007452296851065,
+                0.3006367163165971, 0.30005539176489543, 0.304269149425448,
+                0.3002038385115898, 0.30121303869909377,
             )),
         ],
     )
@@ -1213,6 +1229,58 @@ class TestEmpiricalVsAnalytic:
         summary = empirical_vs_analytic(report)
         assert report.table.flagged_scans.sum() > 0.9 * report.table.scans.sum()
         assert abs(summary.z_cost_ratio) <= 3.0
+
+    @staticmethod
+    def _summary_of(cost, first_fail):
+        """``empirical_vs_analytic`` of a report that kept ``cost`` and
+        ``first_fail``, at the rates of ``_abstract_config`` (correction 1)."""
+        config = _abstract_config(len(cost))
+        kept = acquisition_loop.KeptColumns(len(cost), config.rates, kinematic=False)
+        kept.cost[:], kept.first_fail[:] = cost, first_fail
+        kept.finish()
+        aggregates = acquisition_loop._aggregate(kept, 0.5)
+        return empirical_vs_analytic(acquisition_loop.SimulationReport(config, None, kept, aggregates))
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 1e-12 * max(abs(got), abs(want))
+
+    @pytest.mark.parametrize(
+        "cost, first_fail",
+        [
+            ([1.1, 0.0], [True, False]),  # n = 2
+            ([1.0, 1.2], [True, True]),  # k = n = 2: the baseline has no spread
+            ([1.3, 0.2, 1.0, 0.0, 1.1], [True, True, True, True, True]),  # k = n
+            ([1.0, 0.1, 0.0, 0.2], [True, False, False, False]),  # k = 1
+            # the costs' variance overflows: no SE, as from np.cov
+            ([1e160, 3e160, 0.0, 2e160], [True, True, False, False]),
+        ],
+    )
+    def test_ratio_se_equals_the_covariance_form(self, cost, first_fail):
+        cost, first_fail = np.array(cost), np.array(first_fail)
+        summary = self._summary_of(cost, first_fail)
+        want = oracles.ratio_se_by_cov(cost, first_fail, 1.0, summary.empirical_cost_ratio)
+        self._assert_close(summary.empirical_ratio_se, want)
+        assert (want is None) == (cost.max() > 1e150)
+
+    @pytest.mark.parametrize(
+        "config, every_first_scan_fails",
+        [
+            (lambda: _abstract_config(20_000, seed=37, alpha=0.3), False),
+            (lambda: _abstract_config(500, seed=5, alpha=0.9999, max_rescans=3), True),
+            (lambda: parse_config(_population_text(FAMILIES["beta"], 50)), False),
+        ],
+        ids=["point_mass", "k_equals_n", "beta"],
+    )
+    def test_cohort_ratio_se_equals_the_covariance_form(self, config, every_first_scan_fails):
+        report = run_cohort(config())
+        kept, summary = report.kept, empirical_vs_analytic(report)
+        assert kept.first_fail.all() == every_first_scan_fails
+        ratio = summary.empirical_cost_ratio
+        want = oracles.ratio_se_by_cov(kept.cost, kept.first_fail, 1.0, ratio)
+        self._assert_close(summary.empirical_ratio_se, want)
 
     def test_kinematic_report_rejected(self):
         report = run_cohort(_kinematic_config(5, seed=47))

@@ -25,7 +25,7 @@ from scanloop.alpha_distributions import (
 )
 from scanloop.cost_model import PredictorProfile, cost_ratio_at
 from scanloop.errors import QuadratureFailure, UndefinedRatio
-from scanloop.streams import block_uniforms
+from scanloop.streams import alpha_uniforms
 
 from oracles import (
     mc_population_ratio,
@@ -569,8 +569,8 @@ def test_array_inverse_cdf_equals_scalar_sample_bit_for_bit(name):
         assert ((unclamped > hi) & (got == hi)).any() == clamps_hi
 
 
-# the first uniforms of 4 096 subjects, as the engine draws rates from
-BLOCK = block_uniforms(31, 0, 4096)[:, 0]
+# the failure-rate uniforms of 4 096 subjects, which the engine inverts
+BLOCK = alpha_uniforms(31, 0, 4096)
 
 
 @functools.cache

@@ -879,7 +879,7 @@ class TestExitCodes:
         self, tmp_path, monkeypatch, capsys, workers, subjects, subject, family
     ):
         # The same for the families whose failure rates are drawn a unit at
-        # a time, from its block_uniforms' first column: a fault in subject 23's
+        # a time, from their alpha_uniforms: a fault in subject 23's
         # scan loop names subject 23.  The loop is told apart by its failure
         # rate.  Subject 1 500 lies in a later unit than the first, whose
         # subjects.csv rows were written by then: the failure still leaves no
@@ -889,13 +889,13 @@ class TestExitCodes:
         from scanloop.cli import main
         from scanloop.config import parse_config
         from scanloop.errors import UndefinedRatio
-        from scanloop.streams import block_uniforms
+        from scanloop.streams import alpha_uniforms
 
         body, dist = {
             "truncated_normal": (TRUNCATED_NORMAL, TruncatedNormal(0.2, 0.1, 0.0, 0.6)),
             "beta": ("family = beta\na = 2\nb = 8", Beta(2.0, 8.0)),
         }[family]
-        alpha = float(dist.inverse_cdf(block_uniforms(7, subject, subject + 1)[:, 0])[0])
+        alpha = float(dist.inverse_cdf(alpha_uniforms(7, subject, subject + 1))[0])
         run_subject_abstract = acquisition_loop.run_subject_abstract
 
         def faulty(rate, *args):
@@ -935,10 +935,10 @@ class TestExitCodes:
         from scanloop import cli
         from scanloop.alpha_distributions import Beta
         from scanloop.config import parse_config
-        from scanloop.streams import block_uniforms
+        from scanloop.streams import alpha_uniforms
 
         dist = Beta(float(a), float(b))
-        u = block_uniforms(7, 0, 40)[:, 0]
+        u = alpha_uniforms(7, 0, 40)
         nan = np.flatnonzero(np.isnan(dist.inverse_cdf(u)))
         assert nan.size
 

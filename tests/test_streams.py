@@ -1,4 +1,5 @@
-"""Per-subject streams equal numpy's own Philox4x64-10 streams."""
+"""Abstract draws follow the cohort key's counter rule, and kinematic
+subject streams equal numpy's own Philox4x64-10 streams."""
 
 import itertools
 
@@ -7,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_draws
-from scanloop.streams import block_uniforms, subject_stream, subject_streams, uniforms_past_blocks
+from oracles import alpha_draw, block_draws, subject_draws
+from scanloop.streams import (
+    alpha_uniforms,
+    block_uniforms,
+    later_scan_uniforms,
+    subject_stream,
+    subject_streams,
+)
 
 SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1)
 INDICES = (0, 1, 4095, 4096, 4097, 2**32 - 1, 2**32, 2**32 + 1)
@@ -57,12 +64,48 @@ def test_subject_stream_equals_keyed_philox_stream(seed, index):
 
 
 @pytest.mark.parametrize("seed, index", list(itertools.product(SEEDS, INDICES)))
-def test_scalar_draws_are_the_block_row_then_the_subject_stream(seed, index):
+def test_scan_draws_are_the_block_row_then_later_blocks(seed, index):
     (row,) = block_uniforms(seed, index, index + 1).tolist()
-    draws = itertools.chain(row, uniforms_past_blocks(seed)(index))
-    past = iter(reference_stream(seed, index).random, None)
-    want = itertools.chain(block_draws(seed, index), past)
-    assert list(itertools.islice(draws, 12)) == list(itertools.islice(want, 12))
+    draws = itertools.chain(row, later_scan_uniforms(seed)(index))
+    want = subject_draws(seed, index)
+    assert list(itertools.islice(draws, 20)) == list(itertools.islice(want, 20))
+
+
+def philox_word_uniforms(seed: int, counter: tuple[int, int, int, int]) -> list[float]:
+    """The block at ``counter`` (its words, lowest first) under the key
+    (seed, 0), straight from numpy's Philox, each word as ``random()`` makes
+    a double of it.  numpy steps the counter before it computes a block."""
+    at = sum(word << (64 * j) for j, word in enumerate(counter))
+    key = np.array([seed, 0], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=at - 1).random_raw(4).tolist()
+    return [(w >> 11) * 2.0**-53 for w in words]
+
+
+def engine_scan(seed: int, index: int, scan: int) -> list[float]:
+    """Scan ``scan``'s failure and flag uniforms as the engine draws them:
+    its ``block_uniforms`` row, then ``later_scan_uniforms``."""
+    (row,) = block_uniforms(seed, index, index + 1).tolist()
+    draws = itertools.chain(row, later_scan_uniforms(seed)(index))
+    return list(itertools.islice(draws, 2 * scan, 2 * scan + 2))
+
+
+@pytest.mark.parametrize("scan", [0, 1, 3, 4, 5, 10_000])
+@pytest.mark.parametrize("index", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_scan_k_reads_two_words_of_block_k_over_2(seed, index, scan):
+    # Scan k of subject i reads words 2(k mod 2) and 2(k mod 2) + 1 of the
+    # block at counter (i, k // 2, 0, 1); scans 3 to 5 cross from block 1,
+    # the last that block_uniforms reads, to block 2.
+    block = philox_word_uniforms(seed, (index, scan // 2, 0, 1))
+    word = 2 * (scan % 2)
+    assert engine_scan(seed, index, scan) == block[word : word + 2]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_failure_rate_reads_word_0_of_its_own_lane(seed, index):
+    block = philox_word_uniforms(seed, (index, 0, 1, 1))
+    assert alpha_uniforms(seed, index, index + 1).tolist() == block[:1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -96,9 +139,20 @@ def test_any_range_of_block_uniforms_is_those_rows_of_a_larger_one(start, stop):
     assert part.tobytes() == whole[start:stop].tobytes()
 
 
+@settings(max_examples=50, deadline=None)
+@given(start=st.integers(0, 300), stop=st.integers(0, 300))
+def test_any_range_of_alpha_uniforms_is_those_entries_of_a_larger_one(start, stop):
+    whole = alpha_uniforms(5, 0, 300)
+    part = alpha_uniforms(5, start, stop)
+    assert part.shape == (max(stop - start, 0),) and part.dtype == np.float64
+    assert part.tobytes() == whole[start:stop].tobytes()
+
+
 def test_block_uniforms_reach_the_last_subject():
     rows = block_uniforms(7, 2**64 - 3, 2**64).tolist()
     assert rows == [block_draws(7, i) for i in range(2**64 - 3, 2**64)]
+    last = alpha_uniforms(7, 2**64 - 3, 2**64).tolist()
+    assert last == [alpha_draw(7, i) for i in range(2**64 - 3, 2**64)]
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-5, -5), (2**64, 0), (0, 2**64)])
@@ -106,7 +160,7 @@ def test_out_of_range_inputs_rejected(seed, index):
     with pytest.raises(ValueError):
         subject_stream(seed, index)
     with pytest.raises(ValueError):
-        uniforms_past_blocks(seed)(index).__next__()
+        next(later_scan_uniforms(seed)(index))
 
 
 @pytest.mark.parametrize(
@@ -117,6 +171,8 @@ def test_out_of_range_ranges_rejected(seed, start, stop):
     with pytest.raises(ValueError):
         block_uniforms(seed, start, stop)
     with pytest.raises(ValueError):
+        alpha_uniforms(seed, start, stop)
+    with pytest.raises(ValueError):
         subject_streams(seed, start, stop)
 
 
@@ -125,21 +181,23 @@ def test_subject_stream_cannot_spawn():
         subject_stream(1, 2).spawn(1)
 
 
-def test_past_block_draws_build_no_generator_until_taken(monkeypatch):
-    # ... and then one generator for the subjects after, too
-    indices = (17, 18, 2**64 - 1, 5)
-    want = [reference_stream(3, index).random(3).tolist() for index in indices]
+def test_later_scan_uniforms_re_set_one_philox_and_build_no_generator(monkeypatch):
+    # Subjects take different numbers of uniforms, some stopping partway
+    # through a block and one taking none; each next subject's draws still
+    # start at its own block 2.
+    takes = {17: 3, 18: 0, 2**64 - 1: 9, 0: 1, 5: 4}
+    want = {i: list(itertools.islice(subject_draws(3, i), 8, 8 + n)) for i, n in takes.items()}
     built = []
-    real = np.random.Generator
-    monkeypatch.setattr(np.random, "Generator", lambda bits: built.append(bits) or real(bits))
-    uniforms = uniforms_past_blocks(3)
-    draws = uniforms(17)
-    assert built == []
-    assert next(draws) == want[0][0]
-    assert len(built) == 1
-    for index, expected in zip(indices[1:], want[1:]):
-        assert list(itertools.islice(uniforms(index), 3)) == expected
-    assert len(built) == 1
+
+    def counted(cls):
+        return lambda *args, **kwargs: built.append(cls.__name__) or cls(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted(np.random.Philox))
+    monkeypatch.setattr(np.random, "Generator", counted(np.random.Generator))
+    uniforms = later_scan_uniforms(3)
+    for index, n in takes.items():
+        assert list(itertools.islice(uniforms(index), n)) == want[index]
+    assert built == ["Philox"]
 
 
 def test_normals_in_calls_of_23_and_15_are_the_step_functions_normals():
